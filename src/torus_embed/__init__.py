@@ -7,6 +7,7 @@ call concurrently.
 
 from .almost_regular import (
     AlmostRegularCheck,
+    Cut,
     PairFactor,
     RealizationPlan,
     check_almost_regular,
@@ -69,6 +70,7 @@ from .torus import (
 
 __all__ = [
     "AlmostRegularCheck",
+    "Cut",
     "DeltaEmbedding",
     "DeltaParams",
     "EmbeddingCertificate",

@@ -12,6 +12,22 @@ a_max contributes one more simplex factor, of side sqrt(a_max^2 - a_ij^2)
 and with one vertex fewer, in which points i and j share a vertex. Squared
 distances add over factors, and the pair (s, t) misses exactly its own
 factor's contribution, which reproduces a_st^2 on the nose.
+
+For the torus embedding the product is read as a positive sum of cut
+semimetrics: the squared distances of a regular simplex of side s are s^2/2
+times the sum of the cuts that split off one of its vertices, and in the
+(i, j) factor the vertex shared by i and j splits off the cut {i, j}. Equal cuts add up, so with B the base
+side and s_ij the pair sides the torus needs one polygon per distinct cut:
+
+    {k} for every point k, of weight B^2/2 + sum of s_ij^2/2 over the
+        pairs without k;
+    {i, j} for every kept pair, of weight s_ij^2/2.
+
+A cut of weight w is one m-gon of side sqrt(w) with the cut's points on
+vertex 1 and the rest on vertex 0. A pair attaining a_max is never kept,
+so n points take n + (kept pairs) <= n(n + 1)/2 - 1 factors: 135 for 16
+points, against 1,801 for a polygon per simplex vertex. For n = 2 the only
+pair attains a_max, so no pair cut ever covers the whole point set.
 """
 
 from __future__ import annotations
@@ -23,8 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NotAlmostRegular
-from .simplex import embed_regular_simplex, regular_simplex
-from .torus import TorusPoint, TorusSpec
+from .geometry import check_squared_distances
+from .simplex import circumradius_for_side, embed_regular_simplex, regular_simplex
+from .torus import PolygonSpec, TorusPoint, TorusSpec
 
 # pair factors with side below this fraction of a_max are dropped rather
 # than realized as zero-radius polygons
@@ -34,6 +51,13 @@ ZERO_SIDE_RTOL = 1e-13
 class AlmostRegularCheck(NamedTuple):
     valid: bool
     margin: float
+
+
+class Cut(NamedTuple):
+    """Points split off by one cut, and the polygon side (sqrt of the weight)."""
+
+    members: tuple[int, ...]
+    side: float
 
 
 @dataclass(frozen=True)
@@ -57,6 +81,30 @@ class RealizationPlan:
     def factor_count(self) -> int:
         return 1 + len(self.pair_factors)
 
+    def cuts(self) -> list[Cut]:
+        """The realization as merged cuts: every singleton {k}, then every
+        kept pair {i, j}, in plan order.
+
+        A singleton weight adds only nonnegative terms to B^2/2, so it
+        stays positive; weights are taken relative to the largest side, so
+        that squaring cannot underflow at tiny input scales.
+        """
+        n = self.n_points
+        if n == 1:
+            return []
+        pairs = self.pair_factors
+        sides = np.array([f.side for f in pairs])
+        i = np.array([f.i for f in pairs], dtype=np.intp)
+        j = np.array([f.j for f in pairs], dtype=np.intp)
+        scale = max(self.base_side, float(sides.max(initial=0.0)))
+        half = 0.5 * (sides / scale) ** 2
+        points = np.arange(n)[:, None]
+        apart = (points != i) & (points != j)  # point k lies outside pair p
+        weights = 0.5 * (self.base_side / scale) ** 2 + np.where(apart, half, 0.0).sum(axis=1)
+        out = [Cut((k,), scale * math.sqrt(w)) for k, w in enumerate(weights.tolist())]
+        out.extend(Cut((f.i, f.j), f.side / math.sqrt(2.0)) for f in pairs)
+        return out
+
 
 def collapse_index(i: int, j: int, s: int) -> int:
     """Vertex of the (i, j) pair factor used by point s (0-based, i < j).
@@ -70,23 +118,11 @@ def collapse_index(i: int, j: int, s: int) -> int:
 
 
 def _checked_entries(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise InputError("distance matrix must be square and nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("distance matrix contains non-finite entries")
-    scale = float(np.abs(arr).max()) or 1.0
-    if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
-        raise InputError("distance matrix is not symmetric")
-    if float(np.abs(np.diag(arr)).max(initial=0.0)) > 1e-12 * scale:
-        raise InputError("distance matrix has a nonzero diagonal")
-    n = arr.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and float(arr[off].min()) <= 0.0:
+    a = check_squared_distances(entries, "distance matrix")
+    n = a.shape[0]
+    if n > 1 and float(a[~np.eye(n, dtype=bool)].min()) <= 0.0:
         raise InputError("off-diagonal entries must be strictly positive")
-    out = 0.5 * (arr + arr.T)
-    np.fill_diagonal(out, 0.0)
-    return out
+    return a
 
 
 def check_almost_regular(entries) -> AlmostRegularCheck:
@@ -147,21 +183,17 @@ def realize_almost_regular(entries) -> tuple[np.ndarray, RealizationPlan]:
 def embed_almost_regular(entries, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
     """Embed the realization into a torus whose factors all have order m.
 
-    Each simplex factor of the plan goes through its own block of m-gon
-    factors; per-point torus coordinates are concatenated along the plan's
-    collapse maps, so pairwise distances match the matrix exactly.
+    `entries` is an almost-regular distance matrix, or the RealizationPlan
+    already made from one. Each cut of `plan.cuts()` becomes one m-gon
+    whose side is the cut's polygon side; the cut's points sit on vertex 1
+    and all others on vertex 0, so pairwise distances match the matrix.
     """
-    plan = realization_plan(entries)
+    plan = entries if isinstance(entries, RealizationPlan) else realization_plan(entries)
     n = plan.n_points
     if n == 1:
         spec, points = embed_regular_simplex(1, 1.0, m)
         return spec, points
-    spec, base_points = embed_regular_simplex(n, plan.base_side, m)
-    factors = list(spec.factors)
-    rows = [list(p.indices) for p in base_points]
-    for f in plan.pair_factors:
-        sub_spec, sub_points = embed_regular_simplex(n - 1, f.side, m)
-        factors.extend(sub_spec.factors)
-        for s in range(n):
-            rows[s].extend(sub_points[collapse_index(f.i, f.j, s)].indices)
-    return TorusSpec(tuple(factors)), [TorusPoint(tuple(row)) for row in rows]
+    cuts = plan.cuts()
+    spec = TorusSpec(tuple(PolygonSpec(m, circumradius_for_side(m, c.side)) for c in cuts))
+    points = [TorusPoint(tuple(int(s in c.members) for c in cuts)) for s in range(n)]
+    return spec, points

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError, InvalidCertificate
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 
 @dataclass

@@ -30,9 +30,12 @@ from .errors import (
 )
 from .gen import KINDS, generate_points
 from .geometry import centered_gram, realize
-from .pipeline import PipelineConfig, embed_simplex, verify_certificate
-
-_DEFAULT_TOL = 1e-8
+from .pipeline import (
+    DEFAULT_ACCEPT_TOL,
+    PipelineConfig,
+    embed_simplex,
+    verify_certificate,
+)
 
 
 def _fail(message: str, code: int) -> int:
@@ -49,7 +52,7 @@ def _resolve_tolerance(value) -> float:
             return float(env)
         except ValueError:
             raise InputError(f"TORUS_EMBED_TOL is not a number: {env!r}") from None
-    return _DEFAULT_TOL
+    return DEFAULT_ACCEPT_TOL
 
 
 def _load_input_points(path) -> np.ndarray:

@@ -40,22 +40,23 @@ def squared_distances(points) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def check_squared_distances(sqdist) -> np.ndarray:
-    """Validate a squared-distance matrix: square, symmetric, zero diagonal,
-    nonnegative. Returns a cleaned copy (exactly symmetric, exact zero diagonal).
+def check_squared_distances(sqdist, name: str = "squared-distance matrix") -> np.ndarray:
+    """Validate a (squared-)distance matrix: square, symmetric, zero
+    diagonal, nonnegative. Returns a cleaned copy (exactly symmetric, exact
+    zero diagonal). `name` labels the matrix in the InputError messages.
     """
     arr = np.asarray(sqdist, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise InputError("squared-distance matrix must be square and nonempty")
+        raise InputError(f"{name} must be square and nonempty")
     if not np.all(np.isfinite(arr)):
-        raise InputError("squared-distance matrix contains non-finite entries")
+        raise InputError(f"{name} contains non-finite entries")
     scale = float(np.abs(arr).max()) or 1.0
     if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
-        raise InputError("squared-distance matrix is not symmetric")
+        raise InputError(f"{name} is not symmetric")
     if float(np.abs(np.diag(arr)).max(initial=0.0)) > 1e-12 * scale:
-        raise InputError("squared-distance matrix has a nonzero diagonal")
+        raise InputError(f"{name} has a nonzero diagonal")
     if float(arr.min()) < 0.0:
-        raise InputError("squared-distance matrix has negative entries")
+        raise InputError(f"{name} has negative entries")
     out = 0.5 * (arr + arr.T)
     np.fill_diagonal(out, 0.0)
     return out

@@ -8,6 +8,12 @@ base embedding's squared-distance error and a for the increment, the
 correction matrix sqrt(e_ij + a^2) always satisfies the almost-regularity
 condition because every |e_ij| stays below a^2/n^2, and its realization
 contributes exactly the missing e_ij + a^2 to each pair.
+
+The correction is emitted as merged cuts (see `almost_regular`): one
+polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
+a random 16-point simplex takes about 150 factors in all. `parameters`
+records the cut of each correction factor under "correction_cuts", in
+factor order; the correction factors are the last len(correction_cuts).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .geometry import (
     DEFAULT_TOL,
     as_point_array,
     centered_gram,
+    check_squared_distances,
     is_simplex,
     realize,
     squared_distances,
@@ -131,8 +138,8 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
             f"correction matrix is not almost regular (margin {margin:.6e})"
         )
     correction_m = de.params.m if cfg.uniform_m else CORRECTION_ORDER
-    corr_torus, corr_points = embed_almost_regular(correction, correction_m)
     plan = realization_plan(correction)
+    corr_torus, corr_points = embed_almost_regular(plan, correction_m)
 
     torus = TorusSpec(de.torus.factors + corr_torus.factors)
     assignment = tuple(
@@ -151,12 +158,7 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
         "correction_m": str(correction_m),
         "correction_margin": margin,
         "uniform_m": cfg.uniform_m,
-        "realization_plan": {
-            "base_side": plan.base_side,
-            "pair_factors": [
-                {"i": f.i, "j": f.j, "side": f.side} for f in plan.pair_factors
-            ],
-        },
+        "correction_cuts": [list(c.members) for c in plan.cuts()],
         "rank_tolerance": cfg.rank_tol,
         "accept_tolerance": cfg.accept_tol,
     }
@@ -173,18 +175,10 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
 
 
 def _check_structure(cert: EmbeddingCertificate) -> int:
-    input_sq = np.asarray(cert.input_sq, dtype=float)
-    if input_sq.ndim != 2 or input_sq.shape[0] != input_sq.shape[1] or input_sq.shape[0] == 0:
-        raise InvalidCertificate(
-            "input.squared_distances must be square and nonempty",
-            field="input.squared_distances",
-        )
-    if not np.all(np.isfinite(input_sq)):
-        raise InvalidCertificate(
-            "input.squared_distances has non-finite entries",
-            field="input.squared_distances",
-        )
-    n = input_sq.shape[0]
+    try:
+        n = check_squared_distances(cert.input_sq, "input.squared_distances").shape[0]
+    except InputError as exc:
+        raise InvalidCertificate(str(exc), field="input.squared_distances") from None
     if len(cert.assignment) != n:
         raise InvalidCertificate(
             f"assignment has {len(cert.assignment)} points, input has {n}",

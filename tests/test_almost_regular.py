@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from torus_embed import (
+    EmbeddingCertificate,
     InputError,
     NotAlmostRegular,
     check_almost_regular,
     collapse_index,
+    dumps_certificate,
     embed_almost_regular,
     is_simplex,
     realization_plan,
@@ -190,3 +192,65 @@ def test_plan_skips_zero_side_pairs():
     plan_regular = realization_plan(b)
     assert plan_regular.pair_factors == ()
     assert len(plan.pair_factors) == 1
+
+
+def test_embed_one_factor_per_cut():
+    # n singleton cuts plus one cut per kept pair; the pair attaining a_max
+    # is never kept, so two points take exactly two factors
+    rng = np.random.default_rng(5)
+    for n in range(2, 9):
+        for _ in range(5):
+            a = random_valid_matrix(rng, n)
+            plan = realization_plan(a)
+            spec, points = embed_almost_regular(a, 3)
+            assert len(spec.factors) == n + len(plan.pair_factors)
+            assert len(plan.pair_factors) <= n * (n - 1) // 2 - 1
+            if n == 2:
+                assert len(spec.factors) == 2
+            cuts = [
+                tuple(s for s in range(n) if points[s].indices[k])
+                for k in range(len(spec.factors))
+            ]
+            pairs = [(f.i, f.j) for f in plan.pair_factors]
+            assert cuts == [(k,) for k in range(n)] + pairs
+            assert [c.members for c in plan.cuts()] == cuts
+
+
+def test_embed_reproduces_distances_tightly():
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        for m in (2, 3, 5, 12):
+            a = random_valid_matrix(rng, n)
+            spec, points = embed_almost_regular(a, m)
+            for i, j in combinations(range(n), 2):
+                d = torus_distance(spec, points[i], points[j])
+                assert abs(d - a[i, j]) <= 1e-12 * a[i, j]
+
+
+def test_embed_accepts_plan():
+    a = random_valid_matrix(np.random.default_rng(9), 6)
+    assert embed_almost_regular(realization_plan(a), 4) == embed_almost_regular(a, 4)
+
+
+def test_embed_is_bytewise_deterministic():
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        a = random_valid_matrix(rng, n)
+        texts = []
+        for _ in range(2):
+            spec, points = embed_almost_regular(a.copy(), 3)
+            cert = EmbeddingCertificate(a**2, spec, tuple(points), {}, {}, {})
+            texts.append(dumps_certificate(cert))
+        assert texts[0] == texts[1]
+
+
+def test_cut_weights_do_not_underflow():
+    # the squared margin here is the smallest subnormal float, so half of it
+    # rounds to zero; cut weights are summed relative to the largest side
+    x = 2.3e-162
+    plan = realization_plan([[0.0, x], [x, 0.0]])
+    assert plan.base_side**2 == 5e-324
+    spec, points = embed_almost_regular(plan, 3)
+    assert len(spec.factors) == 2
+    for c in plan.cuts():
+        assert c.side == pytest.approx(plan.base_side / math.sqrt(2.0), rel=1e-15)

@@ -135,12 +135,11 @@ def test_verify_tampered_certificate_exits_3(tmp_path, capsys):
     write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
     assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
     obj = json.loads(out.read_text())
-    # bump point 1's index in the first correction factor: that is a
-    # base-simplex slot where point 0 carries a 1, so pair (0, 1) loses a
-    # whole chord contribution
-    n = len(obj["assignment"])
-    pair_count = len(obj["parameters"]["realization_plan"]["pair_factors"])
-    slot = len(obj["torus"]["factors"]) - (n + (n - 1) * pair_count)
+    # the correction factors come last, one per recorded cut; bump point 1's
+    # index in the slot of the singleton cut {0}, where point 0 carries a 1,
+    # so pair (0, 1) loses that whole chord contribution
+    cuts = obj["parameters"]["correction_cuts"]
+    slot = len(obj["torus"]["factors"]) - len(cuts) + cuts.index([0])
     m = int(obj["torus"]["factors"][slot]["m"])
     obj["assignment"][1][slot] = str((int(obj["assignment"][1][slot]) + 1) % m)
     out.write_text(json.dumps(obj))
@@ -205,3 +204,21 @@ def test_certificate_file_roundtrip_bytes(tmp_path, capsys):
     text = out.read_text()
     assert text.endswith("\n")
     assert dumps_certificate(load_certificate(out)) == text.rstrip("\n")
+
+
+@pytest.mark.parametrize(
+    "entry, value", [((1, 0), 0.5), ((0, 0), 0.25)], ids=["asymmetric", "nonzero-diagonal"]
+)
+def test_verify_invalid_input_matrix_exits_1(tmp_path, capsys, entry, value):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    obj = json.loads(out.read_text())
+    row, col = entry
+    obj["input"]["squared_distances"][row][col] = value
+    out.write_text(json.dumps(obj))
+    code, stdout, stderr = run(capsys, "verify", str(out))
+    assert code == 1
+    assert "input.squared_distances" in stderr
+    assert "PASS" not in stdout

@@ -91,10 +91,10 @@ def test_embed_triangle_certificate():
     cert = embed_simplex(regular_simplex(3, 1.0))
     report = verify_certificate(cert, 1e-8)
     assert report.passed
-    plan = cert.parameters["realization_plan"]
-    base_count = len(cert.assignment)
-    corr_factor_count = base_count + (base_count - 1) * len(plan["pair_factors"])
-    delta_factor_count = len(cert.torus.factors) - corr_factor_count
+    cuts = cert.parameters["correction_cuts"]
+    assert cuts[:3] == [[0], [1], [2]]  # one singleton cut per point first
+    assert all(len(c) == 2 for c in cuts[3:])
+    delta_factor_count = len(cert.torus.factors) - len(cuts)
     assert 1 <= delta_factor_count <= 2  # base set lives in at most 2 coordinates
     assert cert.parameters["correction_margin"] > 0
 
@@ -175,9 +175,10 @@ def test_correction_matrix_is_almost_regular_every_run():
 def test_verify_tampered_index_fails():
     cert = embed_simplex(regular_simplex(3, 1.0))
     assert verify_certificate(cert, 1e-8).passed
-    # bump point 1's index in the first correction factor (a base-simplex
-    # slot where point 0 carries a 1): the pair (0, 1) loses one chord
-    k = len(cert.torus.factors) - (3 + 2 * len(cert.parameters["realization_plan"]["pair_factors"]))
+    # bump point 1's index in the slot of the singleton cut {0}, where point
+    # 0 carries a 1: the pair (0, 1) loses one chord
+    cuts = cert.parameters["correction_cuts"]
+    k = len(cert.torus.factors) - len(cuts) + cuts.index([0])
     indices = list(cert.assignment[1].indices)
     indices[k] = (indices[k] + 1) % cert.torus.factors[k].m
     tampered = dataclasses.replace(
@@ -236,3 +237,19 @@ def test_verify_structural_errors():
             dataclasses.replace(cert, assignment=(wrong_len, cert.assignment[1]))
         )
     assert exc.value.field == "assignment[0]"
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [((1, 0), 0.5), ((0, 0), 0.25), ((2, 2), -0.1)],
+    ids=["asymmetric", "nonzero-diagonal", "negative-diagonal"],
+)
+def test_verify_rejects_invalid_input_matrix(entry, value):
+    # the pair loop reads only the upper triangle, so these matrices would
+    # otherwise pass with the untouched embedding
+    cert = embed_simplex(regular_simplex(3, 1.0))
+    bad = np.array(cert.input_sq, dtype=float)
+    bad[entry] = value
+    with pytest.raises(InvalidCertificate) as exc:
+        verify_certificate(dataclasses.replace(cert, input_sq=bad), 1e-8)
+    assert exc.value.field == "input.squared_distances"
