@@ -7,7 +7,6 @@ call concurrently.
 
 from .almost_regular import (
     AlmostRegularCheck,
-    Cut,
     PairFactor,
     RealizationPlan,
     check_almost_regular,
@@ -70,7 +69,6 @@ from .torus import (
 
 __all__ = [
     "AlmostRegularCheck",
-    "Cut",
     "DeltaEmbedding",
     "DeltaParams",
     "EmbeddingCertificate",

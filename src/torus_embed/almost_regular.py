@@ -53,13 +53,6 @@ class AlmostRegularCheck(NamedTuple):
     margin: float
 
 
-class Cut(NamedTuple):
-    """Points split off by one cut, and the polygon side (sqrt of the weight)."""
-
-    members: tuple[int, ...]
-    side: float
-
-
 @dataclass(frozen=True)
 class PairFactor:
     """One collapsing simplex factor: points i and j share a vertex."""
@@ -81,8 +74,9 @@ class RealizationPlan:
     def factor_count(self) -> int:
         return 1 + len(self.pair_factors)
 
-    def cuts(self) -> list[Cut]:
-        """The realization as merged cuts: every singleton {k}, then every
+    def cuts(self) -> list[tuple[tuple[int, ...], float]]:
+        """The realization as merged cuts, each as (points split off,
+        polygon side = sqrt of the weight): every singleton {k}, then every
         kept pair {i, j}, in plan order.
 
         A singleton weight adds only nonnegative terms to B^2/2, so it
@@ -101,8 +95,8 @@ class RealizationPlan:
         points = np.arange(n)[:, None]
         apart = (points != i) & (points != j)  # point k lies outside pair p
         weights = 0.5 * (self.base_side / scale) ** 2 + np.where(apart, half, 0.0).sum(axis=1)
-        out = [Cut((k,), scale * math.sqrt(w)) for k, w in enumerate(weights.tolist())]
-        out.extend(Cut((f.i, f.j), f.side / math.sqrt(2.0)) for f in pairs)
+        out = [((k,), scale * math.sqrt(w)) for k, w in enumerate(weights.tolist())]
+        out.extend(((f.i, f.j), f.side / math.sqrt(2.0)) for f in pairs)
         return out
 
 
@@ -185,7 +179,7 @@ def embed_almost_regular(entries, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
 
     `entries` is an almost-regular distance matrix, or the RealizationPlan
     already made from one. Each cut of `plan.cuts()` becomes one m-gon
-    whose side is the cut's polygon side; the cut's points sit on vertex 1
+    with the cut's polygon side; the cut's points sit on vertex 1
     and all others on vertex 0, so pairwise distances match the matrix.
     """
     plan = entries if isinstance(entries, RealizationPlan) else realization_plan(entries)
@@ -194,6 +188,6 @@ def embed_almost_regular(entries, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
         spec, points = embed_regular_simplex(1, 1.0, m)
         return spec, points
     cuts = plan.cuts()
-    spec = TorusSpec(tuple(PolygonSpec(m, circumradius_for_side(m, c.side)) for c in cuts))
-    points = [TorusPoint(tuple(int(s in c.members) for c in cuts)) for s in range(n)]
+    spec = TorusSpec(tuple(PolygonSpec(m, circumradius_for_side(m, side)) for _, side in cuts))
+    points = [TorusPoint(tuple(int(s in members) for members, _ in cuts)) for s in range(n)]
     return spec, points

@@ -158,7 +158,7 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
         "correction_m": str(correction_m),
         "correction_margin": margin,
         "uniform_m": cfg.uniform_m,
-        "correction_cuts": [list(c.members) for c in plan.cuts()],
+        "correction_cuts": [list(members) for members, _ in plan.cuts()],
         "rank_tolerance": cfg.rank_tol,
         "accept_tolerance": cfg.accept_tol,
     }

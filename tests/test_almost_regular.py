@@ -213,7 +213,18 @@ def test_embed_one_factor_per_cut():
             ]
             pairs = [(f.i, f.j) for f in plan.pair_factors]
             assert cuts == [(k,) for k in range(n)] + pairs
-            assert [c.members for c in plan.cuts()] == cuts
+            assert [members for members, _ in plan.cuts()] == cuts
+            # weights against the loop over the simplices' one-hot cuts
+            weights = [0.0] * n
+            for s in range(n):
+                weights[s] += plan.base_side**2 / 2
+            for f in plan.pair_factors:
+                for s in range(n):
+                    if s not in (f.i, f.j):
+                        weights[s] += f.side**2 / 2
+            weights += [f.side**2 / 2 for f in plan.pair_factors]
+            for (_, side), w in zip(plan.cuts(), weights):
+                assert side**2 == pytest.approx(w, rel=1e-13)
 
 
 def test_embed_reproduces_distances_tightly():
@@ -252,5 +263,5 @@ def test_cut_weights_do_not_underflow():
     assert plan.base_side**2 == 5e-324
     spec, points = embed_almost_regular(plan, 3)
     assert len(spec.factors) == 2
-    for c in plan.cuts():
-        assert c.side == pytest.approx(plan.base_side / math.sqrt(2.0), rel=1e-15)
+    for _, side in plan.cuts():
+        assert side == pytest.approx(plan.base_side / math.sqrt(2.0), rel=1e-15)
