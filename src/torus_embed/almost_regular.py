@@ -16,8 +16,9 @@ factor's contribution, which reproduces a_st^2 on the nose.
 For the torus embedding the product is read as a positive sum of cut
 semimetrics: the squared distances of a regular simplex of side s are s^2/2
 times the sum of the cuts that split off one of its vertices, and in the
-(i, j) factor the vertex shared by i and j splits off the cut {i, j}. Equal cuts add up, so with B the base
-side and s_ij the pair sides the torus needs one polygon per distinct cut:
+(i, j) factor the vertex shared by i and j splits off the cut {i, j}. Equal
+cuts add up, so with B the base side and s_ij the pair sides the torus
+needs one polygon per distinct cut:
 
     {k} for every point k, of weight B^2/2 + sum of s_ij^2/2 over the
         pairs without k;
