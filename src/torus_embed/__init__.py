@@ -62,6 +62,7 @@ from .torus import (
     TorusSpec,
     chord,
     materialize,
+    pairwise_sq,
     shift,
     torus_distance,
     torus_distance_sq,
@@ -104,6 +105,7 @@ __all__ = [
     "materialize",
     "one_dim_embed",
     "one_dim_params",
+    "pairwise_sq",
     "product_embed",
     "realization_plan",
     "realize",

@@ -117,6 +117,9 @@ def _checked_entries(entries) -> np.ndarray:
     n = a.shape[0]
     if n > 1 and float(a[~np.eye(n, dtype=bool)].min()) <= 0.0:
         raise InputError("off-diagonal entries must be strictly positive")
+    amax = float(a.max())
+    if not math.isfinite(amax * amax):
+        raise InputError("distance matrix entries are too large to square")
     return a
 
 

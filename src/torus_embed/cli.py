@@ -172,6 +172,13 @@ def _inspect_summary(cert) -> dict:
     }
 
 
+def _provenance(value, spec: str) -> str:
+    # verification never reads provenance, so a non-number is shown as given
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return format(value, spec)
+    return str(value)
+
+
 def _cmd_inspect(args) -> int:
     try:
         cert = load_certificate(args.cert)
@@ -191,13 +198,13 @@ def _cmd_inspect(args) -> int:
         print(f"  m = {entry['m']} ({entry['bits']} bits) x{entry['count']}")
     print(f"radius range:      [{summary['radius_min']:.6g}, {summary['radius_max']:.6g}]")
     if summary["alpha"] is not None:
-        print(f"alpha:             {summary['alpha']:.6g}")
+        print(f"alpha:             {_provenance(summary['alpha'], '.6g')}")
     if summary["delta"] is not None:
-        print(f"delta:             {summary['delta']:.6g}")
+        print(f"delta:             {_provenance(summary['delta'], '.6g')}")
     if cert.errors:
         print(
-            f"errors:            max_abs {cert.errors.get('max_abs'):.3e}  "
-            f"max_rel {cert.errors.get('max_rel'):.3e}"
+            f"errors:            max_abs {_provenance(cert.errors.get('max_abs'), '.3e')}  "
+            f"max_rel {_provenance(cert.errors.get('max_rel'), '.3e')}"
         )
     return 0
 

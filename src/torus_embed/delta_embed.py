@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, TrivialInput
 from .geometry import as_point_array, squared_distances
-from .torus import PolygonSpec, TorusPoint, TorusSpec, chord
+from .torus import PolygonSpec, TorusPoint, TorusSpec, pairwise_sq
 
 # Rational upper bound on pi (20 digits). Choosing parameters against an
 # upper bound keeps every strict inequality of the construction valid in
@@ -105,8 +105,6 @@ def _one_dim_values(xs) -> np.ndarray:
         raise InputError("values contain non-finite entries")
     if vals.size < 2:
         raise TrivialInput("need at least two values")
-    if np.unique(vals).size < vals.size:
-        raise InputError("duplicate values")
     return vals
 
 
@@ -114,10 +112,8 @@ def one_dim_params(xs, delta) -> DeltaParams:
     """Polygon parameters for embedding a set of reals at budget delta."""
     delta = _check_budget(delta)
     vals = _one_dim_values(xs)
-    translated = vals - vals.min()
-    if np.unique(translated).size < translated.size:
-        raise InputError("values collide after translation to zero")
-    n0 = _gap_bound(translated)
+    # _gap_bound refuses duplicates, also those made by translation to zero
+    n0 = _gap_bound(vals - vals.min())
     return _grid_params(n0, _subdivisions(n0, delta))
 
 
@@ -130,26 +126,14 @@ def one_dim_embed(xs, delta) -> DeltaEmbedding:
     """
     delta = _check_budget(delta)
     vals = _one_dim_values(xs)
-    p = one_dim_params(vals, delta)
     translated = vals - vals.min()
+    n0 = _gap_bound(translated)
+    p = _grid_params(n0, _subdivisions(n0, delta))
     indices = [_vertex_index(v, p.n0, p.n) for v in translated]
     torus = TorusSpec((PolygonSpec(p.m, p.r),))
     assignment = tuple(TorusPoint((j,)) for j in indices)
-    per_pair = squared_distances(vals.reshape(-1, 1)) - _assignment_sq(torus, assignment)
+    per_pair = squared_distances(vals.reshape(-1, 1)) - pairwise_sq(torus, assignment)
     return DeltaEmbedding(torus, assignment, delta, per_pair, p)
-
-
-def _assignment_sq(torus: TorusSpec, assignment) -> np.ndarray:
-    n = len(assignment)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = 0.0
-            for f, a, b in zip(torus.factors, assignment[i].indices, assignment[j].indices):
-                c = chord(f.m, f.r, a - b)
-                total += c * c
-            out[i, j] = out[j, i] = total
-    return out
 
 
 def product_embed(points, delta) -> DeltaEmbedding:
@@ -189,5 +173,5 @@ def product_embed(points, delta) -> DeltaEmbedding:
         TorusPoint(tuple(_vertex_index(float(v), p.n0, p.n) for v in row))
         for row in translated
     )
-    per_pair = d2 - _assignment_sq(torus, assignment)
+    per_pair = d2 - pairwise_sq(torus, assignment)
     return DeltaEmbedding(torus, assignment, delta, per_pair, p, dropped)

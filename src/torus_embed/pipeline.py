@@ -42,7 +42,7 @@ from .geometry import (
     realize,
     squared_distances,
 )
-from .torus import TorusPoint, TorusSpec, chord
+from .torus import TorusPoint, TorusSpec, pairwise_sq
 
 DEFAULT_ACCEPT_TOL = 1e-8
 
@@ -209,37 +209,27 @@ def verify_certificate(
     Recomputes every pairwise distance from the chord formula on vertex
     index differences alone; the certificate's construction parameters are
     never consulted. Passes iff the largest relative squared-distance error
-    is at most tol.
+    is at most tol. Raises InputError unless 0 <= tol < inf: a NaN or
+    negative tol would fail every certificate and an infinite one pass all.
     """
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
     n = _check_structure(cert)
-    input_sq = np.asarray(cert.input_sq, dtype=float)
-    factors = cert.torus.factors
-    max_abs = 0.0
-    max_rel = 0.0
-    worst: tuple[int, int] | None = None
-    pair_count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_count += 1
-            total = 0.0
-            for f, a, b in zip(factors, cert.assignment[i].indices, cert.assignment[j].indices):
-                c = chord(f.m, f.r, a - b)
-                total += c * c
-            target = float(input_sq[i, j])
-            abs_err = abs(total - target)
-            if target > 0.0:
-                rel_err = abs_err / target
-            else:
-                rel_err = 0.0 if abs_err == 0.0 else math.inf
-            max_abs = max(max_abs, abs_err)
-            if worst is None or rel_err > max_rel:
-                max_rel = rel_err
-                worst = (i, j)
+    k = np.arange(n)
+    iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost
+    target = np.asarray(cert.input_sq, dtype=float)[iu]
+    abs_err = np.abs(pairwise_sq(cert.torus, cert.assignment)[iu] - target)
+    # a zero target is met only by a zero error
+    zero_target = np.where(abs_err == 0.0, 0.0, math.inf)
+    rel_err = np.divide(abs_err, target, out=zero_target, where=target > 0.0)
+    worst = int(np.argmax(rel_err)) if rel_err.size else None
+    max_rel = float(rel_err.max(initial=0.0))
     return VerificationReport(
         passed=max_rel <= tol,
-        max_abs_error=max_abs,
+        max_abs_error=float(abs_err.max(initial=0.0)),
         max_rel_error=max_rel,
-        tolerance=float(tol),
-        pair_count=pair_count,
-        worst_pair=worst,
+        tolerance=tol,
+        pair_count=int(rel_err.size),
+        worst_pair=None if worst is None else (int(iu[0][worst]), int(iu[1][worst])),
     )

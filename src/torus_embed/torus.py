@@ -90,15 +90,28 @@ def _check_point(t: TorusSpec, p: TorusPoint) -> None:
         )
 
 
+def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
+    """Matrix of squared ambient distances between torus points: the one
+    chord-metric kernel. Each pair sums its squared chords in factor order,
+    so every caller gets the same bits for the same pair."""
+    points = tuple(points)
+    for p in points:
+        _check_point(t, p)
+    n = len(points)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            total = 0.0
+            for f, a, b in zip(t.factors, points[i].indices, points[j].indices):
+                c = chord(f.m, f.r, a - b)
+                total += c * c
+            out[i, j] = out[j, i] = total
+    return out
+
+
 def torus_distance_sq(t: TorusSpec, p: TorusPoint, q: TorusPoint) -> float:
     """Squared Euclidean distance in the ambient product space."""
-    _check_point(t, p)
-    _check_point(t, q)
-    total = 0.0
-    for f, a, b in zip(t.factors, p.indices, q.indices):
-        c = chord(f.m, f.r, a - b)
-        total += c * c
-    return total
+    return float(pairwise_sq(t, (p, q))[0, 1])
 
 
 def torus_distance(t: TorusSpec, p: TorusPoint, q: TorusPoint) -> float:

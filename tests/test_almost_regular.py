@@ -65,6 +65,14 @@ def test_check_structure_errors():
         check_almost_regular([[0.0, 0.0], [0.0, 0.0]])  # zero off-diagonal
 
 
+@pytest.mark.parametrize("fn", [check_almost_regular, realization_plan])
+def test_entries_too_large_to_square_raise_input_error(fn):
+    a = np.ones((3, 3)) - np.eye(3)
+    with pytest.raises(InputError):
+        fn(a * 1e160)
+    fn(a * 1e154)  # a_max^2 = 1e308 is still a double
+
+
 def test_realize_regular_matrix_collapses_to_base_simplex():
     a = 1.3 * (np.ones((5, 5)) - np.eye(5))
     z, plan = realize_almost_regular(a)

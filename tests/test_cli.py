@@ -177,6 +177,48 @@ def test_verify_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert run(capsys, "verify", str(out), "--tolerance", "1e-8")[0] == 0
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_bad_tolerance_exits_1(tmp_path, capsys, monkeypatch, value, source):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    extra = []
+    if source == "flag":
+        extra = ["--tolerance", value]
+    else:
+        monkeypatch.setenv("TORUS_EMBED_TOL", value)
+    code, stdout, stderr = run(capsys, "verify", str(out), *extra)
+    assert code == 1
+    assert stderr.startswith("torus-embed: ") and "tolerance" in stderr
+    assert "PASS" not in stdout and "FAIL" not in stdout
+    other = tmp_path / "other.json"
+    code, _, stderr = run(capsys, "embed", str(inp), str(other), "--quiet", *extra)
+    assert code == 1
+    assert stderr.startswith("torus-embed: ") and "tolerance" in stderr
+    assert not other.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [("parameters", {"alpha": "x"}, "alpha:             x"),
+     ("errors", {"max_abs": 1.0}, "max_rel None")],
+    ids=["string-alpha", "missing-max-rel"],
+)
+def test_inspect_shows_untrusted_provenance_as_given(tmp_path, capsys, field, value, shown):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0], [1.0]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    obj = json.loads(out.read_text())
+    obj[field] = value
+    out.write_text(json.dumps(obj))
+    code, stdout, _ = run(capsys, "inspect", str(out))
+    assert code == 0
+    assert shown in stdout
+
+
 def test_inspect_json_output(tmp_path, capsys):
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"

@@ -74,6 +74,12 @@ def test_params_errors():
         one_dim_params([0.0, 1.0], -1.0)
 
 
+def test_one_dim_values_colliding_after_translation_rejected():
+    # distinct doubles whose offsets from the minimum round to one value
+    with pytest.raises(InputError):
+        one_dim_embed([-1e20, 1.0, 2.0], 0.1)
+
+
 def test_one_dim_unit_pair_frozen_values():
     de = one_dim_embed([0.0, 1.0], 0.1)
     assert [p.indices for p in de.assignment] == [(0,), (3969,)]

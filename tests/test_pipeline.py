@@ -17,6 +17,7 @@ from torus_embed import (
     TorusPoint,
     TorusSpec,
     TrivialInput,
+    VerificationReport,
     check_almost_regular,
     chord,
     dumps_certificate,
@@ -32,6 +33,57 @@ from torus_embed import (
 
 def chord_sq_sum(factors, p, q):
     return sum(chord(f.m, f.r, a - b) ** 2 for f, a, b in zip(factors, p, q))
+
+
+def reference_report(cert, tol):
+    """The per-pair verification loop that the numpy reduction over
+    `pairwise_sq` replaced, kept as its reference."""
+    n = len(cert.assignment)
+    input_sq = np.asarray(cert.input_sq, dtype=float)
+    max_abs = 0.0
+    max_rel = 0.0
+    worst = None
+    pair_count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair_count += 1
+            total = 0.0
+            for f, a, b in zip(
+                cert.torus.factors, cert.assignment[i].indices, cert.assignment[j].indices
+            ):
+                c = chord(f.m, f.r, a - b)
+                total += c * c
+            target = float(input_sq[i, j])
+            abs_err = abs(total - target)
+            if target > 0.0:
+                rel_err = abs_err / target
+            else:
+                rel_err = 0.0 if abs_err == 0.0 else math.inf
+            max_abs = max(max_abs, abs_err)
+            if worst is None or rel_err > max_rel:
+                max_rel = rel_err
+                worst = (i, j)
+    return VerificationReport(
+        passed=max_rel <= tol,
+        max_abs_error=max_abs,
+        max_rel_error=max_rel,
+        tolerance=float(tol),
+        pair_count=pair_count,
+        worst_pair=worst,
+    )
+
+
+def unit_line_cert(input_sq, indices):
+    """Certificate on two 2-gons of circumradius 1, where every chord is
+    0 or exactly 2, so each factor adds 0 or 4 to a squared distance."""
+    return EmbeddingCertificate(
+        input_sq=np.asarray(input_sq, dtype=float),
+        torus=TorusSpec((PolygonSpec(2, 1.0), PolygonSpec(2, 1.0))),
+        assignment=tuple(TorusPoint(p) for p in indices),
+        parameters={},
+        errors={},
+        meta={},
+    )
 
 
 def test_decompose_regular_simplex():
@@ -207,6 +259,61 @@ def test_verify_single_point_vacuous():
     assert report.passed
     assert report.pair_count == 0
     assert report.max_abs_error == 0.0
+    assert report.worst_pair is None
+    assert report == reference_report(cert, 1e-8)
+
+
+def test_verify_matches_reference_loop_on_clean_and_tampered():
+    rejected = 0
+    for seed, n in enumerate((2, 3, 5, 8)):
+        cert = embed_simplex(generate_points("random", n, seed=seed))
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            i = int(rng.integers(n))
+            k = int(rng.integers(len(cert.torus.factors)))
+            indices = list(cert.assignment[i].indices)
+            m = cert.torus.factors[k].m
+            indices[k] = (indices[k] + int(rng.integers(1, 4)) * (m // 2 or 1)) % m
+            tampered = dataclasses.replace(
+                cert,
+                assignment=cert.assignment[:i] + (TorusPoint(tuple(indices)),)
+                + cert.assignment[i + 1:],
+            )
+            for tol in (0.0, 1e-8, 1.0):
+                assert verify_certificate(cert, tol) == reference_report(cert, tol)
+                assert verify_certificate(tampered, tol) == reference_report(tampered, tol)
+            rejected += not verify_certificate(tampered, 1e-8).passed
+    assert rejected  # the comparison covers failing reports as well
+
+
+def test_verify_zero_target_met_by_zero_distance():
+    # points 0 and 1 coincide and so do their targets
+    cert = unit_line_cert([[0, 0, 4], [0, 0, 4], [4, 4, 0]], [(0, 0), (0, 0), (1, 0)])
+    report = verify_certificate(cert, 0.0)
+    assert report.passed
+    assert report.max_rel_error == 0.0
+    assert report.max_abs_error == 0.0
+    assert report == reference_report(cert, 0.0)
+
+
+def test_verify_zero_target_with_nonzero_distance_is_worst():
+    # pair (0, 1) is off by a third; pair (1, 2) has target 0 at distance^2 8
+    cert = unit_line_cert([[0, 3, 4], [3, 0, 0], [4, 0, 0]], [(0, 0), (1, 0), (0, 1)])
+    report = verify_certificate(cert, 1e-8)
+    assert not report.passed
+    assert report.max_rel_error == math.inf
+    assert report.max_abs_error == 8.0
+    assert report.worst_pair == (1, 2)
+    assert report == reference_report(cert, 1e-8)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+def test_verify_rejects_bad_tolerance(tol):
+    cert = embed_simplex(regular_simplex(3, 1.0))
+    with pytest.raises(InputError):
+        verify_certificate(cert, tol)
+    with pytest.raises(InputError):
+        embed_simplex(regular_simplex(3, 1.0), PipelineConfig(accept_tol=tol))
 
 
 def test_verify_ignores_parameters():

@@ -15,6 +15,7 @@ from torus_embed import (
     TorusSpec,
     chord,
     materialize,
+    pairwise_sq,
     shift,
     torus_distance,
     torus_distance_sq,
@@ -92,6 +93,52 @@ def test_torus_distance_mismatched_factor_count():
     t = TorusSpec((PolygonSpec(4, 1.0),))
     with pytest.raises(InputError):
         torus_distance(t, TorusPoint((0, 0)), TorusPoint((0, 0)))
+
+
+def reference_pairwise_sq(t, points):
+    """The per-pair chord loop that `pairwise_sq` replaced, kept as its
+    reference: squared chords summed in factor order."""
+    n = len(points)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            total = 0.0
+            for f, a, b in zip(t.factors, points[i].indices, points[j].indices):
+                c = chord(f.m, f.r, a - b)
+                total += c * c
+            out[i, j] = out[j, i] = total
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_pairwise_sq_matches_reference_loop_bitwise(n):
+    import random
+
+    rng = random.Random(n)
+    for _ in range(40):
+        factors = tuple(
+            PolygonSpec(rng.randrange(2, 10**rng.randint(1, 24)) + 2, rng.uniform(0.1, 100.0))
+            for _ in range(rng.randint(1, 6))
+        )
+        t = TorusSpec(factors)
+        # signed and out-of-range indices: the chord folds any difference
+        points = [
+            TorusPoint(tuple(rng.randrange(-3 * f.m, 3 * f.m) for f in factors))
+            for _ in range(n)
+        ]
+        got = pairwise_sq(t, points)
+        assert got.shape == (n, n)
+        assert got.tobytes() == reference_pairwise_sq(t, points).tobytes()
+        for i in range(n):
+            for j in range(n):
+                assert torus_distance_sq(t, points[i], points[j]) == got[i, j]
+
+
+def test_pairwise_sq_empty_and_mismatched():
+    t = TorusSpec((PolygonSpec(4, 1.0),))
+    assert pairwise_sq(t, []).shape == (0, 0)
+    with pytest.raises(InputError):
+        pairwise_sq(t, [TorusPoint((0,)), TorusPoint((0, 1))])
 
 
 def test_shift_zero_offsets_identity():
