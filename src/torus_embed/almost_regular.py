@@ -70,6 +70,7 @@ class RealizationPlan:
     n_points: int
     base_side: float
     pair_factors: tuple[PairFactor, ...]
+    margin: float = 0.0  # the almost-regularity margin; base_side is its square root
 
     @property
     def factor_count(self) -> int:
@@ -157,7 +158,7 @@ def realization_plan(entries) -> RealizationPlan:
             side = math.sqrt(side_sq)
             if side > ZERO_SIDE_RTOL * amax:
                 pair_factors.append(PairFactor(i, j, side))
-    return RealizationPlan(n, math.sqrt(margin), tuple(pair_factors))
+    return RealizationPlan(n, math.sqrt(margin), tuple(pair_factors), margin)
 
 
 def realize_almost_regular(entries) -> tuple[np.ndarray, RealizationPlan]:

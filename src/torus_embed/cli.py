@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -166,10 +167,18 @@ def _inspect_summary(cert) -> dict:
         ],
         "radius_min": min(radii),
         "radius_max": max(radii),
-        "alpha": cert.parameters.get("alpha"),
-        "delta": cert.parameters.get("delta"),
-        "errors": cert.errors,
+        "alpha": _json_provenance(cert.parameters.get("alpha")),
+        "delta": _json_provenance(cert.parameters.get("delta")),
+        "errors": {k: _json_provenance(v) for k, v in cert.errors.items()},
     }
+
+
+def _json_provenance(value):
+    # json.loads accepts NaN and Infinity, canonical JSON refuses them: show
+    # such a value as the text mode does ("nan", "inf")
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 def _provenance(value, spec: str) -> str:

@@ -63,15 +63,13 @@ def _check_budget(delta) -> float:
 
 
 def _gap_bound(values: np.ndarray) -> int:
-    """Smallest integer b with every pairwise gap inside [1/b, b].
-
-    Exact: the ceilings are taken over rationals, never over rounded
-    float quotients.
-    """
+    """Smallest integer b with every pairwise gap inside [1/b, b]; a zero
+    gap is refused. Exact: the ceilings are taken over rationals, never
+    over rounded float quotients."""
     vals = np.sort(values)
     diffs = np.diff(vals)
     if float(diffs.min()) <= 0.0:
-        raise InputError("duplicate coordinate values")
+        raise InputError("distinct coordinate values collide once translated")
     span = Fraction(float(vals[-1] - vals[0]))
     min_gap = Fraction(float(diffs.min()))
     return max(1, math.ceil(span), math.ceil(1 / min_gap))
@@ -99,41 +97,46 @@ def _vertex_index(value: float, n0: int, n: int) -> int:
     return math.floor(Fraction(value) * n * n / n0)
 
 
-def _one_dim_values(xs) -> np.ndarray:
+def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped=()) -> DeltaEmbedding:
+    """Snap each column, translated to start at 0, onto one polygon of a
+    shared (m, r) at a budget of delta / #columns; per_pair_error is `d2`
+    minus the torus distances. Distinct values are taken before translation,
+    so values that collide once translated are refused, not merged."""
+    low = cols.min(axis=0)
+    k = cols.shape[1]
+    n0 = max(_gap_bound(np.unique(cols[:, c]) - low[c]) for c in range(k))
+    p = _grid_params(n0, _subdivisions(n0, delta / k))
+    torus = TorusSpec(tuple(PolygonSpec(p.m, p.r) for _ in range(k)))
+    assignment = tuple(
+        TorusPoint(tuple(_vertex_index(float(v), p.n0, p.n) for v in row))
+        for row in cols - low
+    )
+    per_pair = d2 - pairwise_sq(torus, assignment)
+    return DeltaEmbedding(torus, assignment, delta, per_pair, p, dropped)
+
+
+def one_dim_params(xs, delta) -> DeltaParams:
+    """Polygon parameters for embedding a set of reals at budget delta."""
+    return one_dim_embed(xs, delta).params
+
+
+def one_dim_embed(xs, delta) -> DeltaEmbedding:
+    """Embed a finite set of distinct reals into one large polygon.
+
+    Values are translated to start at 0 and snapped to the grid of
+    n0/n**2-wide half-open cells; every pairwise squared distance is
+    distorted by less than delta, which is never shrunk.
+    """
+    delta = _check_budget(delta)
     vals = np.asarray(xs, dtype=float).ravel()
     if not np.all(np.isfinite(vals)):
         raise InputError("values contain non-finite entries")
     if vals.size < 2:
         raise TrivialInput("need at least two values")
-    return vals
-
-
-def one_dim_params(xs, delta) -> DeltaParams:
-    """Polygon parameters for embedding a set of reals at budget delta."""
-    delta = _check_budget(delta)
-    vals = _one_dim_values(xs)
-    # _gap_bound refuses duplicates, also those made by translation to zero
-    n0 = _gap_bound(vals - vals.min())
-    return _grid_params(n0, _subdivisions(n0, delta))
-
-
-def one_dim_embed(xs, delta) -> DeltaEmbedding:
-    """Embed a finite set of reals into one large polygon.
-
-    Values are translated to start at 0 and snapped to the grid of
-    n0/n**2-wide half-open cells; every pairwise squared distance is
-    distorted by less than delta.
-    """
-    delta = _check_budget(delta)
-    vals = _one_dim_values(xs)
-    translated = vals - vals.min()
-    n0 = _gap_bound(translated)
-    p = _grid_params(n0, _subdivisions(n0, delta))
-    indices = [_vertex_index(v, p.n0, p.n) for v in translated]
-    torus = TorusSpec((PolygonSpec(p.m, p.r),))
-    assignment = tuple(TorusPoint((j,)) for j in indices)
-    per_pair = squared_distances(vals.reshape(-1, 1)) - pairwise_sq(torus, assignment)
-    return DeltaEmbedding(torus, assignment, delta, per_pair, p)
+    if np.unique(vals).size < vals.size:
+        raise InputError("duplicate coordinate values")
+    col = vals.reshape(-1, 1)
+    return _snap(col, squared_distances(col), delta)
 
 
 def product_embed(points, delta) -> DeltaEmbedding:
@@ -142,7 +145,8 @@ def product_embed(points, delta) -> DeltaEmbedding:
     One polygon factor per non-constant coordinate; constant coordinates
     carry no distance information and are dropped (and recorded). All
     factors share one (m, r) pair, derived from the largest per-coordinate
-    gap bound and a per-coordinate budget of delta / #factors.
+    gap bound and a per-coordinate budget of delta / #factors. Points may
+    share values along an axis.
 
     If delta is not below the smallest pairwise squared distance it is
     first shrunk to half of it, so the error bound itself certifies that
@@ -162,16 +166,4 @@ def product_embed(points, delta) -> DeltaEmbedding:
     kept = [c for c in range(arr.shape[1]) if np.any(arr[:, c] != arr[0, c])]
     dropped = tuple(c for c in range(arr.shape[1]) if c not in kept)
     # distinct points must differ somewhere, so at least one axis survives
-    translated = arr[:, kept] - arr[:, kept].min(axis=0)
-    # points may share values along an axis; the gap bound is over the
-    # distinct values of each coordinate
-    n0 = max(_gap_bound(np.unique(translated[:, c])) for c in range(len(kept)))
-    n = _subdivisions(n0, delta / len(kept))
-    p = _grid_params(n0, n)
-    torus = TorusSpec(tuple(PolygonSpec(p.m, p.r) for _ in kept))
-    assignment = tuple(
-        TorusPoint(tuple(_vertex_index(float(v), p.n0, p.n) for v in row))
-        for row in translated
-    )
-    per_pair = d2 - pairwise_sq(torus, assignment)
-    return DeltaEmbedding(torus, assignment, delta, per_pair, p, dropped)
+    return _snap(arr[:, kept], d2, delta, dropped)

@@ -23,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# check_almost_regular is unused here, but bench/spans.py patches it here
 from .almost_regular import check_almost_regular, embed_almost_regular, realization_plan
 from .certificate import VERSION, EmbeddingCertificate
 from .delta_embed import product_embed
 from .errors import (
     InputError,
     InvalidCertificate,
+    NotAlmostRegular,
     NotSimplex,
     TrivialInput,
     VerificationFailed,
@@ -66,7 +68,6 @@ class PipelineConfig:
     accept_tol: float = DEFAULT_ACCEPT_TOL
     alpha_fraction: float = 1.0
     uniform_m: bool = False
-    rank_tol: float = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -113,12 +114,14 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
 
     Raises NotSimplex when the input is affinely dependent and
     VerificationFailed if, against all analysis, the built certificate does
-    not pass its own verification at cfg.accept_tol.
+    not pass its own verification at cfg.accept_tol. A NaN, negative or
+    infinite cfg.accept_tol is refused (InputError) before any construction.
     """
     cfg = cfg or PipelineConfig()
+    _check_tolerance(cfg.accept_tol)
     arr = as_point_array(points)
     n = arr.shape[0]
-    dec = schoenberg_decompose(arr, cfg.rank_tol, cfg.alpha_fraction)
+    dec = schoenberg_decompose(arr, DEFAULT_TOL, cfg.alpha_fraction)
     input_sq = squared_distances(arr)
     alpha_sq = dec.alpha**2
 
@@ -132,13 +135,11 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
             "exceeded its budget"
         )
     correction = np.sqrt(np.where(off, corr_sq, 0.0))
-    valid, margin = check_almost_regular(correction)
-    if not valid:
-        raise VerificationFailed(
-            f"correction matrix is not almost regular (margin {margin:.6e})"
-        )
+    try:
+        plan = realization_plan(correction)
+    except NotAlmostRegular as exc:
+        raise VerificationFailed(f"correction matrix is not almost regular ({exc})") from None
     correction_m = de.params.m if cfg.uniform_m else CORRECTION_ORDER
-    plan = realization_plan(correction)
     corr_torus, corr_points = embed_almost_regular(plan, correction_m)
 
     torus = TorusSpec(de.torus.factors + corr_torus.factors)
@@ -156,10 +157,10 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
         "r": de.params.r,
         "dropped_coordinates": list(de.dropped_axes),
         "correction_m": str(correction_m),
-        "correction_margin": margin,
+        "correction_margin": plan.margin,
         "uniform_m": cfg.uniform_m,
         "correction_cuts": [list(members) for members, _ in plan.cuts()],
-        "rank_tolerance": cfg.rank_tol,
+        "rank_tolerance": DEFAULT_TOL,
         "accept_tolerance": cfg.accept_tol,
     }
     meta = {"tool": "torus-embed", "version": VERSION, "float_format": ".17g"}
@@ -172,6 +173,13 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
         )
     cert.errors = {"max_abs": report.max_abs_error, "max_rel": report.max_rel_error}
     return cert
+
+
+def _check_tolerance(tol) -> float:
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _check_structure(cert: EmbeddingCertificate) -> int:
@@ -212,9 +220,7 @@ def verify_certificate(
     is at most tol. Raises InputError unless 0 <= tol < inf: a NaN or
     negative tol would fail every certificate and an infinite one pass all.
     """
-    tol = float(tol)
-    if not 0.0 <= tol < math.inf:
-        raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    tol = _check_tolerance(tol)
     n = _check_structure(cert)
     k = np.arange(n)
     iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost

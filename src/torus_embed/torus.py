@@ -78,6 +78,8 @@ def chord(m: int, r: float, dj: int) -> float:
     2**63. Signed or out-of-range dj is folded into [0, m) first.
     """
     k = dj % m
+    if k == 0:
+        return 0.0  # 2.0 * r overflows for r above ~9e307, and inf * 0.0 is nan
     if 2 * k > m:
         k = m - k
     return 2.0 * r * math.sin(math.pi * (k / m))

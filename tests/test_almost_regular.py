@@ -10,6 +10,7 @@ from torus_embed import (
     EmbeddingCertificate,
     InputError,
     NotAlmostRegular,
+    PairFactor,
     check_almost_regular,
     collapse_index,
     dumps_certificate,
@@ -20,6 +21,7 @@ from torus_embed import (
     squared_distances,
     torus_distance,
 )
+from torus_embed.almost_regular import ZERO_SIDE_RTOL, _checked_entries
 
 
 def random_valid_matrix(rng, n):
@@ -273,3 +275,55 @@ def test_cut_weights_do_not_underflow():
     assert len(spec.factors) == 2
     for _, side in plan.cuts():
         assert side == pytest.approx(plan.base_side / math.sqrt(2.0), rel=1e-15)
+
+
+def reference_plan(entries):
+    """realization_plan as it was before the plan recorded its margin, kept
+    as its reference. Returns (base side, pair factors, margin), the margin
+    being the one embed_simplex took from its own check_almost_regular."""
+    a = _checked_entries(entries)
+    n = a.shape[0]
+    if n == 1:
+        return 0.0, (), check_almost_regular(a).margin
+    valid, margin = check_almost_regular(a)
+    if not valid:
+        raise NotAlmostRegular(
+            f"almost-regularity margin is {margin:.6e}, must be positive"
+        )
+    amax = float(a[np.triu_indices(n, k=1)].max())
+    pair_factors = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            side_sq = max(amax**2 - float(a[i, j]) ** 2, 0.0)
+            side = math.sqrt(side_sq)
+            if side > ZERO_SIDE_RTOL * amax:
+                pair_factors.append(PairFactor(i, j, side))
+    return math.sqrt(margin), tuple(pair_factors), margin
+
+
+def test_plan_matches_reference_bitwise():
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        n = int(rng.integers(1, 10))
+        if trial % 3 == 0:
+            # the pipeline's kind: sqrt(alpha^2 + e_ij) with tiny e_ij
+            e = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-14, -2) / n**2
+            a = np.sqrt(1.0 + (e + e.T) / 2)
+            np.fill_diagonal(a, 0.0)
+        elif n > 1:
+            a = random_valid_matrix(rng, n)
+        else:
+            a = np.zeros((1, 1))
+        a = a * 10.0 ** rng.uniform(-100, 100)
+        if trial % 7 == 0 and n > 2:
+            a[0, 1] = a[1, 0] = 1e-3 * a.max()  # far from almost regular
+        try:
+            ref = reference_plan(a)
+        except NotAlmostRegular as exc:
+            with pytest.raises(NotAlmostRegular) as got:
+                realization_plan(a)
+            assert str(got.value) == str(exc)
+            continue
+        plan = realization_plan(a)
+        assert plan.n_points == n
+        assert (plan.base_side, plan.pair_factors, plan.margin) == ref

@@ -64,6 +64,15 @@ def test_embed_collinear_exits_2(tmp_path, capsys):
     assert "not a simplex" in stderr
 
 
+def test_embed_bad_tolerance_refused_before_simplex_check(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    write_json(inp, {"points": [[0.0], [1.0], [2.0]]})
+    code, _, stderr = run(capsys, "embed", str(inp), str(tmp_path / "c.json"),
+                          "--tolerance", "nan")
+    assert code == 1
+    assert "tolerance" in stderr
+
+
 def test_embed_unreadable_path_exits_1(tmp_path, capsys):
     code, _, stderr = run(capsys, "embed", str(tmp_path / "missing.json"), str(tmp_path / "c.json"))
     assert code == 1
@@ -230,6 +239,31 @@ def test_inspect_json_output(tmp_path, capsys):
     assert summary["points"] == 2
     assert summary["ambient_dim"] == 2 * summary["factor_count"]
     assert all("bits" in entry for entry in summary["polygon_orders"])
+
+
+@pytest.mark.parametrize(
+    "field, key, value, shown",
+    [("parameters", "alpha", float("nan"), "nan"),
+     ("parameters", "delta", float("inf"), "inf"),
+     ("errors", "max_rel", float("nan"), "nan")],
+    ids=["nan-alpha", "inf-delta", "nan-max-rel"],
+)
+def test_inspect_json_shows_non_finite_provenance(tmp_path, capsys, field, key, value, shown):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0], [1.0]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    obj = json.loads(out.read_text())
+    obj[field][key] = value
+    out.write_text(json.dumps(obj))  # json writes NaN and Infinity
+    code, stdout, _ = run(capsys, "inspect", str(out), "--json")
+    assert code == 0
+    summary = json.loads(stdout)
+    got = summary["errors"][key] if field == "errors" else summary[key]
+    assert got == shown
+    code, stdout, _ = run(capsys, "inspect", str(out))
+    assert code == 0
+    assert f" {shown}" in stdout
 
 
 def test_inspect_missing_file_exits_1(tmp_path, capsys):

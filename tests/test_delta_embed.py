@@ -9,12 +9,24 @@ import pytest
 
 from torus_embed import (
     InputError,
+    PolygonSpec,
+    TorusPoint,
+    TorusSpec,
     TrivialInput,
     chord,
     one_dim_embed,
     one_dim_params,
+    pairwise_sq,
     product_embed,
     squared_distances,
+)
+from torus_embed.delta_embed import (
+    DeltaEmbedding,
+    _check_budget,
+    _gap_bound,
+    _grid_params,
+    _subdivisions,
+    _vertex_index,
 )
 
 
@@ -39,6 +51,82 @@ def check_half_budgets(values, assignment, params, budget):
         c = chord(params.m, params.r, ja - jb)
         curve_err = abs(c**2 - float((ya - yb) ** 2))
         assert curve_err < budget / 2
+
+
+def reference_values(xs):
+    vals = np.asarray(xs, dtype=float).ravel()
+    if not np.all(np.isfinite(vals)):
+        raise InputError("values contain non-finite entries")
+    if vals.size < 2:
+        raise TrivialInput("need at least two values")
+    return vals
+
+
+def reference_one_dim_params(xs, delta):
+    """one_dim_params as it was before it shared product_embed's snapping,
+    kept as its reference."""
+    delta = _check_budget(delta)
+    vals = reference_values(xs)
+    n0 = _gap_bound(vals - vals.min())
+    return _grid_params(n0, _subdivisions(n0, delta))
+
+
+def reference_one_dim_embed(xs, delta):
+    """one_dim_embed as it was before it shared product_embed's snapping,
+    kept as its reference."""
+    delta = _check_budget(delta)
+    vals = reference_values(xs)
+    translated = vals - vals.min()
+    n0 = _gap_bound(translated)
+    p = _grid_params(n0, _subdivisions(n0, delta))
+    indices = [_vertex_index(v, p.n0, p.n) for v in translated]
+    torus = TorusSpec((PolygonSpec(p.m, p.r),))
+    assignment = tuple(TorusPoint((j,)) for j in indices)
+    per_pair = squared_distances(vals.reshape(-1, 1)) - pairwise_sq(torus, assignment)
+    return DeltaEmbedding(torus, assignment, delta, per_pair, p)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InputError, TrivialInput) as exc:
+        return type(exc)
+
+
+def test_one_dim_matches_reference_bitwise():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        size = int(rng.integers(2, 9))
+        xs = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-6, 6)
+        xs += rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6, 6)
+        if rng.random() < 0.2:
+            xs = np.round(xs * 4) / 4  # grid values, ties and duplicates
+        delta = float(10.0 ** rng.uniform(-9, 1))
+        ref = outcome(reference_one_dim_embed, xs, delta)
+        got = outcome(one_dim_embed, xs, delta)
+        assert outcome(one_dim_params, xs, delta) == outcome(reference_one_dim_params, xs, delta)
+        if isinstance(ref, type):
+            assert got is ref
+            continue
+        assert got.assignment == ref.assignment
+        assert got.params == ref.params
+        assert got.torus == ref.torus
+        assert got.delta == ref.delta
+        assert got.dropped_axes == ()
+        assert got.per_pair_error.tobytes() == ref.per_pair_error.tobytes()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[-1e20], [1.0], [2.0]], [[-1e20, 0.0], [1.0, 1.0], [2.0, 2.0]]],
+    ids=["one-axis", "one-of-two-axes"],
+)
+def test_product_refuses_values_colliding_after_translation(points):
+    # 1.0 and 2.0 both lie 1e20 above -1e20 once rounded; snapped onto one
+    # vertex they would miss their squared distance by 1.0 against a 0.1
+    # budget, even where the points differ on another axis
+    with pytest.raises(InputError, match="collide"):
+        product_embed(points, 0.1)
 
 
 def test_params_unit_pair():

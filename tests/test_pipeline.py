@@ -17,6 +17,7 @@ from torus_embed import (
     TorusPoint,
     TorusSpec,
     TrivialInput,
+    VerificationFailed,
     VerificationReport,
     check_almost_regular,
     chord,
@@ -224,6 +225,40 @@ def test_correction_matrix_is_almost_regular_every_run():
         assert valid and margin > 0
 
 
+def test_correction_checked_once_per_embed(monkeypatch):
+    from torus_embed import almost_regular, pipeline
+
+    margins = []
+
+    def counted(entries):
+        res = check_almost_regular(entries)
+        margins.append(res.margin)
+        return res
+
+    monkeypatch.setattr(almost_regular, "check_almost_regular", counted)
+    monkeypatch.setattr(pipeline, "check_almost_regular", counted)
+    cert = embed_simplex(generate_points("random", 6, seed=4))
+    assert len(margins) == 1
+    assert cert.parameters["correction_margin"] == margins[0]
+
+
+def test_correction_not_almost_regular_is_verification_failure(monkeypatch):
+    from torus_embed import pipeline
+
+    def skewed(points, delta):
+        # two of three pairs short by 0.9 alpha^2 each: still positive, but
+        # the deficits exceed the largest entry's square
+        de = product_embed(points, delta)
+        alpha_sq = 9 * delta  # embed_simplex asks for delta = alpha^2 / n^2
+        err = np.zeros((3, 3))
+        err[0, 1] = err[1, 0] = err[0, 2] = err[2, 0] = -0.9 * alpha_sq
+        return dataclasses.replace(de, per_pair_error=err)
+
+    monkeypatch.setattr(pipeline, "product_embed", skewed)
+    with pytest.raises(VerificationFailed, match=r"^correction matrix is not almost regular \("):
+        embed_simplex(regular_simplex(3, 1.0))
+
+
 def test_verify_tampered_index_fails():
     cert = embed_simplex(regular_simplex(3, 1.0))
     assert verify_certificate(cert, 1e-8).passed
@@ -314,6 +349,13 @@ def test_verify_rejects_bad_tolerance(tol):
         verify_certificate(cert, tol)
     with pytest.raises(InputError):
         embed_simplex(regular_simplex(3, 1.0), PipelineConfig(accept_tol=tol))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_bad_tolerance_refused_before_construction(tol):
+    # a non-simplex input would otherwise raise NotSimplex first
+    with pytest.raises(InputError, match="tolerance"):
+        embed_simplex([[0.0], [1.0], [2.0]], PipelineConfig(accept_tol=tol))
 
 
 def test_verify_ignores_parameters():

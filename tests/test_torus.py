@@ -78,6 +78,16 @@ def test_torus_distance_identical_points():
     assert torus_distance(t, p, p) == 0.0
 
 
+def test_zero_step_is_zero_on_huge_radius():
+    # 2.0 * r overflows to inf for r above ~9e307, and inf * sin(0) is nan
+    for dj in (0, 5, -10):
+        assert chord(5, 1e308, dj) == 0.0
+    t = TorusSpec((PolygonSpec(5, 1e308),))
+    p = TorusPoint((2,))
+    assert torus_distance_sq(t, p, p) == 0.0
+    assert math.copysign(1.0, chord(5, 1.0, 0)) == 1.0  # +0.0, as before
+
+
 def test_torus_distance_two_square_factors():
     t = TorusSpec((PolygonSpec(4, 1.0), PolygonSpec(4, 1.0)))
     d = torus_distance(t, TorusPoint((0, 0)), TorusPoint((1, 1)))
