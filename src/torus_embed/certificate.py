@@ -172,6 +172,8 @@ def loads_certificate(text: str) -> EmbeddingCertificate:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidCertificate(f"not valid JSON: {exc}", field="") from None
+    except RecursionError:
+        raise InvalidCertificate("JSON nested too deeply to read", field="") from None
     return certificate_from_obj(obj)
 
 
@@ -183,4 +185,8 @@ def save_certificate(cert: EmbeddingCertificate, path) -> None:
 
 def load_certificate(path) -> EmbeddingCertificate:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_certificate(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidCertificate(f"not UTF-8 text: {exc}", field="") from None
+    return loads_certificate(text)

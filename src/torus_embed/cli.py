@@ -58,7 +58,10 @@ def _resolve_tolerance(value) -> float:
 
 def _load_input_points(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise InputError("JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
     if "points" in data:

@@ -5,12 +5,21 @@ Polygon orders and vertex indices are Python ints, so factors with
 astronomically many vertices stay exact. Distances always go through the
 chord formula on index differences; subtracting materialized Cartesian
 coordinates would cancel catastrophically once the polygon order is large.
+
+Every distance comes from one kernel, `pairwise_sq`, with two exact paths:
+factors of order below 2**53 run in numpy, where index differences are exact
+int64s and k / m in float64 rounds as `chord`'s int division does; larger
+orders call `chord` itself on Python ints. The squared chords are summed in
+factor order, so each entry has the bits of a plain per-pair loop over
+`chord`. Factors run in blocks of about 2k pair-factor entries, which bounds
+the kernel's scratch memory whatever the factor count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -78,10 +87,11 @@ def chord(m: int, r: float, dj: int) -> float:
     2**63. Signed or out-of-range dj is folded into [0, m) first.
     """
     k = dj % m
-    if k == 0:
+    if not k:
         return 0.0  # 2.0 * r overflows for r above ~9e307, and inf * 0.0 is nan
-    if 2 * k > m:
-        k = m - k
+    j = m - k
+    if j < k:  # the shorter way round, 2k > m
+        k = j
     return 2.0 * r * math.sin(math.pi * (k / m))
 
 
@@ -92,23 +102,106 @@ def _check_point(t: TorusSpec, p: TorusPoint) -> None:
         )
 
 
+# Orders below 2**53 take the vector path: every step fits an int64, and k / m
+# in float64 is Python's correctly rounded int division.
+_VECTOR_M = 2**53
+# Pair-factor entries per block of consecutive factors: bounds the scratch
+# (16 kB per float array) while spreading numpy's per-call cost over a block.
+_BLOCK = 2048
+
+
 def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     """Matrix of squared ambient distances between torus points: the one
-    chord-metric kernel. Each pair sums its squared chords in factor order,
-    so every caller gets the same bits for the same pair."""
+    chord-metric kernel.
+
+    Each entry has the bits of a per-pair loop that adds `c * c`, for
+    `c = chord(m, r, a - b)`, over the factors left to right. The factors run
+    in blocks of about `_BLOCK` pair-factor entries: `np.add.accumulate` adds
+    a block's squared chords onto the running sums in factor order (`np.sum`
+    would add pairwise and change the bits), and the sums carry on to the
+    next block, so scratch stays bounded however many factors there are.
+    Each factor takes one of two exact paths:
+
+    - m < 2**53, in numpy. The index difference is exact in int64. An order
+      with no more steps than there are pairs looks `chord` up in a table of
+      its steps; a longer one folds the step and divides it by m in float64,
+      which rounds as `chord`'s int division does, and takes each sine from
+      `math.sin` (numpy's sine need not match it bit for bit). A zero step
+      is 0.0 by mask, never inf * 0.0.
+    - m >= 2**53: `chord` itself on Python ints, once per pair.
+
+    Overflow gives inf and underflow 0.0 without a warning, as in Python.
+    """
     points = tuple(points)
     for p in points:
         _check_point(t, p)
     n = len(points)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = 0.0
-            for f, a, b in zip(t.factors, points[i].indices, points[j].indices):
-                c = chord(f.m, f.r, a - b)
-                total += c * c
-            out[i, j] = out[j, i] = total
+    # the upper triangle row by row, the order of itertools.combinations
+    iu = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    npairs = iu[0].size
+    if not npairs:
+        return out
+    step = min(max(1, _BLOCK // npairs), len(t.factors))
+    sq = np.zeros((step + 1, npairs))  # row 0 carries the running sums
+    with np.errstate(over="ignore", under="ignore"):
+        for start in range(0, len(t.factors), step):
+            block = t.factors[start:start + step]
+            rows = sq[:len(block) + 1]
+            small = [c for c, f in enumerate(block) if f.m < _VECTOR_M]
+            if small:
+                rows[[c + 1 for c in small]] = _vector_chords(
+                    [block[c] for c in small], [start + c for c in small], points, iu
+                )
+            for c, f in enumerate(block):
+                if f.m >= _VECTOR_M:
+                    m, r = f.m, f.r
+                    col = [p.indices[start + c] for p in points]
+                    chords = [chord(m, r, a - b) for a, b in combinations(col, 2)]
+                    rows[c + 1] = np.fromiter(chords, float, npairs)
+            np.square(rows[1:], out=rows[1:])
+            np.add.accumulate(rows, axis=0, out=rows)
+            sq[0] = rows[-1]
+    out[iu] = sq[0]
+    out[iu[::-1]] = sq[0]
     return out
+
+
+def _vector_chords(factors, ks, points, iu) -> np.ndarray:
+    """`chord` over the pairs iu for factors with m < 2**53 (factor ks[i] of
+    the torus is factors[i]), one row per factor, bit for bit."""
+    x = np.array([p.indices[k] % f.m for f, k in zip(factors, ks) for p in points])
+    x = x.reshape(len(factors), len(points))
+    d = x[:, iu[0]]
+    d -= x[:, iu[1]]  # the step, in (-m, m)
+    npairs = d.shape[1]
+    # an order with no more steps than pairs reads `chord` on each step from
+    # 1 - m to m - 1 off a table; entry 0 stands in for the longer orders
+    short = [f for f in factors if f.m <= npairs]
+    steps = (chord(f.m, f.r, q) for f in short for q in range(1 - f.m, f.m))
+    table = np.fromiter(chain((0.0,), steps), float)
+    base, long, end = [], [], 1
+    for c, f in enumerate(factors):
+        if f.m <= npairs:  # steps 1 - m .. m - 1 sit at end .. end + 2m - 2
+            base.append(end + f.m - 1)
+            end += 2 * f.m - 1
+        else:
+            base.append(0)
+            long.append(c)
+    if long:  # the steps of `chord`, one sine per pair
+        m = np.array([factors[c].m for c in long])[:, None]
+        k = np.abs(d[long])
+        k = np.minimum(k, m - k)
+        ratios = (math.pi * (k / m)).ravel().tolist()
+        sines = np.fromiter(map(math.sin, ratios), float, len(ratios)).reshape(k.shape)
+        two_r = np.array([2.0 * factors[c].r for c in long])[:, None]
+        long_chords = np.multiply(two_r, sines, out=np.zeros(k.shape), where=k != 0)
+        d[long] = 0
+    d += np.array(base)[:, None]
+    chords = table[d]
+    if long:
+        chords[long] = long_chords
+    return chords
 
 
 def torus_distance_sq(t: TorusSpec, p: TorusPoint, q: TorusPoint) -> float:

@@ -83,6 +83,12 @@ def test_loads_rejects_truncated_json():
         loads_certificate(text[: len(text) // 2])
 
 
+def test_loads_rejects_json_nested_too_deep():
+    with pytest.raises(InvalidCertificate) as exc:
+        loads_certificate("[" * 100_000)
+    assert "nested too deeply" in str(exc.value)
+
+
 def test_loads_rejects_missing_fields():
     with pytest.raises(InvalidCertificate) as exc:
         loads_certificate("{}")

@@ -169,6 +169,27 @@ def test_verify_missing_file_exits_1(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "nope.json"))[0] == 1
 
 
+UNREADABLE = {
+    "not-utf8": b'\xff\xfe{"points": [[0.0], [1.0]]}',
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "inspect", "embed"])
+@pytest.mark.parametrize("content", list(UNREADABLE.values()), ids=list(UNREADABLE))
+def test_unreadable_file_exits_1(tmp_path, capsys, command, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    out = tmp_path / "c.json"
+    argv = [command, str(path)] + ([str(out), "--quiet"] if command == "embed" else [])
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stderr.startswith("torus-embed: ")
+    assert "invalid certificate" in stderr or "cannot read input" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_verify_env_tolerance_override(tmp_path, capsys, monkeypatch):
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"

@@ -300,10 +300,11 @@ def test_verify_single_point_vacuous():
 
 def test_verify_matches_reference_loop_on_clean_and_tampered():
     rejected = 0
-    for seed, n in enumerate((2, 3, 5, 8)):
-        cert = embed_simplex(generate_points("random", n, seed=seed))
+    configs = [(n, PipelineConfig()) for n in (2, 3, 5, 8, 24)] + [(8, PipelineConfig(uniform_m=True))]
+    for seed, (n, cfg) in enumerate(configs):
+        cert = embed_simplex(generate_points("random", n, seed=seed), cfg)
         rng = np.random.default_rng(seed)
-        for _ in range(4):
+        for _ in range(4 if n < 24 else 1):
             i = int(rng.integers(n))
             k = int(rng.integers(len(cert.torus.factors)))
             indices = list(cert.assignment[i].indices)

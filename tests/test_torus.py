@@ -120,28 +120,81 @@ def reference_pairwise_sq(t, points):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
+EDGE_ORDERS = (2, 3, 4, 2**53 - 1, 2**53, 2**53 + 1)
+
+
+def edge_torus(rng, n, k):
+    """k factors cycling through the orders on both sides of the kernel's
+    int64 path, every fourth of radius 1e308 (where 2r overflows to inf), and
+    n points whose indices give zero steps, signed and out-of-range steps, and
+    indices past int64."""
+    factors = tuple(
+        PolygonSpec(EDGE_ORDERS[i % len(EDGE_ORDERS)], 1e308 if i % 4 == 1 else rng.uniform(0.1, 100.0))
+        for i in range(k)
+    )
+    first = [rng.randrange(f.m) for f in factors]
+    points = [
+        TorusPoint(tuple(
+            rng.choice((
+                a + rng.randint(-3, 3) * f.m,  # a zero step to point 0
+                a + rng.choice((-1, 1)) * 10**30 * f.m,
+                rng.randrange(-3 * f.m, 3 * f.m),
+                rng.randrange(-(10**30), 10**30),
+            ))
+            for f, a in zip(factors, first)
+        ))
+        for _ in range(n)
+    ]
+    return TorusSpec(factors), points
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
 def test_pairwise_sq_matches_reference_loop_bitwise(n):
     import random
 
     rng = random.Random(n)
-    for _ in range(40):
+    cases = []
+    for _ in range(40 if n < 24 else 4):
         factors = tuple(
             PolygonSpec(rng.randrange(2, 10**rng.randint(1, 24)) + 2, rng.uniform(0.1, 100.0))
             for _ in range(rng.randint(1, 6))
         )
-        t = TorusSpec(factors)
         # signed and out-of-range indices: the chord folds any difference
         points = [
             TorusPoint(tuple(rng.randrange(-3 * f.m, 3 * f.m) for f in factors))
             for _ in range(n)
         ]
+        cases.append((TorusSpec(factors), points))
+    # small and big orders interleaved; 24 points x 80 factors span several blocks
+    cases += [edge_torus(rng, n, k) for k in (1, 2, 7, 12, 80 if n == 24 else 30)]
+    for t, points in cases:
         got = pairwise_sq(t, points)
         assert got.shape == (n, n)
         assert got.tobytes() == reference_pairwise_sq(t, points).tobytes()
-        for i in range(n):
-            for j in range(n):
+        for i in range(min(n, 5)):
+            for j in range(min(n, 5)):
                 assert torus_distance_sq(t, points[i], points[j]) == got[i, j]
+    if n > 1:  # the kernel met 2r = inf on a nonzero step
+        assert np.isinf(got).any()
+
+
+def test_pairwise_sq_scratch_is_bounded():
+    # 40 points x 600 factors: a dense pairs x factors float array alone would
+    # take 3.7 MB; blocks of consecutive factors keep the heap peak far lower
+    import random
+    import tracemalloc
+
+    rng = random.Random(0)
+    orders = (3,) * 17 + (2, 2**53 + 1, 2**40 + 1)  # table, exact and per-pair sine paths
+    t = TorusSpec(tuple(PolygonSpec(orders[i % len(orders)], 1.5) for i in range(600)))
+    points = [TorusPoint(tuple(rng.randrange(f.m) for f in t.factors)) for _ in range(40)]
+    tracemalloc.start()
+    try:
+        pairwise_sq(t, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_pairwise_sq_empty_and_mismatched():
