@@ -6,20 +6,20 @@ astronomically many vertices stay exact. Distances always go through the
 chord formula on index differences; subtracting materialized Cartesian
 coordinates would cancel catastrophically once the polygon order is large.
 
-Every distance comes from one kernel, `pairwise_sq`, with two exact paths:
-factors of order below 2**53 run in numpy, where index differences are exact
-int64s and k / m in float64 rounds as `chord`'s int division does; larger
-orders call `chord` itself on Python ints. The squared chords are summed in
-factor order, so each entry has the bits of a plain per-pair loop over
-`chord`. Factors run in blocks of about 2k pair-factor entries, which bounds
-the kernel's scratch memory whatever the factor count.
+Every distance comes from one kernel, `pairwise_sq`, and every chord in it
+from `chord` itself: once per folded step of a small order, read off a table
+in numpy (the m = 3 cut factors of the correction), and once per pair for any
+larger order. The squared chords are summed in factor order, so each entry
+has the bits of a plain per-pair loop over `chord`. Factors run in blocks of
+about 2k pair-factor entries, which bounds the kernel's scratch memory
+whatever the factor count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -102,9 +102,6 @@ def _check_point(t: TorusSpec, p: TorusPoint) -> None:
         )
 
 
-# Orders below 2**53 take the vector path: every step fits an int64, and k / m
-# in float64 is Python's correctly rounded int division.
-_VECTOR_M = 2**53
 # Pair-factor entries per block of consecutive factors: bounds the scratch
 # (16 kB per float array) while spreading numpy's per-call cost over a block.
 _BLOCK = 2048
@@ -120,15 +117,12 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     a block's squared chords onto the running sums in factor order (`np.sum`
     would add pairwise and change the bits), and the sums carry on to the
     next block, so scratch stays bounded however many factors there are.
-    Each factor takes one of two exact paths:
+    Each factor's chords come from `chord` itself by one of two paths:
 
-    - m < 2**53, in numpy. The index difference is exact in int64. An order
-      with no more steps than there are pairs looks `chord` up in a table of
-      its steps; a longer one folds the step and divides it by m in float64,
-      which rounds as `chord`'s int division does, and takes each sine from
-      `math.sin` (numpy's sine need not match it bit for bit). A zero step
-      is 0.0 by mask, never inf * 0.0.
-    - m >= 2**53: `chord` itself on Python ints, once per pair.
+    - an order with no more folded steps 0 .. m // 2 than there are pairs
+      (the m = 3 cut factors, say) evaluates `chord` once per step and looks
+      each pair's folded step up in that table, in numpy;
+    - any larger order calls `chord` on Python ints once per pair.
 
     Overflow gives inf and underflow 0.0 without a warning, as in Python.
     """
@@ -143,18 +137,19 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     if not npairs:
         return out
     step = min(max(1, _BLOCK // npairs), len(t.factors))
+    short_m = 2 * npairs  # below it, m // 2 < npairs: the table is the shorter
     sq = np.zeros((step + 1, npairs))  # row 0 carries the running sums
     with np.errstate(over="ignore", under="ignore"):
         for start in range(0, len(t.factors), step):
             block = t.factors[start:start + step]
             rows = sq[:len(block) + 1]
-            small = [c for c, f in enumerate(block) if f.m < _VECTOR_M]
-            if small:
-                rows[[c + 1 for c in small]] = _vector_chords(
-                    [block[c] for c in small], [start + c for c in small], points, iu
+            short = [c for c, f in enumerate(block) if f.m < short_m]
+            if short:
+                rows[[c + 1 for c in short]] = _table_chords(
+                    [block[c] for c in short], [start + c for c in short], points, iu
                 )
             for c, f in enumerate(block):
-                if f.m >= _VECTOR_M:
+                if f.m >= short_m:
                     m, r = f.m, f.r
                     col = [p.indices[start + c] for p in points]
                     chords = [chord(m, r, a - b) for a, b in combinations(col, 2)]
@@ -167,41 +162,25 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     return out
 
 
-def _vector_chords(factors, ks, points, iu) -> np.ndarray:
-    """`chord` over the pairs iu for factors with m < 2**53 (factor ks[i] of
-    the torus is factors[i]), one row per factor, bit for bit."""
+def _table_chords(factors, ks, points, iu) -> np.ndarray:
+    """`chord` over the pairs iu for factors of small order (factor ks[i] of
+    the torus is factors[i]), one row per factor: each pair's step folded to
+    0 .. m // 2, as `chord` folds it, indexes a table of `chord` on those
+    steps."""
+    m = np.array([f.m for f in factors])[:, None]
     x = np.array([p.indices[k] % f.m for f, k in zip(factors, ks) for p in points])
     x = x.reshape(len(factors), len(points))
     d = x[:, iu[0]]
-    d -= x[:, iu[1]]  # the step, in (-m, m)
-    npairs = d.shape[1]
-    # an order with no more steps than pairs reads `chord` on each step from
-    # 1 - m to m - 1 off a table; entry 0 stands in for the longer orders
-    short = [f for f in factors if f.m <= npairs]
-    steps = (chord(f.m, f.r, q) for f in short for q in range(1 - f.m, f.m))
-    table = np.fromiter(chain((0.0,), steps), float)
-    base, long, end = [], [], 1
-    for c, f in enumerate(factors):
-        if f.m <= npairs:  # steps 1 - m .. m - 1 sit at end .. end + 2m - 2
-            base.append(end + f.m - 1)
-            end += 2 * f.m - 1
-        else:
-            base.append(0)
-            long.append(c)
-    if long:  # the steps of `chord`, one sine per pair
-        m = np.array([factors[c].m for c in long])[:, None]
-        k = np.abs(d[long])
-        k = np.minimum(k, m - k)
-        ratios = (math.pi * (k / m)).ravel().tolist()
-        sines = np.fromiter(map(math.sin, ratios), float, len(ratios)).reshape(k.shape)
-        two_r = np.array([2.0 * factors[c].r for c in long])[:, None]
-        long_chords = np.multiply(two_r, sines, out=np.zeros(k.shape), where=k != 0)
-        d[long] = 0
-    d += np.array(base)[:, None]
-    chords = table[d]
-    if long:
-        chords[long] = long_chords
-    return chords
+    d -= x[:, iu[1]]
+    np.abs(d, out=d)
+    d = np.minimum(d, m - d)
+    # factor i's steps 0 .. m // 2 sit at base[i] .. base[i] + m // 2
+    sizes = [f.m // 2 + 1 for f in factors]
+    base = np.cumsum([0] + sizes[:-1])[:, None]
+    steps = (chord(f.m, f.r, q) for f, size in zip(factors, sizes) for q in range(size))
+    table = np.fromiter(steps, float, sum(sizes))
+    d += base
+    return table[d]
 
 
 def torus_distance_sq(t: TorusSpec, p: TorusPoint, q: TorusPoint) -> float:

@@ -123,13 +123,12 @@ def reference_pairwise_sq(t, points):
 EDGE_ORDERS = (2, 3, 4, 2**53 - 1, 2**53, 2**53 + 1)
 
 
-def edge_torus(rng, n, k):
-    """k factors cycling through the orders on both sides of the kernel's
-    int64 path, every fourth of radius 1e308 (where 2r overflows to inf), and
-    n points whose indices give zero steps, signed and out-of-range steps, and
-    indices past int64."""
+def edge_torus(rng, n, k, orders=EDGE_ORDERS):
+    """k factors cycling through the orders, every fourth of radius 1e308
+    (where 2r overflows to inf), and n points whose indices give zero steps,
+    signed and out-of-range steps, and indices past int64."""
     factors = tuple(
-        PolygonSpec(EDGE_ORDERS[i % len(EDGE_ORDERS)], 1e308 if i % 4 == 1 else rng.uniform(0.1, 100.0))
+        PolygonSpec(orders[i % len(orders)], 1e308 if i % 4 == 1 else rng.uniform(0.1, 100.0))
         for i in range(k)
     )
     first = [rng.randrange(f.m) for f in factors]
@@ -167,6 +166,9 @@ def test_pairwise_sq_matches_reference_loop_bitwise(n):
         cases.append((TorusSpec(factors), points))
     # small and big orders interleaved; 24 points x 80 factors span several blocks
     cases += [edge_torus(rng, n, k) for k in (1, 2, 7, 12, 80 if n == 24 else 30)]
+    # orders on both sides of the chord table's bound, m // 2 < pairs
+    npairs = n * (n - 1) // 2
+    cases.append(edge_torus(rng, n, 8, tuple(max(2, 2 * npairs + e) for e in (-1, 0, 1, 2))))
     for t, points in cases:
         got = pairwise_sq(t, points)
         assert got.shape == (n, n)
@@ -185,7 +187,7 @@ def test_pairwise_sq_scratch_is_bounded():
     import tracemalloc
 
     rng = random.Random(0)
-    orders = (3,) * 17 + (2, 2**53 + 1, 2**40 + 1)  # table, exact and per-pair sine paths
+    orders = (3,) * 17 + (2, 2**53 + 1, 2**40 + 1)  # the table and per-pair paths
     t = TorusSpec(tuple(PolygonSpec(orders[i % len(orders)], 1.5) for i in range(600)))
     points = [TorusPoint(tuple(rng.randrange(f.m) for f in t.factors)) for _ in range(40)]
     tracemalloc.start()
