@@ -5,12 +5,30 @@ Polygon orders, vertex indices and grid parameters serialize as decimal
 strings so they survive arbitrary precision across JSON parsers. Floats are
 written with 17 significant digits; together with a fixed field order this
 makes parse-then-reserialize byte identical.
+
+The codec follows the certificate's fixed schema rather than walking a
+generic JSON tree. The writer emits the top-level fields in order: the input
+rows and the factor radii through `_format_float`, each order `m` as its
+decimal string, and the assignment's index strings in one call of the C JSON
+encoder; only the free-form `parameters`, `errors` and `meta` objects go
+through `dumps_canonical`, which keeps its own stack so that nesting depth
+is bounded only by memory.
+
+The reader checks each assignment row's type once and reads the whole row
+in bulk when every entry is a canonical decimal string (`0`, `[1-9][0-9]*`
+or `-[1-9][0-9]*`, what `str` writes for an int): one regex match over the
+row joined by commas, then one C decode of those digits as JSON integers.
+Any other row, say one holding JSON integers (also accepted), goes entry by
+entry, so that an error names the first bad entry in its `field`; a string
+in any other form is refused. Polygon orders are read the same way. Indices
+are not range-checked here; the verifier does that.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +37,13 @@ from .errors import InputError, InvalidCertificate
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
 VERSION = "0.2.0"
+
+# the integers' canonical decimal text: what `str` writes for an int
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+# a list of them joined by commas
+_DECIMAL_ROW = re.compile(rf"(?:(?:{_DECIMAL.pattern})(?:,(?:{_DECIMAL.pattern}))*)?")
+
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass
@@ -45,8 +70,7 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_canonical(obj) -> str:
-    """Deterministic compact JSON: dict order preserved, floats at 17 digits."""
+def _format_scalar(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -57,31 +81,77 @@ def dumps_canonical(obj) -> str:
         return _format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = []
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise ValueError(f"non-string key in certificate object: {k!r}")
-            items.append(json.dumps(k) + ":" + dumps_canonical(v))
-        return "{" + ",".join(items) + "}"
     raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def certificate_to_obj(cert: EmbeddingCertificate) -> dict:
-    return {
-        "input": {
-            "squared_distances": [[float(v) for v in row] for row in cert.input_sq]
-        },
-        "torus": {
-            "factors": [{"m": str(f.m), "r": float(f.r)} for f in cert.torus.factors]
-        },
-        "assignment": [[str(i) for i in p.indices] for p in cert.assignment],
-        "parameters": cert.parameters,
-        "errors": cert.errors,
-        "meta": cert.meta,
-    }
+def _members(obj):
+    """(text before the value, value) for each member of a list or object."""
+    if isinstance(obj, dict):
+        sep = ""
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise ValueError(f"non-string key in certificate object: {k!r}")
+            yield sep + json.dumps(k) + ":", v
+            sep = ","
+    else:
+        for k, v in enumerate(obj):
+            yield ("," if k else ""), v
+
+
+def dumps_canonical(obj) -> str:
+    """Deterministic compact JSON: dict order preserved, floats at 17 digits.
+
+    Nested lists and objects are walked with an explicit stack, so any depth
+    that `json.loads` can read is written back.
+    """
+    parts = []
+    open_ = []  # the containers being written, innermost last: (members, closer)
+    while True:
+        if isinstance(obj, (list, tuple)):
+            if set(map(type, obj)) <= {int}:  # plain ints, joined at C speed
+                parts.append("[" + ",".join(map(repr, obj)) + "]")
+            else:
+                parts.append("[")
+                open_.append((_members(obj), "]"))
+        elif isinstance(obj, dict):
+            parts.append("{")
+            open_.append((_members(obj), "}"))
+        else:
+            parts.append(_format_scalar(obj))
+        # the next value to write, closing each container it finishes
+        while open_:
+            member = next(open_[-1][0], None)
+            if member is not None:
+                break
+            parts.append(open_.pop()[1])
+        else:
+            return "".join(parts)
+        sep, obj = member
+        parts.append(sep)
+
+
+def dumps_certificate(cert: EmbeddingCertificate) -> str:
+    """The certificate's canonical JSON, written field by field."""
+    parts = ['{"input":{"squared_distances":[']
+    for i, row in enumerate(cert.input_sq):
+        parts.append("[" if not i else ",[")
+        parts.append(",".join(map(_format_float, map(float, row))))
+        parts.append("]")
+    parts.append(']},"torus":{"factors":[')
+    parts.append(",".join(
+        '{"m":"' + str(f.m) + '","r":' + _format_float(f.r) + "}"
+        for f in cert.torus.factors
+    ))
+    parts.append(']},"assignment":')
+    parts.append(_encode_compact([list(map(str, p.indices)) for p in cert.assignment]))
+    parts.append(',"parameters":')
+    parts.append(dumps_canonical(cert.parameters))
+    parts.append(',"errors":')
+    parts.append(dumps_canonical(cert.errors))
+    parts.append(',"meta":')
+    parts.append(dumps_canonical(cert.meta))
+    parts.append("}")
+    return "".join(parts)
 
 
 def _parse_big_int(text, field: str) -> int:
@@ -89,15 +159,83 @@ def _parse_big_int(text, field: str) -> int:
         return text
     if not isinstance(text, str):
         raise InvalidCertificate(f"{field} must be a decimal string", field=field)
+    if _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() will read
+            pass
+    raise InvalidCertificate(
+        f"{field} is not a canonical decimal integer: {text!r}", field=field
+    )
+
+
+def _canonical_ints(items: list):
+    """The ints that `items` spell if every entry is a canonical decimal
+    string, else None. Such a row joined by commas is a list of JSON
+    integers, which the C decoder reads faster than `int` one by one."""
     try:
-        return int(text, 10)
-    except ValueError:
+        text = ",".join(items)
+    except TypeError:  # an entry that is not a string
+        return None
+    if not _DECIMAL_ROW.fullmatch(text):
+        return None
+    try:
+        values = json.loads("[" + text + "]")
+    except ValueError:  # more digits than int() will read
+        return None
+    # as many numbers as entries: no entry held a comma
+    return tuple(values) if len(values) == len(items) else None
+
+
+def _read_factors(raw) -> tuple[PolygonSpec, ...]:
+    if not isinstance(raw, list) or not raw:
         raise InvalidCertificate(
-            f"{field} is not a decimal integer: {text!r}", field=field
-        ) from None
+            "torus.factors must be a nonempty list", field="torus.factors"
+        )
+    try:
+        orders = _canonical_ints([f["m"] for f in raw])
+        if orders is not None:
+            return tuple(map(PolygonSpec, orders, [float(f["r"]) for f in raw]))
+    except (KeyError, TypeError, ValueError, OverflowError, InputError):
+        pass
+    # one factor at a time, to name the first bad one
+    factors = []
+    for i, f in enumerate(raw):
+        field = f"torus.factors[{i}]"
+        if not isinstance(f, dict) or "m" not in f or "r" not in f:
+            raise InvalidCertificate(f"{field} needs m and r", field=field)
+        m = _parse_big_int(f["m"], field + ".m")
+        try:
+            factors.append(PolygonSpec(m, float(f["r"])))
+        except (InputError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidCertificate(f"{field}: {exc}", field=field) from None
+    return tuple(factors)
 
 
-def certificate_from_obj(obj) -> EmbeddingCertificate:
+def _read_assignment(raw) -> tuple[TorusPoint, ...]:
+    if not isinstance(raw, list):
+        raise InvalidCertificate("assignment must be a list", field="assignment")
+    points = []
+    for i, row in enumerate(raw):
+        field = f"assignment[{i}]"
+        if not isinstance(row, list):
+            raise InvalidCertificate(f"{field} must be a list", field=field)
+        indices = _canonical_ints(row)
+        if indices is None:  # JSON integers, or an entry to name
+            indices = tuple(_parse_big_int(v, f"{field}[{k}]") for k, v in enumerate(row))
+        points.append(TorusPoint._of_ints(indices))
+    return tuple(points)
+
+
+def loads_certificate(text: str) -> EmbeddingCertificate:
+    """Read a certificate's JSON; raises InvalidCertificate naming the first
+    field that does not fit the schema."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidCertificate(f"not valid JSON: {exc}", field="") from None
+    except RecursionError:
+        raise InvalidCertificate("JSON nested too deeply to read", field="") from None
     if not isinstance(obj, dict):
         raise InvalidCertificate("certificate must be a JSON object", field="")
     try:
@@ -117,35 +255,9 @@ def certificate_from_obj(obj) -> EmbeddingCertificate:
         raise InvalidCertificate(
             "input.squared_distances must be square", field="input.squared_distances"
         )
-
-    raw_factors = obj.get("torus", {})
-    raw_factors = raw_factors.get("factors") if isinstance(raw_factors, dict) else None
-    if not isinstance(raw_factors, list) or not raw_factors:
-        raise InvalidCertificate(
-            "torus.factors must be a nonempty list", field="torus.factors"
-        )
-    factors = []
-    for i, f in enumerate(raw_factors):
-        field = f"torus.factors[{i}]"
-        if not isinstance(f, dict) or "m" not in f or "r" not in f:
-            raise InvalidCertificate(f"{field} needs m and r", field=field)
-        m = _parse_big_int(f["m"], field + ".m")
-        try:
-            factors.append(PolygonSpec(m, float(f["r"])))
-        except (InputError, TypeError, ValueError) as exc:
-            raise InvalidCertificate(f"{field}: {exc}", field=field) from None
-
-    raw_points = obj.get("assignment")
-    if not isinstance(raw_points, list):
-        raise InvalidCertificate("assignment must be a list", field="assignment")
-    assignment = []
-    for i, row in enumerate(raw_points):
-        field = f"assignment[{i}]"
-        if not isinstance(row, list):
-            raise InvalidCertificate(f"{field} must be a list", field=field)
-        assignment.append(
-            TorusPoint(tuple(_parse_big_int(v, f"{field}[{k}]") for k, v in enumerate(row)))
-        )
+    torus = obj.get("torus", {})
+    factors = _read_factors(torus.get("factors") if isinstance(torus, dict) else None)
+    assignment = _read_assignment(obj.get("assignment"))
 
     def _dict_field(name):
         val = obj.get(name, {})
@@ -155,26 +267,12 @@ def certificate_from_obj(obj) -> EmbeddingCertificate:
 
     return EmbeddingCertificate(
         input_sq=input_sq,
-        torus=TorusSpec(tuple(factors)),
-        assignment=tuple(assignment),
+        torus=TorusSpec(factors),
+        assignment=assignment,
         parameters=_dict_field("parameters"),
         errors=_dict_field("errors"),
         meta=_dict_field("meta"),
     )
-
-
-def dumps_certificate(cert: EmbeddingCertificate) -> str:
-    return dumps_canonical(certificate_to_obj(cert))
-
-
-def loads_certificate(text: str) -> EmbeddingCertificate:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidCertificate(f"not valid JSON: {exc}", field="") from None
-    except RecursionError:
-        raise InvalidCertificate("JSON nested too deeply to read", field="") from None
-    return certificate_from_obj(obj)
 
 
 def save_certificate(cert: EmbeddingCertificate, path) -> None:

@@ -78,6 +78,14 @@ class TorusPoint:
             raise InputError("vertex indices must be integers")
         object.__setattr__(self, "indices", indices)
 
+    @classmethod
+    def _of_ints(cls, indices: tuple[int, ...]) -> "TorusPoint":
+        """A point on a tuple already known to hold only ints (not bools),
+        without re-checking each one."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "indices", indices)
+        return point
+
 
 def chord(m: int, r: float, dj: int) -> float:
     """Chord length between polygon vertices dj steps apart.

@@ -1,9 +1,12 @@
 """Tests for certificate serialization: canonical JSON, round trips, parsing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_embed import (
     EmbeddingCertificate,
@@ -120,3 +123,211 @@ def test_loads_rejects_non_square_input():
     )
     with pytest.raises(InvalidCertificate):
         loads_certificate(text)
+
+
+def _reference_dumps(obj) -> str:
+    """The generic recursive writer the schema-driven codec replaced."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(obj)
+        return format(0.0 if obj == 0.0 else obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_dumps(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(
+            json.dumps(k) + ":" + _reference_dumps(v) for k, v in obj.items()
+        ) + "}"
+    raise ValueError(obj)
+
+
+def _reference_layout(cert) -> dict:
+    """The generic object a certificate used to be written through."""
+    return {
+        "input": {
+            "squared_distances": [[float(v) for v in row] for row in cert.input_sq]
+        },
+        "torus": {
+            "factors": [{"m": str(f.m), "r": float(f.r)} for f in cert.torus.factors]
+        },
+        "assignment": [[str(i) for i in p.indices] for p in cert.assignment],
+        "parameters": cert.parameters,
+        "errors": cert.errors,
+        "meta": cert.meta,
+    }
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**1000), 2**1000) | _FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+_RADII = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.sampled_from(
+    [5e-324, 1e-310, 1e308, 1.7976931348623157e308]
+)
+_ORDERS = st.sampled_from([2, 3, 2**1000 + 1]) | st.integers(2, 2**1000)
+
+
+@st.composite
+def _certificates(draw):
+    n = draw(st.integers(1, 4))
+    entries = draw(st.lists(_FLOATS, min_size=n * n, max_size=n * n))
+    factors = draw(st.lists(st.builds(PolygonSpec, _ORDERS, _RADII), min_size=1, max_size=5))
+    assignment = tuple(
+        TorusPoint(tuple(draw(st.integers(0, f.m - 1)) for f in factors)) for _ in range(n)
+    )
+    return EmbeddingCertificate(
+        input_sq=np.array(entries, dtype=float).reshape(n, n),
+        torus=TorusSpec(tuple(factors)),
+        assignment=assignment,
+        parameters=draw(st.dictionaries(st.text(), _JSON, max_size=4)),
+        errors=draw(st.dictionaries(st.text(), _FLOATS, max_size=2)),
+        meta=draw(st.dictionaries(st.text(), _JSON, max_size=2)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_certificates())
+def test_writer_matches_generic_layout_and_reads_back(cert):
+    text = dumps_certificate(cert)
+    assert text == _reference_dumps(_reference_layout(cert))
+    back = loads_certificate(text)
+    assert back.torus == cert.torus
+    assert back.assignment == cert.assignment
+    assert np.array_equal(back.input_sq, cert.input_sq)
+    assert dumps_certificate(back) == text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON)
+def test_dumps_canonical_matches_recursive_writer(value):
+    assert dumps_canonical(value) == _reference_dumps(value)
+
+
+def _small_certificate() -> dict:
+    return json.loads(dumps_certificate(embed_simplex([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])))
+
+
+_DELETE = object()
+
+
+def _set(path, value):
+    def edit(root):
+        obj = root
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        if value is _DELETE:
+            del obj[last]
+        else:
+            obj[last] = value
+        return root
+
+    return edit
+
+
+def _bad_m_after_bad_r(obj):
+    obj["torus"]["factors"][0]["r"] = "x"
+    obj["torus"]["factors"][1]["m"] = "abc"
+    return obj
+
+
+# each malformed certificate, and the field its error names (as the generic
+# reader named it)
+MALFORMED = {
+    "top-level-list": (lambda obj: [], ""),
+    "input-missing": (_set(["input"], _DELETE), "input.squared_distances"),
+    "input-list": (_set(["input"], []), "input.squared_distances"),
+    "matrix-strings": (_set(["input", "squared_distances"], [["a"]]), "input.squared_distances"),
+    "matrix-not-square": (
+        _set(["input", "squared_distances"], [[0.0, 1.0]]), "input.squared_distances"
+    ),
+    "torus-list": (_set(["torus"], []), "torus.factors"),
+    "factors-object": (_set(["torus", "factors"], {}), "torus.factors"),
+    "factors-empty": (_set(["torus", "factors"], []), "torus.factors"),
+    "factor-number": (_set(["torus", "factors", 1], 3), "torus.factors[1]"),
+    "factor-no-r": (_set(["torus", "factors", 1, "r"], _DELETE), "torus.factors[1]"),
+    "m-word": (_set(["torus", "factors", 1, "m"], "abc"), "torus.factors[1].m"),
+    "m-float": (_set(["torus", "factors", 1, "m"], 3.0), "torus.factors[1].m"),
+    "m-one": (_set(["torus", "factors", 1, "m"], "1"), "torus.factors[1]"),
+    "r-word": (_set(["torus", "factors", 1, "r"], "x"), "torus.factors[1]"),
+    "r-negative": (_set(["torus", "factors", 1, "r"], -1.0), "torus.factors[1]"),
+    "r-null": (_set(["torus", "factors", 1, "r"], None), "torus.factors[1]"),
+    "r-before-later-m": (_bad_m_after_bad_r, "torus.factors[0]"),
+    "assignment-missing": (_set(["assignment"], _DELETE), "assignment"),
+    "assignment-object": (_set(["assignment"], {}), "assignment"),
+    "row-string": (_set(["assignment", 1], "0"), "assignment[1]"),
+    "index-float": (_set(["assignment", 1, 2], 1.5), "assignment[1][2]"),
+    "index-null": (_set(["assignment", 1, 2], None), "assignment[1][2]"),
+    "index-bool": (_set(["assignment", 1, 2], True), "assignment[1][2]"),
+    "index-word": (_set(["assignment", 1, 2], "x"), "assignment[1][2]"),
+    "parameters-list": (_set(["parameters"], []), "parameters"),
+    "errors-string": (_set(["errors"], "x"), "errors"),
+    "meta-null": (_set(["meta"], None), "meta"),
+}
+
+
+@pytest.mark.parametrize("edit, field", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_certificate_names_its_field(edit, field):
+    obj = edit(_small_certificate())
+    with pytest.raises(InvalidCertificate) as exc:
+        loads_certificate(json.dumps(obj))
+    assert exc.value.field == field
+
+
+NOT_CANONICAL = ["0_0", " 42_7 ", "+7", "007", "٣", "-0", "", "7 ", "1e3", "0x1f", "1.0"]
+
+
+@pytest.mark.parametrize("text", NOT_CANONICAL)
+@pytest.mark.parametrize(
+    "path, field",
+    [(["torus", "factors", 1, "m"], "torus.factors[1].m"),
+     (["assignment", 1, 2], "assignment[1][2]")],
+    ids=["order", "index"],
+)
+def test_loads_refuses_non_canonical_decimal(path, field, text):
+    obj = _set(path, text)(_small_certificate())
+    with pytest.raises(InvalidCertificate) as exc:
+        loads_certificate(json.dumps(obj))
+    assert exc.value.field == field
+    assert field in str(exc.value)
+
+
+def test_loads_accepts_json_integers():
+    obj = _small_certificate()
+    for f in obj["torus"]["factors"]:
+        f["m"] = int(f["m"])
+    obj["assignment"] = [[int(i) for i in row] for row in obj["assignment"]]
+    cert = loads_certificate(json.dumps(obj))
+    assert dumps_certificate(cert) == dumps_canonical(_small_certificate())
+    assert verify_certificate(cert).passed
+
+
+def test_negative_index_string_is_out_of_range():
+    obj = _small_certificate()
+    obj["assignment"][1][2] = "-5"
+    cert = loads_certificate(json.dumps(obj))
+    with pytest.raises(InvalidCertificate) as exc:
+        verify_certificate(cert)
+    assert exc.value.field == "assignment[1][2]"
+    assert "-5 out of range" in str(exc.value)
+
+
+def test_loads_refuses_radius_too_large_for_a_float():
+    obj = _small_certificate()
+    obj["torus"]["factors"][1]["r"] = 10**400
+    with pytest.raises(InvalidCertificate) as exc:
+        loads_certificate(json.dumps(obj))
+    assert exc.value.field == "torus.factors[1]"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torus_embed import is_simplex, load_certificate
+from torus_embed.certificate import dumps_canonical
 from torus_embed.cli import main
 
 
@@ -287,6 +288,21 @@ def test_inspect_json_shows_non_finite_provenance(tmp_path, capsys, field, key, 
     assert f" {shown}" in stdout
 
 
+@pytest.mark.parametrize("depth", [600, 900])
+def test_inspect_json_writes_deeply_nested_provenance(tmp_path, capsys, depth):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0], [1.0]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    text = out.read_text()
+    alpha = dumps_canonical(json.loads(text)["parameters"]["alpha"])
+    nested = "[" * depth + "1" + "]" * depth
+    out.write_text(text.replace(f'"alpha":{alpha}', f'"alpha":{nested}', 1))
+    code, stdout, stderr = run(capsys, "inspect", str(out), "--json")
+    assert code == 0, stderr
+    assert f'"alpha":{nested}' in stdout
+
+
 def test_inspect_missing_file_exits_1(tmp_path, capsys):
     assert run(capsys, "inspect", str(tmp_path / "nope.json"))[0] == 1
 
@@ -318,4 +334,25 @@ def test_verify_invalid_input_matrix_exits_1(tmp_path, capsys, entry, value):
     code, stdout, stderr = run(capsys, "verify", str(out))
     assert code == 1
     assert "input.squared_distances" in stderr
+    assert "PASS" not in stdout
+
+
+@pytest.mark.parametrize(
+    "field, text", [("torus.factors[0].m", "+3"), ("assignment[1][0]", "007")],
+    ids=["order", "index"],
+)
+def test_verify_non_canonical_integer_exits_1(tmp_path, capsys, field, text):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0], [1.0]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    obj = json.loads(out.read_text())
+    if field.startswith("torus"):
+        obj["torus"]["factors"][0]["m"] = text
+    else:
+        obj["assignment"][1][0] = text
+    out.write_text(json.dumps(obj))
+    code, stdout, stderr = run(capsys, "verify", str(out))
+    assert code == 1
+    assert stderr.startswith("torus-embed: invalid certificate") and field in stderr
     assert "PASS" not in stdout
