@@ -8,16 +8,17 @@ makes parse-then-reserialize byte identical.
 
 The codec follows the certificate's fixed schema rather than walking a
 generic JSON tree. The writer emits the top-level fields in order: the input
-rows and the factor radii through `_format_float`, each order `m` as its
-decimal string, and the assignment's index strings in one call of the C JSON
-encoder; only the free-form `parameters`, `errors` and `meta` objects go
+rows and the factor radii through `_format_float`, and each order `m` and
+each vertex index as its decimal string, joined a row at a time; only the
+free-form `parameters`, `errors` and `meta` objects go
 through `dumps_canonical`, which keeps its own stack so that nesting depth
 is bounded only by memory.
 
 The reader checks each assignment row's type once and reads the whole row
 in bulk when every entry is a canonical decimal string (`0`, `[1-9][0-9]*`
-or `-[1-9][0-9]*`, what `str` writes for an int): one regex match over the
-row joined by commas, then one C decode of those digits as JSON integers.
+or `-[1-9][0-9]*`, what `str` writes for an int): the row joined by commas
+is checked to hold only digits, commas and minus signs, and then read by the
+C JSON decoder, whose integer grammar is the canonical one but for `-0`.
 Any other row, say one holding JSON integers (also accepted), goes entry by
 entry, so that an error names the first bad entry in its `field`; a string
 in any other form is refused. Polygon orders are read the same way. Indices
@@ -40,10 +41,8 @@ VERSION = "0.2.0"
 
 # the integers' canonical decimal text: what `str` writes for an int
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-# a list of them joined by commas
-_DECIMAL_ROW = re.compile(rf"(?:(?:{_DECIMAL.pattern})(?:,(?:{_DECIMAL.pattern}))*)?")
-
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+# the characters of such texts joined by commas
+_DECIMAL_ROW_CHARS = re.compile(r"[0-9,-]*")
 
 
 @dataclass
@@ -132,26 +131,31 @@ def dumps_canonical(obj) -> str:
 
 def dumps_certificate(cert: EmbeddingCertificate) -> str:
     """The certificate's canonical JSON, written field by field."""
-    parts = ['{"input":{"squared_distances":[']
-    for i, row in enumerate(cert.input_sq):
-        parts.append("[" if not i else ",[")
-        parts.append(",".join(map(_format_float, map(float, row))))
-        parts.append("]")
-    parts.append(']},"torus":{"factors":[')
-    parts.append(",".join(
-        '{"m":"' + str(f.m) + '","r":' + _format_float(f.r) + "}"
-        for f in cert.torus.factors
+    return "".join((
+        '{"input":{"squared_distances":[',
+        ",".join(
+            "[" + ",".join(map(_format_float, map(float, row))) + "]"
+            for row in cert.input_sq
+        ),
+        ']},"torus":{"factors":[',
+        ",".join(
+            '{"m":"' + str(f.m) + '","r":' + _format_float(f.r) + "}"
+            for f in cert.torus.factors
+        ),
+        # the decimal text of an int needs no JSON escaping
+        ']},"assignment":[',
+        ",".join(
+            '["' + '","'.join(map(str, p.indices)) + '"]' if p.indices else "[]"
+            for p in cert.assignment
+        ),
+        '],"parameters":',
+        dumps_canonical(cert.parameters),
+        ',"errors":',
+        dumps_canonical(cert.errors),
+        ',"meta":',
+        dumps_canonical(cert.meta),
+        "}",
     ))
-    parts.append(']},"assignment":')
-    parts.append(_encode_compact([list(map(str, p.indices)) for p in cert.assignment]))
-    parts.append(',"parameters":')
-    parts.append(dumps_canonical(cert.parameters))
-    parts.append(',"errors":')
-    parts.append(dumps_canonical(cert.errors))
-    parts.append(',"meta":')
-    parts.append(dumps_canonical(cert.meta))
-    parts.append("}")
-    return "".join(parts)
 
 
 def _parse_big_int(text, field: str) -> int:
@@ -171,17 +175,18 @@ def _parse_big_int(text, field: str) -> int:
 
 def _canonical_ints(items: list):
     """The ints that `items` spell if every entry is a canonical decimal
-    string, else None. Such a row joined by commas is a list of JSON
-    integers, which the C decoder reads faster than `int` one by one."""
+    string, else None. On digits, commas and minus signs alone, the C JSON
+    reader accepts just comma-separated integers `-?(0|[1-9][0-9]*)`: the
+    canonical grammar and "-0". It reads them faster than `int` one by one."""
     try:
         text = ",".join(items)
     except TypeError:  # an entry that is not a string
         return None
-    if not _DECIMAL_ROW.fullmatch(text):
+    if not _DECIMAL_ROW_CHARS.fullmatch(text) or "-0" in text:
         return None
     try:
         values = json.loads("[" + text + "]")
-    except ValueError:  # more digits than int() will read
+    except ValueError:  # not integers, or more digits than int() will read
         return None
     # as many numbers as entries: no entry held a comma
     return tuple(values) if len(values) == len(items) else None

@@ -210,6 +210,13 @@ def test_writer_matches_generic_layout_and_reads_back(cert):
     assert dumps_certificate(back) == text
 
 
+def test_writer_matches_generic_layout_without_rows():
+    cert = EmbeddingCertificate(
+        np.zeros((0, 0)), TorusSpec((PolygonSpec(3, 1.0),)), (TorusPoint(()),), {}, {}, {}
+    )
+    assert dumps_certificate(cert) == _reference_dumps(_reference_layout(cert))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_JSON)
 def test_dumps_canonical_matches_recursive_writer(value):
