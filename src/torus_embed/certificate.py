@@ -9,10 +9,10 @@ makes parse-then-reserialize byte identical.
 The codec follows the certificate's fixed schema rather than walking a
 generic JSON tree. The writer emits the top-level fields in order: the input
 rows and the factor radii through `_format_float`, and each order `m` and
-each vertex index as its decimal string, joined a row at a time; only the
-free-form `parameters`, `errors` and `meta` objects go
-through `dumps_canonical`, which keeps its own stack so that nesting depth
-is bounded only by memory.
+each vertex index as its decimal string, joined a row at a time. Only the
+free-form `parameters`, `errors` and `meta` objects go through
+`dumps_canonical`, which keeps its own stack, so that nesting depth is
+bounded only by memory.
 
 The reader checks each assignment row's type once and reads the whole row
 in bulk when every entry is a canonical decimal string (`0`, `[1-9][0-9]*`
@@ -39,9 +39,7 @@ from .torus import PolygonSpec, TorusPoint, TorusSpec
 
 VERSION = "0.2.0"
 
-# the integers' canonical decimal text: what `str` writes for an int
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-# the characters of such texts joined by commas
+# the characters of canonical decimal integers joined by commas
 _DECIMAL_ROW_CHARS = re.compile(r"[0-9,-]*")
 
 
@@ -163,19 +161,17 @@ def _parse_big_int(text, field: str) -> int:
         return text
     if not isinstance(text, str):
         raise InvalidCertificate(f"{field} must be a decimal string", field=field)
-    if _DECIMAL.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() will read
-            pass
-    raise InvalidCertificate(
-        f"{field} is not a canonical decimal integer: {text!r}", field=field
-    )
+    value = _canonical_ints([text])
+    if value is None:
+        raise InvalidCertificate(
+            f"{field} is not a canonical decimal integer: {text!r}", field=field
+        )
+    return value[0]
 
 
 def _canonical_ints(items: list):
     """The ints that `items` spell if every entry is a canonical decimal
-    string, else None. On digits, commas and minus signs alone, the C JSON
+    string (what `str` writes for an int), else None. On digits, commas and minus signs alone, the C JSON
     reader accepts just comma-separated integers `-?(0|[1-9][0-9]*)`: the
     canonical grammar and "-0". It reads them faster than `int` one by one."""
     try:
@@ -200,7 +196,7 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
     try:
         orders = _canonical_ints([f["m"] for f in raw])
         if orders is not None:
-            return tuple(map(PolygonSpec, orders, [float(f["r"]) for f in raw]))
+            return tuple(map(PolygonSpec, orders, (float(f["r"]) for f in raw)))
     except (KeyError, TypeError, ValueError, OverflowError, InputError):
         pass
     # one factor at a time, to name the first bad one

@@ -269,6 +269,7 @@ MALFORMED = {
     "m-word": (_set(["torus", "factors", 1, "m"], "abc"), "torus.factors[1].m"),
     "m-float": (_set(["torus", "factors", 1, "m"], 3.0), "torus.factors[1].m"),
     "m-one": (_set(["torus", "factors", 1, "m"], "1"), "torus.factors[1]"),
+    "m-too-long": (_set(["torus", "factors", 1, "m"], "1" + "0" * 5000), "torus.factors[1].m"),
     "r-word": (_set(["torus", "factors", 1, "r"], "x"), "torus.factors[1]"),
     "r-negative": (_set(["torus", "factors", 1, "r"], -1.0), "torus.factors[1]"),
     "r-null": (_set(["torus", "factors", 1, "r"], None), "torus.factors[1]"),
@@ -280,6 +281,7 @@ MALFORMED = {
     "index-null": (_set(["assignment", 1, 2], None), "assignment[1][2]"),
     "index-bool": (_set(["assignment", 1, 2], True), "assignment[1][2]"),
     "index-word": (_set(["assignment", 1, 2], "x"), "assignment[1][2]"),
+    "index-too-long": (_set(["assignment", 1, 2], "1" + "0" * 5000), "assignment[1][2]"),
     "parameters-list": (_set(["parameters"], []), "parameters"),
     "errors-string": (_set(["errors"], "x"), "errors"),
     "meta-null": (_set(["meta"], None), "meta"),
