@@ -22,7 +22,8 @@ C JSON decoder, whose integer grammar is the canonical one but for `-0`.
 Any other row, say one holding JSON integers (also accepted), goes entry by
 entry, so that an error names the first bad entry in its `field`; a string
 in any other form is refused. Polygon orders are read the same way. Indices
-are not range-checked here; the verifier does that.
+are not range-checked here; the verifier does that. Each assignment row is
+dropped from the parsed JSON once read, to bound the reader's peak memory.
 """
 
 from __future__ import annotations
@@ -171,9 +172,10 @@ def _parse_big_int(text, field: str) -> int:
 
 def _canonical_ints(items: list):
     """The ints that `items` spell if every entry is a canonical decimal
-    string (what `str` writes for an int), else None. On digits, commas and minus signs alone, the C JSON
-    reader accepts just comma-separated integers `-?(0|[1-9][0-9]*)`: the
-    canonical grammar and "-0". It reads them faster than `int` one by one."""
+    string (what `str` writes for an int), else None. On digits, commas and
+    minus signs alone, the C JSON reader accepts just comma-separated
+    integers `-?(0|[1-9][0-9]*)`: the canonical grammar and "-0". It reads
+    them faster than `int` one by one."""
     try:
         text = ",".join(items)
     except TypeError:  # an entry that is not a string
@@ -214,6 +216,9 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
 
 
 def _read_assignment(raw) -> tuple[TorusPoint, ...]:
+    """The points of the parsed `assignment` list, which this empties as it
+    goes: a row's strings are dropped once read, so the strings and the ints
+    of the whole assignment are never held at once."""
     if not isinstance(raw, list):
         raise InvalidCertificate("assignment must be a list", field="assignment")
     points = []
@@ -225,6 +230,7 @@ def _read_assignment(raw) -> tuple[TorusPoint, ...]:
         if indices is None:  # JSON integers, or an entry to name
             indices = tuple(_parse_big_int(v, f"{field}[{k}]") for k, v in enumerate(row))
         points.append(TorusPoint._of_ints(indices))
+        raw[i] = None
     return tuple(points)
 
 
