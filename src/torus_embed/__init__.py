@@ -7,10 +7,8 @@ call concurrently.
 
 from .almost_regular import (
     AlmostRegularCheck,
-    PairFactor,
     RealizationPlan,
     check_almost_regular,
-    collapse_index,
     embed_almost_regular,
     realization_plan,
     realize_almost_regular,
@@ -79,7 +77,6 @@ __all__ = [
     "NotAlmostRegular",
     "NotEuclidean",
     "NotSimplex",
-    "PairFactor",
     "PipelineConfig",
     "PolygonSpec",
     "RealizationPlan",
@@ -93,7 +90,6 @@ __all__ = [
     "check_almost_regular",
     "chord",
     "circumradius_for_side",
-    "collapse_index",
     "dumps_certificate",
     "embed_almost_regular",
     "embed_regular_simplex",

@@ -1,34 +1,28 @@
-"""Realization of almost-regular distance matrices in products of regular
-simplices, and their embedding into equal-order polygonal tori.
+"""Almost-regular distance matrices: the condition, their realization as a
+positive sum of cut semimetrics, and its embedding into equal-order
+polygonal tori.
 
 A symmetric matrix with zero diagonal and positive off-diagonal entries
 qualifies as almost regular when, writing a_max for its largest entry,
 
     sum over i < j of (a_max^2 - a_ij^2)  <  a_max^2.
 
-The slack of this inequality is the squared side of a base regular simplex
-with one vertex per point. Every pair (i, j) whose entry falls short of
-a_max contributes one more simplex factor, of side sqrt(a_max^2 - a_ij^2)
-and with one vertex fewer, in which points i and j share a vertex. Squared
-distances add over factors, and the pair (s, t) misses exactly its own
-factor's contribution, which reproduces a_st^2 on the nose.
-
-For the torus embedding the product is read as a positive sum of cut
-semimetrics: the squared distances of a regular simplex of side s are s^2/2
-times the sum of the cuts that split off one of its vertices, and in the
-(i, j) factor the vertex shared by i and j splits off the cut {i, j}. Equal
-cuts add up, so with B the base side and s_ij the pair sides the torus
-needs one polygon per distinct cut:
+With B^2 the slack of this inequality (the margin) and the pair sides
+s_ij = sqrt(a_max^2 - a_ij^2), the squared distances are a sum of cuts,
+each splitting some points off the rest:
 
     {k} for every point k, of weight B^2/2 + sum of s_ij^2/2 over the
         pairs without k;
     {i, j} for every kept pair, of weight s_ij^2/2.
 
-A cut of weight w is one m-gon of side sqrt(w) with the cut's points on
-vertex 1 and the rest on vertex 0. A pair attaining a_max is never kept,
-so n points take n + (kept pairs) <= n(n + 1)/2 - 1 factors: 135 for 16
-points, against 1,801 for a polygon per simplex vertex. For n = 2 the only
-pair attains a_max, so no pair cut ever covers the whole point set.
+Points s and t are split by both singletons and by each pair cut holding
+just one of them, so their squared distance is B^2 + sum of all s_ij^2 -
+s_st^2 = a_st^2. This is the paper's product of regular simplices (a base
+simplex, and one per pair in which i and j share a vertex) with equal cuts
+merged. A cut of weight w is one coordinate of size sqrt(w) on its points,
+and one m-gon of side sqrt(w) with its points on vertex 1 and the rest on
+vertex 0. A pair attaining a_max is never kept, so n points take at most
+n(n + 1)/2 - 1 cuts, and for n = 2 no pair cut covers the whole point set.
 """
 
 from __future__ import annotations
@@ -41,11 +35,11 @@ import numpy as np
 
 from .errors import InputError, NotAlmostRegular
 from .geometry import check_squared_distances
-from .simplex import circumradius_for_side, embed_regular_simplex, regular_simplex
+from .simplex import circumradius_for_side, embed_regular_simplex
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
-# pair factors with side below this fraction of a_max are dropped rather
-# than realized as zero-radius polygons
+# pairs with side below this fraction of a_max are dropped rather than
+# realized as zero-radius polygons
 ZERO_SIDE_RTOL = 1e-13
 
 
@@ -55,62 +49,21 @@ class AlmostRegularCheck(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PairFactor:
-    """One collapsing simplex factor: points i and j share a vertex."""
-
-    i: int
-    j: int
-    side: float
-
-
-@dataclass(frozen=True)
 class RealizationPlan:
-    """Recipe for the product-of-simplices realization."""
+    """The realization as merged cuts.
+
+    `cuts` holds (points split off, polygon side = sqrt of the cut's
+    weight): every singleton {k}, then every kept pair {i, j} in row-major
+    order. `margin` is the almost-regularity margin.
+    """
 
     n_points: int
-    base_side: float
-    pair_factors: tuple[PairFactor, ...]
-    margin: float = 0.0  # the almost-regularity margin; base_side is its square root
+    margin: float
+    cuts: tuple[tuple[tuple[int, ...], float], ...]
 
     @property
-    def factor_count(self) -> int:
-        return 1 + len(self.pair_factors)
-
-    def cuts(self) -> list[tuple[tuple[int, ...], float]]:
-        """The realization as merged cuts, each as (points split off,
-        polygon side = sqrt of the weight): every singleton {k}, then every
-        kept pair {i, j}, in plan order.
-
-        A singleton weight adds only nonnegative terms to B^2/2, so it
-        stays positive; weights are taken relative to the largest side, so
-        that squaring cannot underflow at tiny input scales.
-        """
-        n = self.n_points
-        if n == 1:
-            return []
-        pairs = self.pair_factors
-        sides = np.array([f.side for f in pairs])
-        i = np.array([f.i for f in pairs], dtype=np.intp)
-        j = np.array([f.j for f in pairs], dtype=np.intp)
-        scale = max(self.base_side, float(sides.max(initial=0.0)))
-        half = 0.5 * (sides / scale) ** 2
-        points = np.arange(n)[:, None]
-        apart = (points != i) & (points != j)  # point k lies outside pair p
-        weights = 0.5 * (self.base_side / scale) ** 2 + np.where(apart, half, 0.0).sum(axis=1)
-        out = [((k,), scale * math.sqrt(w)) for k, w in enumerate(weights.tolist())]
-        out.extend(((f.i, f.j), f.side / math.sqrt(2.0)) for f in pairs)
-        return out
-
-
-def collapse_index(i: int, j: int, s: int) -> int:
-    """Vertex of the (i, j) pair factor used by point s (0-based, i < j).
-
-    Point j is folded onto point i's vertex; points above j slide down one
-    slot, so the n points use only n - 1 vertices.
-    """
-    if s == j:
-        return i
-    return s if s < j else s - 1
+    def base_side(self) -> float:
+        return math.sqrt(self.margin)
 
 
 def _checked_entries(entries) -> np.ndarray:
@@ -140,7 +93,12 @@ def check_almost_regular(entries) -> AlmostRegularCheck:
 
 
 def realization_plan(entries) -> RealizationPlan:
-    """Factor sides and collapse structure for an almost-regular matrix."""
+    """The merged cuts of an almost-regular matrix.
+
+    A singleton weight adds only nonnegative terms to B^2/2, so it stays
+    positive; weights are taken relative to the largest side, so that
+    squaring cannot underflow at tiny input scales.
+    """
     a = _checked_entries(entries)
     n = a.shape[0]
     if n == 1:
@@ -150,49 +108,63 @@ def realization_plan(entries) -> RealizationPlan:
         raise NotAlmostRegular(
             f"almost-regularity margin is {margin:.6e}, must be positive"
         )
-    amax = float(a[np.triu_indices(n, k=1)].max())
-    pair_factors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            side_sq = max(amax**2 - float(a[i, j]) ** 2, 0.0)
-            side = math.sqrt(side_sq)
-            if side > ZERO_SIDE_RTOL * amax:
-                pair_factors.append(PairFactor(i, j, side))
-    return RealizationPlan(n, math.sqrt(margin), tuple(pair_factors), margin)
+    i, j = np.triu_indices(n, k=1)
+    upper = a[i, j]
+    amax = float(upper.max())
+    # Python's float ** (libm pow) rounds a few squares apart from numpy's
+    # x * x; squaring with the former keeps the certificate bytes stable
+    sides = np.array([math.sqrt(max(amax**2 - x**2, 0.0)) for x in upper.tolist()])
+    kept = sides > ZERO_SIDE_RTOL * amax
+    i, j, sides = i[kept], j[kept], sides[kept]
+    base = math.sqrt(margin)
+    scale = max(base, float(sides.max(initial=0.0)))
+    half = 0.5 * (sides / scale) ** 2
+    points = np.arange(n)[:, None]
+    apart = (points != i) & (points != j)  # point k lies outside pair p
+    weights = 0.5 * (base / scale) ** 2 + np.where(apart, half, 0.0).sum(axis=1)
+    cuts = [((k,), scale * math.sqrt(w)) for k, w in enumerate(weights.tolist())]
+    cuts.extend(
+        ((p, q), s / math.sqrt(2.0))
+        for p, q, s in zip(i.tolist(), j.tolist(), sides.tolist())
+    )
+    return RealizationPlan(n, margin, tuple(cuts))
+
+
+def _incidence(plan: RealizationPlan) -> np.ndarray:
+    """The 0/1 point-by-cut matrix: entry (s, c) is 1 when cut c holds s."""
+    out = np.zeros((plan.n_points, len(plan.cuts)), dtype=np.int64)
+    points = [s for members, _ in plan.cuts for s in members]
+    cuts = [c for c, (members, _) in enumerate(plan.cuts) for _ in members]
+    out[points, cuts] = 1
+    return out
 
 
 def realize_almost_regular(entries) -> tuple[np.ndarray, RealizationPlan]:
     """Point realization of an almost-regular matrix.
 
     Returns affinely independent points whose pairwise distances reproduce
-    the matrix, as the coordinate-wise concatenation of one base regular
-    simplex and one collapsing simplex per pair factor.
+    the matrix: one coordinate per cut, equal to the cut's side on its
+    points and 0 elsewhere. The singleton cuts alone keep the points
+    affinely independent.
     """
     plan = realization_plan(entries)
-    n = plan.n_points
-    if n == 1:
-        return np.zeros((1, 0)), plan
-    blocks = [regular_simplex(n, plan.base_side)]
-    for f in plan.pair_factors:
-        verts = regular_simplex(n - 1, f.side)
-        blocks.append(verts[[collapse_index(f.i, f.j, s) for s in range(n)]])
-    return np.hstack(blocks), plan
+    sides = np.array([side for _, side in plan.cuts])
+    return _incidence(plan) * sides, plan
 
 
 def embed_almost_regular(entries, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
     """Embed the realization into a torus whose factors all have order m.
 
     `entries` is an almost-regular distance matrix, or the RealizationPlan
-    already made from one. Each cut of `plan.cuts()` becomes one m-gon
-    with the cut's polygon side; the cut's points sit on vertex 1
-    and all others on vertex 0, so pairwise distances match the matrix.
+    already made from one. Each cut of `plan.cuts` becomes one m-gon with
+    the cut's side; the cut's points sit on vertex 1 and all others on
+    vertex 0, so pairwise distances match the matrix.
     """
     plan = entries if isinstance(entries, RealizationPlan) else realization_plan(entries)
-    n = plan.n_points
-    if n == 1:
-        spec, points = embed_regular_simplex(1, 1.0, m)
-        return spec, points
-    cuts = plan.cuts()
-    spec = TorusSpec(tuple(PolygonSpec(m, circumradius_for_side(m, side)) for _, side in cuts))
-    points = [TorusPoint(tuple(int(s in members) for members, _ in cuts)) for s in range(n)]
+    if plan.n_points == 1:
+        return embed_regular_simplex(1, 1.0, m)
+    spec = TorusSpec(
+        tuple(PolygonSpec(m, circumradius_for_side(m, side)) for _, side in plan.cuts)
+    )
+    points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(plan).tolist()]
     return spec, points

@@ -24,6 +24,8 @@ entry, so that an error names the first bad entry in its `field`; a string
 in any other form is refused. Polygon orders are read the same way. Indices
 are not range-checked here; the verifier does that. Each assignment row is
 dropped from the parsed JSON once read, to bound the reader's peak memory.
+The input matrix and the radii must be JSON numbers: a string such as
+"0.5" or a boolean, which numpy or `float` would read, is refused.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -157,6 +160,13 @@ def dumps_certificate(cert: EmbeddingCertificate) -> str:
     ))
 
 
+def holds_only_numbers(rows) -> bool:
+    """Whether the parsed JSON rows, a list of lists of scalars, hold JSON
+    numbers only: numpy's float conversion also reads a string such as
+    "0.5" and the booleans as numbers."""
+    return set(map(type, chain.from_iterable(rows))) <= {int, float}
+
+
 def _parse_big_int(text, field: str) -> int:
     if isinstance(text, int) and not isinstance(text, bool):
         return text
@@ -198,7 +208,7 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
     try:
         orders = _canonical_ints([f["m"] for f in raw])
         if orders is not None:
-            return tuple(map(PolygonSpec, orders, (float(f["r"]) for f in raw)))
+            return tuple(map(PolygonSpec, orders, (f["r"] for f in raw)))
     except (KeyError, TypeError, ValueError, OverflowError, InputError):
         pass
     # one factor at a time, to name the first bad one
@@ -209,7 +219,7 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
             raise InvalidCertificate(f"{field} needs m and r", field=field)
         m = _parse_big_int(f["m"], field + ".m")
         try:
-            factors.append(PolygonSpec(m, float(f["r"])))
+            factors.append(PolygonSpec(m, f["r"]))
         except (InputError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidCertificate(f"{field}: {exc}", field=field) from None
     return tuple(factors)
@@ -253,7 +263,7 @@ def loads_certificate(text: str) -> EmbeddingCertificate:
         ) from None
     try:
         input_sq = np.asarray(matrix, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidCertificate(
             "input.squared_distances is not a numeric matrix",
             field="input.squared_distances",
@@ -261,6 +271,11 @@ def loads_certificate(text: str) -> EmbeddingCertificate:
     if input_sq.ndim != 2 or input_sq.shape[0] != input_sq.shape[1]:
         raise InvalidCertificate(
             "input.squared_distances must be square", field="input.squared_distances"
+        )
+    if not holds_only_numbers(matrix):
+        raise InvalidCertificate(
+            "input.squared_distances must hold JSON numbers only",
+            field="input.squared_distances",
         )
     torus = obj.get("torus", {})
     factors = _read_factors(torus.get("factors") if isinstance(torus, dict) else None)

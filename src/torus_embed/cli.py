@@ -18,6 +18,7 @@ import numpy as np
 from .certificate import (
     dumps_canonical,
     dumps_certificate,
+    holds_only_numbers,
     load_certificate,
     save_certificate,
 )
@@ -68,9 +69,13 @@ def _load_input_points(path) -> np.ndarray:
         arr = np.asarray(data["points"], dtype=float)
         if arr.ndim != 2:
             raise InputError("'points' must be an array of coordinate arrays")
+        if not holds_only_numbers(data["points"]):
+            raise InputError("'points' must hold JSON numbers only")
         return arr
     if "squared_distances" in data:
         mat = np.asarray(data["squared_distances"], dtype=float)
+        if mat.ndim == 2 and not holds_only_numbers(data["squared_distances"]):
+            raise InputError("'squared_distances' must hold JSON numbers only")
         return realize(centered_gram(mat))
     raise InputError("input must contain 'points' or 'squared_distances'")
 
@@ -84,7 +89,9 @@ def _cmd_embed(args) -> int:
         points = _load_input_points(args.input)
     except NotEuclidean:
         return _fail("input is not a simplex (squared distances are not Euclidean)", 2)
-    except (OSError, json.JSONDecodeError, InputError, TypeError, ValueError) as exc:
+    except (
+        OSError, json.JSONDecodeError, InputError, TypeError, ValueError, OverflowError
+    ) as exc:
         return _fail(f"cannot read input: {exc}", 1)
     cfg = PipelineConfig(
         accept_tol=tol,

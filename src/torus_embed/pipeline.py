@@ -9,10 +9,10 @@ correction matrix sqrt(e_ij + a^2) always satisfies the almost-regularity
 condition because every |e_ij| stays below a^2/n^2, and its realization
 contributes exactly the missing e_ij + a^2 to each pair.
 
-The correction is emitted as merged cuts (see `almost_regular`): one
+The correction is its plan's merged cuts (see `almost_regular`): one
 polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
 a random 16-point simplex takes about 150 factors in all. `parameters`
-records the cut of each correction factor under "correction_cuts", in
+records the points of each cut in `plan.cuts` under "correction_cuts", in
 factor order; the correction factors are the last len(correction_cuts).
 """
 
@@ -159,7 +159,7 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
         "correction_m": str(correction_m),
         "correction_margin": plan.margin,
         "uniform_m": cfg.uniform_m,
-        "correction_cuts": [list(members) for members, _ in plan.cuts()],
+        "correction_cuts": [list(members) for members, _ in plan.cuts],
         "rank_tolerance": DEFAULT_TOL,
         "accept_tolerance": cfg.accept_tol,
     }

@@ -10,9 +10,7 @@ from torus_embed import (
     EmbeddingCertificate,
     InputError,
     NotAlmostRegular,
-    PairFactor,
     check_almost_regular,
-    collapse_index,
     dumps_certificate,
     embed_almost_regular,
     is_simplex,
@@ -78,7 +76,7 @@ def test_entries_too_large_to_square_raise_input_error(fn):
 def test_realize_regular_matrix_collapses_to_base_simplex():
     a = 1.3 * (np.ones((5, 5)) - np.eye(5))
     z, plan = realize_almost_regular(a)
-    assert plan.pair_factors == ()
+    assert [members for members, _ in plan.cuts] == [(k,) for k in range(5)]
     assert plan.base_side == pytest.approx(1.3, rel=1e-14)
     off = ~np.eye(5, dtype=bool)
     np.testing.assert_allclose(np.sqrt(squared_distances(z))[off], 1.3, rtol=1e-12)
@@ -87,14 +85,14 @@ def test_realize_regular_matrix_collapses_to_base_simplex():
 def test_realize_two_points():
     a = np.array([[0.0, 0.42], [0.42, 0.0]])
     z, plan = realize_almost_regular(a)
-    assert plan.pair_factors == ()
+    assert [members for members, _ in plan.cuts] == [(0,), (1,)]
     assert math.dist(z[0], z[1]) == pytest.approx(0.42, rel=1e-13)
 
 
 def test_realize_single_point():
     z, plan = realize_almost_regular([[0.0]])
     assert z.shape == (1, 0)
-    assert plan.pair_factors == ()
+    assert plan.cuts == ()
 
 
 def test_realize_near_regular_four_points():
@@ -116,14 +114,6 @@ def test_realize_rejects_invalid():
         realize_almost_regular(a)
     with pytest.raises(NotAlmostRegular):
         embed_almost_regular(a, 4)
-
-
-def test_collapse_index_merges_exactly_one_pair():
-    n = 6
-    for i, j in combinations(range(n), 2):
-        images = [collapse_index(i, j, s) for s in range(n)]
-        assert images[i] == images[j]
-        assert sorted(set(images)) == list(range(n - 1))
 
 
 def test_realization_identity_random():
@@ -149,7 +139,7 @@ def test_realization_output_is_simplex_and_factor_count_bounded():
         a = random_valid_matrix(rng, n)
         z, plan = realize_almost_regular(a)
         assert is_simplex(z, 1e-9)
-        assert plan.factor_count <= 1 + n * (n - 1) // 2
+        assert len(plan.cuts) <= n * (n + 1) // 2 - 1
 
 
 def test_embed_regular_matrix_into_triangles():
@@ -200,8 +190,8 @@ def test_plan_skips_zero_side_pairs():
     # 1e-13 cutoff, so it is kept; exact ties are dropped
     b = np.ones((4, 4)) - np.eye(4)
     plan_regular = realization_plan(b)
-    assert plan_regular.pair_factors == ()
-    assert len(plan.pair_factors) == 1
+    assert len(plan_regular.cuts) == 4
+    assert len(plan.cuts) == 5
 
 
 def test_embed_one_factor_per_cut():
@@ -212,29 +202,41 @@ def test_embed_one_factor_per_cut():
         for _ in range(5):
             a = random_valid_matrix(rng, n)
             plan = realization_plan(a)
+            base_side, pair_factors, _ = reference_pair_factors(a)
             spec, points = embed_almost_regular(a, 3)
-            assert len(spec.factors) == n + len(plan.pair_factors)
-            assert len(plan.pair_factors) <= n * (n - 1) // 2 - 1
+            assert len(spec.factors) == n + len(pair_factors)
+            assert len(pair_factors) <= n * (n - 1) // 2 - 1
             if n == 2:
                 assert len(spec.factors) == 2
             cuts = [
                 tuple(s for s in range(n) if points[s].indices[k])
                 for k in range(len(spec.factors))
             ]
-            pairs = [(f.i, f.j) for f in plan.pair_factors]
+            pairs = [(i, j) for i, j, _ in pair_factors]
             assert cuts == [(k,) for k in range(n)] + pairs
-            assert [members for members, _ in plan.cuts()] == cuts
+            assert [members for members, _ in plan.cuts] == cuts
             # weights against the loop over the simplices' one-hot cuts
             weights = [0.0] * n
             for s in range(n):
-                weights[s] += plan.base_side**2 / 2
-            for f in plan.pair_factors:
+                weights[s] += base_side**2 / 2
+            for i, j, side in pair_factors:
                 for s in range(n):
-                    if s not in (f.i, f.j):
-                        weights[s] += f.side**2 / 2
-            weights += [f.side**2 / 2 for f in plan.pair_factors]
-            for (_, side), w in zip(plan.cuts(), weights):
+                    if s not in (i, j):
+                        weights[s] += side**2 / 2
+            weights += [side**2 / 2 for _, _, side in pair_factors]
+            for (_, side), w in zip(plan.cuts, weights):
                 assert side**2 == pytest.approx(w, rel=1e-13)
+
+
+def test_torus_vertex_pattern_matches_realization_support():
+    # a point sits on vertex 1 of a cut's polygon exactly where its
+    # coordinate for that cut is nonzero
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        a = random_valid_matrix(rng, n)
+        z, _ = realize_almost_regular(a)
+        _, points = embed_almost_regular(a, 3)
+        np.testing.assert_array_equal(np.array([p.indices for p in points]) == 1, z != 0)
 
 
 def test_embed_reproduces_distances_tightly():
@@ -273,14 +275,15 @@ def test_cut_weights_do_not_underflow():
     assert plan.base_side**2 == 5e-324
     spec, points = embed_almost_regular(plan, 3)
     assert len(spec.factors) == 2
-    for _, side in plan.cuts():
+    for _, side in plan.cuts:
         assert side == pytest.approx(plan.base_side / math.sqrt(2.0), rel=1e-15)
 
 
-def reference_plan(entries):
-    """realization_plan as it was before the plan recorded its margin, kept
-    as its reference. Returns (base side, pair factors, margin), the margin
-    being the one embed_simplex took from its own check_almost_regular."""
+def reference_pair_factors(entries):
+    """realization_plan as it was when it built one simplex factor per kept
+    pair, kept as its reference. Returns (base side, (i, j, side) of each
+    pair factor, margin), the margin being the one embed_simplex took from
+    its own check_almost_regular."""
     a = _checked_entries(entries)
     n = a.shape[0]
     if n == 1:
@@ -297,8 +300,28 @@ def reference_plan(entries):
             side_sq = max(amax**2 - float(a[i, j]) ** 2, 0.0)
             side = math.sqrt(side_sq)
             if side > ZERO_SIDE_RTOL * amax:
-                pair_factors.append(PairFactor(i, j, side))
+                pair_factors.append((i, j, side))
     return math.sqrt(margin), tuple(pair_factors), margin
+
+
+def reference_plan(entries):
+    """(cuts, margin) merged from the reference pair factors by the
+    arithmetic the plan's cuts were first computed with."""
+    base_side, pairs, margin = reference_pair_factors(entries)
+    n = _checked_entries(entries).shape[0]
+    if n == 1:
+        return (), margin
+    sides = np.array([side for _, _, side in pairs])
+    i = np.array([i for i, _, _ in pairs], dtype=np.intp)
+    j = np.array([j for _, j, _ in pairs], dtype=np.intp)
+    scale = max(base_side, float(sides.max(initial=0.0)))
+    half = 0.5 * (sides / scale) ** 2
+    points = np.arange(n)[:, None]
+    apart = (points != i) & (points != j)
+    weights = 0.5 * (base_side / scale) ** 2 + np.where(apart, half, 0.0).sum(axis=1)
+    cuts = [((k,), scale * math.sqrt(w)) for k, w in enumerate(weights.tolist())]
+    cuts.extend(((i, j), side / math.sqrt(2.0)) for i, j, side in pairs)
+    return tuple(cuts), margin
 
 
 def test_plan_matches_reference_bitwise():
@@ -326,4 +349,15 @@ def test_plan_matches_reference_bitwise():
             continue
         plan = realization_plan(a)
         assert plan.n_points == n
-        assert (plan.base_side, plan.pair_factors, plan.margin) == ref
+        assert (plan.cuts, plan.margin) == ref
+        assert plan.base_side == math.sqrt(plan.margin)
+
+
+def test_pair_sides_square_by_python_pow():
+    # numpy's x * x and Python's x ** 2 (libm pow) round a few doubles
+    # apart; the plan squares as the reference, and the certificates, do
+    rng = np.random.default_rng(8)
+    xs = [x for x in rng.uniform(0.95, 1.0, 20000).tolist() if x * x != x**2][:5]
+    for x in xs:
+        a = np.array([[0.0, 1.0, x], [1.0, 0.0, 1.0], [x, 1.0, 0.0]])
+        assert realization_plan(a).cuts == reference_plan(a)[0]

@@ -245,6 +245,20 @@ def _set(path, value):
     return edit
 
 
+def _as_string(path):
+    """Replace the number at `path` by a string holding its JSON text."""
+
+    def edit(root):
+        obj = root
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = json.dumps(obj[last])
+        return root
+
+    return edit
+
+
 def _bad_m_after_bad_r(obj):
     obj["torus"]["factors"][0]["r"] = "x"
     obj["torus"]["factors"][1]["m"] = "abc"
@@ -258,6 +272,11 @@ MALFORMED = {
     "input-missing": (_set(["input"], _DELETE), "input.squared_distances"),
     "input-list": (_set(["input"], []), "input.squared_distances"),
     "matrix-strings": (_set(["input", "squared_distances"], [["a"]]), "input.squared_distances"),
+    "entry-string": (_as_string(["input", "squared_distances", 0, 1]), "input.squared_distances"),
+    "entry-bool": (_set(["input", "squared_distances", 0, 1], True), "input.squared_distances"),
+    "entry-too-large": (
+        _set(["input", "squared_distances", 0, 1], 10**400), "input.squared_distances"
+    ),
     "matrix-not-square": (
         _set(["input", "squared_distances"], [[0.0, 1.0]]), "input.squared_distances"
     ),
@@ -271,6 +290,8 @@ MALFORMED = {
     "m-one": (_set(["torus", "factors", 1, "m"], "1"), "torus.factors[1]"),
     "m-too-long": (_set(["torus", "factors", 1, "m"], "1" + "0" * 5000), "torus.factors[1].m"),
     "r-word": (_set(["torus", "factors", 1, "r"], "x"), "torus.factors[1]"),
+    "r-string": (_as_string(["torus", "factors", 1, "r"]), "torus.factors[1]"),
+    "r-bool": (_set(["torus", "factors", 1, "r"], True), "torus.factors[1]"),
     "r-negative": (_set(["torus", "factors", 1, "r"], -1.0), "torus.factors[1]"),
     "r-null": (_set(["torus", "factors", 1, "r"], None), "torus.factors[1]"),
     "r-before-later-m": (_bad_m_after_bad_r, "torus.factors[0]"),

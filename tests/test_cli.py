@@ -115,6 +115,26 @@ def test_embed_non_euclidean_squared_distances_exits_2(tmp_path, capsys):
     assert "not a simplex" in stderr
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"points": [["0", "0"], [True, "0"], [0, "1.5"]]},
+        {"points": [[0, 0], [1, 0], [0, 10**400]]},
+        {"squared_distances": [[0, "1"], ["1", 0]]},
+        {"squared_distances": [[0, True], [True, 0]]},
+    ],
+    ids=["points-strings", "points-too-large", "matrix-strings", "matrix-bools"],
+)
+def test_embed_refuses_non_number_input_exits_1(tmp_path, capsys, data):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, data)
+    code, _, stderr = run(capsys, "embed", str(inp), str(out))
+    assert code == 1
+    assert stderr.startswith("torus-embed: cannot read input:")
+    assert not out.exists()
+
+
 def test_embed_quiet_suppresses_output(tmp_path, capsys):
     inp = tmp_path / "in.json"
     write_json(inp, {"points": [[0.0], [1.0]]})
@@ -351,6 +371,25 @@ def test_verify_non_canonical_integer_exits_1(tmp_path, capsys, field, text):
         obj["torus"]["factors"][0]["m"] = text
     else:
         obj["assignment"][1][0] = text
+    out.write_text(json.dumps(obj))
+    code, stdout, stderr = run(capsys, "verify", str(out))
+    assert code == 1
+    assert stderr.startswith("torus-embed: invalid certificate") and field in stderr
+    assert "PASS" not in stdout
+
+
+@pytest.mark.parametrize("field", ["input.squared_distances", "torus.factors[0]"])
+def test_verify_refuses_numbers_written_as_strings(tmp_path, capsys, field):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0], [1.0]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    obj = json.loads(out.read_text())
+    if field.startswith("input"):
+        matrix = obj["input"]["squared_distances"]
+        matrix[0][1] = matrix[1][0] = json.dumps(matrix[0][1])
+    else:
+        obj["torus"]["factors"][0]["r"] = json.dumps(obj["torus"]["factors"][0]["r"])
     out.write_text(json.dumps(obj))
     code, stdout, stderr = run(capsys, "verify", str(out))
     assert code == 1
