@@ -25,7 +25,8 @@ in any other form is refused. Polygon orders are read the same way. Indices
 are not range-checked here; the verifier does that. Each assignment row is
 dropped from the parsed JSON once read, to bound the reader's peak memory.
 The input matrix and the radii must be JSON numbers: a string such as
-"0.5" or a boolean, which numpy or `float` would read, is refused.
+"0.5" or a boolean, which numpy or `float` would read, is refused. The CLI
+reads its `embed` input through the same `parse_json` and `read_number_matrix`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -160,11 +162,32 @@ def dumps_certificate(cert: EmbeddingCertificate) -> str:
     ))
 
 
-def holds_only_numbers(rows) -> bool:
-    """Whether the parsed JSON rows, a list of lists of scalars, hold JSON
-    numbers only: numpy's float conversion also reads a string such as
-    "0.5" and the booleans as numbers."""
-    return set(map(type, chain.from_iterable(rows))) <= {int, float}
+def parse_json(text: str, error, prefix: str = ""):
+    """`json.loads(text)` for outside text. Its ValueErrors (not JSON, or an int
+    past Python's digit limit) and RecursionError (too deeply nested) raise
+    `error(message)`, the caller's typed error, `prefix` leading a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error("JSON nested too deeply to read") from None
+    except ValueError as exc:
+        raise error(f"{prefix}{exc}") from None
+
+
+def read_number_matrix(rows, field: str, error) -> np.ndarray:
+    """The float matrix of parsed outside JSON `rows`, which must be a nonempty
+    list of equally long lists of JSON numbers (numpy alone would also read
+    "0.5" or true), else `error(message)` naming `field` is raised."""
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
+        raise error(f"{field} must be a nonempty array of number arrays")
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise error(f"{field} must hold JSON numbers only")
+    if len(set(map(len, rows))) != 1:
+        raise error(f"{field} has rows of different lengths")
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:  # an integer past the largest double
+        raise error(f"{field} holds a number too large for a double") from None
 
 
 def _parse_big_int(text, field: str) -> int:
@@ -247,36 +270,17 @@ def _read_assignment(raw) -> tuple[TorusPoint, ...]:
 def loads_certificate(text: str) -> EmbeddingCertificate:
     """Read a certificate's JSON; raises InvalidCertificate naming the first
     field that does not fit the schema."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidCertificate(f"not valid JSON: {exc}", field="") from None
-    except RecursionError:
-        raise InvalidCertificate("JSON nested too deeply to read", field="") from None
+    obj = parse_json(text, partial(InvalidCertificate, field=""), "not valid JSON: ")
     if not isinstance(obj, dict):
         raise InvalidCertificate("certificate must be a JSON object", field="")
+    field = "input.squared_distances"
     try:
         matrix = obj["input"]["squared_distances"]
     except (KeyError, TypeError):
-        raise InvalidCertificate(
-            "missing input.squared_distances", field="input.squared_distances"
-        ) from None
-    try:
-        input_sq = np.asarray(matrix, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidCertificate(
-            "input.squared_distances is not a numeric matrix",
-            field="input.squared_distances",
-        ) from None
-    if input_sq.ndim != 2 or input_sq.shape[0] != input_sq.shape[1]:
-        raise InvalidCertificate(
-            "input.squared_distances must be square", field="input.squared_distances"
-        )
-    if not holds_only_numbers(matrix):
-        raise InvalidCertificate(
-            "input.squared_distances must hold JSON numbers only",
-            field="input.squared_distances",
-        )
+        raise InvalidCertificate(f"missing {field}", field=field) from None
+    input_sq = read_number_matrix(matrix, field, partial(InvalidCertificate, field=field))
+    if input_sq.shape[0] != input_sq.shape[1]:
+        raise InvalidCertificate(f"{field} must be square", field=field)
     torus = obj.get("torus", {})
     factors = _read_factors(torus.get("factors") if isinstance(torus, dict) else None)
     assignment = _read_assignment(obj.get("assignment"))

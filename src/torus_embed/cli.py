@@ -1,13 +1,13 @@
 """Command-line interface: embed, verify, gen, inspect.
 
-Exit codes are a stable contract: 0 success / verification pass, 1 malformed
-input or certificate, 2 input is not a simplex, 3 verification failed.
+Exit codes are a stable contract, mapped from typed errors by the one table
+in `main`: 0 success / verification pass, 1 usage error or unreadable or
+malformed input or certificate, 2 input is not a simplex, 3 verification failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -18,8 +18,9 @@ import numpy as np
 from .certificate import (
     dumps_canonical,
     dumps_certificate,
-    holds_only_numbers,
     load_certificate,
+    parse_json,
+    read_number_matrix,
     save_certificate,
 )
 from .errors import (
@@ -40,11 +41,6 @@ from .pipeline import (
 )
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"torus-embed: {message}", file=sys.stderr)
-    return code
-
-
 def _resolve_tolerance(value) -> float:
     if value is not None:
         return float(value)
@@ -58,58 +54,46 @@ def _resolve_tolerance(value) -> float:
 
 
 def _load_input_points(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise InputError("JSON nested too deeply to read") from None
-    if not isinstance(data, dict):
-        raise InputError("input must be a JSON object")
-    if "points" in data:
-        arr = np.asarray(data["points"], dtype=float)
-        if arr.ndim != 2:
-            raise InputError("'points' must be an array of coordinate arrays")
-        if not holds_only_numbers(data["points"]):
-            raise InputError("'points' must hold JSON numbers only")
-        return arr
-    if "squared_distances" in data:
-        mat = np.asarray(data["squared_distances"], dtype=float)
-        if mat.ndim == 2 and not holds_only_numbers(data["squared_distances"]):
-            raise InputError("'squared_distances' must hold JSON numbers only")
-        return realize(centered_gram(mat))
-    raise InputError("input must contain 'points' or 'squared_distances'")
+    """The points of an `embed` input file, realized from its squared distances
+    if it gives those. A non-Euclidean matrix raises NotEuclidean, and any
+    other fault InputError("cannot read input: ...")."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = parse_json(fh.read(), InputError)
+        if not isinstance(data, dict):
+            raise InputError("input must be a JSON object")
+        if "points" in data:
+            return read_number_matrix(data["points"], "'points'", InputError)
+        if "squared_distances" in data:
+            matrix = read_number_matrix(
+                data["squared_distances"], "'squared_distances'", InputError
+            )
+            return realize(centered_gram(matrix))
+        raise InputError("input must contain 'points' or 'squared_distances'")
+    except (OSError, UnicodeDecodeError, InputError) as exc:
+        raise InputError(f"cannot read input: {exc}") from None
+
+
+def _read_certificate(path):
+    try:
+        return load_certificate(path)
+    except OSError as exc:
+        raise InputError(f"cannot read certificate: {exc}") from None
 
 
 def _cmd_embed(args) -> int:
-    try:
-        tol = _resolve_tolerance(args.tolerance)
-    except InputError as exc:
-        return _fail(str(exc), 1)
-    try:
-        points = _load_input_points(args.input)
-    except NotEuclidean:
-        return _fail("input is not a simplex (squared distances are not Euclidean)", 2)
-    except (
-        OSError, json.JSONDecodeError, InputError, TypeError, ValueError, OverflowError
-    ) as exc:
-        return _fail(f"cannot read input: {exc}", 1)
+    tol = _resolve_tolerance(args.tolerance)
+    points = _load_input_points(args.input)
     cfg = PipelineConfig(
         accept_tol=tol,
         alpha_fraction=args.alpha_fraction,
         uniform_m=args.uniform_m,
     )
-    try:
-        cert = embed_simplex(points, cfg)
-    except (NotSimplex, TrivialInput):
-        return _fail("input is not a simplex", 2)
-    except InputError as exc:
-        return _fail(str(exc), 1)
-    except VerificationFailed as exc:
-        return _fail(str(exc), 3)
+    cert = embed_simplex(points, cfg)
     try:
         save_certificate(cert, args.output)
     except OSError as exc:
-        return _fail(f"cannot write certificate: {exc}", 1)
+        raise InputError(f"cannot write certificate: {exc}") from None
     if not args.quiet:
         print(f"wrote certificate: {args.output}")
         print(
@@ -124,16 +108,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        tol = _resolve_tolerance(args.tolerance)
-        cert = load_certificate(args.cert)
-        report = verify_certificate(cert, tol)
-    except InputError as exc:
-        return _fail(str(exc), 1)
-    except InvalidCertificate as exc:
-        return _fail(f"invalid certificate: {exc}", 1)
-    except OSError as exc:
-        return _fail(f"cannot read certificate: {exc}", 1)
+    tol = _resolve_tolerance(args.tolerance)
+    report = verify_certificate(_read_certificate(args.cert), tol)
     print(
         f"pairs: {report.pair_count}  max abs error: {report.max_abs_error:.6e}  "
         f"max rel error: {report.max_rel_error:.6e}  tolerance: {report.tolerance:g}"
@@ -146,20 +122,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        points = generate_points(args.kind, args.n, seed=args.seed, noise=args.noise)
-    except InputError as exc:
-        return _fail(str(exc), 1)
+    points = generate_points(args.kind, args.n, seed=args.seed, noise=args.noise)
     text = dumps_canonical({"points": [[float(v) for v in row] for row in points]})
     if args.output is None:
         print(text)
         return 0
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+            print(text, file=fh)
     except OSError as exc:
-        return _fail(f"cannot write output: {exc}", 1)
+        raise InputError(f"cannot write output: {exc}") from None
     return 0
 
 
@@ -199,12 +171,7 @@ def _provenance(value, spec: str) -> str:
 
 
 def _cmd_inspect(args) -> int:
-    try:
-        cert = load_certificate(args.cert)
-    except InvalidCertificate as exc:
-        return _fail(f"invalid certificate: {exc}", 1)
-    except OSError as exc:
-        return _fail(f"cannot read certificate: {exc}", 1)
+    cert = _read_certificate(args.cert)
     summary = _inspect_summary(cert)
     if args.as_json:
         print(dumps_canonical(summary))
@@ -228,8 +195,17 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, to exit 1 by `main`'s table: argparse's
+    own exit code 2 means "not a simplex" here. Subparsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torus-embed",
         description="Isometric embedding of simplices into regular polygonal tori.",
     )
@@ -273,8 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; the one table from typed error to exit code and message."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except NotEuclidean:
+        code, message = 2, "input is not a simplex (squared distances are not Euclidean)"
+    except (NotSimplex, TrivialInput):
+        code, message = 2, "input is not a simplex"
+    except VerificationFailed as exc:
+        code, message = 3, str(exc)
+    except InvalidCertificate as exc:
+        code, message = 1, f"invalid certificate: {exc}"
+    except InputError as exc:
+        code, message = 1, str(exc)
+    print(f"torus-embed: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ KINDS = ("regular", "random", "perturbed")
 
 _MIN_GAP = 1e-3
 _MAX_TRIES = 1000
+_MAX_NOISE = np.finfo(float).max / 2  # numpy's draw needs a finite 2 * noise
 
 
 def _min_distance(points: np.ndarray) -> float:
@@ -37,6 +38,10 @@ def generate_points(kind: str, n: int, seed: int = 0, noise: float = 0.01) -> np
         raise InputError(f"point count must be an integer >= 1, got {n!r}")
     if kind == "regular":
         return regular_simplex(n, 1.0)
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed!r}")
+    if kind == "perturbed" and not 0.0 <= noise <= _MAX_NOISE:
+        raise InputError(f"noise must lie in [0, {_MAX_NOISE:.6g}], got {noise!r}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         if kind == "random":

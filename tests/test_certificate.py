@@ -277,6 +277,10 @@ MALFORMED = {
     "entry-too-large": (
         _set(["input", "squared_distances", 0, 1], 10**400), "input.squared_distances"
     ),
+    "matrix-ragged": (
+        _set(["input", "squared_distances"], [[0.0, 1.0], [1.0]]), "input.squared_distances"
+    ),
+    "matrix-empty": (_set(["input", "squared_distances"], []), "input.squared_distances"),
     "matrix-not-square": (
         _set(["input", "squared_distances"], [[0.0, 1.0]]), "input.squared_distances"
     ),

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -120,10 +121,14 @@ def test_embed_non_euclidean_squared_distances_exits_2(tmp_path, capsys):
     [
         {"points": [["0", "0"], [True, "0"], [0, "1.5"]]},
         {"points": [[0, 0], [1, 0], [0, 10**400]]},
+        {"points": [[0, 0], [1]]},
+        {"points": [0, 1]},
         {"squared_distances": [[0, "1"], ["1", 0]]},
         {"squared_distances": [[0, True], [True, 0]]},
+        {"squared_distances": [[0, 1], [1]]},
     ],
-    ids=["points-strings", "points-too-large", "matrix-strings", "matrix-bools"],
+    ids=["points-strings", "points-too-large", "points-ragged", "points-flat",
+         "matrix-strings", "matrix-bools", "matrix-ragged"],
 )
 def test_embed_refuses_non_number_input_exits_1(tmp_path, capsys, data):
     inp = tmp_path / "in.json"
@@ -132,6 +137,7 @@ def test_embed_refuses_non_number_input_exits_1(tmp_path, capsys, data):
     code, _, stderr = run(capsys, "embed", str(inp), str(out))
     assert code == 1
     assert stderr.startswith("torus-embed: cannot read input:")
+    assert f"'{next(iter(data))}'" in stderr  # the field is named
     assert not out.exists()
 
 
@@ -190,9 +196,17 @@ def test_verify_missing_file_exits_1(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "nope.json"))[0] == 1
 
 
+# 0 where this Python reads ints of any length
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 UNREADABLE = {
     "not-utf8": b'\xff\xfe{"points": [[0.0], [1.0]]}',
     "nested-too-deep": b"[" * 100_000,
+    # json.loads refuses an integer past the digit limit with a ValueError
+    "int-past-digit-limit": pytest.param(
+        b'{"points": [[' + b"1" * (DIGIT_LIMIT + 1) + b"], [0]]}",
+        marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit"),
+    ),
 }
 
 
@@ -208,6 +222,46 @@ def test_unreadable_file_exits_1(tmp_path, capsys, command, content):
     assert stderr.startswith("torus-embed: ")
     assert "invalid certificate" in stderr or "cannot read input" in stderr
     assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "c.json", "--tolerance", "abc"], ["embed", "in.json"], ["frob"],
+     ["gen", "spiral", "3"], []],
+    ids=["bad-float", "missing-argument", "unknown-command", "bad-choice", "no-command"],
+)
+def test_usage_error_exits_1(capsys, argv):
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1  # argparse's own 2 would read as "not a simplex"
+    assert stderr.splitlines()[-1].startswith("torus-embed: ")
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["embed", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: torus-embed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["perturbed", "4", "--noise", "nan"], "noise"),
+     (["perturbed", "4", "--noise", "inf"], "noise"),
+     (["perturbed", "4", "--noise", "-1"], "noise"),
+     (["perturbed", "4", "--noise", "1e308"], "noise"),
+     (["random", "4", "--seed", "-1"], "seed"),
+     (["perturbed", "4", "--seed", "-1"], "seed")],
+    ids=["noise-nan", "noise-inf", "noise-negative", "noise-overflows-draw",
+         "seed-negative-random", "seed-negative-perturbed"],
+)
+def test_gen_bad_option_exits_1(tmp_path, capsys, argv, named):
+    out = tmp_path / "p.json"
+    code, _, stderr = run(capsys, "gen", *argv, "-o", str(out))
+    assert code == 1
+    assert stderr.startswith(f"torus-embed: {named} must")
     assert not out.exists()
 
 
