@@ -2,10 +2,12 @@
 polygons, with an explicit per-pair squared-distance error budget.
 
 Every coordinate of the input is snapped to a uniform grid wrapped onto a
-tiny arc of a very large polygon. Parameter selection and vertex indexing
-run in exact integer and rational arithmetic; floats only enter through the
-chord evaluations and the error report. Polygon orders routinely exceed
-2**63, which is why they are Python ints end to end.
+tiny arc of a very large polygon. Gap bounds and vertex indices come from
+each float's exact integer ratio (`float.as_integer_ratio`) in integer
+arithmetic; only the subdivision count, against a rational bound on pi,
+goes through `Fraction`. Floats only enter through the chord evaluations
+and the error report. Polygon orders routinely exceed 2**63, which is why
+they are Python ints end to end.
 """
 
 from __future__ import annotations
@@ -64,15 +66,16 @@ def _check_budget(delta) -> float:
 
 def _gap_bound(values: np.ndarray) -> int:
     """Smallest integer b with every pairwise gap inside [1/b, b]; a zero
-    gap is refused. Exact: the ceilings are taken over rationals, never
-    over rounded float quotients."""
+    gap is refused. Exact: both ceilings are integer ceilings on the span's
+    and the smallest gap's integer ratios, never rounded float quotients."""
     vals = np.sort(values)
     diffs = np.diff(vals)
     if float(diffs.min()) <= 0.0:
         raise InputError("distinct coordinate values collide once translated")
-    span = Fraction(float(vals[-1] - vals[0]))
-    min_gap = Fraction(float(diffs.min()))
-    return max(1, math.ceil(span), math.ceil(1 / min_gap))
+    span_p, span_q = float(vals[-1] - vals[0]).as_integer_ratio()
+    gap_p, gap_q = float(diffs.min()).as_integer_ratio()
+    # ceil(a / b) = -(-a // b) for b > 0: the span, then 1 / the smallest gap
+    return max(1, -(-span_p // span_q), -(-gap_q // gap_p))
 
 
 def _subdivisions(n0: int, budget: float) -> int:
@@ -92,9 +95,11 @@ def _grid_params(n0: int, n: int) -> DeltaParams:
 
 
 def _vertex_index(value: float, n0: int, n: int) -> int:
-    # half-open grid rule j/n^2 <= value/n0 < (j+1)/n^2, evaluated exactly
-    # over rationals; grid-boundary values resolve by the floor
-    return math.floor(Fraction(value) * n * n / n0)
+    # half-open grid rule j/n^2 <= value/n0 < (j+1)/n^2, evaluated exactly on
+    # value = p/q with q > 0: j = floor(p n^2 / (q n0)); grid-boundary values
+    # resolve by the floor
+    p, q = value.as_integer_ratio()
+    return p * n * n // (q * n0)
 
 
 def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped=()) -> DeltaEmbedding:
@@ -108,8 +113,8 @@ def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped=()) -> DeltaEm
     p = _grid_params(n0, _subdivisions(n0, delta / k))
     torus = TorusSpec(tuple(PolygonSpec(p.m, p.r) for _ in range(k)))
     assignment = tuple(
-        TorusPoint(tuple(_vertex_index(float(v), p.n0, p.n) for v in row))
-        for row in cols - low
+        TorusPoint._of_ints(tuple([_vertex_index(v, p.n0, p.n) for v in row]))
+        for row in (cols - low).tolist()
     )
     per_pair = d2 - pairwise_sq(torus, assignment)
     return DeltaEmbedding(torus, assignment, delta, per_pair, p, dropped)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError
@@ -12,7 +14,7 @@ KINDS = ("regular", "random", "perturbed")
 
 _MIN_GAP = 1e-3
 _MAX_TRIES = 1000
-_MAX_NOISE = np.finfo(float).max / 2  # numpy's draw needs a finite 2 * noise
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _min_distance(points: np.ndarray) -> float:
@@ -21,6 +23,15 @@ def _min_distance(points: np.ndarray) -> float:
         return np.inf
     d2 = squared_distances(points)
     return float(np.sqrt(d2[~np.eye(n, dtype=bool)].min()))
+
+
+def _max_noise(n: int) -> float:
+    """Largest perturbed noise whose points' squared distances sum to a
+    finite double, with room to spare: coordinate gaps stay below
+    1 + 2 * noise, each of the n(n - 1) squared distances sums n - 1 of
+    them squared, and at this bound the total is about a quarter of the
+    largest double."""
+    return math.sqrt(_FLOAT_MAX / n) / (4 * max(n - 1, 1))
 
 
 def generate_points(kind: str, n: int, seed: int = 0, noise: float = 0.01) -> np.ndarray:
@@ -40,8 +51,11 @@ def generate_points(kind: str, n: int, seed: int = 0, noise: float = 0.01) -> np
         return regular_simplex(n, 1.0)
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed!r}")
-    if kind == "perturbed" and not 0.0 <= noise <= _MAX_NOISE:
-        raise InputError(f"noise must lie in [0, {_MAX_NOISE:.6g}], got {noise!r}")
+    if kind == "perturbed" and not 0.0 <= noise <= _max_noise(n):
+        raise InputError(
+            f"noise must lie in [0, {_max_noise(n):.6g}] for n = {n}, got {noise!r}: "
+            f"a larger --noise can overflow the points' squared distances"
+        )
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         if kind == "random":

@@ -34,10 +34,20 @@ def as_point_array(points) -> np.ndarray:
 
 
 def squared_distances(points) -> np.ndarray:
-    """Matrix of pairwise squared Euclidean distances."""
+    """Matrix of pairwise squared Euclidean distances.
+
+    Raises InputError when the entries, or their sum, overflow a double:
+    `centered_gram` takes the matrix's mean, so a finite sum is what every
+    later step needs.
+    """
     arr = as_point_array(points)
-    diff = arr[:, None, :] - arr[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    with np.errstate(over="ignore"):
+        diff = arr[:, None, :] - arr[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        total = d2.sum()
+    if not np.isfinite(total):
+        raise InputError("the points' squared distances overflow a double")
+    return d2
 
 
 def check_squared_distances(sqdist, name: str = "squared-distance matrix") -> np.ndarray:

@@ -144,7 +144,7 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
 
     torus = TorusSpec(de.torus.factors + corr_torus.factors)
     assignment = tuple(
-        TorusPoint(de.assignment[i].indices + corr_points[i].indices)
+        TorusPoint._of_ints(de.assignment[i].indices + corr_points[i].indices)
         for i in range(n)
     )
     parameters = {

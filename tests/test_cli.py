@@ -66,6 +66,28 @@ def test_embed_collinear_exits_2(tmp_path, capsys):
     assert "not a simplex" in stderr
 
 
+@pytest.mark.parametrize("scale", [9e153, 1e200], ids=["sum-overflows", "entries-overflow"])
+def test_embed_overflowing_squared_distances_exits_1(tmp_path, capsys, scale):
+    # at 9e153 every squared distance is finite but their sum, which the
+    # centered Gram's mean needs, is not
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[scale, 0.0], [0.0, scale], [0.0, 0.0]]})
+    code, _, stderr = run(capsys, "embed", str(inp), str(out))
+    assert code == 1
+    assert stderr == "torus-embed: the points' squared distances overflow a double\n"
+    assert not out.exists()
+
+
+def test_gen_noise_overflowing_squared_distances_exits_1(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    code, _, stderr = run(capsys, "gen", "perturbed", "3", "--noise", "1e154", "-o", str(out))
+    assert code == 1
+    assert stderr.startswith("torus-embed: noise must lie in [0, ")
+    assert "--noise can overflow the points' squared distances" in stderr
+    assert not out.exists()
+
+
 def test_embed_bad_tolerance_refused_before_simplex_check(tmp_path, capsys):
     inp = tmp_path / "in.json"
     write_json(inp, {"points": [[0.0], [1.0], [2.0]]})

@@ -6,20 +6,28 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torus_embed import (
     InputError,
+    PipelineConfig,
     PolygonSpec,
     TorusPoint,
     TorusSpec,
     TrivialInput,
+    VerificationFailed,
     chord,
+    delta_embed,
+    embed_simplex,
+    generate_points,
     one_dim_embed,
     one_dim_params,
     pairwise_sq,
     product_embed,
     squared_distances,
 )
+from torus_embed.certificate import dumps_certificate
 from torus_embed.delta_embed import (
     DeltaEmbedding,
     _check_budget,
@@ -291,3 +299,120 @@ def test_product_duplicate_points_rejected():
 def test_product_single_point_rejected():
     with pytest.raises(TrivialInput):
         product_embed([[0.0, 1.0]], 0.1)
+
+
+def fraction_vertex_index(value, n0, n):
+    """_vertex_index as it was over Fraction, kept as its reference."""
+    return math.floor(Fraction(value) * n * n / n0)
+
+
+def fraction_gap_bound(values):
+    """_gap_bound as it was over Fraction, kept as its reference."""
+    vals = np.sort(values)
+    diffs = np.diff(vals)
+    if float(diffs.min()) <= 0.0:
+        raise InputError("distinct coordinate values collide once translated")
+    span = Fraction(float(vals[-1] - vals[0]))
+    min_gap = Fraction(float(diffs.min()))
+    return max(1, math.ceil(span), math.ceil(1 / min_gap))
+
+
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+# translated grid values: 0, subnormals, the ends of the double range and
+# anything else finite and nonnegative
+GRID_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, SMALLEST_NORMAL, exclude_max=True),
+    st.floats(1e-310, 1e-290),
+    st.floats(1e290, float(np.finfo(float).max)),
+    st.floats(0.0, allow_infinity=False),
+)
+BIG = st.one_of(st.integers(1, 64), st.integers(1, 2**2000))
+
+
+def around(value):
+    """value and the doubles on either side of it."""
+    return (float(np.nextafter(value, -math.inf)), value, float(np.nextafter(value, math.inf)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(GRID_VALUES | st.floats(allow_nan=False, allow_infinity=False), BIG, BIG)
+@example(0.0, 1, 1)
+@example(5e-324, 1, 2**2000)
+@example(float(np.finfo(float).max), 2**2000, 2**2000)
+def test_vertex_index_matches_fraction_reference(value, n0, n):
+    assert _vertex_index(value, n0, n) == fraction_vertex_index(value, n0, n)
+
+
+@st.composite
+def exact_boundaries(draw):
+    """(j, value, n0, n) with value = j * n0 / n**2 held exactly by a double:
+    n = k * 2**s and n0 = k**2 * 2**(2s + e) give value = j * 2**e."""
+    k = draw(st.integers(1, 2**1000))
+    s = draw(st.integers(0, 500))
+    e = draw(st.integers(max(-1074, -2 * s), 970))
+    j = draw(st.integers(0, 2**53 - 1))
+    return j, math.ldexp(j, e), k * k * 2 ** (2 * s + e), k * 2**s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exact_boundaries())
+def test_vertex_index_on_exact_grid_boundaries(case):
+    j, value, n0, n = case
+    assert Fraction(value) == Fraction(j * n0, n * n)
+    assert _vertex_index(value, n0, n) == j
+    for v in around(value):
+        assert _vertex_index(v, n0, n) == fraction_vertex_index(v, n0, n)
+
+
+@st.composite
+def near_boundaries(draw):
+    """(value, n0, n) with value the double nearest some j * n0 / n**2."""
+    n0 = draw(st.integers(1, 2**1000) | st.integers(1, 64))
+    n = draw(BIG)
+    j = draw(st.integers(0, n * n))
+    return float(Fraction(j * n0, n * n)), n0, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(near_boundaries())
+def test_vertex_index_near_grid_boundaries(case):
+    value, n0, n = case
+    for v in around(value):
+        assert _vertex_index(v, n0, n) == fraction_vertex_index(v, n0, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(GRID_VALUES, min_size=2, max_size=6))
+@example([0.0, 0.5, 10.0])  # the span's ceiling wins
+@example([0.0, 1e-300, 1.0])  # 1 / the smallest gap's ceiling wins
+@example([0.0, 5e-324, 1e308])  # both at the ends of the double range
+@example([0.0, 1.0, 1.0])  # a zero gap is refused
+def test_gap_bound_matches_fraction_reference(values):
+    assert outcome(_gap_bound, np.array(values)) == outcome(fraction_gap_bound, np.array(values))
+
+
+IDENTITY_INPUTS = {
+    "n16": (generate_points("random", 16, seed=1), PipelineConfig()),
+    "n16-uniform-m": (generate_points("random", 16, seed=1), PipelineConfig(uniform_m=True)),
+    "n8-1e100": (generate_points("random", 8, seed=1) * 1e100, PipelineConfig()),
+    # refused once n0 and the subdivision count are known: delta is too small
+    "n8-1e-100": (generate_points("random", 8, seed=1) * 1e-100, PipelineConfig()),
+}
+
+
+def certificate_or_refusal(points, cfg):
+    try:
+        return dumps_certificate(embed_simplex(points, cfg)).encode()
+    except (InputError, VerificationFailed) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_INPUTS))
+def test_integer_gridding_writes_the_fraction_bytes(monkeypatch, name):
+    points, cfg = IDENTITY_INPUTS[name]
+    got = certificate_or_refusal(points, cfg)
+    monkeypatch.setattr(delta_embed, "_vertex_index", fraction_vertex_index)
+    monkeypatch.setattr(delta_embed, "_gap_bound", fraction_gap_bound)
+    assert got == certificate_or_refusal(points, cfg)
