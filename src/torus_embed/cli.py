@@ -150,6 +150,7 @@ def _inspect_summary(cert) -> dict:
         "radius_min": min(radii),
         "radius_max": max(radii),
         "alpha": _json_provenance(cert.parameters.get("alpha")),
+        "scale_exponent": _json_provenance(cert.parameters.get("scale_exponent")),
         "delta": _json_provenance(cert.parameters.get("delta")),
         "errors": {k: _json_provenance(v) for k, v in cert.errors.items()},
     }
@@ -187,6 +188,8 @@ def _cmd_inspect(args) -> int:
         print(f"alpha:             {_provenance(summary['alpha'], '.6g')}")
     if summary["delta"] is not None:
         print(f"delta:             {_provenance(summary['delta'], '.6g')}")
+    if summary["scale_exponent"] is not None:
+        print(f"scale exponent:    {_provenance(summary['scale_exponent'], '')}")
     if cert.errors:
         print(
             f"errors:            max_abs {_provenance(cert.errors.get('max_abs'), '.3e')}  "

@@ -51,16 +51,23 @@ def squared_distances(points) -> np.ndarray:
 
 
 def check_squared_distances(sqdist, name: str = "squared-distance matrix") -> np.ndarray:
-    """Validate a (squared-)distance matrix: square, symmetric, zero
-    diagonal, nonnegative. Returns a cleaned copy (exactly symmetric, exact
-    zero diagonal). `name` labels the matrix in the InputError messages.
+    """Validate a (squared-)distance matrix: square, finite, symmetric, zero
+    diagonal, nonnegative, with entries whose magnitudes sum to a finite
+    double, so that symmetrizing it and `centered_gram`'s means cannot
+    overflow. Returns a cleaned copy (exactly symmetric, exact zero
+    diagonal). `name` labels the matrix in the InputError messages.
     """
     arr = np.asarray(sqdist, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise InputError(f"{name} must be square and nonempty")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} contains non-finite entries")
-    scale = float(np.abs(arr).max()) or 1.0
+    magnitudes = np.abs(arr)
+    with np.errstate(over="ignore"):
+        total = float(magnitudes.sum())
+    if not np.isfinite(total):
+        raise InputError(f"{name} has entries that sum past the largest double")
+    scale = float(magnitudes.max()) or 1.0
     if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
         raise InputError(f"{name} is not symmetric")
     if float(np.abs(np.diag(arr)).max(initial=0.0)) > 1e-12 * scale:

@@ -7,7 +7,9 @@ The correction step is what makes the result exact: writing e_ij for the
 base embedding's squared-distance error and a for the increment, the
 correction matrix sqrt(e_ij + a^2) always satisfies the almost-regularity
 condition because every |e_ij| stays below a^2/n^2, and its realization
-contributes exactly the missing e_ij + a^2 to each pair.
+contributes exactly the missing e_ij + a^2 to each pair. `embed_simplex`
+checks that bound on the errors it gets, as well as the almost-regularity
+it implies.
 
 The correction is its plan's merged cuts (see `almost_regular`): one
 polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
@@ -113,9 +115,11 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
     """Construct a verified isometric embedding of a simplex into a torus.
 
     Raises NotSimplex when the input is affinely dependent and
-    VerificationFailed if, against all analysis, the built certificate does
-    not pass its own verification at cfg.accept_tol. A NaN, negative or
-    infinite cfg.accept_tol is refused (InputError) before any construction.
+    VerificationFailed if, against all analysis, the correction is not
+    almost regular, the base embedding's error is not below its budget or
+    the built certificate does not pass its own verification at
+    cfg.accept_tol. A NaN, negative or infinite cfg.accept_tol is refused
+    (InputError) before any construction.
     """
     cfg = cfg or PipelineConfig()
     _check_tolerance(cfg.accept_tol)
@@ -139,6 +143,13 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
         plan = realization_plan(correction)
     except NotAlmostRegular as exc:
         raise VerificationFailed(f"correction matrix is not almost regular ({exc})") from None
+    # the bound the whole analysis rests on, |e_ij| < delta, checked as met
+    base_error = float(np.abs(de.per_pair_error[off]).max())
+    if not base_error < de.delta:
+        raise VerificationFailed(
+            f"base embedding error {base_error:.6e} is not below its budget "
+            f"delta = {de.delta:.6e}"
+        )
     correction_m = de.params.m if cfg.uniform_m else CORRECTION_ORDER
     corr_torus, corr_points = embed_almost_regular(plan, correction_m)
 
@@ -155,6 +166,7 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
         "n": str(de.params.n),
         "m": str(de.params.m),
         "r": de.params.r,
+        "scale_exponent": de.params.e,
         "dropped_coordinates": list(de.dropped_axes),
         "correction_m": str(correction_m),
         "correction_margin": plan.margin,

@@ -123,14 +123,14 @@ def test_criterion_3_delta_embedding_guarantee():
         ok = ok and float(np.abs(de.per_pair_error[off]).max()) < delta
         kept = [c for c in range(k) if c not in de.dropped_axes]
         budget = de.delta / len(kept)
-        n0, n = de.params.n0, de.params.n
+        n0, n, e = de.params.n0, de.params.n, de.params.e
         for pos, c in enumerate(kept):
             vals = pts[:, c] - pts[:, c].min()
             for (ia, xa), (ib, xb) in combinations(enumerate(vals), 2):
                 ja = de.assignment[ia].indices[pos]
                 jb = de.assignment[ib].indices[pos]
                 ok = ok and 0 <= ja <= n * n < de.params.m
-                snapped = float(Fraction((ja - jb) * n0, n * n) ** 2)
+                snapped = float((Fraction((ja - jb) * n0, n * n) * Fraction(2) ** e) ** 2)
                 ok = ok and abs(snapped - (xa - xb) ** 2) < budget / 2
                 c_len = chord(de.params.m, de.params.r, ja - jb)
                 ok = ok and abs(c_len**2 - snapped) < budget / 2

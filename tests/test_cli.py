@@ -2,11 +2,12 @@
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from torus_embed import is_simplex, load_certificate
+from torus_embed import generate_points, is_simplex, load_certificate
 from torus_embed.certificate import dumps_canonical
 from torus_embed.cli import main
 
@@ -126,6 +127,39 @@ def test_embed_accepts_squared_distances(tmp_path, capsys):
     assert code == 0
     cert = load_certificate(out)
     np.testing.assert_allclose(cert.input_sq, np.ones((3, 3)) - np.eye(3), atol=1e-12)
+
+
+def test_embed_squared_distances_summing_past_a_double_exits_1(tmp_path, capsys):
+    # every entry is finite, but symmetrizing the matrix and the centered
+    # Gram's mean would overflow: refused by name, with no overflow warning
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"squared_distances": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, stderr = run(capsys, "embed", str(inp), str(out))
+    assert code == 1
+    assert stderr == (
+        "torus-embed: cannot read input: squared-distance matrix has entries "
+        "that sum past the largest double\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 7.7e-42, 1e150])
+def test_embed_and_verify_at_extreme_scales(tmp_path, capsys, scale):
+    # n = 8 with one flattened axis: refused on a grid measured against 1
+    # at every one of these scales, embedded on the grid in units of 2**e
+    points = generate_points("random", 8, seed=4)
+    points[:, -1] *= 1e-2
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": (points * scale).tolist()})
+    code, _, stderr = run(capsys, "embed", str(inp), str(out), "--quiet")
+    assert code == 0, stderr
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 0
+    assert "PASS" in stdout
 
 
 def test_embed_non_euclidean_squared_distances_exits_2(tmp_path, capsys):
@@ -357,6 +391,27 @@ def test_inspect_json_output(tmp_path, capsys):
     assert summary["points"] == 2
     assert summary["ambient_dim"] == 2 * summary["factor_count"]
     assert all("bits" in entry for entry in summary["polygon_orders"])
+
+
+def test_inspect_shows_the_scale_exponent(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0], [1e-100]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    e = json.loads(out.read_text())["parameters"]["scale_exponent"]
+    assert isinstance(e, int) and e < -300
+    code, stdout, _ = run(capsys, "inspect", str(out), "--json")
+    assert code == 0
+    assert json.loads(stdout)["scale_exponent"] == e
+    code, stdout, _ = run(capsys, "inspect", str(out))
+    assert code == 0
+    assert f"scale exponent:    {e}\n" in stdout
+    obj = json.loads(out.read_text())
+    obj["parameters"]["scale_exponent"] = "x"  # provenance: shown as given
+    out.write_text(json.dumps(obj))
+    code, stdout, _ = run(capsys, "inspect", str(out))
+    assert code == 0
+    assert "scale exponent:    x\n" in stdout
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Tests for the bounded-distortion polygon embeddings."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -33,14 +34,16 @@ from torus_embed.delta_embed import (
     _check_budget,
     _gap_bound,
     _grid_params,
+    _scale_exponent,
+    _span_and_gap,
     _subdivisions,
     _vertex_index,
 )
 
 
-def snapped_value(index, n0, n):
+def snapped_value(index, n0, n, e):
     """Exact rational grid value behind a vertex index."""
-    return Fraction(index * n0, n * n)
+    return Fraction(index * n0, n * n) * Fraction(2) ** e
 
 
 def check_half_budgets(values, assignment, params, budget):
@@ -52,8 +55,8 @@ def check_half_budgets(values, assignment, params, budget):
     translated = [v - min(values) for v in values]
     for (ia, xa), (ib, xb) in combinations(enumerate(translated), 2):
         ja, jb = assignment[ia], assignment[ib]
-        ya = snapped_value(ja, params.n0, params.n)
-        yb = snapped_value(jb, params.n0, params.n)
+        ya = snapped_value(ja, params.n0, params.n, params.e)
+        yb = snapped_value(jb, params.n0, params.n, params.e)
         snap_err = abs(float((ya - yb) ** 2) - (xa - xb) ** 2)
         assert snap_err < budget / 2
         c = chord(params.m, params.r, ja - jb)
@@ -70,24 +73,34 @@ def reference_values(xs):
     return vals
 
 
+def unit_grid_exponent(translated, delta):
+    """The grid's exponent e, and the translated values and delta scaled
+    by 2**-e and 4**-e, on which the unit grid (e = 0) is the reference."""
+    e = _scale_exponent(*_span_and_gap(translated), delta)
+    return e, np.ldexp(translated, -e), math.ldexp(delta, -2 * e)
+
+
 def reference_one_dim_params(xs, delta):
     """one_dim_params as it was before it shared product_embed's snapping,
-    kept as its reference."""
+    on the unit grid of the values scaled by 2**-e, kept as its reference."""
     delta = _check_budget(delta)
     vals = reference_values(xs)
-    n0 = _gap_bound(vals - vals.min())
-    return _grid_params(n0, _subdivisions(n0, delta))
+    e, scaled, unit_delta = unit_grid_exponent(vals - vals.min(), delta)
+    n0 = _gap_bound(*_span_and_gap(scaled), 0)
+    p = _grid_params(n0, _subdivisions(n0, unit_delta, 0), 0)
+    return dataclasses.replace(p, r=math.ldexp(p.r, e), e=e)
 
 
 def reference_one_dim_embed(xs, delta):
     """one_dim_embed as it was before it shared product_embed's snapping,
-    kept as its reference."""
+    on the unit grid of the values scaled by 2**-e, kept as its reference."""
     delta = _check_budget(delta)
     vals = reference_values(xs)
-    translated = vals - vals.min()
-    n0 = _gap_bound(translated)
-    p = _grid_params(n0, _subdivisions(n0, delta))
-    indices = [_vertex_index(v, p.n0, p.n) for v in translated]
+    e, scaled, unit_delta = unit_grid_exponent(vals - vals.min(), delta)
+    n0 = _gap_bound(*_span_and_gap(scaled), 0)
+    p = _grid_params(n0, _subdivisions(n0, unit_delta, 0), 0)
+    indices = [_vertex_index(v, p.n0, p.n, 0) for v in scaled]
+    p = dataclasses.replace(p, r=math.ldexp(p.r, e), e=e)
     torus = TorusSpec((PolygonSpec(p.m, p.r),))
     assignment = tuple(TorusPoint((j,)) for j in indices)
     per_pair = squared_distances(vals.reshape(-1, 1)) - pairwise_sq(torus, assignment)
@@ -151,12 +164,15 @@ def test_params_huge_delta_clamps_polygon():
 
 def test_params_gap_bound_dominated_by_span():
     p = one_dim_params([0.0, 0.5, 10.0], 0.5)
-    assert p.n0 == 10  # span 10 beats 1/min_gap = 2
+    assert p.n0 == math.ceil(10 / 2**p.e)  # span 10 / 2**e beats 2**e / min_gap
+    assert math.ceil(10 / 2**p.e) > math.ceil(2**p.e / 0.5)
+    assert _gap_bound(10.0, 0.5, 0) == 10  # unit grid: span 10 beats 1/min_gap = 2
 
 
 def test_params_gap_bound_dominated_by_min_gap():
     p = one_dim_params([0.0, 0.125, 1.0], 0.5)
-    assert p.n0 == 8  # 1/min_gap = 8 beats span 1
+    assert p.n0 == max(math.ceil(1 / 2**p.e), math.ceil(2**p.e / 0.125))
+    assert _gap_bound(1.0, 0.125, 0) == 8  # unit grid: 1/min_gap = 8 beats span 1
 
 
 def test_params_errors():
@@ -301,20 +317,26 @@ def test_product_single_point_rejected():
         product_embed([[0.0, 1.0]], 0.1)
 
 
-def fraction_vertex_index(value, n0, n):
-    """_vertex_index as it was over Fraction, kept as its reference."""
-    return math.floor(Fraction(value) * n * n / n0)
+def fraction_vertex_index(value, n0, n, e):
+    """_vertex_index as it was over Fraction, in units of 2**e, kept as its
+    reference."""
+    return math.floor(Fraction(value) * n * n / (n0 * Fraction(2) ** e))
 
 
-def fraction_gap_bound(values):
-    """_gap_bound as it was over Fraction, kept as its reference."""
+def fraction_gap_bound(span, gap, e):
+    """_gap_bound as it was over Fraction, in units of 2**e, kept as its
+    reference."""
+    unit = Fraction(2) ** e
+    return max(1, math.ceil(Fraction(span) / unit), math.ceil(unit / Fraction(gap)))
+
+
+def fraction_span_and_gap(values):
+    """The span and the smallest gap that the Fraction gap bound read."""
     vals = np.sort(values)
     diffs = np.diff(vals)
     if float(diffs.min()) <= 0.0:
         raise InputError("distinct coordinate values collide once translated")
-    span = Fraction(float(vals[-1] - vals[0]))
-    min_gap = Fraction(float(diffs.min()))
-    return max(1, math.ceil(span), math.ceil(1 / min_gap))
+    return float(vals[-1] - vals[0]), float(diffs.min())
 
 
 SMALLEST_NORMAL = float(np.finfo(float).tiny)
@@ -329,6 +351,8 @@ GRID_VALUES = st.one_of(
     st.floats(0.0, allow_infinity=False),
 )
 BIG = st.one_of(st.integers(1, 64), st.integers(1, 2**2000))
+# unit exponents: the unit grid, small shifts and the whole double range
+EXPONENTS = st.one_of(st.just(0), st.integers(-64, 64), st.integers(-1100, 1100))
 
 
 def around(value):
@@ -337,67 +361,81 @@ def around(value):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(GRID_VALUES | st.floats(allow_nan=False, allow_infinity=False), BIG, BIG)
-@example(0.0, 1, 1)
-@example(5e-324, 1, 2**2000)
-@example(float(np.finfo(float).max), 2**2000, 2**2000)
-def test_vertex_index_matches_fraction_reference(value, n0, n):
-    assert _vertex_index(value, n0, n) == fraction_vertex_index(value, n0, n)
+@given(GRID_VALUES | st.floats(allow_nan=False, allow_infinity=False), BIG, BIG, EXPONENTS)
+@example(0.0, 1, 1, 0)
+@example(5e-324, 1, 2**2000, 0)
+@example(float(np.finfo(float).max), 2**2000, 2**2000, 0)
+@example(5e-324, 1, 2**2000, -1100)
+@example(float(np.finfo(float).max), 1, 2**2000, 1100)
+def test_vertex_index_matches_fraction_reference(value, n0, n, e):
+    assert _vertex_index(value, n0, n, e) == fraction_vertex_index(value, n0, n, e)
 
 
 @st.composite
 def exact_boundaries(draw):
-    """(j, value, n0, n) with value = j * n0 / n**2 held exactly by a double:
-    n = k * 2**s and n0 = k**2 * 2**(2s + e) give value = j * 2**e."""
+    """(j, value, n0, n, u) with value = j * n0 * 2**u / n**2 held exactly
+    by a double: n = k * 2**s and n0 = k**2 * 2**(2s + e - u) give
+    value = j * 2**e."""
     k = draw(st.integers(1, 2**1000))
     s = draw(st.integers(0, 500))
     e = draw(st.integers(max(-1074, -2 * s), 970))
+    u = draw(st.just(0) | st.integers(-1100, 2 * s + e))
     j = draw(st.integers(0, 2**53 - 1))
-    return j, math.ldexp(j, e), k * k * 2 ** (2 * s + e), k * 2**s
+    return j, math.ldexp(j, e), k * k * 2 ** (2 * s + e - u), k * 2**s, u
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(exact_boundaries())
 def test_vertex_index_on_exact_grid_boundaries(case):
-    j, value, n0, n = case
-    assert Fraction(value) == Fraction(j * n0, n * n)
-    assert _vertex_index(value, n0, n) == j
+    j, value, n0, n, u = case
+    assert Fraction(value) == Fraction(j * n0, n * n) * Fraction(2) ** u
+    assert _vertex_index(value, n0, n, u) == j
     for v in around(value):
-        assert _vertex_index(v, n0, n) == fraction_vertex_index(v, n0, n)
+        assert _vertex_index(v, n0, n, u) == fraction_vertex_index(v, n0, n, u)
 
 
 @st.composite
 def near_boundaries(draw):
-    """(value, n0, n) with value the double nearest some j * n0 / n**2."""
+    """(value, n0, n, u) with value the double nearest some
+    j * n0 * 2**u / n**2."""
     n0 = draw(st.integers(1, 2**1000) | st.integers(1, 64))
     n = draw(BIG)
     j = draw(st.integers(0, n * n))
-    return float(Fraction(j * n0, n * n)), n0, n
+    u = draw(st.just(0) | st.integers(-1100, 20))
+    return float(Fraction(j * n0, n * n) * Fraction(2) ** u), n0, n, u
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(near_boundaries())
 def test_vertex_index_near_grid_boundaries(case):
-    value, n0, n = case
+    value, n0, n, u = case
     for v in around(value):
-        assert _vertex_index(v, n0, n) == fraction_vertex_index(v, n0, n)
+        assert _vertex_index(v, n0, n, u) == fraction_vertex_index(v, n0, n, u)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(GRID_VALUES, min_size=2, max_size=6))
-@example([0.0, 0.5, 10.0])  # the span's ceiling wins
-@example([0.0, 1e-300, 1.0])  # 1 / the smallest gap's ceiling wins
-@example([0.0, 5e-324, 1e308])  # both at the ends of the double range
-@example([0.0, 1.0, 1.0])  # a zero gap is refused
-def test_gap_bound_matches_fraction_reference(values):
-    assert outcome(_gap_bound, np.array(values)) == outcome(fraction_gap_bound, np.array(values))
+@given(st.lists(GRID_VALUES, min_size=2, max_size=6), EXPONENTS)
+@example([0.0, 0.5, 10.0], 0)  # the span's ceiling wins
+@example([0.0, 1e-300, 1.0], 0)  # 1 / the smallest gap's ceiling wins
+@example([0.0, 5e-324, 1e308], 0)  # both at the ends of the double range
+@example([0.0, 1.0, 1.0], 0)  # a zero gap is refused
+@example([0.0, 5e-324, 1e308], -1100)  # the ends of the exponent range
+@example([0.0, 5e-324, 1e308], 1100)
+def test_gap_bound_matches_fraction_reference(values, e):
+    def gap_bound(vals):
+        return _gap_bound(*_span_and_gap(vals), e)
+
+    def reference(vals):
+        return fraction_gap_bound(*fraction_span_and_gap(vals), e)
+
+    assert outcome(gap_bound, np.array(values)) == outcome(reference, np.array(values))
 
 
 IDENTITY_INPUTS = {
     "n16": (generate_points("random", 16, seed=1), PipelineConfig()),
     "n16-uniform-m": (generate_points("random", 16, seed=1), PipelineConfig(uniform_m=True)),
     "n8-1e100": (generate_points("random", 8, seed=1) * 1e100, PipelineConfig()),
-    # refused once n0 and the subdivision count are known: delta is too small
+    # refused on the unit grid (delta is too small); embeds in units of 2**e
     "n8-1e-100": (generate_points("random", 8, seed=1) * 1e-100, PipelineConfig()),
 }
 
@@ -416,3 +454,74 @@ def test_integer_gridding_writes_the_fraction_bytes(monkeypatch, name):
     monkeypatch.setattr(delta_embed, "_vertex_index", fraction_vertex_index)
     monkeypatch.setattr(delta_embed, "_gap_bound", fraction_gap_bound)
     assert got == certificate_or_refusal(points, cfg)
+
+
+def unit_subdivisions(n0, budget, e):
+    """_subdivisions as it was on the unit grid, kept as its reference."""
+    assert e == 0
+    return max(2, n0, math.ceil(2 * delta_embed._PI_UP * n0**3 / Fraction(budget)))
+
+
+def unit_grid_params(n0, n, e):
+    """_grid_params as it was on the unit grid, kept as its reference."""
+    assert e == 0
+    if (n0 * n).bit_length() > 1020:
+        raise InputError("delta is too small: circumradius exceeds the double range")
+    return delta_embed.DeltaParams(n0, n, n**3, n0 * n / (2.0 * math.pi), 0)
+
+
+@pytest.mark.parametrize("name", ["n16", "n16-uniform-m", "n8-1e100"])
+def test_unit_exponent_writes_the_unit_grid_bytes(monkeypatch, name):
+    # the unit grid is the e = 0 case: with the exponent held at 0, the
+    # certificate is the one the unit grid's Fraction references write
+    points, cfg = IDENTITY_INPUTS[name]
+    monkeypatch.setattr(delta_embed, "_scale_exponent", lambda span, gap, budget: 0)
+    got = certificate_or_refusal(points, cfg)
+    assert b'"scale_exponent":0,' in got
+    monkeypatch.setattr(delta_embed, "_vertex_index", fraction_vertex_index)
+    monkeypatch.setattr(delta_embed, "_gap_bound", fraction_gap_bound)
+    monkeypatch.setattr(delta_embed, "_subdivisions", unit_subdivisions)
+    monkeypatch.setattr(delta_embed, "_grid_params", unit_grid_params)
+    assert got == certificate_or_refusal(points, cfg)
+
+
+def assert_scale_covariant(embed, xs, delta, k):
+    """embed at 2**k times the scale and 4**k times the budget gives the
+    same grid and assignment, with e shifted by k, radii times 2**k and
+    errors times 4**k, bit for bit."""
+    base = embed(xs, delta)
+    scaled = embed(np.ldexp(xs, k), math.ldexp(delta, 2 * k))
+    assert scaled.assignment == base.assignment
+    p, q = base.params, scaled.params
+    assert (q.n0, q.n, q.m, q.e) == (p.n0, p.n, p.m, p.e + k)
+    assert q.r == math.ldexp(p.r, k)
+    assert [f.r for f in scaled.torus.factors] == [math.ldexp(f.r, k) for f in base.torus.factors]
+    assert scaled.delta == math.ldexp(base.delta, 2 * k)
+    assert scaled.per_pair_error.tobytes() == np.ldexp(base.per_pair_error, 2 * k).tobytes()
+
+
+@settings(max_examples=48, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(-60, 60))
+def test_product_embed_is_scale_covariant(seed, k):
+    rng = np.random.default_rng(seed)
+    npts, dim = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+    pts = rng.uniform(-1.0, 1.0, (npts, dim)) * 10.0 ** rng.uniform(-6, 6)
+    assert_scale_covariant(product_embed, pts, float(10.0 ** rng.uniform(-9, 1)), k)
+
+
+@settings(max_examples=48, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(-60, 60))
+def test_one_dim_embed_is_scale_covariant(seed, k):
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, int(rng.integers(2, 9))) * 10.0 ** rng.uniform(-6, 6)
+    assert_scale_covariant(one_dim_embed, xs, float(10.0 ** rng.uniform(-9, 1)), k)
+
+
+@pytest.mark.parametrize(
+    "xs, delta",
+    [([0.0, 1e-310], 1e-3), ([0.0, 1e-300, 1e150], 1.0)],
+    ids=["subnormal", "overflowing"],
+)
+def test_radius_outside_the_normal_doubles_refused(xs, delta):
+    with pytest.raises(InputError, match="circumradius .* is not a finite normal double"):
+        one_dim_embed(xs, delta)

@@ -259,6 +259,29 @@ def test_correction_not_almost_regular_is_verification_failure(monkeypatch):
         embed_simplex(regular_simplex(3, 1.0))
 
 
+def test_base_error_at_budget_is_verification_failure(monkeypatch):
+    from torus_embed import pipeline
+
+    def over_budget(points, delta):
+        # one pair misses by the whole budget: the correction is still
+        # almost regular, but the base has broken the bound it is built on
+        de = product_embed(points, delta)
+        err = de.per_pair_error.copy()
+        err[0, 1] = err[1, 0] = de.delta
+        return dataclasses.replace(de, per_pair_error=err)
+
+    monkeypatch.setattr(pipeline, "product_embed", over_budget)
+    with pytest.raises(VerificationFailed, match=r"^base embedding error .* is not below its budget"):
+        embed_simplex(regular_simplex(3, 1.0))
+
+
+def test_certificate_records_the_scale_exponent():
+    pts = generate_points("random", 5, seed=3)
+    e = embed_simplex(pts).parameters["scale_exponent"]
+    assert isinstance(e, int)
+    assert embed_simplex(np.ldexp(pts, 40)).parameters["scale_exponent"] == e + 40
+
+
 def test_verify_tampered_index_fails():
     cert = embed_simplex(regular_simplex(3, 1.0))
     assert verify_certificate(cert, 1e-8).passed
