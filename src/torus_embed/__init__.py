@@ -50,6 +50,7 @@ from .pipeline import (
     PipelineConfig,
     VerificationReport,
     embed_simplex,
+    embed_squared_distances,
     schoenberg_decompose,
     verify_certificate,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "embed_almost_regular",
     "embed_regular_simplex",
     "embed_simplex",
+    "embed_squared_distances",
     "generate_points",
     "is_simplex",
     "load_certificate",

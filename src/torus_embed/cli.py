@@ -3,6 +3,7 @@
 Exit codes are a stable contract, mapped from typed errors by the one table
 in `main`: 0 success / verification pass, 1 usage error or unreadable or
 malformed input or certificate, 2 input is not a simplex, 3 verification failed.
+A `squared_distances` input is embedded as given, not through points.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 import os
 import sys
 from collections import Counter
-
-import numpy as np
 
 from .certificate import (
     dumps_canonical,
@@ -32,11 +31,12 @@ from .errors import (
     VerificationFailed,
 )
 from .gen import KINDS, generate_points
-from .geometry import centered_gram, realize
+from .geometry import check_squared_distances
 from .pipeline import (
     DEFAULT_ACCEPT_TOL,
     PipelineConfig,
     embed_simplex,
+    embed_squared_distances,
     verify_certificate,
 )
 
@@ -53,22 +53,22 @@ def _resolve_tolerance(value) -> float:
     return DEFAULT_ACCEPT_TOL
 
 
-def _load_input_points(path) -> np.ndarray:
-    """The points of an `embed` input file, realized from its squared distances
-    if it gives those. A non-Euclidean matrix raises NotEuclidean, and any
-    other fault InputError("cannot read input: ...")."""
+def _load_input(path):
+    """The embed function for an `embed` input file and its argument: the
+    points, or the validated squared-distance matrix, which is certified as
+    given. Any fault raises InputError("cannot read input: ...")."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = parse_json(fh.read(), InputError)
         if not isinstance(data, dict):
             raise InputError("input must be a JSON object")
         if "points" in data:
-            return read_number_matrix(data["points"], "'points'", InputError)
+            return embed_simplex, read_number_matrix(data["points"], "'points'", InputError)
         if "squared_distances" in data:
             matrix = read_number_matrix(
                 data["squared_distances"], "'squared_distances'", InputError
             )
-            return realize(centered_gram(matrix))
+            return embed_squared_distances, check_squared_distances(matrix)
         raise InputError("input must contain 'points' or 'squared_distances'")
     except (OSError, UnicodeDecodeError, InputError) as exc:
         raise InputError(f"cannot read input: {exc}") from None
@@ -83,13 +83,13 @@ def _read_certificate(path):
 
 def _cmd_embed(args) -> int:
     tol = _resolve_tolerance(args.tolerance)
-    points = _load_input_points(args.input)
+    embed, data = _load_input(args.input)
     cfg = PipelineConfig(
         accept_tol=tol,
         alpha_fraction=args.alpha_fraction,
         uniform_m=args.uniform_m,
     )
-    cert = embed_simplex(points, cfg)
+    cert = embed(data, cfg)
     try:
         save_certificate(cert, args.output)
     except OSError as exc:

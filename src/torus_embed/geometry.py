@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, NotEuclidean
+from .errors import InputError, NotEuclidean, NotSimplex
 
 DEFAULT_TOL = 1e-9
 
@@ -113,25 +113,37 @@ def realize(gram, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise InputError("Gram matrix contains non-finite entries")
     w, v = np.linalg.eigh(0.5 * (g + g.T))
-    lam_max = max(float(w[-1]), 0.0)
-    if float(w[0]) < -tol * lam_max:
-        raise NotEuclidean(
-            f"smallest eigenvalue {w[0]:.6e} is below -tol*lambda_max = {-tol * lam_max:.6e}"
-        )
-    keep = np.flatnonzero(w > tol * lam_max)[::-1]  # decreasing eigenvalue order
+    keep = np.flatnonzero(w > _zero_floor(w, tol))[::-1]  # decreasing eigenvalue order
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def is_simplex(points, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the points are affinely independent at the given tolerance.
+def _zero_floor(w, tol: float) -> float:
+    """The Euclidean rule on an ascending spectrum: NotEuclidean if an
+    eigenvalue falls below -tol * lambda_max. Returns tol * lambda_max, at
+    or below which an eigenvalue counts as zero."""
+    floor = tol * max(float(w[-1]), 0.0)
+    if float(w[0]) < -floor:
+        raise NotEuclidean(
+            f"smallest eigenvalue {w[0]:.6e} is below -tol*lambda_max = {-floor:.6e}"
+        )
+    return floor
 
-    Equivalent to the centered Gram of the squared-distance matrix having
-    numerical rank n - 1.
-    """
-    arr = as_point_array(points)
-    n = arr.shape[0]
-    if n == 1:
-        return True
-    w = np.linalg.eigvalsh(centered_gram(squared_distances(arr)))
-    lam_max = max(float(w[-1]), 0.0)
-    return int(np.count_nonzero(w > tol * lam_max)) == n - 1
+
+def simplex_spectrum(gram, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Ascending eigenvalues of the centered Gram of n points, after the
+    Euclidean rule and the rank rule, which raises NotSimplex unless exactly
+    n - 1 of them exceed tol * lambda_max."""
+    w = np.linalg.eigvalsh(gram)
+    if np.count_nonzero(w > _zero_floor(w, tol)) != len(w) - 1:
+        raise NotSimplex("points are not affinely independent at the working tolerance")
+    return w
+
+
+def is_simplex(points, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the points are affinely independent at the given tolerance:
+    `simplex_spectrum` accepts their centered Gram."""
+    try:
+        simplex_spectrum(centered_gram(squared_distances(points)), tol)
+    except (NotEuclidean, NotSimplex):
+        return False
+    return True

@@ -1,15 +1,16 @@
-"""End-to-end construction: split a simplex into a base set plus a uniform
-squared-distance increment, almost-embed the base into huge polygons, absorb
-the per-pair snapping errors into an almost-regular correction matrix, and
-concatenate both embeddings into one torus with a verifiable certificate.
+"""End-to-end construction on a simplex's squared-distance matrix: split it
+into a base set plus a uniform increment, almost-embed the base into huge
+polygons, absorb the per-pair snapping errors into an almost-regular
+correction matrix, and concatenate both embeddings into one torus with a
+verifiable certificate whose input metric is that very matrix.
 
 The correction step is what makes the result exact: writing e_ij for the
 base embedding's squared-distance error and a for the increment, the
 correction matrix sqrt(e_ij + a^2) always satisfies the almost-regularity
 condition because every |e_ij| stays below a^2/n^2, and its realization
-contributes exactly the missing e_ij + a^2 to each pair. `embed_simplex`
-checks that bound on the errors it gets, as well as the almost-regularity
-it implies.
+contributes exactly the missing e_ij + a^2 to each pair.
+`embed_squared_distances` checks that bound on the errors it gets, as well
+as the almost-regularity it implies.
 
 The correction is its plan's merged cuts (see `almost_regular`): one
 polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# check_almost_regular is unused here, but bench/spans.py patches it here
+# check_almost_regular and is_simplex are unused here, but bench/spans.py
+# patches them here
 from .almost_regular import check_almost_regular, embed_almost_regular, realization_plan
 from .certificate import VERSION, EmbeddingCertificate
 from .delta_embed import product_embed
@@ -33,6 +35,7 @@ from .errors import (
     InputError,
     InvalidCertificate,
     NotAlmostRegular,
+    NotEuclidean,
     NotSimplex,
     TrivialInput,
     VerificationFailed,
@@ -44,6 +47,7 @@ from .geometry import (
     check_squared_distances,
     is_simplex,
     realize,
+    simplex_spectrum,
     squared_distances,
 )
 from .torus import TorusPoint, TorusSpec, pairwise_sq
@@ -83,10 +87,10 @@ class VerificationReport:
 
 
 def schoenberg_decompose(
-    points, tol: float = DEFAULT_TOL, alpha_fraction: float = 1.0
+    sq, tol: float = DEFAULT_TOL, alpha_fraction: float = 1.0
 ) -> ExpansionDecomposition:
-    """Write a simplex as a base set whose squared distances are uniformly
-    alpha^2 smaller.
+    """Write a simplex, given by its squared-distance matrix, as a base set
+    whose squared distances are uniformly alpha^2 smaller.
 
     Subtracting alpha^2 from every off-diagonal squared distance shifts each
     centered-Gram eigenvalue (off the centering mode) down by alpha^2/2, so
@@ -94,17 +98,13 @@ def schoenberg_decompose(
     realizable. alpha^2 = alpha_fraction * lambda_min, default exactly
     lambda_min, which leaves the base well conditioned.
     """
-    arr = as_point_array(points)
-    n = arr.shape[0]
+    g = centered_gram(sq)
+    n = g.shape[0]
     if n < 2:
         raise TrivialInput("decomposition needs at least two points")
     if not 0.0 < alpha_fraction < 2.0:
         raise InputError(f"alpha_fraction must lie in (0, 2), got {alpha_fraction!r}")
-    if not is_simplex(arr, tol):
-        raise NotSimplex("points are not affinely independent at the working tolerance")
-    g = centered_gram(squared_distances(arr))
-    w = np.linalg.eigvalsh(g)
-    lam_min = float(w[1])  # w[0] is the centering mode, ~0 for a simplex
+    lam_min = float(simplex_spectrum(g, tol)[1])  # [0] is the centering mode
     alpha_sq = alpha_fraction * lam_min
     centering = np.eye(n) - 1.0 / n
     base = realize(g - 0.5 * alpha_sq * centering, tol)
@@ -112,9 +112,27 @@ def schoenberg_decompose(
 
 
 def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertificate:
-    """Construct a verified isometric embedding of a simplex into a torus.
+    """`embed_squared_distances` of the points' squared distances. Points that
+    lose their rank only because two distinct points are nearer than the
+    smallest normal double allows are refused with InputError."""
+    cfg = cfg or PipelineConfig()
+    _check_tolerance(cfg.accept_tol)
+    arr = as_point_array(points)
+    sq = squared_distances(arr)
+    try:
+        return embed_squared_distances(sq, cfg)
+    except (NotEuclidean, NotSimplex):
+        distinct = np.any(arr[:, None, :] != arr[None, :, :], axis=2)
+        if np.any(distinct & (sq < np.finfo(float).tiny)):
+            raise InputError("the points' squared distances underflow a double") from None
+        raise
 
-    Raises NotSimplex when the input is affinely dependent and
+
+def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingCertificate:
+    """Construct a verified isometric embedding of a simplex into a torus from
+    its squared-distance matrix, validated once and certified as given.
+
+    Raises NotEuclidean or NotSimplex for a matrix that is not a simplex's and
     VerificationFailed if, against all analysis, the correction is not
     almost regular, the base embedding's error is not below its budget or
     the built certificate does not pass its own verification at
@@ -123,10 +141,9 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
     """
     cfg = cfg or PipelineConfig()
     _check_tolerance(cfg.accept_tol)
-    arr = as_point_array(points)
-    n = arr.shape[0]
-    dec = schoenberg_decompose(arr, DEFAULT_TOL, cfg.alpha_fraction)
-    input_sq = squared_distances(arr)
+    input_sq = check_squared_distances(sq)
+    n = input_sq.shape[0]
+    dec = schoenberg_decompose(input_sq, DEFAULT_TOL, cfg.alpha_fraction)
     alpha_sq = dec.alpha**2
 
     de = product_embed(dec.base, alpha_sq / n**2)

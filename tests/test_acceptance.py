@@ -151,12 +151,12 @@ def test_criterion_4_schoenberg_roundtrip():
         if not is_simplex(pts):
             continue
         d2 = squared_distances(pts)
-        dec = schoenberg_decompose(pts)
+        dec = schoenberg_decompose(d2)
         rebuilt = squared_distances(dec.base) + dec.alpha**2
         np.fill_diagonal(rebuilt, 0.0)
         worst = max(worst, float(np.abs(rebuilt - d2).max() / d2.max()))
     side = 1.0
-    dec = schoenberg_decompose(regular_simplex(6, side))
+    dec = schoenberg_decompose(squared_distances(regular_simplex(6, side)))
     alpha_dev = abs(dec.alpha - side / math.sqrt(2)) / (side / math.sqrt(2))
     elapsed = time.perf_counter() - start
     report(4, "expansion decomposition roundtrip",

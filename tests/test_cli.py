@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torus_embed import generate_points, is_simplex, load_certificate
+from torus_embed import generate_points, is_simplex, load_certificate, squared_distances
 from torus_embed.certificate import dumps_canonical
 from torus_embed.cli import main
 
@@ -65,6 +65,28 @@ def test_embed_collinear_exits_2(tmp_path, capsys):
     code, _, stderr = run(capsys, "embed", str(inp), str(tmp_path / "c.json"))
     assert code == 2
     assert "not a simplex" in stderr
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-162, 1e-170])
+def test_embed_underflowing_squared_distances_exits_1(tmp_path, capsys, scale):
+    # distinct points whose squared distances leave the normal doubles lose
+    # their rank: refused by name, not as "not a simplex"
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": (generate_points("random", 6, seed=1) * scale).tolist()})
+    code, _, stderr = run(capsys, "embed", str(inp), str(out))
+    assert code == 1
+    assert stderr == "torus-embed: the points' squared distances underflow a double\n"
+    assert not out.exists()
+
+
+def test_embed_subnormal_squared_distances_with_rank_still_embed(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": (generate_points("random", 6, seed=1) * 1e-155).tolist()})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    assert float(np.max(load_certificate(out).input_sq)) < np.finfo(float).tiny
+    assert run(capsys, "verify", str(out))[0] == 0
 
 
 @pytest.mark.parametrize("scale", [9e153, 1e200], ids=["sum-overflows", "entries-overflow"])
@@ -126,7 +148,25 @@ def test_embed_accepts_squared_distances(tmp_path, capsys):
     code, _, _ = run(capsys, "embed", str(inp), str(out))
     assert code == 0
     cert = load_certificate(out)
-    np.testing.assert_allclose(cert.input_sq, np.ones((3, 3)) - np.eye(3), atol=1e-12)
+    np.testing.assert_array_equal(cert.input_sq, np.ones((3, 3)) - np.eye(3))
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_squared_distance_input_certified_as_its_points(tmp_path, capsys, n, scale):
+    # the matrix is the certificate's input metric as given, so it builds
+    # the very certificate that its points do
+    points = generate_points("random", n, seed=n) * scale
+    matrix = squared_distances(points)
+    certs = []
+    for key, value in (("points", points), ("squared_distances", matrix)):
+        inp = tmp_path / f"{key}.json"
+        out = tmp_path / f"{key}-cert.json"
+        write_json(inp, {key: value.tolist()})
+        assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+        certs.append(out.read_bytes())
+    assert certs[0] == certs[1]
+    assert json.loads(certs[1])["input"]["squared_distances"] == matrix.tolist()
 
 
 def test_embed_squared_distances_summing_past_a_double_exits_1(tmp_path, capsys):

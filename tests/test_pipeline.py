@@ -19,12 +19,14 @@ from torus_embed import (
     TrivialInput,
     VerificationFailed,
     VerificationReport,
+    centered_gram,
     check_almost_regular,
     chord,
     dumps_certificate,
     embed_simplex,
     generate_points,
     product_embed,
+    realize,
     regular_simplex,
     schoenberg_decompose,
     squared_distances,
@@ -74,6 +76,29 @@ def reference_report(cert, tol):
     )
 
 
+def reference_schoenberg_decompose(points, tol=1e-9, alpha_fraction=1.0):
+    """The points front end that the one-spectrum decomposition of the
+    matrix replaced, kept as its reference: the rank test on a spectrum of
+    its own, the spectrum again for lambda_min, then the base."""
+    arr = np.asarray(points, dtype=float)
+    n = arr.shape[0]
+    w = np.linalg.eigvalsh(centered_gram(squared_distances(arr)))
+    if np.count_nonzero(w > tol * max(float(w[-1]), 0.0)) != n - 1:
+        raise NotSimplex("points are not affinely independent at the working tolerance")
+    g = centered_gram(squared_distances(arr))
+    lam_min = float(np.linalg.eigvalsh(g)[1])
+    alpha_sq = alpha_fraction * lam_min
+    base = realize(g - 0.5 * alpha_sq * (np.eye(n) - 1.0 / n), tol)
+    return math.sqrt(alpha_sq), lam_min, base
+
+
+def assert_matches_reference(dec, points):
+    alpha, lam_min, base = reference_schoenberg_decompose(points)
+    assert dec.alpha == alpha
+    assert dec.lambda_min == lam_min
+    np.testing.assert_array_equal(dec.base, base)
+
+
 def unit_line_cert(input_sq, indices):
     """Certificate on two 2-gons of circumradius 1, where every chord is
     0 or exactly 2, so each factor adds 0 or 4 to a squared distance."""
@@ -89,7 +114,7 @@ def unit_line_cert(input_sq, indices):
 
 def test_decompose_regular_simplex():
     side = 1.0
-    dec = schoenberg_decompose(regular_simplex(4, side))
+    dec = schoenberg_decompose(squared_distances(regular_simplex(4, side)))
     assert dec.alpha == pytest.approx(side / math.sqrt(2), rel=1e-10)
     base_d2 = squared_distances(dec.base)
     off = ~np.eye(4, dtype=bool)
@@ -98,27 +123,27 @@ def test_decompose_regular_simplex():
 
 def test_decompose_two_points():
     d = 3.7
-    dec = schoenberg_decompose([[0.0], [d]])
+    dec = schoenberg_decompose(squared_distances([[0.0], [d]]))
     assert dec.alpha == pytest.approx(d / math.sqrt(2), rel=1e-12)
     assert math.dist(dec.base[0], dec.base[1]) == pytest.approx(d / math.sqrt(2), rel=1e-12)
 
 
 def test_decompose_collinear_raises():
     with pytest.raises(NotSimplex):
-        schoenberg_decompose([[0.0], [1.0], [2.0]])
+        schoenberg_decompose(squared_distances([[0.0], [1.0], [2.0]]))
 
 
 def test_decompose_single_point_raises():
     with pytest.raises(TrivialInput):
-        schoenberg_decompose([[1.0, 2.0]])
+        schoenberg_decompose(squared_distances([[1.0, 2.0]]))
 
 
 def test_decompose_alpha_fraction_range():
     pts = regular_simplex(3, 1.0)
     with pytest.raises(InputError):
-        schoenberg_decompose(pts, alpha_fraction=0.0)
+        schoenberg_decompose(squared_distances(pts), alpha_fraction=0.0)
     with pytest.raises(InputError):
-        schoenberg_decompose(pts, alpha_fraction=2.0)
+        schoenberg_decompose(squared_distances(pts), alpha_fraction=2.0)
 
 
 def test_decompose_reconstructs_input_distances():
@@ -127,17 +152,42 @@ def test_decompose_reconstructs_input_distances():
         n = int(rng.integers(2, 9))
         pts = rng.uniform(-1, 1, (n, n - 1))
         d2 = squared_distances(pts)
-        dec = schoenberg_decompose(pts)
+        dec = schoenberg_decompose(d2)
         rebuilt = squared_distances(dec.base) + dec.alpha**2
         np.fill_diagonal(rebuilt, 0.0)
         assert np.abs(rebuilt - d2).max() <= 1e-10 * d2.max()
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_decompose_matches_reference_bitwise(scale):
+    rng = np.random.default_rng(23)
+    for n in range(2, 17):
+        pts = rng.uniform(-1, 1, (n, n - 1)) * scale
+        assert_matches_reference(schoenberg_decompose(squared_distances(pts)), pts)
+
+
+def test_uniform_m_embed_decomposes_as_reference(monkeypatch):
+    from torus_embed import pipeline
+
+    seen = []
+
+    def recorded(*args):
+        seen.append(schoenberg_decompose(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(pipeline, "schoenberg_decompose", recorded)
+    pts = generate_points("random", 6, seed=5)
+    cert = embed_simplex(pts, PipelineConfig(uniform_m=True))
+    assert len(seen) == 1
+    assert_matches_reference(seen[0], pts)
+    assert cert.parameters["alpha"] == seen[0].alpha
 
 
 def test_decompose_alpha_positive_for_simplices():
     rng = np.random.default_rng(99)
     for n in (2, 4, 6):
         pts = rng.uniform(-1, 1, (n, n - 1))
-        assert schoenberg_decompose(pts).alpha > 0
+        assert schoenberg_decompose(squared_distances(pts)).alpha > 0
 
 
 def test_embed_triangle_certificate():
@@ -196,7 +246,7 @@ def test_embed_alpha_fraction_changes_alpha():
 def test_final_distance_identity():
     # chord sums over the concatenated torus split into the two parts
     pts = generate_points("random", 4, seed=2)
-    dec = schoenberg_decompose(pts)
+    dec = schoenberg_decompose(squared_distances(pts))
     n = len(pts)
     de = product_embed(dec.base, dec.alpha**2 / n**2)
     cert = embed_simplex(pts)
@@ -216,7 +266,7 @@ def test_correction_matrix_is_almost_regular_every_run():
     for seed in range(8):
         n = int(rng.integers(2, 7))
         pts = generate_points("random", n, seed=seed)
-        dec = schoenberg_decompose(pts)
+        dec = schoenberg_decompose(squared_distances(pts))
         de = product_embed(dec.base, dec.alpha**2 / n**2)
         corr_sq = de.per_pair_error + dec.alpha**2
         corr = np.sqrt(np.where(np.eye(n, dtype=bool), 0.0, corr_sq))
@@ -240,6 +290,33 @@ def test_correction_checked_once_per_embed(monkeypatch):
     cert = embed_simplex(generate_points("random", 6, seed=4))
     assert len(margins) == 1
     assert cert.parameters["correction_margin"] == margins[0]
+
+
+def test_input_read_once_and_decomposed_twice_per_embed(monkeypatch):
+    # one pass of squared_distances over the input, one spectrum for the
+    # simplex rules and alpha, one eigenbasis for the base
+    from torus_embed import geometry, pipeline
+
+    pts = generate_points("random", 6, seed=4)
+    calls = {"input": 0, "eig": 0}
+
+    def counted_distances(points):
+        calls["input"] += np.array_equal(np.asarray(points), pts)
+        return squared_distances(points)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["eig"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(geometry, "squared_distances", counted_distances)
+    monkeypatch.setattr(pipeline, "squared_distances", counted_distances)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    embed_simplex(pts)
+    assert calls == {"input": 1, "eig": 2}
 
 
 def test_correction_not_almost_regular_is_verification_failure(monkeypatch):
