@@ -1,21 +1,51 @@
 """Approximate embeddings of finite point sets into products of huge regular
 polygons, with an explicit per-pair squared-distance error budget.
 
-Every coordinate of the input is snapped to a uniform grid wrapped onto a
-tiny arc of a very large polygon. The grid is measured in units of 2**e:
-the construction is scale covariant, so the analysis holds for the values
-divided by 2**e at the budget divided by 4**e, and a polygon of radius
-2**e * r has exactly 2**e times the chords of one of radius r. e is taken
-at the balance point of the columns' largest span and smallest gap, where
-the same proven bound needs the fewest subdivisions, so polygon orders stay
-near a hundred bits at any input scale.
+Every coordinate column, translated to start at 0, is snapped onto a tiny
+arc of one large polygon. The translation, the spans and gaps, the
+subdivision count and the vertex indices are exact integer arithmetic on the
+floats' integer ratios (`float.as_integer_ratio`). The radius r is a float,
+and the analysis below takes it exactly as written. Floats otherwise enter
+only through the chord evaluations and the error report, which measure the
+result.
 
-Gap bounds and vertex indices come from each float's exact integer ratio
-(`float.as_integer_ratio`), shifted by e, in integer arithmetic; only the
-subdivision count, against a rational bound on pi and the budget times
-4**-e, goes through `Fraction`. Floats only enter through the radius, the
-chord evaluations and the error report. Polygon orders routinely exceed
-2**63, which is why they are Python ints end to end.
+The grid. Work in units of 2**e: values and radius are divided by 2**e, and
+the column budget B = delta / #columns by 4**e. The construction is scale
+covariant, so e is free; `_scale_exponent` takes it where n is smallest. n0
+is the least integer with every gap of every column in [1/n0, n0], so every
+column spans at most n0. The polygon has m = n**3 vertices and radius
+r = fl(n0*n / (2*pi)), so one step's arc is s = 2*pi*r/m = h*(1 + eta) with
+h = n0/n**2 and |eta| < 2**-50 (r takes three roundings). A value u goes to
+vertex j = floor(u / s~) with s~ = 2*pi~*r/m, where pi~ = lo / 2**b is the
+lower end of an integer Machin enclosure of pi at b bits (`_pi_bounds`).
+So j is an exact integer quotient, and c = 1 - pi/pi~ has |c| < 2**-b.
+
+The bound. Take two values of one column at gap d <= n0 whose vertices are
+k steps apart, with arc L = k*s and chord 2*r*sin(L / (2r)).
+
+- Snapping. Each remainder u - j*s~ lies in [0, s~), and k*s~ < d + s~.
+  So d - L is the difference of the two remainders plus c*k*s~, and
+  |d - L| < x := s~ + |c|*(d + s~). Hence |d**2 - L**2| < x*(2d + x).
+- Curvature. t**2 - sin(t)**2 <= t**4/3 for every real t, so
+  0 <= L**2 - chord**2 <= L**4 / (12 r**2), with L < d + x.
+
+Here s~ < s, and n >= 2 gives h <= n0/4. With the rounding of r, the two
+terms sum to less than
+
+    (1 + 2**-44) * F(n) + 3*|c|*n0**2,
+    F(n) = (n0**2/n**2) * (2 + 1/n**2 + pi**2 * (1 + 1/n**2)**4 / 3).
+
+F's first summand is h*(2*n0 + h); its second is (n0 + h)**4 over
+12*(n0*n / (2*pi))**2. `_subdivisions` takes the least n > n0 with
+F(n) < (63/64) * B. It computes F in integers, with pi replaced by the
+enclosure's upper end. `_pi_bits` takes b with 2**b >= 512 * n0**2 / B, so
+the snap's pi slack 3*|c|*n0**2 stays below B/128. Every pair's
+squared-distance error is then below (63/64)(1 + 2**-44) B + B/128 < B, for
+the radius as written. Every term falls as 1/n**2, so n is about
+2.3 n0 / sqrt(B), and polygon orders stay near 40 bits on well-spread
+inputs. n > n0 (so n >= 2) keeps the step below the smallest gap despite
+r's rounding, s~ < s < h*(1 + 2**-50) <= n0*(1 + 2**-50) / (n0 + 1)**2 < 1/n0,
+so distinct values of a column get distinct vertices.
 """
 
 from __future__ import annotations
@@ -23,18 +53,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError, TrivialInput
 from .geometry import as_point_array, squared_distances
 from .torus import PolygonSpec, TorusPoint, TorusSpec, pairwise_sq
-
-# Rational upper bound on pi (20 digits). Choosing parameters against an
-# upper bound keeps every strict inequality of the construction valid in
-# exact arithmetic, independent of float rounding.
-_PI_UP = Fraction(31415926535897932385, 10**19)
 
 
 @dataclass(frozen=True)
@@ -43,8 +68,8 @@ class DeltaParams:
 
     In units of 2**e, n0 bounds every pairwise coordinate gap into
     [1/n0, n0]; the polygon has m = n**3 vertices of circumradius
-    r = 2**e * n0*n/(2*pi), and vertex indices stay within [0, n**2], a
-    vertex j standing for the value j * n0 * 2**e / n**2.
+    r = fl(2**e * n0*n/(2*pi)), and vertex j lies the arc j * 2*pi*r/m
+    (about j * n0 * 2**e / n**2) from vertex 0.
     """
 
     n0: int
@@ -75,21 +100,32 @@ def _check_budget(delta) -> float:
     return delta
 
 
-def _span_and_gap(values: np.ndarray) -> tuple[float, float]:
-    """The span and the smallest pairwise gap of distinct values; a zero
-    gap is refused."""
-    vals = np.sort(values)
-    gap = float(np.diff(vals).min())
-    if gap <= 0.0:
-        raise InputError("distinct coordinate values collide once translated")
-    return float(vals[-1] - vals[0]), gap
+def _exact_columns(cols: np.ndarray) -> tuple[list[list[int]], int]:
+    """The columns translated to start at 0, exactly: value i of column c is
+    nums[c][i] / 2**shift, with one shift for all columns (every finite
+    double is an integer over a power of two)."""
+    ratios = [[v.as_integer_ratio() for v in col] for col in cols.T.tolist()]
+    shift = max(q.bit_length() for col in ratios for _, q in col) - 1
+    nums = []
+    for col in ratios:
+        ints = [p << (shift + 1 - q.bit_length()) for p, q in col]
+        low = min(ints)
+        nums.append([v - low for v in ints])
+    return nums, shift
 
 
-def _gap_bound(span: float, gap: float, e: int) -> int:
+def _span_and_gap(nums: list[int]) -> tuple[int, int]:
+    """The span and the smallest gap of a column translated to start at 0,
+    over its distinct values (at least two)."""
+    vals = sorted(set(nums))
+    return vals[-1], min(b - a for a, b in zip(vals, vals[1:]))
+
+
+def _gap_bound(span, gap, e: int) -> int:
     """Smallest integer b with every pairwise gap inside [2**e/b, b*2**e],
-    for values of the given span and smallest gap. Exact: both ceilings are
-    integer ceilings on the span's and the gap's integer ratios shifted by
-    e, never rounded float quotients."""
+    for values of the given span and smallest gap (floats or ints). Exact:
+    both ceilings are integer ceilings on the span's and the gap's integer
+    ratios shifted by e, never rounded float quotients."""
     span_p, span_q = span.as_integer_ratio()
     gap_p, gap_q = gap.as_integer_ratio()
     if e >= 0:
@@ -102,26 +138,82 @@ def _gap_bound(span: float, gap: float, e: int) -> int:
     return max(1, -(-span_p // span_q), -(-gap_q // gap_p))
 
 
-def _subdivisions(n0: int, budget: float, e: int) -> int:
-    """Smallest usable subdivision count n for the given error budget, on
-    the grid in units of 2**e, where the budget is budget * 4**-e.
+def _unit_budget(budget: tuple[int, int], e: int) -> tuple[int, int]:
+    """The budget (numerator, denominator) times 4**-e, as the same pair."""
+    num, den = budget
+    return (num, den << 2 * e) if e >= 0 else (num << -2 * e, den)
 
-    n must be at least 2*pi*n0**3/(budget * 4**-e) for the error analysis,
-    at least n0 so the index map cannot collide, and at least 2 so the
-    polygon order n**3 is a genuine polygon.
+
+def _pi_bits(n0: int, budget: tuple[int, int], e: int) -> int:
+    """Bits b of the pi enclosure, with 2**b >= 512 * n0**2 / B for the
+    budget B in units of 2**e. A multiple of 64, so that nearby budgets
+    share one cached enclosure."""
+    num, den = _unit_budget(budget, e)
+    bits = (-(-n0 * n0 * den // num)).bit_length() + 9
+    return max(64, -(-bits // 64) * 64)
+
+
+@lru_cache(maxsize=32)
+def _pi_bounds(bits: int) -> tuple[int, int]:
+    """Integers lo < hi with lo < pi * 2**bits < hi and hi - lo <= 3.
+
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239) in integer fixed
+    point with guard bits. Each arctangent sums its alternating series until
+    a term floors to 0. Each term is low by less than 2 and the tail is below
+    1, so a sum of t terms is within 2t + 1 of the exact value.
     """
-    unit_budget = Fraction(budget) * Fraction(4) ** -e
-    return max(2, n0, math.ceil(2 * _PI_UP * n0**3 / unit_budget))
+    guard = bits.bit_length() + 10
+    one = 1 << (bits + guard)
+    approx, err = 0, 0
+    for weight, x in ((16, 5), (-4, 239)):
+        total, power, t = 0, one // x, 0
+        while power:  # power = floor(one / x**(2t + 1))
+            term = power // (2 * t + 1)
+            total += -term if t % 2 else term
+            power //= x * x
+            t += 1
+        approx += weight * total
+        err += abs(weight) * (2 * t + 1)
+    # err < 2**(guard - 1), so the two ends are at most 3 apart
+    return (approx - err) >> guard, -(-(approx + err) >> guard)
 
 
-def _scale_exponent(span: float, gap: float, budget: float) -> int:
-    """The grid's unit exponent e for values of the given largest span and
-    smallest gap: of e0 - 1, e0 and e0 + 1 around the balance point e0 of
-    the two, the first with the fewest subdivisions."""
-    e0 = (math.frexp(span)[1] + math.frexp(gap)[1]) // 2
+def _subdivisions(n0: int, budget: tuple[int, int], e: int) -> int:
+    """The least n > n0 with F(n) < (63/64) * B (module docstring)
+    for the column budget, a (numerator, denominator) pair, with B the budget
+    times 4**-e and pi at the upper end of its enclosure.
+
+    F falls in n, so the least n is found by stepping from the estimate that
+    drops F's terms in 1/n**2, which is within a few steps of it.
+    """
+    num, den = _unit_budget(budget, e)
+    bits = _pi_bits(n0, budget, e)
+    pi_hi = _pi_bounds(bits)[1]
+    pi_sq, one = pi_hi * pi_hi, 1 << 2 * bits  # pi**2 < pi_sq / one
+
+    def fits(n: int) -> bool:
+        # 3 n**10 F(n) one <= n0**2 ((6 n**8 + 3 n**6) one + pi_sq (n**2 + 1)**4)
+        nn = n * n
+        f = n0 * n0 * ((6 * nn + 3) * nn**3 * one + pi_sq * (nn + 1) ** 4)
+        return 64 * f * den < 189 * nn**5 * one * num
+
+    floor = n0 + 1
+    n = max(floor, math.isqrt(64 * n0 * n0 * (6 * one + pi_sq) * den // (189 * one * num)))
+    while n > floor and fits(n - 1):
+        n -= 1
+    while not fits(n):
+        n += 1
+    return n
+
+
+def _scale_exponent(span: int, gap: int, shift: int, budget: tuple[int, int]) -> int:
+    """The grid's unit exponent e for columns of the given largest span and
+    smallest gap, both in units of 2**-shift: of e0 - 1, e0 and e0 + 1 around
+    the balance point e0 of the two, the first with the fewest subdivisions."""
+    e0 = (span.bit_length() + gap.bit_length()) // 2 - shift
     return min(
         (e0 - 1, e0, e0 + 1),
-        key=lambda e: _subdivisions(_gap_bound(span, gap, e), budget, e),
+        key=lambda e: _subdivisions(_gap_bound(span, gap, e + shift), budget, e),
     )
 
 
@@ -137,37 +229,36 @@ def _grid_params(n0: int, n: int, e: int) -> DeltaParams:
     return DeltaParams(n0, n, n**3, r, e)
 
 
-def _vertex_index(value: float, n0: int, n: int, e: int) -> int:
-    # half-open grid rule j/n^2 <= value/(n0 2^e) < (j+1)/n^2, evaluated
-    # exactly on value = p/q with q > 0: j = floor(p n^2 / (q n0 2^e));
-    # grid-boundary values resolve by the floor
+def _vertex_index(value, num: int, den: int) -> int:
+    """floor(value * num / den) for num, den > 0, exact on the value's
+    integer ratio p/q: floor(p * num / (q * den)). Values on a cell
+    boundary resolve by the floor."""
     p, q = value.as_integer_ratio()
-    if e >= 0:
-        return p * n * n // (q * n0 << e)
-    return (p * n * n << -e) // (q * n0)
+    return p * num // (q * den)
 
 
 def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped=()) -> DeltaEmbedding:
-    """Snap each column, translated to start at 0, onto one polygon of a
-    shared (m, r) at a budget of delta / #columns; per_pair_error is `d2`
+    """Snap each column, translated exactly to start at 0, onto one polygon
+    of a shared (m, r) at a budget of delta / #columns; per_pair_error is `d2`
     minus the torus distances. The grid's unit 2**e comes from the columns'
-    largest span and smallest gap. Distinct values are taken before
-    translation, so values that collide once translated are refused, not
-    merged."""
-    low = cols.min(axis=0)
-    k = cols.shape[1]
-    extents = [_span_and_gap(np.unique(cols[:, c]) - low[c]) for c in range(k)]
+    largest span and smallest gap."""
+    nums, shift = _exact_columns(cols)
+    extents = [_span_and_gap(col) for col in nums]
     span = max(s for s, _ in extents)
     gap = min(g for _, g in extents)
-    budget = delta / k
-    e = _scale_exponent(span, gap, budget)
-    n0 = _gap_bound(span, gap, e)
+    delta_p, delta_q = delta.as_integer_ratio()
+    budget = (delta_p, delta_q * len(nums))
+    e = _scale_exponent(span, gap, shift, budget)
+    n0 = _gap_bound(span, gap, e + shift)
     p = _grid_params(n0, _subdivisions(n0, budget, e), e)
-    torus = TorusSpec(tuple(PolygonSpec(p.m, p.r) for _ in range(k)))
-    assignment = tuple(
-        TorusPoint._of_ints(tuple([_vertex_index(v, p.n0, p.n, e) for v in row]))
-        for row in (cols - low).tolist()
-    )
+    bits = _pi_bits(n0, budget, e)
+    # value t = T / 2**shift goes to floor(t * m / (2 pi~ r)), pi~ = lo / 2**bits
+    r_p, r_q = p.r.as_integer_ratio()
+    num = (p.m * r_q) << bits
+    den = (_pi_bounds(bits)[0] * r_p) << (shift + 1)
+    columns = [[_vertex_index(v, num, den) for v in col] for col in nums]
+    torus = TorusSpec(tuple(PolygonSpec(p.m, p.r) for _ in nums))
+    assignment = tuple(TorusPoint._of_ints(row) for row in zip(*columns))
     per_pair = d2 - pairwise_sq(torus, assignment)
     return DeltaEmbedding(torus, assignment, delta, per_pair, p, dropped)
 
@@ -180,9 +271,9 @@ def one_dim_params(xs, delta) -> DeltaParams:
 def one_dim_embed(xs, delta) -> DeltaEmbedding:
     """Embed a finite set of distinct reals into one large polygon.
 
-    Values are translated to start at 0 and snapped to the grid of
-    n0*2**e/n**2-wide half-open cells; every pairwise squared distance is
-    distorted by less than delta, which is never shrunk.
+    Values are translated exactly to start at 0 and snapped to the vertices
+    of steps 2*pi*r/m, cells of about n0*2**e/n**2; every pairwise squared
+    distance is distorted by less than delta, which is never shrunk.
     """
     delta = _check_budget(delta)
     vals = np.asarray(xs, dtype=float).ravel()
@@ -202,8 +293,8 @@ def product_embed(points, delta) -> DeltaEmbedding:
     One polygon factor per non-constant coordinate; constant coordinates
     carry no distance information and are dropped (and recorded). All
     factors share one (m, r) pair, derived from the coordinates' largest
-    span and smallest gap and a per-coordinate budget of delta / #factors.
-    Points may share values along an axis.
+    span and smallest gap and a per-coordinate budget of exactly
+    delta / #factors. Points may share values along an axis.
 
     If delta is not below the smallest pairwise squared distance it is
     first shrunk to half of it, so the error bound itself certifies that
@@ -220,6 +311,8 @@ def product_embed(points, delta) -> DeltaEmbedding:
         raise InputError("points are not pairwise distinct")
     if delta >= min_sq:
         delta = 0.5 * min_sq
+        if delta == 0.0:
+            raise InputError("half the smallest squared distance underflows a double")
     kept = [c for c in range(arr.shape[1]) if np.any(arr[:, c] != arr[0, c])]
     dropped = tuple(c for c in range(arr.shape[1]) if c not in kept)
     # distinct points must differ somewhere, so at least one axis survives

@@ -146,7 +146,13 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     dec = schoenberg_decompose(input_sq, DEFAULT_TOL, cfg.alpha_fraction)
     alpha_sq = dec.alpha**2
 
-    de = product_embed(dec.base, alpha_sq / n**2)
+    delta = alpha_sq / n**2
+    if not delta > 0.0:
+        raise InputError(
+            f"the base's error budget alpha^2 / n^2 = {alpha_sq!r} / {n**2} "
+            "underflows a double"
+        )
+    de = product_embed(dec.base, delta)
 
     corr_sq = de.per_pair_error + alpha_sq
     off = ~np.eye(n, dtype=bool)

@@ -6,13 +6,17 @@ astronomically many vertices stay exact. Distances always go through the
 chord formula on index differences; subtracting materialized Cartesian
 coordinates would cancel catastrophically once the polygon order is large.
 
-Every distance comes from one kernel, `pairwise_sq`, and every chord in it
-from `chord` itself: once per folded step of a small order, read off a table
-in numpy (the m = 3 cut factors of the correction), and once per pair for any
-larger order. The squared chords are summed in factor order, so each entry
-has the bits of a plain per-pair loop over `chord`. Factors run in blocks of
-about 2k pair-factor entries, which bounds the kernel's scratch memory
-whatever the factor count.
+Every distance comes from one kernel, `pairwise_sq`, with two paths that
+both keep `chord`'s bits. Below 2**53, an order, a folded index and a step
+are exact doubles, so k / m in float64 is the one correctly rounded division
+that `chord`'s int division is; those factors run in numpy, the sine from
+`math.sin` (off a per-order table for small orders such as the m = 3 cut
+factors, else per entry). That covers the grid's base factors, whose orders
+are near 40 bits. Larger orders call `chord` on Python ints once per pair.
+The squared chords are summed in factor order, so each entry has the bits of
+a plain per-pair loop over `chord`. Factors run in blocks of about 2k
+pair-factor entries, and the chords are written straight into the block's
+rows, which bounds the kernel's scratch memory whatever the factor count.
 """
 
 from __future__ import annotations
@@ -110,6 +114,10 @@ def _check_point(t: TorusSpec, p: TorusPoint) -> None:
         )
 
 
+# Orders below 2**53 take the numpy path: there every folded index, step and
+# order is an exact double, so k / m is the correctly rounded quotient that
+# `chord`'s int division gives.
+_EXACT_M = 2**53
 # Pair-factor entries per block of consecutive factors: bounds the scratch
 # (16 kB per float array) while spreading numpy's per-call cost over a block.
 _BLOCK = 2048
@@ -125,12 +133,16 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     a block's squared chords onto the running sums in factor order (`np.sum`
     would add pairwise and change the bits), and the sums carry on to the
     next block, so scratch stays bounded however many factors there are.
-    Each factor's chords come from `chord` itself by one of two paths:
+    Each factor's chords take one of two paths, both with `chord`'s bits:
 
-    - an order with no more folded steps 0 .. m // 2 than there are pairs
-      (the m = 3 cut factors, say) evaluates `chord` once per step and looks
-      each pair's folded step up in that table, in numpy;
-    - any larger order calls `chord` on Python ints once per pair.
+    - an order below 2**53 runs in numpy, written straight into the block's
+      rows (`_exact_chords`). Every folded index, step and order is an exact
+      double there, so k / m is one correctly rounded division, the quotient
+      of `chord`'s int division. The sine is `math.sin`, as in `chord`: read
+      off a table of the steps 0 .. m // 2, one per order, when there are
+      fewer of those than pairs (the m = 3 cut factors, say), else mapped
+      over the row;
+    - a larger order calls `chord` on Python ints once per pair.
 
     Overflow gives inf and underflow 0.0 without a warning, as in Python.
     """
@@ -145,19 +157,16 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     if not npairs:
         return out
     step = min(max(1, _BLOCK // npairs), len(t.factors))
-    short_m = 2 * npairs  # below it, m // 2 < npairs: the table is the shorter
+    tables = {}  # order -> the sines of its steps 0 .. m // 2, shared by its factors
     sq = np.zeros((step + 1, npairs))  # row 0 carries the running sums
     with np.errstate(over="ignore", under="ignore"):
         for start in range(0, len(t.factors), step):
             block = t.factors[start:start + step]
             rows = sq[:len(block) + 1]
-            short = [c for c, f in enumerate(block) if f.m < short_m]
-            if short:
-                rows[[c + 1 for c in short]] = _table_chords(
-                    [block[c] for c in short], [start + c for c in short], points, iu
-                )
+            indices = [p.indices[start:start + len(block)] for p in points]
+            _exact_chords(block, indices, iu, rows[1:], tables)
             for c, f in enumerate(block):
-                if f.m >= short_m:
+                if f.m >= _EXACT_M:
                     m, r = f.m, f.r
                     col = [p.indices[start + c] for p in points]
                     chords = [chord(m, r, a - b) for a, b in combinations(col, 2)]
@@ -170,25 +179,48 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     return out
 
 
-def _table_chords(factors, ks, points, iu) -> np.ndarray:
-    """`chord` over the pairs iu for factors of small order (factor ks[i] of
-    the torus is factors[i]), one row per factor: each pair's step folded to
-    0 .. m // 2, as `chord` folds it, indexes a table of `chord` on those
-    steps."""
-    m = np.array([f.m for f in factors])[:, None]
-    x = np.array([p.indices[k] % f.m for f, k in zip(factors, ks) for p in points])
-    x = x.reshape(len(factors), len(points))
-    d = x[:, iu[0]]
-    d -= x[:, iu[1]]
-    np.abs(d, out=d)
-    d = np.minimum(d, m - d)
-    # factor i's steps 0 .. m // 2 sit at base[i] .. base[i] + m // 2
-    sizes = [f.m // 2 + 1 for f in factors]
-    base = np.cumsum([0] + sizes[:-1])[:, None]
-    steps = (chord(f.m, f.r, q) for f, size in zip(factors, sizes) for q in range(size))
-    table = np.fromiter(steps, float, sum(sizes))
-    d += base
-    return table[d]
+def _exact_chords(block, indices, iu, out, tables) -> None:
+    """`chord` over the pairs iu, written into row c of out for every factor
+    c of the block with an order below 2**53; the rows of larger orders are
+    left to the caller. indices[i] holds point i's indices on the block, and
+    tables caches each small order's sines across blocks.
+
+    The indices are folded mod m in int64 (a block holding an index past
+    int64 is folded by Python's %), and then held as exact doubles. A step d
+    in (-m, m) folds to k = min(|d|, m - |d|) = m/2 - ||d| - m/2|, every term
+    exact. A zero step has sine 0.0 and is left at 0.0, never 2r * 0.0, which
+    is nan once 2r overflows to inf.
+    """
+    ms = [f.m if f.m < _EXACT_M else 1 for f in block]  # 1 marks a larger order
+    try:
+        x = np.array(indices, dtype=np.int64).T
+        x %= np.array(ms)[:, None]
+    except OverflowError:
+        x = np.array([[i % m for i, m in zip(row, ms)] for row in indices]).T
+    x = x.astype(float)
+    np.take(x, iu[0], axis=1, out=out, mode="clip")
+    out -= x[:, iu[1]]
+    half = np.array(ms, dtype=float)[:, None] * 0.5
+    np.abs(out, out=out)
+    np.subtract(out, half, out=out)
+    np.abs(out, out=out)
+    np.subtract(half, out, out=out)
+    npairs = out.shape[1]
+    short = {}
+    for c, m in enumerate(ms):
+        if m < 2 * npairs:  # m // 2 < npairs: the table is the shorter
+            if m > 1:
+                short.setdefault(m, []).append(c)
+        else:
+            angles = (math.pi * (out[c] / m)).tolist()
+            out[c] = np.fromiter(map(math.sin, angles), float, npairs)
+    for m, cs in short.items():
+        if m not in tables:
+            sines = (math.sin(math.pi * (q / m)) for q in range(m // 2 + 1))
+            tables[m] = np.fromiter(sines, float, m // 2 + 1)
+        out[cs] = tables[m][out[cs].astype(np.intp)]
+    two_r = np.array([2.0 * f.r for f in block])[:, None]
+    np.multiply(out, two_r, out=out, where=out != 0.0)
 
 
 def torus_distance_sq(t: TorusSpec, p: TorusPoint, q: TorusPoint) -> float:

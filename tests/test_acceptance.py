@@ -6,11 +6,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 import math
 import random
 import time
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from torus_embed import (
     EmbeddingCertificate,
@@ -19,7 +19,6 @@ from torus_embed import (
     TorusPoint,
     TorusSpec,
     check_almost_regular,
-    chord,
     embed_almost_regular,
     embed_regular_simplex,
     embed_simplex,
@@ -123,17 +122,24 @@ def test_criterion_3_delta_embedding_guarantee():
         ok = ok and float(np.abs(de.per_pair_error[off]).max()) < delta
         kept = [c for c in range(k) if c not in de.dropped_axes]
         budget = de.delta / len(kept)
-        n0, n, e = de.params.n0, de.params.n, de.params.e
-        for pos, c in enumerate(kept):
-            vals = pts[:, c] - pts[:, c].min()
-            for (ia, xa), (ib, xb) in combinations(enumerate(vals), 2):
-                ja = de.assignment[ia].indices[pos]
-                jb = de.assignment[ib].indices[pos]
-                ok = ok and 0 <= ja <= n * n < de.params.m
-                snapped = float((Fraction((ja - jb) * n0, n * n) * Fraction(2) ** e) ** 2)
-                ok = ok and abs(snapped - (xa - xb) ** 2) < budget / 2
-                c_len = chord(de.params.m, de.params.r, ja - jb)
-                ok = ok and abs(c_len**2 - snapped) < budget / 2
+        n0, n, e, m, r = de.params.n0, de.params.n, de.params.e, de.params.m, de.params.r
+        with mp.workprec(200):
+            # the snapping and curvature terms of the delta_embed docstring,
+            # each below its bound, at the arc L = k * 2 pi r / m of a step k
+            h, unit, slack = mpf(n0) / n**2, mpf(4) ** e, 1 + mpf(2) ** -44
+            snap_cap = slack * h * (2 * n0 + h) * unit + mpf(budget) / 128
+            curve_cap = slack * (n0 + h) ** 4 * mp.pi**2 / (3 * mpf(n0) ** 2 * n**2) * unit
+            for pos, c in enumerate(kept):
+                vals = pts[:, c]  # multiples of 1/16: every gap is exact
+                for (ia, xa), (ib, xb) in combinations(enumerate(vals), 2):
+                    ja = de.assignment[ia].indices[pos]
+                    jb = de.assignment[ib].indices[pos]
+                    ok = ok and 0 <= ja <= n * n < m
+                    k = abs(ja - jb)
+                    arc_sq = (k * 2 * mp.pi * mpf(r) / m) ** 2
+                    chord_sq = (2 * mpf(r) * mp.sin(mp.pi * k / m)) ** 2
+                    ok = ok and abs((mpf(xa) - mpf(xb)) ** 2 - arc_sq) < snap_cap
+                    ok = ok and 0 <= arc_sq - chord_sq < curve_cap
         if not ok:
             break
     elapsed = time.perf_counter() - start

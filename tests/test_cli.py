@@ -80,6 +80,20 @@ def test_embed_underflowing_squared_distances_exits_1(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, decades", [(3, 161.5), (6, 160.5), (6, 161.0)])
+def test_embed_underflowing_error_budget_exits_1(tmp_path, capsys, n, decades):
+    # the points keep their rank, but the base's budget alpha^2 / n^2 is 0.0:
+    # refused by name, not as "delta must be a positive real"
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    pts = generate_points("random", n, seed=2) * 10.0**-decades
+    write_json(inp, {"points": pts.tolist()})
+    code, _, stderr = run(capsys, "embed", str(inp), str(out))
+    assert code == 1
+    assert "alpha^2 / n^2" in stderr and "underflows a double" in stderr
+    assert not out.exists()
+
+
 def test_embed_subnormal_squared_distances_with_rank_still_embed(tmp_path, capsys):
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"
@@ -364,7 +378,9 @@ def test_gen_bad_option_exits_1(tmp_path, capsys, argv, named):
 def test_verify_env_tolerance_override(tmp_path, capsys, monkeypatch):
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"
-    write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
+    # a triangle whose certificate misses its input by float rounding (the
+    # one at (0.5, 0.8) now verifies with no error at all)
+    write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]})
     assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
     report = json.loads(out.read_text())["errors"]
     assert report["max_rel"] > 0  # the override below must therefore bite

@@ -1,14 +1,15 @@
 """Tests for the bounded-distortion polygon embeddings."""
 
-import dataclasses
+import contextlib
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv, mp, mpf
 
 from torus_embed import (
     InputError,
@@ -18,7 +19,6 @@ from torus_embed import (
     TorusSpec,
     TrivialInput,
     VerificationFailed,
-    chord,
     delta_embed,
     embed_simplex,
     generate_points,
@@ -26,42 +26,83 @@ from torus_embed import (
     one_dim_params,
     pairwise_sq,
     product_embed,
+    schoenberg_decompose,
     squared_distances,
 )
 from torus_embed.certificate import dumps_certificate
 from torus_embed.delta_embed import (
     DeltaEmbedding,
     _check_budget,
+    _exact_columns,
     _gap_bound,
     _grid_params,
-    _scale_exponent,
+    _pi_bits,
+    _pi_bounds,
     _span_and_gap,
     _subdivisions,
+    _unit_budget,
     _vertex_index,
 )
 
-
-def snapped_value(index, n0, n, e):
-    """Exact rational grid value behind a vertex index."""
-    return Fraction(index * n0, n * n) * Fraction(2) ** e
+# interval precision of the exact error checks
+PREC = 128
 
 
-def check_half_budgets(values, assignment, params, budget):
-    """Both error halves of the construction, checked pair by pair:
+@contextlib.contextmanager
+def interval_precision(bits):
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
-    snapping:  | |y - y'|^2 - |x - x'|^2 |  < budget / 2
-    curvature: | chord^2 - |y - y'|^2 |     < budget / 2
+
+def closed_form_terms(n0, n, e):
+    """The two summands of F(n) of the delta_embed docstring times 4**e, as
+    intervals: the snapping term h*(2*n0 + h) and the curvature term."""
+    h = iv.mpf(n0) / n**2
+    unit = iv.mpf(4) ** e
+    snap = h * (2 * n0 + h) * unit
+    curve = (n0 + h) ** 4 * iv.pi**2 / (3 * iv.mpf(n0) ** 2 * n**2) * unit
+    return snap, curve
+
+
+def enclosed_errors(values, indices, m, r):
+    """For each pair of a column's values (floats) and vertex indices, the
+    intervals (d**2 - L**2, L**2 - chord**2), with d the values' gap, L the
+    arc k*2*pi*r/m and the chord 2r*sin(pi*k/m) of their step k, from the
+    exact floats and ints; each distinct step is enclosed once."""
+    exact = [iv.mpf(x) for x in values]
+    arc = 2 * iv.pi * iv.mpf(r) / m
+    steps = {}
+    out = []
+    for (xa, ja), (xb, jb) in combinations(zip(exact, indices), 2):
+        k = abs(ja - jb)
+        if k not in steps:
+            arc_sq = (k * arc) ** 2
+            steps[k] = arc_sq, arc_sq - (2 * iv.mpf(r) * iv.sin(iv.pi * k / m)) ** 2
+        arc_sq, curve = steps[k]
+        out.append(((xa - xb) ** 2 - arc_sq, curve))
+    return out
+
+
+def check_error_terms(values, assignment, params, budget):
+    """Both error terms of the construction, pair by pair, enclosed from the
+    exact floats and ints, against their bounds in the delta_embed docstring:
+
+    snapping:  | d**2 - L**2 |        < (1 + 2**-44) h (2 n0 + h) 4**e + budget / 128
+    curvature: 0 <= L**2 - chord**2   < (1 + 2**-44) (curvature term of F) 4**e
+    and their sum below the budget.
     """
-    translated = [v - min(values) for v in values]
-    for (ia, xa), (ib, xb) in combinations(enumerate(translated), 2):
-        ja, jb = assignment[ia], assignment[ib]
-        ya = snapped_value(ja, params.n0, params.n, params.e)
-        yb = snapped_value(jb, params.n0, params.n, params.e)
-        snap_err = abs(float((ya - yb) ** 2) - (xa - xb) ** 2)
-        assert snap_err < budget / 2
-        c = chord(params.m, params.r, ja - jb)
-        curve_err = abs(c**2 - float((ya - yb) ** 2))
-        assert curve_err < budget / 2
+    with interval_precision(PREC):
+        snap_bound, curve_bound = closed_form_terms(params.n0, params.n, params.e)
+        slack = 1 + iv.mpf(2) ** -44
+        cap = iv.mpf(budget)
+        for snap, curve in enclosed_errors(values, assignment, params.m, params.r):
+            assert abs(snap).b < (slack * snap_bound + cap / 128).a
+            assert curve.a >= 0 and curve.b < (slack * curve_bound).a
+            assert abs(snap + curve).b < cap.a
 
 
 def reference_values(xs):
@@ -70,41 +111,67 @@ def reference_values(xs):
         raise InputError("values contain non-finite entries")
     if vals.size < 2:
         raise TrivialInput("need at least two values")
+    if len(set(vals.tolist())) < vals.size:
+        raise InputError("duplicate coordinate values")
     return vals
 
 
-def unit_grid_exponent(translated, delta):
-    """The grid's exponent e, and the translated values and delta scaled
-    by 2**-e and 4**-e, on which the unit grid (e = 0) is the reference."""
-    e = _scale_exponent(*_span_and_gap(translated), delta)
-    return e, np.ldexp(translated, -e), math.ldexp(delta, -2 * e)
+def closed_form(n0, n):
+    """F(n) of the delta_embed docstring, in mpmath, against pi itself."""
+    return (mpf(n0) / n) ** 2 * (2 + mpf(1) / n**2 + mp.pi**2 * (1 + mpf(1) / n**2) ** 4 / 3)
 
 
-def reference_one_dim_params(xs, delta):
-    """one_dim_params as it was before it shared product_embed's snapping,
-    on the unit grid of the values scaled by 2**-e, kept as its reference."""
-    delta = _check_budget(delta)
-    vals = reference_values(xs)
-    e, scaled, unit_delta = unit_grid_exponent(vals - vals.min(), delta)
-    n0 = _gap_bound(*_span_and_gap(scaled), 0)
-    p = _grid_params(n0, _subdivisions(n0, unit_delta, 0), 0)
-    return dataclasses.replace(p, r=math.ldexp(p.r, e), e=e)
+def reference_subdivisions(n0, unit_budget):
+    """The least n > n0 with F(n) < (63/64) B for B = unit_budget
+    (a Fraction, in units of 2**e), by bisection in mpmath."""
+    with mp.workprec(256):
+        limit = mpf(unit_budget.numerator) / unit_budget.denominator * 63 / 64
+        lo = n0 + 1
+        if closed_form(n0, lo) < limit:
+            return lo
+        hi = 2 * lo
+        while not closed_form(n0, hi) < limit:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:  # F(lo) misses the limit, F(hi) meets it
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if closed_form(n0, mid) < limit else (mid, hi)
+        return hi
+
+
+def frexp_exponent(x):
+    """math.frexp(x)[1] for a positive dyadic Fraction x."""
+    return x.numerator.bit_length() - x.denominator.bit_length() + 1
 
 
 def reference_one_dim_embed(xs, delta):
-    """one_dim_embed as it was before it shared product_embed's snapping,
-    on the unit grid of the values scaled by 2**-e, kept as its reference."""
+    """one_dim_embed transcribed from the delta_embed docstring in Fraction
+    and mpmath, kept as its reference: exact translation; of the exponents
+    around the balance point, the first with the least n, found by bisection
+    against pi itself; each value t at vertex floor(t * m / (2 pi r)) for
+    the float r, with pi at 512 bits."""
     delta = _check_budget(delta)
-    vals = reference_values(xs)
-    e, scaled, unit_delta = unit_grid_exponent(vals - vals.min(), delta)
-    n0 = _gap_bound(*_span_and_gap(scaled), 0)
-    p = _grid_params(n0, _subdivisions(n0, unit_delta, 0), 0)
-    indices = [_vertex_index(v, p.n0, p.n, 0) for v in scaled]
-    p = dataclasses.replace(p, r=math.ldexp(p.r, e), e=e)
+    exact = [Fraction(v) for v in reference_values(xs).tolist()]
+    translated = [v - min(exact) for v in exact]
+    span, gap = fraction_span_and_gap(translated)
+    e0 = (frexp_exponent(span) + frexp_exponent(gap)) // 2
+    grids = []
+    for e in (e0 - 1, e0, e0 + 1):
+        n0 = fraction_gap_bound(span, gap, e)
+        grids.append((reference_subdivisions(n0, Fraction(delta) / Fraction(4) ** e), e, n0))
+    n, e, n0 = min(grids, key=lambda grid: grid[0])
+    p = _grid_params(n0, n, e)
+    with mp.workprec(512):
+        step = 2 * mp.pi * mpf(p.r) / p.m
+        indices = [int(mp.floor(mpf(t.numerator) / t.denominator / step)) for t in translated]
     torus = TorusSpec((PolygonSpec(p.m, p.r),))
     assignment = tuple(TorusPoint((j,)) for j in indices)
-    per_pair = squared_distances(vals.reshape(-1, 1)) - pairwise_sq(torus, assignment)
+    col = np.asarray(xs, dtype=float).reshape(-1, 1)
+    per_pair = squared_distances(col) - pairwise_sq(torus, assignment)
     return DeltaEmbedding(torus, assignment, delta, per_pair, p)
+
+
+def reference_one_dim_params(xs, delta):
+    return reference_one_dim_embed(xs, delta).params
 
 
 def outcome(fn, *args):
@@ -137,23 +204,45 @@ def test_one_dim_matches_reference_bitwise():
         assert got.per_pair_error.tobytes() == ref.per_pair_error.tobytes()
 
 
+def check_exact_errors_below_budget(de, cols):
+    """Every pair's exact squared-distance error on every column, enclosed
+    from the floats and ints, is below the column budget (at 256 bits, which
+    resolve 0.1 against squared distances near 1e40)."""
+    with interval_precision(256):
+        cap = iv.mpf(de.delta) / len(de.torus.factors)
+        for pos, values in enumerate(cols):
+            indices = [p.indices[pos] for p in de.assignment]
+            for snap, curve in enclosed_errors(values, indices, de.params.m, de.params.r):
+                assert abs(snap + curve).b < cap.a
+
+
 @pytest.mark.parametrize(
     "points",
     [[[-1e20], [1.0], [2.0]], [[-1e20, 0.0], [1.0, 1.0], [2.0, 2.0]]],
     ids=["one-axis", "one-of-two-axes"],
 )
-def test_product_refuses_values_colliding_after_translation(points):
-    # 1.0 and 2.0 both lie 1e20 above -1e20 once rounded; snapped onto one
-    # vertex they would miss their squared distance by 1.0 against a 0.1
-    # budget, even where the points differ on another axis
-    with pytest.raises(InputError, match="collide"):
-        product_embed(points, 0.1)
+def test_product_embeds_values_colliding_under_float_translation(points):
+    # 1.0 and 2.0 both lie 1e20 above -1e20 once rounded in floats; the
+    # exact translation keeps them a step apart and within the budget
+    de = product_embed(points, 0.1)
+    cols = np.array(points).T.tolist()
+    assert de.assignment[1].indices[0] != de.assignment[2].indices[0]
+    assert abs(de.per_pair_error[1, 2]) < de.delta
+    check_exact_errors_below_budget(de, cols)
 
 
 def test_params_unit_pair():
+    # span 1 and gap 1 put e0 = 1, so e is one of 0, 1, 2. At e = 0, n0 = 1
+    # and B = 0.1, so the least n has F(n) < 0.0984375 = (63/64) * 0.1:
+    #   F(7) = (1/49) * (2 + 1/49 + pi**2 * (50/49)**4 / 3) = 0.11402 (misses)
+    #   F(8) = (1/64) * (2 + 1/64 + pi**2 * (65/64)**4 / 3) = 0.08619 (meets)
+    # At e = 1, n0 = 2 and B = 0.025 need n = 30 (F(29) = 0.02498 misses
+    # 0.02461), so e = 0 and n = 8, m = 512.
+    assert closed_form(1, 7) > 0.0984375 > closed_form(1, 8)
+    assert closed_form(2, 29) > 0.1 / 4 * 63 / 64 > closed_form(2, 30)
     p = one_dim_params([0.0, 1.0], 0.1)
-    assert (p.n0, p.n, p.m) == (1, 63, 250047)
-    assert p.r == pytest.approx(63 / (2 * math.pi), rel=1e-15)
+    assert (p.n0, p.n, p.m, p.e) == (1, 8, 512, 0)
+    assert p.r == 8 / (2.0 * math.pi)
 
 
 def test_params_huge_delta_clamps_polygon():
@@ -186,19 +275,29 @@ def test_params_errors():
         one_dim_params([0.0, 1.0], -1.0)
 
 
-def test_one_dim_values_colliding_after_translation_rejected():
-    # distinct doubles whose offsets from the minimum round to one value
-    with pytest.raises(InputError):
-        one_dim_embed([-1e20, 1.0, 2.0], 0.1)
+def test_one_dim_values_colliding_under_float_translation_embed():
+    # distinct doubles whose offsets from the minimum round to one value in
+    # floats, and differ by 1 exactly
+    xs = [-1e20, 1.0, 2.0]
+    de = one_dim_embed(xs, 0.1)
+    assert len({p.indices for p in de.assignment}) == 3
+    assert abs(de.per_pair_error[1, 2]) < 0.1
+    check_exact_errors_below_budget(de, [xs])
 
 
 def test_one_dim_unit_pair_frozen_values():
     de = one_dim_embed([0.0, 1.0], 0.1)
-    assert [p.indices for p in de.assignment] == [(0,), (3969,)]
+    # m = 512 and r = fl(8 / fl(2 pi)) = 1.2732395447351628, 0.35 ulp above
+    # 4/pi; so 2 pi r exceeds 8, 1.0 sits just below vertex
+    # 512 / 8 = 64, and j = floor(512 / (2 pi r)) = 63
+    r = 8 / (2.0 * math.pi)
+    with mp.workprec(200):
+        assert 2 * mp.pi * mpf(r) > 8
+        assert int(mp.floor(512 / (2 * mp.pi * mpf(r)))) == 63
+    assert [p.indices for p in de.assignment] == [(0,), (63,)]
     # independent evaluation of the chord at the known parameters
-    r = 63 / (2 * math.pi)
-    expected_sq = (2 * r * math.sin(math.pi * 3969 / 250047)) ** 2
-    assert expected_sq == pytest.approx(0.999171383837071, rel=1e-12)
+    expected_sq = (2 * r * math.sin(math.pi * 63 / 512)) ** 2
+    assert expected_sq == pytest.approx(0.9216796561687685, rel=1e-12)
     err = de.per_pair_error[0, 1]
     assert err == pytest.approx(1.0 - expected_sq, rel=1e-12)
     assert abs(err) < 0.1
@@ -221,6 +320,11 @@ def test_one_dim_indices_bounded_and_injective():
     assert len(set(idx)) == len(idx)
     n = de.params.n
     assert all(0 <= j <= n * n < de.params.m for j in idx)
+    # a budget so large that n = n0 + 1, the floor: the step, after the
+    # radius's rounding, stays below the smallest gap
+    de = one_dim_embed([0.0, 0.25, 1.0], 10.0)
+    assert de.params.n == de.params.n0 + 1
+    assert len({p.indices for p in de.assignment}) == 3
 
 
 def test_one_dim_every_pair_error_below_budget():
@@ -232,7 +336,7 @@ def test_one_dim_every_pair_error_below_budget():
         de = one_dim_embed(xs, 1e-2)
         off = ~np.eye(len(xs), dtype=bool)
         assert np.abs(de.per_pair_error[off]).max() < 1e-2
-        check_half_budgets(list(xs), [p.indices[0] for p in de.assignment], de.params, 1e-2)
+        check_error_terms(list(xs), [p.indices[0] for p in de.assignment], de.params, 1e-2)
 
 
 def test_error_matrix_symmetric_zero_diagonal():
@@ -302,7 +406,7 @@ def test_product_half_budgets_per_coordinate():
         for axis_pos, c in enumerate(kept):
             values = list(pts[:, c])
             assignment = [p.indices[axis_pos] for p in de.assignment]
-            check_half_budgets(values, assignment, de.params, budget)
+            check_error_terms(values, assignment, de.params, budget)
         off = ~np.eye(npts, dtype=bool)
         assert np.abs(de.per_pair_error[off]).max() < de.delta
 
@@ -317,10 +421,15 @@ def test_product_single_point_rejected():
         product_embed([[0.0, 1.0]], 0.1)
 
 
-def fraction_vertex_index(value, n0, n, e):
-    """_vertex_index as it was over Fraction, in units of 2**e, kept as its
-    reference."""
-    return math.floor(Fraction(value) * n * n / (n0 * Fraction(2) ** e))
+def fraction_vertex_index(value, num, den):
+    """_vertex_index as it was over Fraction, kept as its reference."""
+    return math.floor(Fraction(value) * num / den)
+
+
+def grid_ratio(n0, n, e):
+    """(num, den) with num / den = n**2 / (n0 * 2**e): the vertex of a value
+    on the grid of n0 * 2**e / n**2-wide cells is floor(value * num / den)."""
+    return (n * n, n0 << e) if e >= 0 else (n * n << -e, n0)
 
 
 def fraction_gap_bound(span, gap, e):
@@ -331,12 +440,9 @@ def fraction_gap_bound(span, gap, e):
 
 
 def fraction_span_and_gap(values):
-    """The span and the smallest gap that the Fraction gap bound read."""
-    vals = np.sort(values)
-    diffs = np.diff(vals)
-    if float(diffs.min()) <= 0.0:
-        raise InputError("distinct coordinate values collide once translated")
-    return float(vals[-1] - vals[0]), float(diffs.min())
+    """The span and the smallest gap of the distinct values, as Fractions."""
+    vals = sorted({Fraction(v) for v in values})
+    return vals[-1] - vals[0], min(b - a for a, b in zip(vals, vals[1:]))
 
 
 SMALLEST_NORMAL = float(np.finfo(float).tiny)
@@ -368,7 +474,8 @@ def around(value):
 @example(5e-324, 1, 2**2000, -1100)
 @example(float(np.finfo(float).max), 1, 2**2000, 1100)
 def test_vertex_index_matches_fraction_reference(value, n0, n, e):
-    assert _vertex_index(value, n0, n, e) == fraction_vertex_index(value, n0, n, e)
+    ratio = grid_ratio(n0, n, e)
+    assert _vertex_index(value, *ratio) == fraction_vertex_index(value, *ratio)
 
 
 @st.composite
@@ -389,9 +496,10 @@ def exact_boundaries(draw):
 def test_vertex_index_on_exact_grid_boundaries(case):
     j, value, n0, n, u = case
     assert Fraction(value) == Fraction(j * n0, n * n) * Fraction(2) ** u
-    assert _vertex_index(value, n0, n, u) == j
+    ratio = grid_ratio(n0, n, u)
+    assert _vertex_index(value, *ratio) == j
     for v in around(value):
-        assert _vertex_index(v, n0, n, u) == fraction_vertex_index(v, n0, n, u)
+        assert _vertex_index(v, *ratio) == fraction_vertex_index(v, *ratio)
 
 
 @st.composite
@@ -409,8 +517,9 @@ def near_boundaries(draw):
 @given(near_boundaries())
 def test_vertex_index_near_grid_boundaries(case):
     value, n0, n, u = case
+    ratio = grid_ratio(n0, n, u)
     for v in around(value):
-        assert _vertex_index(v, n0, n, u) == fraction_vertex_index(v, n0, n, u)
+        assert _vertex_index(v, *ratio) == fraction_vertex_index(v, *ratio)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -418,17 +527,15 @@ def test_vertex_index_near_grid_boundaries(case):
 @example([0.0, 0.5, 10.0], 0)  # the span's ceiling wins
 @example([0.0, 1e-300, 1.0], 0)  # 1 / the smallest gap's ceiling wins
 @example([0.0, 5e-324, 1e308], 0)  # both at the ends of the double range
-@example([0.0, 1.0, 1.0], 0)  # a zero gap is refused
+@example([0.0, 1.0, 1.0], 0)  # a repeated value is not a gap
 @example([0.0, 5e-324, 1e308], -1100)  # the ends of the exponent range
 @example([0.0, 5e-324, 1e308], 1100)
 def test_gap_bound_matches_fraction_reference(values, e):
-    def gap_bound(vals):
-        return _gap_bound(*_span_and_gap(vals), e)
-
-    def reference(vals):
-        return fraction_gap_bound(*fraction_span_and_gap(vals), e)
-
-    assert outcome(gap_bound, np.array(values)) == outcome(reference, np.array(values))
+    # the span and gaps are exact: values 1e308 apart keep a 5e-324 gap
+    assume(len(set(values)) > 1)
+    nums, shift = _exact_columns(np.array(values).reshape(-1, 1))
+    got = _gap_bound(*_span_and_gap(nums[0]), e + shift)
+    assert got == fraction_gap_bound(*fraction_span_and_gap(values), e)
 
 
 IDENTITY_INPUTS = {
@@ -457,9 +564,10 @@ def test_integer_gridding_writes_the_fraction_bytes(monkeypatch, name):
 
 
 def unit_subdivisions(n0, budget, e):
-    """_subdivisions as it was on the unit grid, kept as its reference."""
+    """_subdivisions on the unit grid, by bisection against pi itself, kept
+    as its reference."""
     assert e == 0
-    return max(2, n0, math.ceil(2 * delta_embed._PI_UP * n0**3 / Fraction(budget)))
+    return reference_subdivisions(n0, Fraction(*budget))
 
 
 def unit_grid_params(n0, n, e):
@@ -473,9 +581,9 @@ def unit_grid_params(n0, n, e):
 @pytest.mark.parametrize("name", ["n16", "n16-uniform-m", "n8-1e100"])
 def test_unit_exponent_writes_the_unit_grid_bytes(monkeypatch, name):
     # the unit grid is the e = 0 case: with the exponent held at 0, the
-    # certificate is the one the unit grid's Fraction references write
+    # certificate is the one the unit grid's references write
     points, cfg = IDENTITY_INPUTS[name]
-    monkeypatch.setattr(delta_embed, "_scale_exponent", lambda span, gap, budget: 0)
+    monkeypatch.setattr(delta_embed, "_scale_exponent", lambda span, gap, shift, budget: 0)
     got = certificate_or_refusal(points, cfg)
     assert b'"scale_exponent":0,' in got
     monkeypatch.setattr(delta_embed, "_vertex_index", fraction_vertex_index)
@@ -525,3 +633,91 @@ def test_one_dim_embed_is_scale_covariant(seed, k):
 def test_radius_outside_the_normal_doubles_refused(xs, delta):
     with pytest.raises(InputError, match="circumradius .* is not a finite normal double"):
         one_dim_embed(xs, delta)
+
+
+def upper_closed_form(n0, n, bits):
+    """F(n) with pi at the upper end of its enclosure at `bits`, exactly."""
+    pi_hi = Fraction(_pi_bounds(bits)[1], 2**bits)
+    nn = Fraction(n * n)
+    return n0 * n0 / nn * (2 + 1 / nn + pi_hi**2 * (1 + 1 / nn) ** 4 / 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 8) | st.integers(1, 2**40),
+    st.floats(1e-30, 1e3),
+    st.integers(1, 64),
+    st.integers(-64, 64),
+)
+@example(1, 0.1, 1, 0)  # the unit pair: n = 8
+@example(1, 2 * math.pi, 1, 0)  # n = 2, the polygon's floor
+@example(1000, 1e3, 1, -10)  # n = n0 + 1, the index map's floor
+def test_subdivisions_is_minimal(n0, delta, columns, e):
+    # n meets the bound with pi at its enclosure's upper end, n - 1 breaks
+    # it (or is below the floor), and the enclosure is fine enough for the
+    # snap's pi slack to stay below B / 128
+    budget = (delta.as_integer_ratio()[0], delta.as_integer_ratio()[1] * columns)
+    n = _subdivisions(n0, budget, e)
+    bits = _pi_bits(n0, budget, e)
+    unit = Fraction(*_unit_budget(budget, e))
+    assert unit == Fraction(delta) / columns / Fraction(4) ** e
+    assert 2**bits >= 512 * n0**2 / unit
+    limit = unit * 63 / 64
+    assert n > n0
+    assert upper_closed_form(n0, n, bits) < limit
+    assert n == n0 + 1 or upper_closed_form(n0, n - 1, bits) >= limit
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192, 1024, 4096])
+def test_pi_bounds_enclose_pi(bits):
+    lo, hi = _pi_bounds(bits)
+    with mp.workprec(bits + 64):
+        assert lo < mp.pi * mpf(2) ** bits < hi
+    assert hi - lo <= 3
+
+
+def draw_points(rng, npts, extreme):
+    """Points the way the benchmark's workloads draw them: uniform in
+    [-1, 1]**(npts - 1); the extreme kind flattens the last axis by
+    10**U(-3, -1.5) and scales the set by 10**U(-150, 150). A draw is kept
+    when it is affinely independent with a margin of 100 over the rank
+    tolerance 1e-9."""
+    while True:
+        pts = rng.uniform(-1.0, 1.0, (npts, npts - 1))
+        if extreme:
+            pts[:, -1] *= 10.0 ** rng.uniform(-3.0, -1.5)
+            pts *= 10.0 ** rng.uniform(-150.0, 150.0)
+        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+        if len(s) == npts - 1 and (s[-1] / s[0]) ** 2 > 100 * 1e-9:
+            return pts
+
+
+@pytest.mark.parametrize(
+    "npts, count, extreme", [(16, 24, False), (8, 64, True)], ids=["random-16", "extreme-8"]
+)
+def test_base_error_enclosed_below_budget(npts, count, extreme):
+    # the base half of an exact check: each column's pair errors, enclosed
+    # from the exact floats and ints, are below the column budget delta / k
+    # and below the closed-form bound F(n) of the delta_embed docstring
+    rng = np.random.default_rng(1212 + npts)
+    for _ in range(count):
+        dec = schoenberg_decompose(squared_distances(draw_points(rng, npts, extreme)))
+        de = product_embed(dec.base, dec.alpha**2 / npts**2)
+        p = de.params
+        kept = [c for c in range(dec.base.shape[1]) if c not in de.dropped_axes]
+        with interval_precision(PREC):
+            cap = iv.mpf(de.delta) / len(kept)
+            bound = sum(closed_form_terms(p.n0, p.n, p.e))
+            for pos, c in enumerate(kept):
+                indices = [q.indices[pos] for q in de.assignment]
+                for snap, curve in enclosed_errors(dec.base[:, c].tolist(), indices, p.m, p.r):
+                    err = abs(snap + curve).b
+                    assert err < cap.a and err < bound.a
+
+
+def test_product_shrunk_budget_underflow_refused():
+    # the squared distance is the smallest subnormal, and half of it is 0.0
+    x = 2.2227587494850775e-162
+    assert x * x == 5e-324
+    with pytest.raises(InputError, match="underflows"):
+        product_embed([[0.0], [x]], 1.0)

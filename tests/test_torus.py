@@ -120,7 +120,7 @@ def reference_pairwise_sq(t, points):
     return out
 
 
-EDGE_ORDERS = (2, 3, 4, 2**53 - 1, 2**53, 2**53 + 1)
+EDGE_ORDERS = (2, 3, 4, 2**52 - 1, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1)
 
 
 def edge_torus(rng, n, k, orders=EDGE_ORDERS):
@@ -169,6 +169,10 @@ def test_pairwise_sq_matches_reference_loop_bitwise(n):
     # orders on both sides of the chord table's bound, m // 2 < pairs
     npairs = n * (n - 1) // 2
     cases.append(edge_torus(rng, n, 8, tuple(max(2, 2 * npairs + e) for e in (-1, 0, 1, 2))))
+    # random orders of 20 to 53 bits, the grid's base orders, on the numpy path
+    for _ in range(4):
+        orders = tuple(rng.randrange(2 ** (b - 1), 2**b) for b in (20, 33, 41, 47, 52, 53))
+        cases.append(edge_torus(rng, n, 12, orders))
     for t, points in cases:
         got = pairwise_sq(t, points)
         assert got.shape == (n, n)
@@ -187,7 +191,8 @@ def test_pairwise_sq_scratch_is_bounded():
     import tracemalloc
 
     rng = random.Random(0)
-    orders = (3,) * 17 + (2, 2**53 + 1, 2**40 + 1)  # the table and per-pair paths
+    # the table, the numpy per-entry and the per-pair paths
+    orders = (3,) * 17 + (2, 2**53 + 1, 2**40 + 1, 1561, 2**20 + 7, 2**45 + 1, 2**53 - 1)
     t = TorusSpec(tuple(PolygonSpec(orders[i % len(orders)], 1.5) for i in range(600)))
     points = [TorusPoint(tuple(rng.randrange(f.m) for f in t.factors)) for _ in range(40)]
     tracemalloc.start()
