@@ -1,28 +1,33 @@
-"""Almost-regular distance matrices: the condition, their realization as a
-positive sum of cut semimetrics, and its embedding into equal-order
-polygonal tori.
+"""Almost-regular squared-distance matrices: the condition, their
+realization as a positive sum of cut semimetrics, and its embedding into
+equal-order polygonal tori.
 
-A symmetric matrix with zero diagonal and positive off-diagonal entries
-qualifies as almost regular when, writing a_max for its largest entry,
+A squared-distance matrix with entries c_ij qualifies as almost regular
+when, writing C for its largest entry and d_ij = C - c_ij for the deficits,
 
-    sum over i < j of (a_max^2 - a_ij^2)  <  a_max^2.
+    sum over i < j of d_ij  <  C.
 
-With B^2 the slack of this inequality (the margin) and the pair sides
-s_ij = sqrt(a_max^2 - a_ij^2), the squared distances are a sum of cuts,
-each splitting some points off the rest:
+The slack M = C - sum of all d_ij is the margin. A positive margin needs
+every d_ij below C, so every off-diagonal entry is then positive. The
+matrix is a sum of cuts, each splitting some points off the rest:
 
-    {k} for every point k, of weight B^2/2 + sum of s_ij^2/2 over the
-        pairs without k;
-    {i, j} for every kept pair, of weight s_ij^2/2.
+    {k} for every point k, of weight M/2 + sum of d_ij/2 over the pairs
+        without k;
+    {i, j} for every kept pair, of weight d_ij/2.
 
 Points s and t are split by both singletons and by each pair cut holding
-just one of them, so their squared distance is B^2 + sum of all s_ij^2 -
-s_st^2 = a_st^2. This is the paper's product of regular simplices (a base
-simplex, and one per pair in which i and j share a vertex) with equal cuts
-merged. A cut of weight w is one coordinate of size sqrt(w) on its points,
-and one m-gon of side sqrt(w) with its points on vertex 1 and the rest on
-vertex 0. A pair attaining a_max is never kept, so n points take at most
-n(n + 1)/2 - 1 cuts, and for n = 2 no pair cut covers the whole point set.
+just one of them, so their squared distance is M + sum of all d_ij - d_st
+= c_st. This is the paper's product of regular simplices (a base simplex
+of squared side M, and one per pair in which i and j share a vertex) with
+equal cuts merged. A cut of weight w is one coordinate of size sqrt(w) on
+its points, and one m-gon of side sqrt(w) with its points on vertex 1 and
+the rest on vertex 0. A pair is kept when its deficit is positive; one
+attaining C has none, so n points take at most n(n + 1)/2 - 1 cuts, and
+for n = 2 no pair cut covers the whole point set.
+
+Each weight is a sum of nonnegative terms, at most C, and its side is
+taken as sqrt(2w) * sqrt(1/2): no weight is halved before its square
+root, so every side of a validated matrix is finite and positive.
 """
 
 from __future__ import annotations
@@ -38,9 +43,7 @@ from .geometry import check_squared_distances
 from .simplex import circumradius_for_side, embed_regular_simplex
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
-# pairs with side below this fraction of a_max are dropped rather than
-# realized as zero-radius polygons
-ZERO_SIDE_RTOL = 1e-13
+_ROOT_HALF = math.sqrt(0.5)
 
 
 class AlmostRegularCheck(NamedTuple):
@@ -54,7 +57,7 @@ class RealizationPlan:
 
     `cuts` holds (points split off, polygon side = sqrt of the cut's
     weight): every singleton {k}, then every kept pair {i, j} in row-major
-    order. `margin` is the almost-regularity margin.
+    order. `margin` is the almost-regularity margin M.
     """
 
     n_points: int
@@ -66,67 +69,59 @@ class RealizationPlan:
         return math.sqrt(self.margin)
 
 
-def _checked_entries(entries) -> np.ndarray:
-    a = check_squared_distances(entries, "distance matrix")
-    n = a.shape[0]
-    if n > 1 and float(a[~np.eye(n, dtype=bool)].min()) <= 0.0:
+def _deficits(sq):
+    """Validate a squared-distance matrix once. Returns its size n, the
+    pairs (i, j) in row-major order, their deficits C - c_ij and the
+    margin, C minus the correctly rounded sum of the deficits."""
+    c = check_squared_distances(sq)
+    n = c.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    upper = c[i, j]
+    if float(upper.min(initial=math.inf)) <= 0.0:
         raise InputError("off-diagonal entries must be strictly positive")
-    amax = float(a.max())
-    if not math.isfinite(amax * amax):
-        raise InputError("distance matrix entries are too large to square")
-    return a
+    cmax = float(upper.max(initial=0.0))
+    deficits = cmax - upper
+    try:
+        margin = cmax - math.fsum(deficits.tolist())
+    except OverflowError:  # the deficits sum past the largest double, so past C
+        margin = -math.inf
+    return n, i, j, deficits, margin
 
 
-def check_almost_regular(entries) -> AlmostRegularCheck:
-    """Evaluate the almost-regularity condition.
+def check_almost_regular(sq) -> AlmostRegularCheck:
+    """Evaluate the almost-regularity condition on a squared-distance matrix.
 
-    margin = a_max^2 - sum_{i<j} (a_max^2 - a_ij^2); valid iff margin > 0.
+    margin = C - sum_{i<j} (C - c_ij); valid iff margin > 0.
     """
-    a = _checked_entries(entries)
-    n = a.shape[0]
-    if n == 1:
-        return AlmostRegularCheck(False, 0.0)
-    iu = np.triu_indices(n, k=1)
-    amax = float(a[iu].max())
-    margin = amax**2 - float(np.sum(amax**2 - a[iu] ** 2))
+    margin = _deficits(sq)[-1]
     return AlmostRegularCheck(margin > 0.0, margin)
 
 
-def realization_plan(entries) -> RealizationPlan:
-    """The merged cuts of an almost-regular matrix.
+def realization_plan(sq) -> RealizationPlan:
+    """The merged cuts of an almost-regular squared-distance matrix.
 
-    A singleton weight adds only nonnegative terms to B^2/2, so it stays
-    positive; weights are taken relative to the largest side, so that
-    squaring cannot underflow at tiny input scales.
+    Raises InputError for a matrix that is not a valid squared-distance
+    matrix with positive off-diagonal entries, and NotAlmostRegular for a
+    margin that is not positive.
     """
-    a = _checked_entries(entries)
-    n = a.shape[0]
+    n, i, j, deficits, margin = _deficits(sq)
     if n == 1:
         return RealizationPlan(1, 0.0, ())
-    valid, margin = check_almost_regular(a)
-    if not valid:
+    if not margin > 0.0:
         raise NotAlmostRegular(
             f"almost-regularity margin is {margin:.6e}, must be positive"
         )
-    i, j = np.triu_indices(n, k=1)
-    upper = a[i, j]
-    amax = float(upper.max())
-    # Python's float ** (libm pow) rounds a few squares apart from numpy's
-    # x * x; squaring with the former keeps the certificate bytes stable
-    sides = np.array([math.sqrt(max(amax**2 - x**2, 0.0)) for x in upper.tolist()])
-    kept = sides > ZERO_SIDE_RTOL * amax
-    i, j, sides = i[kept], j[kept], sides[kept]
-    base = math.sqrt(margin)
-    scale = max(base, float(sides.max(initial=0.0)))
-    half = 0.5 * (sides / scale) ** 2
+    kept = deficits > 0.0
+    i, j, deficits = i[kept], j[kept], deficits[kept]
     points = np.arange(n)[:, None]
     apart = (points != i) & (points != j)  # point k lies outside pair p
-    weights = 0.5 * (base / scale) ** 2 + np.where(apart, half, 0.0).sum(axis=1)
-    cuts = [((k,), scale * math.sqrt(w)) for k, w in enumerate(weights.tolist())]
-    cuts.extend(
-        ((p, q), s / math.sqrt(2.0))
-        for p, q, s in zip(i.tolist(), j.tolist(), sides.tolist())
-    )
+    # twice the weight of {k}: the margin, then the deficits of the pairs
+    # without k added one at a time in row-major order, as a loop would
+    terms = np.hstack([np.full((n, 1), margin), np.where(apart, deficits, 0.0)])
+    singles = np.sqrt(terms.cumsum(axis=1)[:, -1]) * _ROOT_HALF
+    pairs = np.sqrt(deficits) * _ROOT_HALF
+    cuts = [((k,), side) for k, side in enumerate(singles.tolist())]
+    cuts.extend(zip(zip(i.tolist(), j.tolist()), pairs.tolist()))
     return RealizationPlan(n, margin, tuple(cuts))
 
 
@@ -139,28 +134,28 @@ def _incidence(plan: RealizationPlan) -> np.ndarray:
     return out
 
 
-def realize_almost_regular(entries) -> tuple[np.ndarray, RealizationPlan]:
-    """Point realization of an almost-regular matrix.
+def realize_almost_regular(sq) -> tuple[np.ndarray, RealizationPlan]:
+    """Point realization of an almost-regular squared-distance matrix.
 
-    Returns affinely independent points whose pairwise distances reproduce
-    the matrix: one coordinate per cut, equal to the cut's side on its
-    points and 0 elsewhere. The singleton cuts alone keep the points
-    affinely independent.
+    Returns affinely independent points whose pairwise squared distances
+    reproduce the matrix: one coordinate per cut, equal to the cut's side
+    on its points and 0 elsewhere. The singleton cuts alone keep the
+    points affinely independent.
     """
-    plan = realization_plan(entries)
+    plan = realization_plan(sq)
     sides = np.array([side for _, side in plan.cuts])
     return _incidence(plan) * sides, plan
 
 
-def embed_almost_regular(entries, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
+def embed_almost_regular(sq, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
     """Embed the realization into a torus whose factors all have order m.
 
-    `entries` is an almost-regular distance matrix, or the RealizationPlan
-    already made from one. Each cut of `plan.cuts` becomes one m-gon with
-    the cut's side; the cut's points sit on vertex 1 and all others on
-    vertex 0, so pairwise distances match the matrix.
+    `sq` is an almost-regular squared-distance matrix, or the
+    RealizationPlan already made from one. Each cut of `plan.cuts` becomes
+    one m-gon with the cut's side; the cut's points sit on vertex 1 and all
+    others on vertex 0, so pairwise squared distances match the matrix.
     """
-    plan = entries if isinstance(entries, RealizationPlan) else realization_plan(entries)
+    plan = sq if isinstance(sq, RealizationPlan) else realization_plan(sq)
     if plan.n_points == 1:
         return embed_regular_simplex(1, 1.0, m)
     spec = TorusSpec(

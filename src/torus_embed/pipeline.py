@@ -6,11 +6,12 @@ verifiable certificate whose input metric is that very matrix.
 
 The correction step is what makes the result exact: writing e_ij for the
 base embedding's squared-distance error and a for the increment, the
-correction matrix sqrt(e_ij + a^2) always satisfies the almost-regularity
-condition because every |e_ij| stays below a^2/n^2, and its realization
-contributes exactly the missing e_ij + a^2 to each pair.
-`embed_squared_distances` checks that bound on the errors it gets, as well
-as the almost-regularity it implies.
+correction's squared distances e_ij + a^2 always satisfy the
+almost-regularity condition because every |e_ij| stays below a^2/n^2: the
+n(n - 1)/2 deficits, each below 2a^2/n^2, sum below a^2(1 - 1/n), and the
+largest entry exceeds a^2(1 - 1/n^2). Its realization contributes exactly
+the missing e_ij + a^2 to each pair. `embed_squared_distances` checks that
+bound on the errors it gets, as well as the almost-regularity it implies.
 
 The correction is its plan's merged cuts (see `almost_regular`): one
 polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
@@ -136,8 +137,10 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     VerificationFailed if, against all analysis, the correction is not
     almost regular, the base embedding's error is not below its budget or
     the built certificate does not pass its own verification at
-    cfg.accept_tol. A NaN, negative or infinite cfg.accept_tol is refused
-    (InputError) before any construction.
+    cfg.accept_tol. A certificate that fails there on a matrix with
+    subnormal off-diagonal entries is refused as InputError, naming them:
+    those entries keep too few bits for the check. A NaN, negative or
+    infinite cfg.accept_tol is refused (InputError) before any construction.
     """
     cfg = cfg or PipelineConfig()
     _check_tolerance(cfg.accept_tol)
@@ -155,19 +158,13 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     de = product_embed(dec.base, delta)
 
     corr_sq = de.per_pair_error + alpha_sq
-    off = ~np.eye(n, dtype=bool)
-    if float(corr_sq[off].min()) <= 0.0:
-        raise VerificationFailed(
-            "correction entries lost positivity; the base embedding error "
-            "exceeded its budget"
-        )
-    correction = np.sqrt(np.where(off, corr_sq, 0.0))
+    np.fill_diagonal(corr_sq, 0.0)
     try:
-        plan = realization_plan(correction)
-    except NotAlmostRegular as exc:
+        plan = realization_plan(corr_sq)
+    except (InputError, NotAlmostRegular) as exc:
         raise VerificationFailed(f"correction matrix is not almost regular ({exc})") from None
     # the bound the whole analysis rests on, |e_ij| < delta, checked as met
-    base_error = float(np.abs(de.per_pair_error[off]).max())
+    base_error = float(np.abs(de.per_pair_error).max())
     if not base_error < de.delta:
         raise VerificationFailed(
             f"base embedding error {base_error:.6e} is not below its budget "
@@ -202,6 +199,14 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     cert = EmbeddingCertificate(input_sq, torus, assignment, parameters, {}, meta)
     report = verify_certificate(cert, cfg.accept_tol)
     if not report.passed:
+        subnormal = (input_sq > 0.0) & (input_sq < np.finfo(float).tiny)
+        if np.any(subnormal):
+            i, j = np.argwhere(subnormal)[0]
+            raise InputError(
+                f"squared distances are subnormal doubles ({float(input_sq[i, j])!r} at "
+                f"pair {(int(i), int(j))}, say), too coarse for the certificate to "
+                f"verify: max relative error {report.max_rel_error:.6e}"
+            )
         raise VerificationFailed(
             f"certificate verification failed: max relative error "
             f"{report.max_rel_error:.6e} at pair {report.worst_pair}"

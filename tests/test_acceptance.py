@@ -48,18 +48,19 @@ def report(num, name, ok, elapsed=None, limit=None, detail=""):
 
 
 def random_healthy_matrix(rng, n):
-    """Almost-regular matrix whose pair factors all keep sides above a few
-    percent of the maximum entry, so every factor is metrically significant."""
-    amax = float(rng.uniform(0.5, 2.0))
+    """Almost-regular squared-distance matrix whose pair cuts all keep
+    weights above a few percent of the largest entry, so every factor is
+    metrically significant."""
+    cmax = float(rng.uniform(0.5, 2.0)) ** 2
     pairs = n * (n - 1) // 2
     u = np.zeros(pairs)
     if pairs > 1:
         raw = rng.uniform(0.5, 1.0, pairs - 1)
         u[1:] = raw * (float(rng.uniform(0.5, 0.8)) / raw.sum())
-    a = np.zeros((n, n))
+    c = np.zeros((n, n))
     for idx, (i, j) in enumerate(combinations(range(n), 2)):
-        a[i, j] = a[j, i] = amax * math.sqrt(1.0 - u[idx])
-    return a
+        c[i, j] = c[j, i] = cmax * (1.0 - u[idx])
+    return c
 
 
 def test_criterion_1_regular_simplex_exactness():
@@ -84,19 +85,19 @@ def test_criterion_2_almost_regular_realization():
     all_simplices = True
     for _ in range(200):
         n = int(rng.integers(2, 8))
-        amax = float(rng.uniform(0.5, 2.0))
+        cmax = float(rng.uniform(0.5, 2.0)) ** 2
         pairs = n * (n - 1) // 2
         u = np.zeros(pairs)
         if pairs > 1:
             raw = rng.uniform(0.0, 1.0, pairs - 1)
             u[1:] = raw * (float(rng.uniform(0.1, 0.9)) / max(raw.sum(), 1e-300))
-        a = np.zeros((n, n))
+        c = np.zeros((n, n))
         for idx, (i, j) in enumerate(combinations(range(n), 2)):
-            a[i, j] = a[j, i] = amax * math.sqrt(1.0 - u[idx])
-        z, _ = realize_almost_regular(a)
-        d = np.sqrt(squared_distances(z))
+            c[i, j] = c[j, i] = cmax * (1.0 - u[idx])
+        z, _ = realize_almost_regular(c)
+        d2 = squared_distances(z)
         off = ~np.eye(n, dtype=bool)
-        worst = max(worst, float(np.abs(d[off] - a[off]).max() / amax))
+        worst = max(worst, float(np.abs(d2[off] - c[off]).max() / cmax))
         all_simplices = all_simplices and is_simplex(z, 1e-9)
     elapsed = time.perf_counter() - start
     report(2, "almost-regular realization identity",
@@ -226,9 +227,8 @@ def test_criterion_7_tamper_detection():
         else:
             n = int(rng.integers(3, 7))
             m = int(rng.choice([4, 6, 12]))
-            a = random_healthy_matrix(rng, n)
-            spec, points = embed_almost_regular(a, m)
-            input_sq = a**2
+            input_sq = random_healthy_matrix(rng, n)
+            spec, points = embed_almost_regular(input_sq, m)
         cert = EmbeddingCertificate(input_sq, spec, tuple(points), {}, {}, {})
         assert verify_certificate(cert, 1e-8).passed
         s = int(rng.integers(0, n))
@@ -258,9 +258,9 @@ def test_criterion_8_materialization_consistency():
     certs.append(
         EmbeddingCertificate(np.ones((4, 4)) - np.eye(4), spec, tuple(points), {}, {}, {})
     )
-    a = random_healthy_matrix(np.random.default_rng(8), 5)
-    spec, points = embed_almost_regular(a, 17)
-    certs.append(EmbeddingCertificate(a**2, spec, tuple(points), {}, {}, {}))
+    c = random_healthy_matrix(np.random.default_rng(8), 5)
+    spec, points = embed_almost_regular(c, 17)
+    certs.append(EmbeddingCertificate(c, spec, tuple(points), {}, {}, {}))
 
     ok = True
     worst = 0.0

@@ -1,10 +1,16 @@
-"""Tests for almost-regular matrices: condition check, realization, embedding."""
+"""Tests for almost-regular matrices: condition check, realization, embedding.
+
+Every matrix here is a squared-distance matrix, as the functions take it.
+"""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_embed import (
     EmbeddingCertificate,
@@ -17,43 +23,48 @@ from torus_embed import (
     realization_plan,
     realize_almost_regular,
     squared_distances,
-    torus_distance,
+    torus_distance_sq,
 )
-from torus_embed.almost_regular import ZERO_SIDE_RTOL, _checked_entries
+from torus_embed.geometry import check_squared_distances
 
 
 def random_valid_matrix(rng, n):
-    """Random matrix satisfying the almost-regularity condition.
+    """Random squared-distance matrix satisfying the almost-regularity
+    condition.
 
-    One pair is pinned at the maximum entry so a_max is attained exactly;
-    the remaining slack stays strictly below a_max^2.
+    One pair is pinned at the maximum entry so C is attained exactly; the
+    deficits sum to a fraction 0.2-0.8 of C.
     """
-    amax = float(rng.uniform(0.5, 2.0))
+    cmax = float(rng.uniform(0.5, 2.0)) ** 2
     pairs = n * (n - 1) // 2
     u = np.zeros(pairs)
     if pairs > 1:
         raw = rng.uniform(0.0, 1.0, pairs - 1)
         total = float(rng.uniform(0.2, 0.8))
         u[1:] = raw * (total / raw.sum())
-    a = np.zeros((n, n))
+    c = np.zeros((n, n))
     for idx, (i, j) in enumerate(combinations(range(n), 2)):
-        a[i, j] = a[j, i] = amax * math.sqrt(1.0 - u[idx])
-    return a
+        c[i, j] = c[j, i] = cmax * (1.0 - u[idx])
+    return c
 
 
 def test_check_regular_matrix():
-    a = 0.7 * (np.ones((4, 4)) - np.eye(4))
-    valid, margin = check_almost_regular(a)
+    c = 0.49 * (np.ones((4, 4)) - np.eye(4))
+    valid, margin = check_almost_regular(c)
     assert valid
     assert margin == pytest.approx(0.49, rel=1e-14)
 
 
 def test_check_rejecting_large_deficit():
-    # a_max = 1, both other entries 0.5: deficit 2 * 0.75 = 1.5 >= 1
-    a = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]])
-    valid, margin = check_almost_regular(a)
+    # C = 1, both other entries 0.25: deficit 2 * 0.75 = 1.5 >= 1
+    c = np.array([[0.0, 1.0, 0.25], [1.0, 0.0, 0.25], [0.25, 0.25, 0.0]])
+    valid, margin = check_almost_regular(c)
     assert not valid
     assert margin == pytest.approx(-0.5, rel=1e-14)
+    # deficits whose sum passes the largest double: far from regular
+    c = np.ones((4, 4)) - np.eye(4)
+    c[0, 1] = c[1, 0] = 4e307
+    assert check_almost_regular(c) == (False, -math.inf)
 
 
 def test_check_structure_errors():
@@ -65,28 +76,50 @@ def test_check_structure_errors():
         check_almost_regular([[0.0, 0.0], [0.0, 0.0]])  # zero off-diagonal
 
 
-@pytest.mark.parametrize("fn", [check_almost_regular, realization_plan])
-def test_entries_too_large_to_square_raise_input_error(fn):
-    a = np.ones((3, 3)) - np.eye(3)
-    with pytest.raises(InputError):
-        fn(a * 1e160)
-    fn(a * 1e154)  # a_max^2 = 1e308 is still a double
+EDGE_MATRICES = {
+    # entries near the largest double whose magnitudes still sum to a double
+    "near-max-2": 8.9e307 * (np.ones((2, 2)) - np.eye(2)),
+    "near-max-3": 2.9e307 * np.array([[0.0, 1.0, 0.9], [1.0, 0.0, 0.8], [0.9, 0.8, 0.0]]),
+    # margins of the smallest subnormal double
+    "margin-5e-324-2": np.array([[0.0, 5e-324], [5e-324, 0.0]]),
+    "margin-5e-324-3": np.array(
+        [
+            [0.0, 2.2250738585072014e-308, 2.2250738585072014e-308],
+            [2.2250738585072014e-308, 0.0, 5e-324],
+            [2.2250738585072014e-308, 5e-324, 0.0],
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_MATRICES)
+def test_cut_sides_finite_and_positive_at_the_edges(name):
+    c = EDGE_MATRICES[name]
+    plan = realization_plan(c)
+    assert plan.margin == check_almost_regular(c).margin > 0.0
+    if name.startswith("margin"):
+        assert plan.margin == 5e-324
+    sides = [side for _, side in plan.cuts]
+    assert len(sides) >= c.shape[0]
+    assert all(math.isfinite(side) and side > 0.0 for side in sides)
+    spec, _ = embed_almost_regular(plan, 3)
+    assert all(math.isfinite(f.r) and f.r > 0.0 for f in spec.factors)
 
 
 def test_realize_regular_matrix_collapses_to_base_simplex():
-    a = 1.3 * (np.ones((5, 5)) - np.eye(5))
-    z, plan = realize_almost_regular(a)
+    c = 1.69 * (np.ones((5, 5)) - np.eye(5))
+    z, plan = realize_almost_regular(c)
     assert [members for members, _ in plan.cuts] == [(k,) for k in range(5)]
     assert plan.base_side == pytest.approx(1.3, rel=1e-14)
     off = ~np.eye(5, dtype=bool)
-    np.testing.assert_allclose(np.sqrt(squared_distances(z))[off], 1.3, rtol=1e-12)
+    np.testing.assert_allclose(squared_distances(z)[off], 1.69, rtol=1e-12)
 
 
 def test_realize_two_points():
-    a = np.array([[0.0, 0.42], [0.42, 0.0]])
-    z, plan = realize_almost_regular(a)
+    c = np.array([[0.0, 0.1764], [0.1764, 0.0]])
+    z, plan = realize_almost_regular(c)
     assert [members for members, _ in plan.cuts] == [(0,), (1,)]
-    assert math.dist(z[0], z[1]) == pytest.approx(0.42, rel=1e-13)
+    assert float(np.sum((z[0] - z[1]) ** 2)) == pytest.approx(0.1764, rel=1e-13)
 
 
 def test_realize_single_point():
@@ -97,74 +130,74 @@ def test_realize_single_point():
 
 def test_realize_near_regular_four_points():
     rng = np.random.default_rng(19)
-    a = np.zeros((4, 4))
+    c = np.zeros((4, 4))
     vals = rng.uniform(0.99, 1.0, 6)
     vals[0] = 1.0
     for idx, (i, j) in enumerate(combinations(range(4), 2)):
-        a[i, j] = a[j, i] = vals[idx]
-    z, _ = realize_almost_regular(a)
-    d = np.sqrt(squared_distances(z))
+        c[i, j] = c[j, i] = vals[idx]
+    z, _ = realize_almost_regular(c)
+    d2 = squared_distances(z)
     for i, j in combinations(range(4), 2):
-        assert d[i, j] == pytest.approx(a[i, j], rel=1e-10)
+        assert d2[i, j] == pytest.approx(c[i, j], rel=1e-10)
 
 
 def test_realize_rejects_invalid():
-    a = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    c = np.array([[0.0, 1.0, 0.25], [1.0, 0.0, 0.25], [0.25, 0.25, 0.0]])
     with pytest.raises(NotAlmostRegular):
-        realize_almost_regular(a)
+        realize_almost_regular(c)
     with pytest.raises(NotAlmostRegular):
-        embed_almost_regular(a, 4)
+        embed_almost_regular(c, 4)
 
 
 def test_realization_identity_random():
-    # squared distance == base^2 + sum of pair sides^2 - own pair side^2
+    # squared distance == margin + sum of deficits - own pair's deficit
     rng = np.random.default_rng(3)
     for _ in range(40):
         n = int(rng.integers(2, 8))
-        a = random_valid_matrix(rng, n)
-        z, plan = realize_almost_regular(a)
-        amax = a.max()
-        _, margin = check_almost_regular(a)
-        total_sides_sq = sum(amax**2 - a[i, j] ** 2 for i, j in combinations(range(n), 2))
+        c = random_valid_matrix(rng, n)
+        z, plan = realize_almost_regular(c)
+        cmax = c.max()
+        _, margin = check_almost_regular(c)
+        total_deficit = sum(cmax - c[i, j] for i, j in combinations(range(n), 2))
         d2 = squared_distances(z)
         for s, t in combinations(range(n), 2):
-            expected = margin + total_sides_sq - (amax**2 - a[s, t] ** 2)
-            assert abs(d2[s, t] - expected) <= 1e-10 * amax**2
+            expected = margin + total_deficit - (cmax - c[s, t])
+            assert abs(d2[s, t] - expected) <= 1e-10 * cmax
 
 
 def test_realization_output_is_simplex_and_factor_count_bounded():
     rng = np.random.default_rng(23)
     for _ in range(20):
         n = int(rng.integers(2, 8))
-        a = random_valid_matrix(rng, n)
-        z, plan = realize_almost_regular(a)
+        c = random_valid_matrix(rng, n)
+        z, plan = realize_almost_regular(c)
         assert is_simplex(z, 1e-9)
         assert len(plan.cuts) <= n * (n + 1) // 2 - 1
 
 
 def test_embed_regular_matrix_into_triangles():
-    a = np.ones((3, 3)) - np.eye(3)
-    spec, points = embed_almost_regular(a, 3)
+    c = np.ones((3, 3)) - np.eye(3)
+    spec, points = embed_almost_regular(c, 3)
     assert len(spec.factors) == 3
     assert all(f.m == 3 for f in spec.factors)
     for i, j in combinations(range(3), 2):
-        assert torus_distance(spec, points[i], points[j]) == pytest.approx(1.0, rel=1e-12)
+        assert torus_distance_sq(spec, points[i], points[j]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_embed_two_points_single_pair():
-    a = np.array([[0.0, 0.9], [0.9, 0.0]])
-    spec, points = embed_almost_regular(a, 5)
+    c = np.array([[0.0, 0.81], [0.81, 0.0]])
+    spec, points = embed_almost_regular(c, 5)
     assert len(spec.factors) == 2  # one 2-vertex base simplex only
-    assert torus_distance(spec, points[0], points[1]) == pytest.approx(0.9, rel=1e-12)
+    assert torus_distance_sq(spec, points[0], points[1]) == pytest.approx(0.81, rel=1e-12)
 
 
 def test_embed_five_points_near_regular():
     rng = np.random.default_rng(77)
-    a = random_valid_matrix(rng, 5)
-    spec, points = embed_almost_regular(a, 4)
+    c = random_valid_matrix(rng, 5)
+    spec, points = embed_almost_regular(c, 4)
     for i, j in combinations(range(5), 2):
-        assert torus_distance(spec, points[i], points[j]) == pytest.approx(
-            a[i, j], rel=1e-10
+        assert torus_distance_sq(spec, points[i], points[j]) == pytest.approx(
+            c[i, j], rel=1e-10
         )
 
 
@@ -172,58 +205,56 @@ def test_embed_matches_realization_distances():
     rng = np.random.default_rng(101)
     for _ in range(10):
         n = int(rng.integers(2, 7))
-        a = random_valid_matrix(rng, n)
-        z, _ = realize_almost_regular(a)
-        spec, points = embed_almost_regular(a, 6)
-        dz = np.sqrt(squared_distances(z))
-        amax = a.max()
+        c = random_valid_matrix(rng, n)
+        z, _ = realize_almost_regular(c)
+        spec, points = embed_almost_regular(c, 6)
+        dz = squared_distances(z)
+        cmax = c.max()
         for i, j in combinations(range(n), 2):
-            dt = torus_distance(spec, points[i], points[j])
-            assert abs(dt - dz[i, j]) <= 1e-10 * amax
+            dt = torus_distance_sq(spec, points[i], points[j])
+            assert abs(dt - dz[i, j]) <= 1e-10 * cmax
 
 
 def test_plan_skips_zero_side_pairs():
-    a = np.ones((4, 4)) - np.eye(4)
-    a[0, 1] = a[1, 0] = 1.0 - 1e-16  # side^2 ~ 2e-16 > tol^2 but side << amax scale?
-    plan = realization_plan(a)
-    # the (0, 1) deficit gives side sqrt(2e-16) ~ 1.4e-8, well above the
-    # 1e-13 cutoff, so it is kept; exact ties are dropped
-    b = np.ones((4, 4)) - np.eye(4)
-    plan_regular = realization_plan(b)
+    c = np.ones((4, 4)) - np.eye(4)
+    c[0, 1] = c[1, 0] = 1.0 - 2.0**-52  # the smallest deficit below 1
+    plan = realization_plan(c)
+    # the (0, 1) deficit gives side 2**-26 sqrt(1/2) and is kept; exact ties
+    # are dropped
+    plan_regular = realization_plan(np.ones((4, 4)) - np.eye(4))
     assert len(plan_regular.cuts) == 4
     assert len(plan.cuts) == 5
+    assert plan.cuts[-1] == ((0, 1), 2.0**-26 * math.sqrt(0.5))
 
 
 def test_embed_one_factor_per_cut():
-    # n singleton cuts plus one cut per kept pair; the pair attaining a_max
-    # is never kept, so two points take exactly two factors
+    # n singleton cuts plus one cut per kept pair; the pair attaining C is
+    # never kept, so two points take exactly two factors
     rng = np.random.default_rng(5)
     for n in range(2, 9):
         for _ in range(5):
-            a = random_valid_matrix(rng, n)
-            plan = realization_plan(a)
-            base_side, pair_factors, _ = reference_pair_factors(a)
-            spec, points = embed_almost_regular(a, 3)
-            assert len(spec.factors) == n + len(pair_factors)
-            assert len(pair_factors) <= n * (n - 1) // 2 - 1
+            c = random_valid_matrix(rng, n)
+            plan = realization_plan(c)
+            margin, kept = reference_deficits(c)
+            spec, points = embed_almost_regular(c, 3)
+            assert len(spec.factors) == n + len(kept)
+            assert len(kept) <= n * (n - 1) // 2 - 1
             if n == 2:
                 assert len(spec.factors) == 2
             cuts = [
                 tuple(s for s in range(n) if points[s].indices[k])
                 for k in range(len(spec.factors))
             ]
-            pairs = [(i, j) for i, j, _ in pair_factors]
+            pairs = [(i, j) for i, j, _ in kept]
             assert cuts == [(k,) for k in range(n)] + pairs
             assert [members for members, _ in plan.cuts] == cuts
             # weights against the loop over the simplices' one-hot cuts
-            weights = [0.0] * n
-            for s in range(n):
-                weights[s] += base_side**2 / 2
-            for i, j, side in pair_factors:
+            weights = [margin / 2] * n
+            for i, j, d in kept:
                 for s in range(n):
                     if s not in (i, j):
-                        weights[s] += side**2 / 2
-            weights += [side**2 / 2 for _, _, side in pair_factors]
+                        weights[s] += d / 2
+            weights += [d / 2 for _, _, d in kept]
             for (_, side), w in zip(plan.cuts, weights):
                 assert side**2 == pytest.approx(w, rel=1e-13)
 
@@ -233,9 +264,9 @@ def test_torus_vertex_pattern_matches_realization_support():
     # coordinate for that cut is nonzero
     rng = np.random.default_rng(29)
     for n in range(2, 9):
-        a = random_valid_matrix(rng, n)
-        z, _ = realize_almost_regular(a)
-        _, points = embed_almost_regular(a, 3)
+        c = random_valid_matrix(rng, n)
+        z, _ = realize_almost_regular(c)
+        _, points = embed_almost_regular(c, 3)
         np.testing.assert_array_equal(np.array([p.indices for p in points]) == 1, z != 0)
 
 
@@ -243,35 +274,34 @@ def test_embed_reproduces_distances_tightly():
     rng = np.random.default_rng(12)
     for n in range(2, 9):
         for m in (2, 3, 5, 12):
-            a = random_valid_matrix(rng, n)
-            spec, points = embed_almost_regular(a, m)
+            c = random_valid_matrix(rng, n)
+            spec, points = embed_almost_regular(c, m)
             for i, j in combinations(range(n), 2):
-                d = torus_distance(spec, points[i], points[j])
-                assert abs(d - a[i, j]) <= 1e-12 * a[i, j]
+                d2 = torus_distance_sq(spec, points[i], points[j])
+                assert abs(d2 - c[i, j]) <= 1e-12 * c[i, j]
 
 
 def test_embed_accepts_plan():
-    a = random_valid_matrix(np.random.default_rng(9), 6)
-    assert embed_almost_regular(realization_plan(a), 4) == embed_almost_regular(a, 4)
+    c = random_valid_matrix(np.random.default_rng(9), 6)
+    assert embed_almost_regular(realization_plan(c), 4) == embed_almost_regular(c, 4)
 
 
 def test_embed_is_bytewise_deterministic():
     rng = np.random.default_rng(41)
     for n in range(2, 9):
-        a = random_valid_matrix(rng, n)
+        c = random_valid_matrix(rng, n)
         texts = []
         for _ in range(2):
-            spec, points = embed_almost_regular(a.copy(), 3)
-            cert = EmbeddingCertificate(a**2, spec, tuple(points), {}, {}, {})
+            spec, points = embed_almost_regular(c.copy(), 3)
+            cert = EmbeddingCertificate(c, spec, tuple(points), {}, {}, {})
             texts.append(dumps_certificate(cert))
         assert texts[0] == texts[1]
 
 
 def test_cut_weights_do_not_underflow():
-    # the squared margin here is the smallest subnormal float, so half of it
-    # rounds to zero; cut weights are summed relative to the largest side
-    x = 2.3e-162
-    plan = realization_plan([[0.0, x], [x, 0.0]])
+    # the margin is the smallest subnormal double; no weight is halved
+    # before its square root, so the sides are sqrt(5e-324) * sqrt(1/2)
+    plan = realization_plan([[0.0, 5e-324], [5e-324, 0.0]])
     assert plan.base_side**2 == 5e-324
     spec, points = embed_almost_regular(plan, 3)
     assert len(spec.factors) == 2
@@ -279,48 +309,35 @@ def test_cut_weights_do_not_underflow():
         assert side == pytest.approx(plan.base_side / math.sqrt(2.0), rel=1e-15)
 
 
-def reference_pair_factors(entries):
-    """realization_plan as it was when it built one simplex factor per kept
-    pair, kept as its reference. Returns (base side, (i, j, side) of each
-    pair factor, margin), the margin being the one embed_simplex took from
-    its own check_almost_regular."""
-    a = _checked_entries(entries)
-    n = a.shape[0]
-    if n == 1:
-        return 0.0, (), check_almost_regular(a).margin
-    valid, margin = check_almost_regular(a)
-    if not valid:
-        raise NotAlmostRegular(
-            f"almost-regularity margin is {margin:.6e}, must be positive"
-        )
-    amax = float(a[np.triu_indices(n, k=1)].max())
-    pair_factors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            side_sq = max(amax**2 - float(a[i, j]) ** 2, 0.0)
-            side = math.sqrt(side_sq)
-            if side > ZERO_SIDE_RTOL * amax:
-                pair_factors.append((i, j, side))
-    return math.sqrt(margin), tuple(pair_factors), margin
+def reference_deficits(sq):
+    """The margin and the kept pairs' (i, j, deficit) by a plain loop over
+    the pairs: C minus the exact sum of the deficits, rounded once."""
+    c = check_squared_distances(sq)
+    pairs = list(combinations(range(c.shape[0]), 2))
+    cmax = max((float(c[p]) for p in pairs), default=0.0)
+    deficits = [(i, j, cmax - float(c[i, j])) for i, j in pairs]
+    margin = cmax - float(sum(Fraction(d) for _, _, d in deficits))
+    return margin, [(i, j, d) for i, j, d in deficits if d > 0.0]
 
 
-def reference_plan(entries):
-    """(cuts, margin) merged from the reference pair factors by the
-    arithmetic the plan's cuts were first computed with."""
-    base_side, pairs, margin = reference_pair_factors(entries)
-    n = _checked_entries(entries).shape[0]
+def reference_plan(sq):
+    """(cuts, margin) of realization_plan, one cut at a time: each side is
+    sqrt(twice the weight) * sqrt(1/2), the singleton's twice-weight summed
+    from the margin over the kept pairs without the point."""
+    n = check_squared_distances(sq).shape[0]
+    margin, kept = reference_deficits(sq)
     if n == 1:
-        return (), margin
-    sides = np.array([side for _, _, side in pairs])
-    i = np.array([i for i, _, _ in pairs], dtype=np.intp)
-    j = np.array([j for _, j, _ in pairs], dtype=np.intp)
-    scale = max(base_side, float(sides.max(initial=0.0)))
-    half = 0.5 * (sides / scale) ** 2
-    points = np.arange(n)[:, None]
-    apart = (points != i) & (points != j)
-    weights = 0.5 * (base_side / scale) ** 2 + np.where(apart, half, 0.0).sum(axis=1)
-    cuts = [((k,), scale * math.sqrt(w)) for k, w in enumerate(weights.tolist())]
-    cuts.extend(((i, j), side / math.sqrt(2.0)) for i, j, side in pairs)
+        return (), 0.0
+    if not margin > 0.0:
+        raise NotAlmostRegular(f"almost-regularity margin is {margin:.6e}, must be positive")
+    cuts = []
+    for k in range(n):
+        twice = margin
+        for i, j, d in kept:
+            if k not in (i, j):
+                twice += d
+        cuts.append(((k,), math.sqrt(twice) * math.sqrt(0.5)))
+    cuts.extend(((i, j), math.sqrt(d) * math.sqrt(0.5)) for i, j, d in kept)
     return tuple(cuts), margin
 
 
@@ -329,35 +346,63 @@ def test_plan_matches_reference_bitwise():
     for trial in range(60):
         n = int(rng.integers(1, 10))
         if trial % 3 == 0:
-            # the pipeline's kind: sqrt(alpha^2 + e_ij) with tiny e_ij
+            # the pipeline's kind: alpha^2 + e_ij with tiny e_ij
             e = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-14, -2) / n**2
-            a = np.sqrt(1.0 + (e + e.T) / 2)
-            np.fill_diagonal(a, 0.0)
+            c = 1.0 + (e + e.T) / 2
+            np.fill_diagonal(c, 0.0)
         elif n > 1:
-            a = random_valid_matrix(rng, n)
+            c = random_valid_matrix(rng, n)
         else:
-            a = np.zeros((1, 1))
-        a = a * 10.0 ** rng.uniform(-100, 100)
+            c = np.zeros((1, 1))
+        c = c * 10.0 ** rng.uniform(-200, 200)
         if trial % 7 == 0 and n > 2:
-            a[0, 1] = a[1, 0] = 1e-3 * a.max()  # far from almost regular
+            c[0, 1] = c[1, 0] = 1e-6 * c.max()  # far from almost regular
         try:
-            ref = reference_plan(a)
+            ref = reference_plan(c)
         except NotAlmostRegular as exc:
             with pytest.raises(NotAlmostRegular) as got:
-                realization_plan(a)
+                realization_plan(c)
             assert str(got.value) == str(exc)
             continue
-        plan = realization_plan(a)
+        plan = realization_plan(c)
         assert plan.n_points == n
         assert (plan.cuts, plan.margin) == ref
         assert plan.base_side == math.sqrt(plan.margin)
 
 
-def test_pair_sides_square_by_python_pow():
-    # numpy's x * x and Python's x ** 2 (libm pow) round a few doubles
-    # apart; the plan squares as the reference, and the certificates, do
-    rng = np.random.default_rng(8)
-    xs = [x for x in rng.uniform(0.95, 1.0, 20000).tolist() if x * x != x**2][:5]
-    for x in xs:
-        a = np.array([[0.0, 1.0, x], [1.0, 0.0, 1.0], [x, 1.0, 0.0]])
-        assert realization_plan(a).cuts == reference_plan(a)[0]
+@st.composite
+def almost_regular_matrices(draw):
+    """A random almost-regular squared-distance matrix, n = 2..9, with C
+    in [1, 2), every deficit at most C/2 and their sum below C; ties with C
+    included."""
+    n = draw(st.integers(2, 9))
+    pairs = n * (n - 1) // 2
+    cmax = draw(st.floats(1.0, 2.0, exclude_max=True))
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=pairs, max_size=pairs))
+    slack = draw(st.floats(1e-6, 1.0, exclude_max=True))
+    total = sum(shares)
+    c = np.zeros((n, n))
+    for (i, j), share in zip(combinations(range(n), 2), shares):
+        c[i, j] = c[j, i] = cmax - (1.0 - slack) * cmax * share / max(total, 2.0)
+    c[0, 1] = c[1, 0] = cmax
+    return c
+
+
+# entries stay normal for 4**k scalings with C in [1, 2) down to every entry
+# above the smallest normal double, and up to a finite sum of magnitudes
+@settings(max_examples=60, deadline=None)
+@given(almost_regular_matrices(), st.data())
+def test_plan_covariant_under_scaling_by_powers_of_four(c, data):
+    plan = realization_plan(c)
+    lo, hi = math.frexp(float(c[c > 0].min()))[1], math.frexp(float(c.sum()))[1]
+    k = data.draw(st.integers((-1021 - lo) // 2 + 1, (1023 - hi) // 2 - 1), label="k")
+    scaled = c * 4.0**k
+    assert float(scaled[scaled > 0].min()) >= np.finfo(float).tiny
+    got = realization_plan(scaled)
+    assert got.margin == plan.margin * 4.0**k
+    assert [members for members, _ in got.cuts] == [members for members, _ in plan.cuts]
+    assert [side for _, side in got.cuts] == [side * 2.0**k for _, side in plan.cuts]
+    z, _ = realize_almost_regular(c)
+    n = c.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    np.testing.assert_allclose(squared_distances(z)[off], c[off], rtol=1e-12)

@@ -94,6 +94,26 @@ def test_embed_underflowing_error_budget_exits_1(tmp_path, capsys, n, decades):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n, decades, want", [(2, 158.0, 1), (2, 161.0, 1), (6, 157.5, 0)]
+)
+def test_embed_subnormal_squared_distances_never_exit_3(tmp_path, capsys, n, decades, want):
+    # squared distances below the smallest normal double that keep their
+    # rank: a certificate that fails its own check at them is refused by
+    # name with exit 1, and one that passes is written
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    pts = generate_points("random", n, seed=1) * 10.0**-decades
+    write_json(inp, {"points": pts.tolist()})
+    code, _, stderr = run(capsys, "embed", str(inp), str(out), "--quiet")
+    assert code == want, stderr
+    if want:
+        assert "squared distances are subnormal doubles" in stderr
+        assert not out.exists()
+    else:
+        assert run(capsys, "verify", str(out))[0] == 0
+
+
 def test_embed_subnormal_squared_distances_with_rank_still_embed(tmp_path, capsys):
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"

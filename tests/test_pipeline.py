@@ -269,25 +269,31 @@ def test_correction_matrix_is_almost_regular_every_run():
         dec = schoenberg_decompose(squared_distances(pts))
         de = product_embed(dec.base, dec.alpha**2 / n**2)
         corr_sq = de.per_pair_error + dec.alpha**2
-        corr = np.sqrt(np.where(np.eye(n, dtype=bool), 0.0, corr_sq))
-        np.fill_diagonal(corr, 0.0)
-        valid, margin = check_almost_regular(corr)
+        np.fill_diagonal(corr_sq, 0.0)
+        valid, margin = check_almost_regular(corr_sq)
         assert valid and margin > 0
 
 
 def test_correction_checked_once_per_embed(monkeypatch):
-    from torus_embed import almost_regular, pipeline
+    # the plan validates the correction once and takes its margin once
+    from torus_embed import almost_regular
 
-    margins = []
+    validations, margins = [], []
+    check, deficits = almost_regular.check_squared_distances, almost_regular._deficits
 
-    def counted(entries):
-        res = check_almost_regular(entries)
-        margins.append(res.margin)
+    def counted_check(sq, *args):
+        validations.append(sq)
+        return check(sq, *args)
+
+    def counted_deficits(sq):
+        res = deficits(sq)
+        margins.append(res[-1])
         return res
 
-    monkeypatch.setattr(almost_regular, "check_almost_regular", counted)
-    monkeypatch.setattr(pipeline, "check_almost_regular", counted)
+    monkeypatch.setattr(almost_regular, "check_squared_distances", counted_check)
+    monkeypatch.setattr(almost_regular, "_deficits", counted_deficits)
     cert = embed_simplex(generate_points("random", 6, seed=4))
+    assert len(validations) == 1
     assert len(margins) == 1
     assert cert.parameters["correction_margin"] == margins[0]
 
@@ -332,6 +338,23 @@ def test_correction_not_almost_regular_is_verification_failure(monkeypatch):
         return dataclasses.replace(de, per_pair_error=err)
 
     monkeypatch.setattr(pipeline, "product_embed", skewed)
+    with pytest.raises(VerificationFailed, match=r"^correction matrix is not almost regular \("):
+        embed_simplex(regular_simplex(3, 1.0))
+
+
+@pytest.mark.parametrize("shortfall", [1.0, 1.5], ids=["zero", "negative"])
+def test_correction_losing_positivity_is_verification_failure(monkeypatch, shortfall):
+    from torus_embed import pipeline
+
+    def short(points, delta):
+        # one pair's error takes the whole increment alpha^2, or more: the
+        # plan refuses the entry, and the embed reports it as a failed build
+        de = product_embed(points, delta)
+        err = de.per_pair_error.copy()
+        err[0, 1] = err[1, 0] = -shortfall * 9 * delta
+        return dataclasses.replace(de, per_pair_error=err)
+
+    monkeypatch.setattr(pipeline, "product_embed", short)
     with pytest.raises(VerificationFailed, match=r"^correction matrix is not almost regular \("):
         embed_simplex(regular_simplex(3, 1.0))
 
