@@ -83,12 +83,12 @@ def _read_certificate(path):
 
 def _cmd_embed(args) -> int:
     tol = _resolve_tolerance(args.tolerance)
-    embed, data = _load_input(args.input)
     cfg = PipelineConfig(
         accept_tol=tol,
         alpha_fraction=args.alpha_fraction,
         uniform_m=args.uniform_m,
     )
+    embed, data = _load_input(args.input)
     cert = embed(data, cfg)
     try:
         save_certificate(cert, args.output)

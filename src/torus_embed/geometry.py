@@ -129,14 +129,15 @@ def _zero_floor(w, tol: float) -> float:
     return floor
 
 
-def simplex_spectrum(gram, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues of the centered Gram of n points, after the
-    Euclidean rule and the rank rule, which raises NotSimplex unless exactly
-    n - 1 of them exceed tol * lambda_max."""
-    w = np.linalg.eigvalsh(gram)
+def simplex_spectrum(gram, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and matching eigenvectors (columns) of the
+    centered Gram of n points, after the Euclidean rule and the rank rule,
+    which raises NotSimplex unless exactly n - 1 of them exceed
+    tol * lambda_max. The first pair is then the centering mode."""
+    w, v = np.linalg.eigh(gram)
     if np.count_nonzero(w > _zero_floor(w, tol)) != len(w) - 1:
         raise NotSimplex("points are not affinely independent at the working tolerance")
-    return w
+    return w, v
 
 
 def is_simplex(points, tol: float = DEFAULT_TOL) -> bool:

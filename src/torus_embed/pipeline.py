@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# check_almost_regular and is_simplex are unused here, but bench/spans.py
-# patches them here
+# check_almost_regular, is_simplex and realize are unused here, but
+# bench/spans.py patches them here
 from .almost_regular import check_almost_regular, embed_almost_regular, realization_plan
 from .certificate import VERSION, EmbeddingCertificate
 from .delta_embed import product_embed
@@ -72,9 +72,17 @@ class ExpansionDecomposition:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Options of one embed, checked when made: a NaN, negative or infinite
+    accept_tol, or an alpha_fraction outside (0, 2), is refused (InputError)
+    before any construction."""
+
     accept_tol: float = DEFAULT_ACCEPT_TOL
     alpha_fraction: float = 1.0
     uniform_m: bool = False
+
+    def __post_init__(self):
+        _check_tolerance(self.accept_tol)
+        _check_alpha_fraction(self.alpha_fraction)
 
 
 @dataclass(frozen=True)
@@ -94,21 +102,28 @@ def schoenberg_decompose(
     whose squared distances are uniformly alpha^2 smaller.
 
     Subtracting alpha^2 from every off-diagonal squared distance shifts each
-    centered-Gram eigenvalue (off the centering mode) down by alpha^2/2, so
-    any alpha^2 below twice the smallest such eigenvalue keeps the base
-    realizable. alpha^2 = alpha_fraction * lambda_min, default exactly
-    lambda_min, which leaves the base well conditioned.
+    centered-Gram eigenvalue (off the centering mode) down by alpha^2/2 and
+    keeps every eigenvector, so any alpha^2 below twice the smallest such
+    eigenvalue keeps the base realizable. alpha^2 = alpha_fraction *
+    lambda_min, default exactly lambda_min, which leaves the base well
+    conditioned.
+
+    One eigendecomposition decides it all: `simplex_spectrum` applies the
+    Euclidean and rank rules, its lambda_min gives alpha^2, and its
+    eigenvectors, scaled by the square roots of the shifted eigenvalues
+    lambda_i - alpha^2/2 >= (1 - alpha_fraction/2) * lambda_min > 0, are the
+    base's n - 1 coordinates in decreasing eigenvalue order. There is no
+    second rank decision, so no base axis can drop. An alpha_fraction
+    outside (0, 2) is refused (InputError) before anything else.
     """
+    _check_alpha_fraction(alpha_fraction)
     g = centered_gram(sq)
-    n = g.shape[0]
-    if n < 2:
+    if g.shape[0] < 2:
         raise TrivialInput("decomposition needs at least two points")
-    if not 0.0 < alpha_fraction < 2.0:
-        raise InputError(f"alpha_fraction must lie in (0, 2), got {alpha_fraction!r}")
-    lam_min = float(simplex_spectrum(g, tol)[1])  # [0] is the centering mode
+    w, v = simplex_spectrum(g, tol)  # w[0], v[:, 0] are the centering mode
+    lam_min = float(w[1])
     alpha_sq = alpha_fraction * lam_min
-    centering = np.eye(n) - 1.0 / n
-    base = realize(g - 0.5 * alpha_sq * centering, tol)
+    base = v[:, :0:-1] * np.sqrt(w[:0:-1] - 0.5 * alpha_sq)
     return ExpansionDecomposition(base, math.sqrt(alpha_sq), lam_min)
 
 
@@ -117,7 +132,6 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
     lose their rank only because two distinct points are nearer than the
     smallest normal double allows are refused with InputError."""
     cfg = cfg or PipelineConfig()
-    _check_tolerance(cfg.accept_tol)
     arr = as_point_array(points)
     sq = squared_distances(arr)
     try:
@@ -139,11 +153,10 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     the built certificate does not pass its own verification at
     cfg.accept_tol. A certificate that fails there on a matrix with
     subnormal off-diagonal entries is refused as InputError, naming them:
-    those entries keep too few bits for the check. A NaN, negative or
-    infinite cfg.accept_tol is refused (InputError) before any construction.
+    those entries keep too few bits for the check. `PipelineConfig` has
+    refused bad options before any construction.
     """
     cfg = cfg or PipelineConfig()
-    _check_tolerance(cfg.accept_tol)
     input_sq = check_squared_distances(sq)
     n = input_sq.shape[0]
     dec = schoenberg_decompose(input_sq, DEFAULT_TOL, cfg.alpha_fraction)
@@ -220,6 +233,11 @@ def _check_tolerance(tol) -> float:
     if not 0.0 <= tol < math.inf:
         raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
     return tol
+
+
+def _check_alpha_fraction(alpha_fraction) -> None:
+    if not 0.0 < alpha_fraction < 2.0:
+        raise InputError(f"alpha_fraction must lie in (0, 2), got {alpha_fraction!r}")
 
 
 def _check_structure(cert: EmbeddingCertificate) -> int:

@@ -289,10 +289,28 @@ def test_embed_uniform_m_flag(tmp_path, capsys):
 
 
 def test_embed_alpha_fraction_out_of_range_exits_1(tmp_path, capsys):
+    # one point is no simplex (exit 2), but the bad option is refused first
     inp = tmp_path / "in.json"
-    write_json(inp, {"points": [[0.0], [1.0]]})
-    code, _, _ = run(capsys, "embed", str(inp), str(tmp_path / "c.json"), "--alpha-fraction", "2.5")
-    assert code == 1
+    for points, fraction in (([[0.0], [1.0]], "2.5"), ([[0.0, 1.0]], "3")):
+        write_json(inp, {"points": points})
+        code, _, stderr = run(capsys, "embed", str(inp), str(tmp_path / "c.json"),
+                              "--alpha-fraction", fraction)
+        assert code == 1
+        assert "alpha_fraction" in stderr
+        assert not (tmp_path / "c.json").exists()
+
+
+def test_embed_flattened_simplex_near_rank_tolerance(tmp_path, capsys):
+    # `gen random 4 --seed 1` with its last coordinate scaled by 3e-4: its
+    # Gram spectrum sits just above the rank tolerance, and it embeds tightly
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    assert main(["gen", "random", "4", "--seed", "1", "-o", str(inp)]) == 0
+    pts = json.loads(inp.read_text())["points"]
+    write_json(inp, {"points": [row[:-1] + [row[-1] * 3e-4] for row in pts]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    assert load_certificate(out).errors["max_rel"] <= 1e-12
+    assert run(capsys, "verify", str(out), "--tolerance", "1e-12")[0] == 0
 
 
 def test_verify_tampered_certificate_exits_3(tmp_path, capsys):

@@ -26,7 +26,6 @@ from torus_embed import (
     embed_simplex,
     generate_points,
     product_embed,
-    realize,
     regular_simplex,
     schoenberg_decompose,
     squared_distances,
@@ -77,18 +76,20 @@ def reference_report(cert, tol):
 
 
 def reference_schoenberg_decompose(points, tol=1e-9, alpha_fraction=1.0):
-    """The points front end that the one-spectrum decomposition of the
-    matrix replaced, kept as its reference: the rank test on a spectrum of
-    its own, the spectrum again for lambda_min, then the base."""
+    """The decomposition written out plainly on one eigendecomposition of
+    the points' centered Gram: the rank rule, alpha^2 from lambda_min, then
+    the base one eigenvector at a time, in decreasing eigenvalue order, each
+    scaled by the square root of its eigenvalue less alpha^2/2."""
     arr = np.asarray(points, dtype=float)
     n = arr.shape[0]
-    w = np.linalg.eigvalsh(centered_gram(squared_distances(arr)))
+    w, v = np.linalg.eigh(centered_gram(squared_distances(arr)))
     if np.count_nonzero(w > tol * max(float(w[-1]), 0.0)) != n - 1:
         raise NotSimplex("points are not affinely independent at the working tolerance")
-    g = centered_gram(squared_distances(arr))
-    lam_min = float(np.linalg.eigvalsh(g)[1])
+    lam_min = float(w[1])
     alpha_sq = alpha_fraction * lam_min
-    base = realize(g - 0.5 * alpha_sq * (np.eye(n) - 1.0 / n), tol)
+    base = np.column_stack(
+        [v[:, k] * math.sqrt(w[k] - 0.5 * alpha_sq) for k in range(n - 1, 0, -1)]
+    )
     return math.sqrt(alpha_sq), lam_min, base
 
 
@@ -139,11 +140,58 @@ def test_decompose_single_point_raises():
 
 
 def test_decompose_alpha_fraction_range():
-    pts = regular_simplex(3, 1.0)
-    with pytest.raises(InputError):
-        schoenberg_decompose(squared_distances(pts), alpha_fraction=0.0)
-    with pytest.raises(InputError):
-        schoenberg_decompose(squared_distances(pts), alpha_fraction=2.0)
+    # refused before any construction: one point would otherwise raise
+    # TrivialInput first
+    for fraction in (0.0, 2.0, 3.0, -1.0, math.nan):
+        with pytest.raises(InputError, match="alpha_fraction"):
+            PipelineConfig(alpha_fraction=fraction)
+        for pts in (regular_simplex(3, 1.0), [[1.0, 2.0]]):
+            with pytest.raises(InputError, match="alpha_fraction"):
+                schoenberg_decompose(squared_distances(pts), alpha_fraction=fraction)
+
+
+def flattened_random(n, seed, factor):
+    """`gen random n --seed seed` with its last coordinate axis scaled by factor."""
+    pts = np.asarray(generate_points("random", n, seed=seed))
+    pts[:, -1] *= factor
+    return pts
+
+
+def gram_ratio(pts):
+    w = np.linalg.eigvalsh(centered_gram(squared_distances(pts)))
+    return w[1] / w[-1]
+
+
+def test_flattened_simplex_keeps_every_base_axis():
+    # lambda_min / lambda_max lies just above the rank tolerance 1e-9: the
+    # simplex is accepted, and the base built from that same spectrum keeps
+    # all n - 1 axes, so the certificate is tight
+    pts = flattened_random(4, 1, 3e-4)
+    assert 1e-9 < gram_ratio(pts) < 2e-9
+    assert schoenberg_decompose(squared_distances(pts)).base.shape == (4, 3)
+    cert = embed_simplex(pts)
+    assert cert.errors["max_rel"] <= 1e-12
+    assert verify_certificate(cert, 1e-12).passed
+
+
+def test_conditioning_sweep_embeds_tightly_or_refuses():
+    # flattening one axis walks lambda_min / lambda_max down through the
+    # rank tolerance: each input embeds tightly or is refused as NotSimplex,
+    # never VerificationFailed
+    embedded = refused = near_tolerance = 0
+    for n in (4, 6, 8):
+        for seed in range(3):
+            for factor in np.logspace(0, -8, 81):
+                pts = flattened_random(n, seed, factor)
+                try:
+                    cert = embed_simplex(pts)
+                except NotSimplex:
+                    refused += 1
+                    continue
+                assert cert.errors["max_rel"] <= 1e-12, (n, seed, factor)
+                embedded += 1
+                near_tolerance += gram_ratio(pts) < 2e-9
+    assert embedded and refused and near_tolerance >= 10
 
 
 def test_decompose_reconstructs_input_distances():
@@ -298,31 +346,33 @@ def test_correction_checked_once_per_embed(monkeypatch):
     assert cert.parameters["correction_margin"] == margins[0]
 
 
-def test_input_read_once_and_decomposed_twice_per_embed(monkeypatch):
-    # one pass of squared_distances over the input, one spectrum for the
-    # simplex rules and alpha, one eigenbasis for the base
+def test_input_read_once_and_decomposed_once_per_embed(monkeypatch):
+    # one pass of squared_distances over the input, and one eigendecomposition
+    # for the simplex rules, alpha and the base
     from torus_embed import geometry, pipeline
 
     pts = generate_points("random", 6, seed=4)
-    calls = {"input": 0, "eig": 0}
+    calls = {"input": 0, "eigh": 0, "eigvalsh": 0}
 
     def counted_distances(points):
         calls["input"] += np.array_equal(np.asarray(points), pts)
         return squared_distances(points)
 
-    def counted(fn):
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
         def wrapper(*args, **kwargs):
-            calls["eig"] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(np.linalg, name, wrapper)
 
     monkeypatch.setattr(geometry, "squared_distances", counted_distances)
     monkeypatch.setattr(pipeline, "squared_distances", counted_distances)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    counted("eigvalsh")
+    counted("eigh")
     embed_simplex(pts)
-    assert calls == {"input": 1, "eig": 2}
+    assert calls == {"input": 1, "eigh": 1, "eigvalsh": 0}
 
 
 def test_correction_not_almost_regular_is_verification_failure(monkeypatch):
