@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InputError, NotAlmostRegular
 from .geometry import check_squared_distances
-from .simplex import circumradius_for_side, embed_regular_simplex
+from .simplex import _unit_side, embed_regular_simplex
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
 _ROOT_HALF = math.sqrt(0.5)
@@ -154,12 +154,13 @@ def embed_almost_regular(sq, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
     RealizationPlan already made from one. Each cut of `plan.cuts` becomes
     one m-gon with the cut's side; the cut's points sit on vertex 1 and all
     others on vertex 0, so pairwise squared distances match the matrix.
+    Each radius is side / _unit_side(m), as `circumradius_for_side` has it,
+    with the unit side computed once.
     """
     plan = sq if isinstance(sq, RealizationPlan) else realization_plan(sq)
     if plan.n_points == 1:
         return embed_regular_simplex(1, 1.0, m)
-    spec = TorusSpec(
-        tuple(PolygonSpec(m, circumradius_for_side(m, side)) for _, side in plan.cuts)
-    )
+    unit = _unit_side(m)
+    spec = TorusSpec(tuple(PolygonSpec(m, side / unit) for _, side in plan.cuts))
     points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(plan).tolist()]
     return spec, points

@@ -152,16 +152,33 @@ def _inspect_summary(cert) -> dict:
         "alpha": _json_provenance(cert.parameters.get("alpha")),
         "scale_exponent": _json_provenance(cert.parameters.get("scale_exponent")),
         "delta": _json_provenance(cert.parameters.get("delta")),
-        "errors": {k: _json_provenance(v) for k, v in cert.errors.items()},
+        "errors": _json_provenance(cert.errors),
     }
 
 
 def _json_provenance(value):
-    # json.loads accepts NaN and Infinity, canonical JSON refuses them: show
-    # such a value as the text mode does ("nan", "inf")
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    return value
+    """The value with every non-finite float, at any depth, written as the
+    text mode shows it ("nan", "inf", "-inf"): json.loads accepts NaN and
+    Infinity, canonical JSON refuses them. Copied with an explicit stack, so
+    any depth that json.loads reads is walked."""
+    pending = []  # (source container, its copy still to fill)
+
+    def copy(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return str(v)
+        if isinstance(v, (list, dict)):
+            pending.append((v, type(v)()))
+            return pending[-1][1]
+        return v
+
+    root = copy(value)
+    while pending:
+        src, dst = pending.pop()
+        if isinstance(src, list):
+            dst.extend([copy(v) for v in src])
+        else:
+            dst.update([(k, copy(v)) for k, v in src.items()])
+    return root
 
 
 def _provenance(value, spec: str) -> str:

@@ -3,15 +3,16 @@ polygons, with an explicit per-pair squared-distance error budget.
 
 Every coordinate column, translated to start at 0, is snapped onto a tiny
 arc of one large polygon. The translation, the spans and gaps, the
-subdivision count and the vertex indices are exact integer arithmetic on the
-floats' integer ratios (`float.as_integer_ratio`). The radius r is a float,
+subdivision count and the vertex indices are exact integer arithmetic on
+integer columns, unpacked once from the floats' integer ratios
+(`_exact_columns`). The radius r is a float,
 and the analysis below takes it exactly as written. Floats otherwise enter
 only through the chord evaluations and the error report, which measure the
 result.
 
 The grid. Work in units of 2**e: values and radius are divided by 2**e, and
 the column budget B = delta / #columns by 4**e. The construction is scale
-covariant, so e is free; `_scale_exponent` takes it where n is smallest. n0
+covariant, so e is free; `_choose_grid` takes it where n is smallest. n0
 is the least integer with every gap of every column in [1/n0, n0], so every
 column spans at most n0. The polygon has m = n**3 vertices and radius
 r = fl(n0*n / (2*pi)), so one step's arc is s = 2*pi*r/m = h*(1 + eta) with
@@ -45,7 +46,7 @@ the radius as written. Every term falls as 1/n**2, so n is about
 2.3 n0 / sqrt(B), and polygon orders stay near 40 bits on well-spread
 inputs. n > n0 (so n >= 2) keeps the step below the smallest gap despite
 r's rounding, s~ < s < h*(1 + 2**-50) <= n0*(1 + 2**-50) / (n0 + 1)**2 < 1/n0,
-so distinct values of a column get distinct vertices.
+so distinct values of a column get distinct vertices, at any budget.
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ class DeltaParams:
 
 @dataclass(frozen=True)
 class DeltaEmbedding:
-    """An injective vertex assignment with bounded squared-distance error."""
+    """A vertex assignment with bounded squared-distance error, injective by
+    the grid alone (n > n0, module docstring) at any budget."""
 
     torus: TorusSpec
     assignment: tuple[TorusPoint, ...]
-    delta: float  # error budget actually enforced (may be tighter than requested)
+    delta: float  # the error budget as requested
     per_pair_error: np.ndarray  # input squared distance minus torus squared distance
     params: DeltaParams
     dropped_axes: tuple[int, ...] = ()
@@ -121,21 +123,15 @@ def _span_and_gap(nums: list[int]) -> tuple[int, int]:
     return vals[-1], min(b - a for a, b in zip(vals, vals[1:]))
 
 
-def _gap_bound(span, gap, e: int) -> int:
+def _gap_bound(span: int, gap: int, e: int) -> int:
     """Smallest integer b with every pairwise gap inside [2**e/b, b*2**e],
-    for values of the given span and smallest gap (floats or ints). Exact:
-    both ceilings are integer ceilings on the span's and the gap's integer
-    ratios shifted by e, never rounded float quotients."""
-    span_p, span_q = span.as_integer_ratio()
-    gap_p, gap_q = gap.as_integer_ratio()
-    if e >= 0:
-        span_q <<= e
-        gap_q <<= e
-    else:
-        span_p <<= -e
-        gap_p <<= -e
+    for integer values of the given span and smallest gap (so span >= gap
+    >= 1). Exact: both ceilings are integer ceilings, and below e = 0 every
+    gap is already at least 2**e."""
+    if e < 0:
+        return span << -e
     # ceil(a / b) = -(-a // b) for b > 0: span / 2**e, then 2**e / gap
-    return max(1, -(-span_p // span_q), -(-gap_q // gap_p))
+    return max(-(-span >> e), -(-(1 << e) // gap))
 
 
 def _unit_budget(budget: tuple[int, int], e: int) -> tuple[int, int]:
@@ -178,16 +174,15 @@ def _pi_bounds(bits: int) -> tuple[int, int]:
     return (approx - err) >> guard, -(-(approx + err) >> guard)
 
 
-def _subdivisions(n0: int, budget: tuple[int, int], e: int) -> int:
+def _subdivisions(n0: int, budget: tuple[int, int], e: int, bits: int) -> int:
     """The least n > n0 with F(n) < (63/64) * B (module docstring)
     for the column budget, a (numerator, denominator) pair, with B the budget
-    times 4**-e and pi at the upper end of its enclosure.
+    times 4**-e and pi at the upper end of its enclosure at `bits`.
 
     F falls in n, so the least n is found by stepping from the estimate that
     drops F's terms in 1/n**2, which is within a few steps of it.
     """
     num, den = _unit_budget(budget, e)
-    bits = _pi_bits(n0, budget, e)
     pi_hi = _pi_bounds(bits)[1]
     pi_sq, one = pi_hi * pi_hi, 1 << 2 * bits  # pi**2 < pi_sq / one
 
@@ -206,15 +201,20 @@ def _subdivisions(n0: int, budget: tuple[int, int], e: int) -> int:
     return n
 
 
-def _scale_exponent(span: int, gap: int, shift: int, budget: tuple[int, int]) -> int:
-    """The grid's unit exponent e for columns of the given largest span and
-    smallest gap, both in units of 2**-shift: of e0 - 1, e0 and e0 + 1 around
-    the balance point e0 of the two, the first with the fewest subdivisions."""
+def _choose_grid(
+    span: int, gap: int, shift: int, budget: tuple[int, int]
+) -> tuple[int, int, int, int]:
+    """The grid (n, e, n0, bits) for columns of the given largest span and
+    smallest gap, both in units of 2**-shift: of the unit exponents e0 - 1,
+    e0 and e0 + 1 around the balance point e0 of the two, the first with the
+    fewest subdivisions n, each grid evaluated once."""
     e0 = (span.bit_length() + gap.bit_length()) // 2 - shift
-    return min(
-        (e0 - 1, e0, e0 + 1),
-        key=lambda e: _subdivisions(_gap_bound(span, gap, e + shift), budget, e),
-    )
+    grids = []
+    for e in (e0 - 1, e0, e0 + 1):
+        n0 = _gap_bound(span, gap, e + shift)
+        bits = _pi_bits(n0, budget, e)
+        grids.append((_subdivisions(n0, budget, e, bits), e, n0, bits))
+    return min(grids)  # ties in n go to the smaller e, which comes first
 
 
 def _grid_params(n0: int, n: int, e: int) -> DeltaParams:
@@ -229,12 +229,10 @@ def _grid_params(n0: int, n: int, e: int) -> DeltaParams:
     return DeltaParams(n0, n, n**3, r, e)
 
 
-def _vertex_index(value, num: int, den: int) -> int:
-    """floor(value * num / den) for num, den > 0, exact on the value's
-    integer ratio p/q: floor(p * num / (q * den)). Values on a cell
-    boundary resolve by the floor."""
-    p, q = value.as_integer_ratio()
-    return p * num // (q * den)
+def _vertex_index(value: int, num: int, den: int) -> int:
+    """floor(value * num / den) for an integer value and num, den > 0.
+    Values on a cell boundary resolve by the floor."""
+    return value * num // den
 
 
 def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped=()) -> DeltaEmbedding:
@@ -248,10 +246,8 @@ def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped=()) -> DeltaEm
     gap = min(g for _, g in extents)
     delta_p, delta_q = delta.as_integer_ratio()
     budget = (delta_p, delta_q * len(nums))
-    e = _scale_exponent(span, gap, shift, budget)
-    n0 = _gap_bound(span, gap, e + shift)
-    p = _grid_params(n0, _subdivisions(n0, budget, e), e)
-    bits = _pi_bits(n0, budget, e)
+    n, e, n0, bits = _choose_grid(span, gap, shift, budget)
+    p = _grid_params(n0, n, e)
     # value t = T / 2**shift goes to floor(t * m / (2 pi~ r)), pi~ = lo / 2**bits
     r_p, r_q = p.r.as_integer_ratio()
     num = (p.m * r_q) << bits
@@ -273,7 +269,7 @@ def one_dim_embed(xs, delta) -> DeltaEmbedding:
 
     Values are translated exactly to start at 0 and snapped to the vertices
     of steps 2*pi*r/m, cells of about n0*2**e/n**2; every pairwise squared
-    distance is distorted by less than delta, which is never shrunk.
+    distance is distorted by less than delta.
     """
     delta = _check_budget(delta)
     vals = np.asarray(xs, dtype=float).ravel()
@@ -296,9 +292,10 @@ def product_embed(points, delta) -> DeltaEmbedding:
     span and smallest gap and a per-coordinate budget of exactly
     delta / #factors. Points may share values along an axis.
 
-    If delta is not below the smallest pairwise squared distance it is
-    first shrunk to half of it, so the error bound itself certifies that
-    the assignment is injective.
+    The assignment is injective at any budget: distinct points differ on
+    some kept axis, and on each axis the grid's step is below the smallest
+    gap (n > n0, module docstring), so delta is kept as requested even
+    when it exceeds the smallest squared distance.
     """
     delta = _check_budget(delta)
     arr = as_point_array(points)
@@ -306,13 +303,8 @@ def product_embed(points, delta) -> DeltaEmbedding:
     if npts < 2:
         raise TrivialInput("need at least two points")
     d2 = squared_distances(arr)
-    min_sq = float(d2[~np.eye(npts, dtype=bool)].min())
-    if min_sq <= 0.0:
+    if not d2[~np.eye(npts, dtype=bool)].min() > 0.0:
         raise InputError("points are not pairwise distinct")
-    if delta >= min_sq:
-        delta = 0.5 * min_sq
-        if delta == 0.0:
-            raise InputError("half the smallest squared distance underflows a double")
     kept = [c for c in range(arr.shape[1]) if np.any(arr[:, c] != arr[0, c])]
     dropped = tuple(c for c in range(arr.shape[1]) if c not in kept)
     # distinct points must differ somewhere, so at least one axis survives

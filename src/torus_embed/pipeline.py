@@ -178,10 +178,10 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
         raise VerificationFailed(f"correction matrix is not almost regular ({exc})") from None
     # the bound the whole analysis rests on, |e_ij| < delta, checked as met
     base_error = float(np.abs(de.per_pair_error).max())
-    if not base_error < de.delta:
+    if not base_error < delta:
         raise VerificationFailed(
             f"base embedding error {base_error:.6e} is not below its budget "
-            f"delta = {de.delta:.6e}"
+            f"delta = {delta:.6e}"
         )
     correction_m = de.params.m if cfg.uniform_m else CORRECTION_ORDER
     corr_torus, corr_points = embed_almost_regular(plan, correction_m)
@@ -194,7 +194,7 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     parameters = {
         "alpha": dec.alpha,
         "alpha_fraction": cfg.alpha_fraction,
-        "delta": de.delta,
+        "delta": delta,
         "n0": str(de.params.n0),
         "n": str(de.params.n),
         "m": str(de.params.m),

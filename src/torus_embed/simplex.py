@@ -30,13 +30,19 @@ def regular_simplex(n: int, side: float) -> np.ndarray:
     return (side / math.sqrt(2.0)) * basis.T
 
 
-def circumradius_for_side(m: int, side: float) -> float:
-    """Circumradius for which the regular m-gon has the given side length."""
+def _unit_side(m: int) -> float:
+    """Side length of the regular m-gon of circumradius 1."""
     if not isinstance(m, int) or m < 2:
         raise InputError(f"polygon order must be an integer >= 2, got {m!r}")
+    return chord(m, 1.0, 1)
+
+
+def circumradius_for_side(m: int, side: float) -> float:
+    """Circumradius for which the regular m-gon has the given side length."""
+    unit = _unit_side(m)
     if not (math.isfinite(side) and side > 0):
         raise InputError(f"side length must be positive and finite, got {side!r}")
-    return side / chord(m, 1.0, 1)
+    return side / unit
 
 
 def embed_regular_simplex(

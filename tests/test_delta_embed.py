@@ -255,13 +255,17 @@ def test_params_gap_bound_dominated_by_span():
     p = one_dim_params([0.0, 0.5, 10.0], 0.5)
     assert p.n0 == math.ceil(10 / 2**p.e)  # span 10 / 2**e beats 2**e / min_gap
     assert math.ceil(10 / 2**p.e) > math.ceil(2**p.e / 0.5)
-    assert _gap_bound(10.0, 0.5, 0) == 10  # unit grid: span 10 beats 1/min_gap = 2
+    # unit grid, in halves (span 20, gap 1, e = 0 + shift 1): span 10 beats
+    # 1/min_gap = 2
+    assert _gap_bound(20, 1, 1) == 10
 
 
 def test_params_gap_bound_dominated_by_min_gap():
     p = one_dim_params([0.0, 0.125, 1.0], 0.5)
     assert p.n0 == max(math.ceil(1 / 2**p.e), math.ceil(2**p.e / 0.125))
-    assert _gap_bound(1.0, 0.125, 0) == 8  # unit grid: 1/min_gap = 8 beats span 1
+    # unit grid, in eighths (span 8, gap 1, e = 0 + shift 3): 1/min_gap = 8
+    # beats span 1
+    assert _gap_bound(8, 1, 3) == 8
 
 
 def test_params_errors():
@@ -356,7 +360,7 @@ def test_halving_delta_never_hurts():
 
 def test_product_of_one_reduces_to_one_dim():
     xs = [0.0, 0.31, 0.75]
-    delta = 1e-3  # below the minimal squared distance, so no internal shrink
+    delta = 1e-3
     de1 = one_dim_embed(xs, delta)
     dek = product_embed([[x] for x in xs], delta)
     assert dek.params == de1.params
@@ -383,14 +387,15 @@ def test_product_constant_axis_dropped():
     assert np.abs(de.per_pair_error[off]).max() < 1e-2
 
 
-def test_product_injectivity_shrink():
+def test_product_keeps_budget_above_smallest_distance():
+    # the budget exceeds every squared distance (0.01 and 0.02); the grid
+    # alone keeps the assignment injective, so the budget is kept as given
     pts = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]]
-    d2 = squared_distances(pts)
-    min_sq = d2[~np.eye(3, dtype=bool)].min()
-    de = product_embed(pts, 1.0)  # requested budget exceeds min squared distance
-    assert de.delta == pytest.approx(0.5 * min_sq, rel=1e-15)
-    assert np.abs(de.per_pair_error[~np.eye(3, dtype=bool)]).max() < de.delta
+    de = product_embed(pts, 1.0)
+    assert de.delta == 1.0
+    assert np.abs(de.per_pair_error[~np.eye(3, dtype=bool)]).max() < 1.0
     assert len(set(de.assignment)) == 3
+    check_exact_errors_below_budget(de, np.array(pts).T.tolist())
 
 
 def test_product_half_budgets_per_coordinate():
@@ -461,18 +466,25 @@ BIG = st.one_of(st.integers(1, 64), st.integers(1, 2**2000))
 EXPONENTS = st.one_of(st.just(0), st.integers(-64, 64), st.integers(-1100, 1100))
 
 
+# integer column entries, as `_exact_columns` writes them: 0, small ones, a
+# double's 53 bits and the ~2,100 bits of a column spanning the double range
+GRID_INTS = st.one_of(
+    st.just(0), st.integers(0, 64), st.integers(0, 2**53), st.integers(0, 2**2100)
+)
+
+
 def around(value):
-    """value and the doubles on either side of it."""
-    return (float(np.nextafter(value, -math.inf)), value, float(np.nextafter(value, math.inf)))
+    """value and the nonnegative integers on either side of it."""
+    return range(max(value - 1, 0), value + 2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(GRID_VALUES | st.floats(allow_nan=False, allow_infinity=False), BIG, BIG, EXPONENTS)
-@example(0.0, 1, 1, 0)
-@example(5e-324, 1, 2**2000, 0)
-@example(float(np.finfo(float).max), 2**2000, 2**2000, 0)
-@example(5e-324, 1, 2**2000, -1100)
-@example(float(np.finfo(float).max), 1, 2**2000, 1100)
+@given(GRID_INTS, BIG, BIG, EXPONENTS)
+@example(0, 1, 1, 0)
+@example(1, 1, 2**2000, 0)
+@example(2**2100, 2**2000, 2**2000, 0)
+@example(1, 1, 2**2000, -1100)
+@example(2**2100, 1, 2**2000, 1100)
 def test_vertex_index_matches_fraction_reference(value, n0, n, e):
     ratio = grid_ratio(n0, n, e)
     assert _vertex_index(value, *ratio) == fraction_vertex_index(value, *ratio)
@@ -480,15 +492,15 @@ def test_vertex_index_matches_fraction_reference(value, n0, n, e):
 
 @st.composite
 def exact_boundaries(draw):
-    """(j, value, n0, n, u) with value = j * n0 * 2**u / n**2 held exactly
-    by a double: n = k * 2**s and n0 = k**2 * 2**(2s + e - u) give
+    """(j, value, n0, n, u) with the integer value = j * n0 * 2**u / n**2
+    exactly: n = k * 2**s and n0 = k**2 * 2**(2s + e - u) give
     value = j * 2**e."""
     k = draw(st.integers(1, 2**1000))
     s = draw(st.integers(0, 500))
-    e = draw(st.integers(max(-1074, -2 * s), 970))
+    e = draw(st.integers(0, 2100))
     u = draw(st.just(0) | st.integers(-1100, 2 * s + e))
     j = draw(st.integers(0, 2**53 - 1))
-    return j, math.ldexp(j, e), k * k * 2 ** (2 * s + e - u), k * 2**s, u
+    return j, j << e, k * k * 2 ** (2 * s + e - u), k * 2**s, u
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -504,13 +516,13 @@ def test_vertex_index_on_exact_grid_boundaries(case):
 
 @st.composite
 def near_boundaries(draw):
-    """(value, n0, n, u) with value the double nearest some
+    """(value, n0, n, u) with the integer value nearest some
     j * n0 * 2**u / n**2."""
     n0 = draw(st.integers(1, 2**1000) | st.integers(1, 64))
     n = draw(BIG)
     j = draw(st.integers(0, n * n))
-    u = draw(st.just(0) | st.integers(-1100, 20))
-    return float(Fraction(j * n0, n * n) * Fraction(2) ** u), n0, n, u
+    u = draw(st.just(0) | st.integers(-1100, 1100))
+    return round(Fraction(j * n0, n * n) * Fraction(2) ** u), n0, n, u
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -563,10 +575,20 @@ def test_integer_gridding_writes_the_fraction_bytes(monkeypatch, name):
     assert got == certificate_or_refusal(points, cfg)
 
 
-def unit_subdivisions(n0, budget, e):
+def unit_grid(gap_bound, subdivisions):
+    """A grid choice held at the unit exponent e = 0, built from the given
+    gap bound and subdivision count (n0, budget -> n)."""
+
+    def choose(span, gap, shift, budget):
+        n0 = gap_bound(span, gap, shift)
+        return subdivisions(n0, budget), 0, n0, _pi_bits(n0, budget, 0)
+
+    return choose
+
+
+def unit_subdivisions(n0, budget):
     """_subdivisions on the unit grid, by bisection against pi itself, kept
     as its reference."""
-    assert e == 0
     return reference_subdivisions(n0, Fraction(*budget))
 
 
@@ -583,12 +605,17 @@ def test_unit_exponent_writes_the_unit_grid_bytes(monkeypatch, name):
     # the unit grid is the e = 0 case: with the exponent held at 0, the
     # certificate is the one the unit grid's references write
     points, cfg = IDENTITY_INPUTS[name]
-    monkeypatch.setattr(delta_embed, "_scale_exponent", lambda span, gap, shift, budget: 0)
+
+    def subdivisions(n0, budget):
+        return _subdivisions(n0, budget, 0, _pi_bits(n0, budget, 0))
+
+    monkeypatch.setattr(delta_embed, "_choose_grid", unit_grid(_gap_bound, subdivisions))
     got = certificate_or_refusal(points, cfg)
     assert b'"scale_exponent":0,' in got
     monkeypatch.setattr(delta_embed, "_vertex_index", fraction_vertex_index)
-    monkeypatch.setattr(delta_embed, "_gap_bound", fraction_gap_bound)
-    monkeypatch.setattr(delta_embed, "_subdivisions", unit_subdivisions)
+    monkeypatch.setattr(
+        delta_embed, "_choose_grid", unit_grid(fraction_gap_bound, unit_subdivisions)
+    )
     monkeypatch.setattr(delta_embed, "_grid_params", unit_grid_params)
     assert got == certificate_or_refusal(points, cfg)
 
@@ -657,8 +684,8 @@ def test_subdivisions_is_minimal(n0, delta, columns, e):
     # it (or is below the floor), and the enclosure is fine enough for the
     # snap's pi slack to stay below B / 128
     budget = (delta.as_integer_ratio()[0], delta.as_integer_ratio()[1] * columns)
-    n = _subdivisions(n0, budget, e)
     bits = _pi_bits(n0, budget, e)
+    n = _subdivisions(n0, budget, e, bits)
     unit = Fraction(*_unit_budget(budget, e))
     assert unit == Fraction(delta) / columns / Fraction(4) ** e
     assert 2**bits >= 512 * n0**2 / unit
@@ -715,9 +742,28 @@ def test_base_error_enclosed_below_budget(npts, count, extreme):
                     assert err < cap.a and err < bound.a
 
 
-def test_product_shrunk_budget_underflow_refused():
-    # the squared distance is the smallest subnormal, and half of it is 0.0
+def test_product_embeds_where_half_the_smallest_squared_distance_underflows():
+    # the squared distance is the smallest subnormal, and half of it is 0.0;
+    # the grid keeps the pair apart at the budget as given
     x = 2.2227587494850775e-162
     assert x * x == 5e-324
-    with pytest.raises(InputError, match="underflows"):
-        product_embed([[0.0], [x]], 1.0)
+    de = product_embed([[0.0], [x]], 1.0)
+    assert de.delta == 1.0
+    assert de.assignment[0] != de.assignment[1]
+    assert np.abs(de.per_pair_error).max() < 1.0
+
+
+def test_one_grid_evaluation_per_candidate_exponent(monkeypatch):
+    # one product_embed evaluates each of its three candidate exponents once,
+    # and the snap takes the winner's n0, bits and n as chosen
+    calls = {"_gap_bound": 0, "_pi_bits": 0, "_subdivisions": 0}
+    for name in calls:
+        real = getattr(delta_embed, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(delta_embed, name, counted)
+    product_embed(generate_points("random", 8, seed=1), 1e-3)
+    assert calls == {"_gap_bound": 3, "_pi_bits": 3, "_subdivisions": 3}

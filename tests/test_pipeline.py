@@ -291,6 +291,20 @@ def test_embed_alpha_fraction_changes_alpha():
     assert verify_certificate(small, 1e-8).passed
 
 
+@pytest.mark.parametrize("fraction", [1.9, 1.95, 1.99, 1.999])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_budget_kept_where_it_exceeds_the_base_distances(n, fraction):
+    # a regular simplex's base squared distances are all (2 - f) lambda_min
+    # against the budget f lambda_min / n**2, so the budget reaches them once
+    # f >= 2 n**2 / (n**2 + 1): the grid alone keeps the base injective, and
+    # the certificate records the budget alpha**2 / n**2 as it was used
+    cert = embed_simplex(regular_simplex(n, 1.0), PipelineConfig(alpha_fraction=fraction))
+    alpha = cert.parameters["alpha"]
+    assert cert.parameters["delta"] == alpha**2 / n**2
+    assert cert.errors["max_rel"] <= 1e-12
+    assert verify_certificate(cert, 1e-12).passed
+
+
 def test_final_distance_identity():
     # chord sums over the concatenated torus split into the two parts
     pts = generate_points("random", 4, seed=2)
