@@ -21,13 +21,7 @@ from .certificate import (
     loads_certificate,
     save_certificate,
 )
-from .delta_embed import (
-    DeltaEmbedding,
-    DeltaParams,
-    one_dim_embed,
-    one_dim_params,
-    product_embed,
-)
+from .delta_embed import DeltaEmbedding, DeltaParams, product_embed
 from .errors import (
     InputError,
     InvalidCertificate,
@@ -101,8 +95,6 @@ __all__ = [
     "load_certificate",
     "loads_certificate",
     "materialize",
-    "one_dim_embed",
-    "one_dim_params",
     "pairwise_sq",
     "product_embed",
     "realization_plan",

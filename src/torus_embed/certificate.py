@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -43,10 +44,12 @@ import numpy as np
 from .errors import InputError, InvalidCertificate
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
-VERSION = "0.7.0"
+VERSION = "0.8.0"
 
 # the characters of canonical decimal integers joined by commas
 _DECIMAL_ROW_CHARS = re.compile(r"[0-9,-]*")
+# one canonical decimal integer
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 @dataclass
@@ -196,11 +199,15 @@ def _parse_big_int(text, field: str) -> int:
     if not isinstance(text, str):
         raise InvalidCertificate(f"{field} must be a decimal string", field=field)
     value = _canonical_ints([text])
-    if value is None:
-        raise InvalidCertificate(
-            f"{field} is not a canonical decimal integer: {text!r}", field=field
-        )
-    return value[0]
+    if value is not None:
+        return value[0]
+    if _CANONICAL_INT.fullmatch(text):  # canonical, so past the digit limit
+        why = f"has more digits than Python's limit of {sys.get_int_max_str_digits()} for an int"
+    else:
+        why = "is not a canonical decimal integer"
+    # a short prefix only: the value may run to megabytes
+    shown = repr(text[:20]) + (f"... ({len(text)} characters)" if len(text) > 20 else "")
+    raise InvalidCertificate(f"{field} {why}: {shown}", field=field)
 
 
 def _canonical_ints(items: list):

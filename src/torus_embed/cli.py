@@ -207,10 +207,10 @@ def _cmd_inspect(args) -> int:
         print(f"delta:             {_provenance(summary['delta'], '.6g')}")
     if summary["scale_exponent"] is not None:
         print(f"scale exponent:    {_provenance(summary['scale_exponent'], '')}")
-    if cert.errors:
+    if errors := summary["errors"]:
         print(
-            f"errors:            max_abs {_provenance(cert.errors.get('max_abs'), '.3e')}  "
-            f"max_rel {_provenance(cert.errors.get('max_rel'), '.3e')}"
+            f"errors:            max_abs {_provenance(errors.get('max_abs'), '.3e')}  "
+            f"max_rel {_provenance(errors.get('max_rel'), '.3e')}"
         )
     return 0
 

@@ -1,6 +1,10 @@
 """Approximate embeddings of finite point sets into products of huge regular
 polygons, with an explicit per-pair squared-distance error budget.
 
+`product_embed` is the one constructor. The paper proves its embedding
+lemma for a finite set of reals and applies it coordinate by coordinate;
+here a set of reals is a point set of one column.
+
 Every coordinate column, translated to start at 0, is snapped onto a tiny
 arc of one large polygon. The translation, the spans and gaps, the
 subdivision count and the vertex indices are exact integer arithmetic on
@@ -235,7 +239,7 @@ def _vertex_index(value: int, num: int, den: int) -> int:
     return value * num // den
 
 
-def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped=()) -> DeltaEmbedding:
+def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped: tuple) -> DeltaEmbedding:
     """Snap each column, translated exactly to start at 0, onto one polygon
     of a shared (m, r) at a budget of delta / #columns; per_pair_error is `d2`
     minus the torus distances. The grid's unit 2**e comes from the columns'
@@ -259,38 +263,18 @@ def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped=()) -> DeltaEm
     return DeltaEmbedding(torus, assignment, delta, per_pair, p, dropped)
 
 
-def one_dim_params(xs, delta) -> DeltaParams:
-    """Polygon parameters for embedding a set of reals at budget delta."""
-    return one_dim_embed(xs, delta).params
-
-
-def one_dim_embed(xs, delta) -> DeltaEmbedding:
-    """Embed a finite set of distinct reals into one large polygon.
-
-    Values are translated exactly to start at 0 and snapped to the vertices
-    of steps 2*pi*r/m, cells of about n0*2**e/n**2; every pairwise squared
-    distance is distorted by less than delta.
-    """
-    delta = _check_budget(delta)
-    vals = np.asarray(xs, dtype=float).ravel()
-    if not np.all(np.isfinite(vals)):
-        raise InputError("values contain non-finite entries")
-    if vals.size < 2:
-        raise TrivialInput("need at least two values")
-    if np.unique(vals).size < vals.size:
-        raise InputError("duplicate coordinate values")
-    col = vals.reshape(-1, 1)
-    return _snap(col, squared_distances(col), delta)
-
-
 def product_embed(points, delta) -> DeltaEmbedding:
     """Embed a finite point set into a product of identical large polygons.
 
-    One polygon factor per non-constant coordinate; constant coordinates
-    carry no distance information and are dropped (and recorded). All
-    factors share one (m, r) pair, derived from the coordinates' largest
-    span and smallest gap and a per-coordinate budget of exactly
-    delta / #factors. Points may share values along an axis.
+    The grid's only constructor: a set of reals is one column, so a 1-d
+    array is read as one point per value. One polygon factor per
+    non-constant coordinate; constant coordinates carry no distance
+    information and are dropped (and recorded). All factors share one
+    (m, r) pair, derived from the coordinates' largest span and smallest
+    gap and a per-coordinate budget of exactly delta / #factors. Points may
+    share values along an axis, but not all of them: equal rows are refused
+    (InputError), and so is a single point (TrivialInput). Distinct points
+    whose squared distance underflows to 0.0 are embedded.
 
     The assignment is injective at any budget: distinct points differ on
     some kept axis, and on each axis the grid's step is below the smallest
@@ -298,12 +282,18 @@ def product_embed(points, delta) -> DeltaEmbedding:
     when it exceeds the smallest squared distance.
     """
     delta = _check_budget(delta)
-    arr = as_point_array(points)
-    npts = arr.shape[0]
-    if npts < 2:
+    try:
+        arr = as_point_array(points)
+    except InputError:
+        if np.asarray(points, dtype=object).size:
+            raise
+        arr = np.empty((0, 1))  # no points at all: too few, as for one
+    if arr.shape[0] < 2:
         raise TrivialInput("need at least two points")
     d2 = squared_distances(arr)
-    if not d2[~np.eye(npts, dtype=bool)].min() > 0.0:
+    # rows are compared only where a squared distance is 0.0
+    i, j = np.nonzero(np.triu(d2 == 0.0, 1))
+    if np.any(np.all(arr[i] == arr[j], axis=1)):
         raise InputError("points are not pairwise distinct")
     kept = [c for c in range(arr.shape[1]) if np.any(arr[:, c] != arr[0, c])]
     dropped = tuple(c for c in range(arr.shape[1]) if c not in kept)

@@ -15,9 +15,15 @@ bound on the errors it gets, as well as the almost-regularity it implies.
 
 The correction is its plan's merged cuts (see `almost_regular`): one
 polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
-a random 16-point simplex takes about 150 factors in all. `parameters`
-records the points of each cut in `plan.cuts` under "correction_cuts", in
-factor order; the correction factors are the last len(correction_cuts).
+a random 16-point simplex takes about 150 factors in all.
+
+The certificate's layout is fixed, so the torus and the assignment are the
+correction's only record. The first n - 1 - len(dropped_coordinates)
+factors are the base, one per kept base axis. Every later factor is one
+cut, with the cut's points on vertex 1 and the rest on vertex 0: the n
+singletons {0}, ..., {n - 1} first, then the kept pairs {i, j} in
+row-major order. Each factor's order is in the torus: 3, or the base's m
+under uniform_m.
 """
 
 from __future__ import annotations
@@ -201,10 +207,8 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
         "r": de.params.r,
         "scale_exponent": de.params.e,
         "dropped_coordinates": list(de.dropped_axes),
-        "correction_m": str(correction_m),
         "correction_margin": plan.margin,
         "uniform_m": cfg.uniform_m,
-        "correction_cuts": [list(members) for members, _ in plan.cuts],
         "rank_tolerance": DEFAULT_TOL,
         "accept_tolerance": cfg.accept_tol,
     }

@@ -25,7 +25,6 @@ from torus_embed import (
     generate_points,
     is_simplex,
     materialize,
-    one_dim_embed,
     product_embed,
     realize_almost_regular,
     regular_simplex,

@@ -319,11 +319,11 @@ def test_verify_tampered_certificate_exits_3(tmp_path, capsys):
     write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
     assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
     obj = json.loads(out.read_text())
-    # the correction factors come last, one per recorded cut; bump point 1's
-    # index in the slot of the singleton cut {0}, where point 0 carries a 1,
-    # so pair (0, 1) loses that whole chord contribution
-    cuts = obj["parameters"]["correction_cuts"]
-    slot = len(obj["torus"]["factors"]) - len(cuts) + cuts.index([0])
+    # the base takes the first points - 1 - len(dropped_coordinates)
+    # factors and the singleton cut {0} the next, with point 0 on vertex 1;
+    # bump point 1's index there, so pair (0, 1) loses that whole chord
+    slot = len(obj["assignment"]) - 1 - len(obj["parameters"]["dropped_coordinates"])
+    assert [row[slot] for row in obj["assignment"]] == ["1", "0", "0"]
     m = int(obj["torus"]["factors"][slot]["m"])
     obj["assignment"][1][slot] = str((int(obj["assignment"][1][slot]) + 1) % m)
     out.write_text(json.dumps(obj))
@@ -371,6 +371,36 @@ def test_unreadable_file_exits_1(tmp_path, capsys, command, content):
     assert "invalid certificate" in stderr or "cannot read input" in stderr
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit")
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+@pytest.mark.parametrize(
+    "path, field",
+    [(["torus", "factors", 0, "m"], "torus.factors[0].m"),
+     (["assignment", 0, 0], "assignment[0][0]")],
+    ids=["order", "index"],
+)
+def test_decimal_past_the_digit_limit_is_named_briefly(tmp_path, capsys, command, path, field):
+    # a canonical decimal string too long for int() is refused by the digit
+    # limit, not as non-canonical, and echoed as a short prefix only
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    obj = json.loads(out.read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "1" + "0" * 4999
+    out.write_text(json.dumps(obj))
+    code, stdout, stderr = run(capsys, command, str(out))
+    assert code == 1
+    assert stdout == ""
+    assert field in stderr
+    assert f"limit of {DIGIT_LIMIT}" in stderr and "(5000 characters)" in stderr
+    assert "not a canonical" not in stderr
+    assert len(stderr.encode()) < 300
 
 
 @pytest.mark.parametrize(
@@ -533,8 +563,8 @@ def test_inspect_json_shows_non_finite_provenance(tmp_path, capsys, field, key, 
     assert got == shown
     code, stdout, _ = run(capsys, "inspect", str(out))
     assert code == 0
-    if isinstance(shown, str):  # a nested value is shown as Python writes it
-        assert f" {shown}" in stdout
+    # text mode prints the same summary, a nested value as Python writes it
+    assert f" {shown}" in stdout
 
 
 @pytest.mark.parametrize(

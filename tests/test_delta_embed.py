@@ -22,8 +22,6 @@ from torus_embed import (
     delta_embed,
     embed_simplex,
     generate_points,
-    one_dim_embed,
-    one_dim_params,
     pairwise_sq,
     product_embed,
     schoenberg_decompose,
@@ -144,11 +142,11 @@ def frexp_exponent(x):
 
 
 def reference_one_dim_embed(xs, delta):
-    """one_dim_embed transcribed from the delta_embed docstring in Fraction
-    and mpmath, kept as its reference: exact translation; of the exponents
-    around the balance point, the first with the least n, found by bisection
-    against pi itself; each value t at vertex floor(t * m / (2 pi r)) for
-    the float r, with pi at 512 bits."""
+    """product_embed of one column of reals, transcribed from the
+    delta_embed docstring in Fraction and mpmath, kept as its reference:
+    exact translation; of the exponents around the balance point, the first
+    with the least n, found by bisection against pi itself; each value t at
+    vertex floor(t * m / (2 pi r)) for the float r, with pi at 512 bits."""
     delta = _check_budget(delta)
     exact = [Fraction(v) for v in reference_values(xs).tolist()]
     translated = [v - min(exact) for v in exact]
@@ -170,10 +168,6 @@ def reference_one_dim_embed(xs, delta):
     return DeltaEmbedding(torus, assignment, delta, per_pair, p)
 
 
-def reference_one_dim_params(xs, delta):
-    return reference_one_dim_embed(xs, delta).params
-
-
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -181,7 +175,10 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def test_one_dim_matches_reference_bitwise():
+def one_dim_cases():
+    """Sets of reals and budgets: random ones at scales 1e-6 to 1e6, some
+    on a quarter grid (ties and duplicates), then sets whose squared
+    distances underflow to 0.0 and the trivial and empty sets."""
     rng = np.random.default_rng(2024)
     for _ in range(60):
         size = int(rng.integers(2, 9))
@@ -189,10 +186,18 @@ def test_one_dim_matches_reference_bitwise():
         xs += rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6, 6)
         if rng.random() < 0.2:
             xs = np.round(xs * 4) / 4  # grid values, ties and duplicates
-        delta = float(10.0 ** rng.uniform(-9, 1))
+        yield xs, float(10.0 ** rng.uniform(-9, 1))
+    yield [0.0, 1e-170, 3e-170], 1e-3
+    yield [[0.0, 1e-170], [3e-170, 4e-170]], 0.5  # any shape is one column
+    yield [0.0], 0.1
+    yield [], 0.1
+
+
+def test_one_dim_matches_reference_bitwise():
+    # a set of reals is product_embed of one column, bit for bit
+    for xs, delta in one_dim_cases():
         ref = outcome(reference_one_dim_embed, xs, delta)
-        got = outcome(one_dim_embed, xs, delta)
-        assert outcome(one_dim_params, xs, delta) == outcome(reference_one_dim_params, xs, delta)
+        got = outcome(product_embed, np.ravel(xs), delta)
         if isinstance(ref, type):
             assert got is ref
             continue
@@ -227,6 +232,7 @@ def test_product_embeds_values_colliding_under_float_translation(points):
     de = product_embed(points, 0.1)
     cols = np.array(points).T.tolist()
     assert de.assignment[1].indices[0] != de.assignment[2].indices[0]
+    assert len(set(de.assignment)) == 3
     assert abs(de.per_pair_error[1, 2]) < de.delta
     check_exact_errors_below_budget(de, cols)
 
@@ -240,19 +246,19 @@ def test_params_unit_pair():
     # 0.02461), so e = 0 and n = 8, m = 512.
     assert closed_form(1, 7) > 0.0984375 > closed_form(1, 8)
     assert closed_form(2, 29) > 0.1 / 4 * 63 / 64 > closed_form(2, 30)
-    p = one_dim_params([0.0, 1.0], 0.1)
+    p = product_embed([0.0, 1.0], 0.1).params
     assert (p.n0, p.n, p.m, p.e) == (1, 8, 512, 0)
     assert p.r == 8 / (2.0 * math.pi)
 
 
 def test_params_huge_delta_clamps_polygon():
-    p = one_dim_params([0.0, 1.0], 2 * math.pi)
+    p = product_embed([0.0, 1.0], 2 * math.pi).params
     assert p.n == 2
     assert p.m == 8
 
 
 def test_params_gap_bound_dominated_by_span():
-    p = one_dim_params([0.0, 0.5, 10.0], 0.5)
+    p = product_embed([0.0, 0.5, 10.0], 0.5).params
     assert p.n0 == math.ceil(10 / 2**p.e)  # span 10 / 2**e beats 2**e / min_gap
     assert math.ceil(10 / 2**p.e) > math.ceil(2**p.e / 0.5)
     # unit grid, in halves (span 20, gap 1, e = 0 + shift 1): span 10 beats
@@ -261,7 +267,7 @@ def test_params_gap_bound_dominated_by_span():
 
 
 def test_params_gap_bound_dominated_by_min_gap():
-    p = one_dim_params([0.0, 0.125, 1.0], 0.5)
+    p = product_embed([0.0, 0.125, 1.0], 0.5).params
     assert p.n0 == max(math.ceil(1 / 2**p.e), math.ceil(2**p.e / 0.125))
     # unit grid, in eighths (span 8, gap 1, e = 0 + shift 3): 1/min_gap = 8
     # beats span 1
@@ -269,28 +275,18 @@ def test_params_gap_bound_dominated_by_min_gap():
 
 
 def test_params_errors():
-    with pytest.raises(InputError):
-        one_dim_params([0.0, 0.0, 1.0], 0.1)
+    with pytest.raises(InputError, match="not pairwise distinct"):
+        product_embed([0.0, 0.0, 1.0], 0.1)
     with pytest.raises(TrivialInput):
-        one_dim_params([0.0], 0.1)
+        product_embed([0.0], 0.1)
     with pytest.raises(InputError):
-        one_dim_params([0.0, 1.0], 0.0)
+        product_embed([0.0, 1.0], 0.0)
     with pytest.raises(InputError):
-        one_dim_params([0.0, 1.0], -1.0)
-
-
-def test_one_dim_values_colliding_under_float_translation_embed():
-    # distinct doubles whose offsets from the minimum round to one value in
-    # floats, and differ by 1 exactly
-    xs = [-1e20, 1.0, 2.0]
-    de = one_dim_embed(xs, 0.1)
-    assert len({p.indices for p in de.assignment}) == 3
-    assert abs(de.per_pair_error[1, 2]) < 0.1
-    check_exact_errors_below_budget(de, [xs])
+        product_embed([0.0, 1.0], -1.0)
 
 
 def test_one_dim_unit_pair_frozen_values():
-    de = one_dim_embed([0.0, 1.0], 0.1)
+    de = product_embed([0.0, 1.0], 0.1)
     # m = 512 and r = fl(8 / fl(2 pi)) = 1.2732395447351628, 0.35 ulp above
     # 4/pi; so 2 pi r exceeds 8, 1.0 sits just below vertex
     # 512 / 8 = 64, and j = floor(512 / (2 pi r)) = 63
@@ -309,7 +305,7 @@ def test_one_dim_unit_pair_frozen_values():
 
 def test_one_dim_minimum_maps_to_vertex_zero():
     for xs in ([3.0, 4.5, 7.25], [-2.0, 0.0, 1.0]):
-        de = one_dim_embed(xs, 0.25)
+        de = product_embed(xs, 0.25)
         j_min = de.assignment[int(np.argmin(xs))].indices[0]
         assert j_min == 0
 
@@ -319,14 +315,14 @@ def test_one_dim_indices_bounded_and_injective():
     xs = np.sort(rng.uniform(0, 1, 6))
     while np.diff(xs).min() < 0.05:
         xs = np.sort(rng.uniform(0, 1, 6))
-    de = one_dim_embed(xs, 1e-2)
+    de = product_embed(xs, 1e-2)
     idx = [p.indices[0] for p in de.assignment]
     assert len(set(idx)) == len(idx)
     n = de.params.n
     assert all(0 <= j <= n * n < de.params.m for j in idx)
     # a budget so large that n = n0 + 1, the floor: the step, after the
     # radius's rounding, stays below the smallest gap
-    de = one_dim_embed([0.0, 0.25, 1.0], 10.0)
+    de = product_embed([0.0, 0.25, 1.0], 10.0)
     assert de.params.n == de.params.n0 + 1
     assert len({p.indices for p in de.assignment}) == 3
 
@@ -337,14 +333,14 @@ def test_one_dim_every_pair_error_below_budget():
         xs = np.unique(rng.integers(0, 20, 6)) * 0.05
         if xs.size < 2:
             continue
-        de = one_dim_embed(xs, 1e-2)
+        de = product_embed(xs, 1e-2)
         off = ~np.eye(len(xs), dtype=bool)
         assert np.abs(de.per_pair_error[off]).max() < 1e-2
         check_error_terms(list(xs), [p.indices[0] for p in de.assignment], de.params, 1e-2)
 
 
 def test_error_matrix_symmetric_zero_diagonal():
-    de = one_dim_embed([0.0, 0.3, 1.0], 0.05)
+    de = product_embed([0.0, 0.3, 1.0], 0.05)
     assert np.array_equal(de.per_pair_error, de.per_pair_error.T)
     assert np.all(np.diag(de.per_pair_error) == 0.0)
 
@@ -352,21 +348,10 @@ def test_error_matrix_symmetric_zero_diagonal():
 def test_halving_delta_never_hurts():
     xs = [0.0, 0.19, 0.55, 1.0]
     for delta in (0.2, 0.02):
-        worse = one_dim_embed(xs, delta)
-        better = one_dim_embed(xs, delta / 2)
+        worse = product_embed(xs, delta)
+        better = product_embed(xs, delta / 2)
         assert worse.params.n0 == better.params.n0
         assert np.abs(better.per_pair_error).max() <= np.abs(worse.per_pair_error).max()
-
-
-def test_product_of_one_reduces_to_one_dim():
-    xs = [0.0, 0.31, 0.75]
-    delta = 1e-3
-    de1 = one_dim_embed(xs, delta)
-    dek = product_embed([[x] for x in xs], delta)
-    assert dek.params == de1.params
-    assert dek.assignment == de1.assignment
-    np.testing.assert_array_equal(dek.per_pair_error, de1.per_pair_error)
-    assert dek.delta == de1.delta
 
 
 def test_product_unit_square_corners():
@@ -424,6 +409,22 @@ def test_product_duplicate_points_rejected():
 def test_product_single_point_rejected():
     with pytest.raises(TrivialInput):
         product_embed([[0.0, 1.0]], 0.1)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[0.0, 1e-170, 3e-170], [[0.0, 0.0], [1e-170, 0.0], [0.0, 1.0]]],
+    ids=["one-column", "two-columns"],
+)
+def test_product_embeds_distinct_points_whose_squared_distances_underflow(points):
+    # 1e-170 squared underflows to 0.0; only equal rows are refused, and the
+    # grid keeps every point apart within the budget
+    rows = np.reshape(points, (3, -1))
+    assert squared_distances(rows)[0, 1] == 0.0
+    de = product_embed(points, 1e-3)
+    assert len(set(de.assignment)) == 3
+    assert np.abs(de.per_pair_error).max() < 1e-3
+    check_exact_errors_below_budget(de, rows.T.tolist())
 
 
 def fraction_vertex_index(value, num, den):
@@ -641,15 +642,9 @@ def test_product_embed_is_scale_covariant(seed, k):
     rng = np.random.default_rng(seed)
     npts, dim = int(rng.integers(2, 9)), int(rng.integers(1, 5))
     pts = rng.uniform(-1.0, 1.0, (npts, dim)) * 10.0 ** rng.uniform(-6, 6)
+    if dim == 1:
+        pts = pts.ravel()  # a set of reals
     assert_scale_covariant(product_embed, pts, float(10.0 ** rng.uniform(-9, 1)), k)
-
-
-@settings(max_examples=48, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(-60, 60))
-def test_one_dim_embed_is_scale_covariant(seed, k):
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-1.0, 1.0, int(rng.integers(2, 9))) * 10.0 ** rng.uniform(-6, 6)
-    assert_scale_covariant(one_dim_embed, xs, float(10.0 ** rng.uniform(-9, 1)), k)
 
 
 @pytest.mark.parametrize(
@@ -659,7 +654,7 @@ def test_one_dim_embed_is_scale_covariant(seed, k):
 )
 def test_radius_outside_the_normal_doubles_refused(xs, delta):
     with pytest.raises(InputError, match="circumradius .* is not a finite normal double"):
-        one_dim_embed(xs, delta)
+        product_embed(xs, delta)
 
 
 def upper_closed_form(n0, n, bits):

@@ -25,12 +25,29 @@ from torus_embed import (
     dumps_certificate,
     embed_simplex,
     generate_points,
+    loads_certificate,
     product_embed,
+    realization_plan,
     regular_simplex,
     schoenberg_decompose,
     squared_distances,
     verify_certificate,
 )
+
+
+def correction_cuts(cert):
+    """The layout rule of the pipeline docstring: the factors after the
+    first n - 1 - len(dropped_coordinates) are the correction's cuts, one
+    each. Returns the first cut's position and each cut's points (those on
+    vertex 1), after checking that every index there is 0 or 1."""
+    n = len(cert.assignment)
+    first = n - 1 - len(cert.parameters["dropped_coordinates"])
+    cuts = []
+    for k in range(first, len(cert.torus.factors)):
+        column = [p.indices[k] for p in cert.assignment]
+        assert set(column) <= {0, 1}
+        cuts.append([i for i, j in enumerate(column) if j == 1])
+    return first, cuts
 
 
 def chord_sq_sum(factors, p, q):
@@ -242,12 +259,62 @@ def test_embed_triangle_certificate():
     cert = embed_simplex(regular_simplex(3, 1.0))
     report = verify_certificate(cert, 1e-8)
     assert report.passed
-    cuts = cert.parameters["correction_cuts"]
+    first, cuts = correction_cuts(cert)
     assert cuts[:3] == [[0], [1], [2]]  # one singleton cut per point first
     assert all(len(c) == 2 for c in cuts[3:])
-    delta_factor_count = len(cert.torus.factors) - len(cuts)
-    assert 1 <= delta_factor_count <= 2  # base set lives in at most 2 coordinates
+    assert 1 <= first <= 2  # base set lives in at most 2 coordinates
     assert cert.parameters["correction_margin"] > 0
+
+
+@pytest.mark.parametrize("uniform_m", [False, True], ids=["triangles", "uniform-m"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_certificate_layout_locates_every_cut(monkeypatch, n, uniform_m):
+    # the torus and the assignment alone give every cut: the n singletons in
+    # order, then the kept pairs (those below the largest correction entry)
+    # in row-major order
+    from torus_embed import pipeline
+
+    planned = []
+
+    def recorded(sq):
+        planned.append(np.array(sq))
+        return realization_plan(sq)
+
+    monkeypatch.setattr(pipeline, "realization_plan", recorded)
+    cfg = PipelineConfig(uniform_m=uniform_m)
+    cert = embed_simplex(generate_points("random", n, seed=n), cfg)
+    assert "correction_cuts" not in cert.parameters
+    assert "correction_m" not in cert.parameters
+    (corr_sq,) = planned
+    upper = corr_sq[np.triu_indices(n, 1)]
+    kept = [list(pair) for pair, c in zip(combinations(range(n), 2), upper) if c < upper.max()]
+    first, cuts = correction_cuts(cert)
+    assert first == n - 1
+    assert cuts == [[k] for k in range(n)] + kept
+    assert len(cuts) == n + len(kept)
+    orders = {f.m for f in cert.torus.factors[first:]}
+    assert orders == {int(cert.parameters["m"]) if uniform_m else 3}
+
+
+def test_version_0_7_0_certificate_still_verifies():
+    # 0.7.0 also wrote correction_m and correction_cuts, which the layout
+    # rule recovers; verification never reads parameters, so such a
+    # certificate verifies and round-trips byte for byte
+    cert = embed_simplex(generate_points("random", 5, seed=2))
+    _, cuts = correction_cuts(cert)
+    params = {}
+    for key, value in cert.parameters.items():
+        params[key] = value
+        if key == "dropped_coordinates":
+            params["correction_m"] = "3"
+        elif key == "uniform_m":
+            params["correction_cuts"] = cuts
+    old = dataclasses.replace(cert, parameters=params, meta={**cert.meta, "version": "0.7.0"})
+    text = dumps_certificate(old)
+    assert '"correction_cuts":[[0],[1],' in text
+    loaded = loads_certificate(text)
+    assert verify_certificate(loaded).passed
+    assert dumps_certificate(loaded) == text
 
 
 def test_embed_two_points_minimal_case():
@@ -449,10 +516,11 @@ def test_certificate_records_the_scale_exponent():
 def test_verify_tampered_index_fails():
     cert = embed_simplex(regular_simplex(3, 1.0))
     assert verify_certificate(cert, 1e-8).passed
-    # bump point 1's index in the slot of the singleton cut {0}, where point
-    # 0 carries a 1: the pair (0, 1) loses one chord
-    cuts = cert.parameters["correction_cuts"]
-    k = len(cert.torus.factors) - len(cuts) + cuts.index([0])
+    # bump point 1's index in the slot of the singleton cut {0}, the first
+    # after the base, where point 0 carries a 1: the pair (0, 1) loses one
+    # chord
+    k, cuts = correction_cuts(cert)
+    assert cuts[0] == [0]
     indices = list(cert.assignment[1].indices)
     indices[k] = (indices[k] + 1) % cert.torus.factors[k].m
     tampered = dataclasses.replace(
