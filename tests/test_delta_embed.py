@@ -285,6 +285,16 @@ def test_params_errors():
         product_embed([0.0, 1.0], -1.0)
 
 
+def test_one_dim_values_colliding_under_float_translation_embed():
+    # distinct doubles whose offsets from the minimum round to one value in
+    # floats, and differ by 1 exactly
+    xs = [-1e20, 1.0, 2.0]
+    de = product_embed(xs, 0.1)
+    assert len({p.indices for p in de.assignment}) == 3
+    assert abs(de.per_pair_error[1, 2]) < 0.1
+    check_exact_errors_below_budget(de, [xs])
+
+
 def test_one_dim_unit_pair_frozen_values():
     de = product_embed([0.0, 1.0], 0.1)
     # m = 512 and r = fl(8 / fl(2 pi)) = 1.2732395447351628, 0.35 ulp above
@@ -352,6 +362,18 @@ def test_halving_delta_never_hurts():
         better = product_embed(xs, delta / 2)
         assert worse.params.n0 == better.params.n0
         assert np.abs(better.per_pair_error).max() <= np.abs(worse.per_pair_error).max()
+
+
+def test_product_of_one_reduces_to_one_dim():
+    # one column of points and the 1-d set of its reals embed alike
+    xs = [0.0, 0.31, 0.75]
+    delta = 1e-3
+    de1 = product_embed(xs, delta)
+    dek = product_embed([[x] for x in xs], delta)
+    assert dek.params == de1.params
+    assert dek.assignment == de1.assignment
+    np.testing.assert_array_equal(dek.per_pair_error, de1.per_pair_error)
+    assert dek.delta == de1.delta
 
 
 def test_product_unit_square_corners():
@@ -642,9 +664,16 @@ def test_product_embed_is_scale_covariant(seed, k):
     rng = np.random.default_rng(seed)
     npts, dim = int(rng.integers(2, 9)), int(rng.integers(1, 5))
     pts = rng.uniform(-1.0, 1.0, (npts, dim)) * 10.0 ** rng.uniform(-6, 6)
-    if dim == 1:
-        pts = pts.ravel()  # a set of reals
     assert_scale_covariant(product_embed, pts, float(10.0 ** rng.uniform(-9, 1)), k)
+
+
+@settings(max_examples=48, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(-60, 60))
+def test_one_dim_embed_is_scale_covariant(seed, k):
+    # a set of reals, passed as a 1-d array
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, int(rng.integers(2, 9))) * 10.0 ** rng.uniform(-6, 6)
+    assert_scale_covariant(product_embed, xs, float(10.0 ** rng.uniform(-9, 1)), k)
 
 
 @pytest.mark.parametrize(
