@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract, mapped from typed errors by the one table
 in `main`: 0 success / verification pass, 1 usage error or unreadable or
-malformed input or certificate, 2 input is not a simplex, 3 verification failed.
+malformed input or certificate, 2 input is not a simplex or has fewer than
+two points, 3 verification failed.
 A `squared_distances` input is embedded as given, not through points.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from collections import Counter
 
@@ -39,18 +39,6 @@ from .pipeline import (
     embed_squared_distances,
     verify_certificate,
 )
-
-
-def _resolve_tolerance(value) -> float:
-    if value is not None:
-        return float(value)
-    env = os.environ.get("TORUS_EMBED_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise InputError(f"TORUS_EMBED_TOL is not a number: {env!r}") from None
-    return DEFAULT_ACCEPT_TOL
 
 
 def _load_input(path):
@@ -82,9 +70,8 @@ def _read_certificate(path):
 
 
 def _cmd_embed(args) -> int:
-    tol = _resolve_tolerance(args.tolerance)
     cfg = PipelineConfig(
-        accept_tol=tol,
+        accept_tol=args.tolerance,
         alpha_fraction=args.alpha_fraction,
         uniform_m=args.uniform_m,
     )
@@ -102,14 +89,13 @@ def _cmd_embed(args) -> int:
         )
         print(
             f"max abs error: {cert.errors['max_abs']:.3e}  "
-            f"max rel error: {cert.errors['max_rel']:.3e}  (tolerance {tol:g})"
+            f"max rel error: {cert.errors['max_rel']:.3e}  (tolerance {cfg.accept_tol:g})"
         )
     return 0
 
 
 def _cmd_verify(args) -> int:
-    tol = _resolve_tolerance(args.tolerance)
-    report = verify_certificate(_read_certificate(args.cert), tol)
+    report = verify_certificate(_read_certificate(args.cert), args.tolerance)
     print(
         f"pairs: {report.pair_count}  max abs error: {report.max_abs_error:.6e}  "
         f"max rel error: {report.max_rel_error:.6e}  tolerance: {report.tolerance:g}"
@@ -234,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed = sub.add_parser("embed", help="embed a simplex and write a certificate")
     p_embed.add_argument("input", help="JSON file with 'points' or 'squared_distances'")
     p_embed.add_argument("output", help="certificate output path")
-    p_embed.add_argument("--tolerance", type=float, default=None,
-                         help="relative acceptance tolerance (default 1e-8)")
+    p_embed.add_argument("--tolerance", type=float, default=DEFAULT_ACCEPT_TOL,
+                         help="relative acceptance tolerance (default %(default)g)")
     p_embed.add_argument("--uniform-m", action="store_true", dest="uniform_m",
                          help="force every torus factor to the same polygon order")
     p_embed.add_argument("--alpha-fraction", type=float, default=1.0,
@@ -246,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify a certificate")
     p_verify.add_argument("cert", help="certificate path")
-    p_verify.add_argument("--tolerance", type=float, default=None,
-                          help="relative tolerance (default 1e-8)")
+    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_ACCEPT_TOL,
+                          help="relative tolerance (default %(default)g)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a test input")
@@ -275,8 +261,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except NotEuclidean:
         code, message = 2, "input is not a simplex (squared distances are not Euclidean)"
-    except (NotSimplex, TrivialInput):
+    except NotSimplex:
         code, message = 2, "input is not a simplex"
+    except TrivialInput:
+        code, message = 2, "input has fewer than two points"
     except VerificationFailed as exc:
         code, message = 3, str(exc)
     except InvalidCertificate as exc:

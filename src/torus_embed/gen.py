@@ -18,11 +18,8 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _min_distance(points: np.ndarray) -> float:
-    n = points.shape[0]
-    if n < 2:
-        return np.inf
     d2 = squared_distances(points)
-    return float(np.sqrt(d2[~np.eye(n, dtype=bool)].min()))
+    return float(np.sqrt(d2[~np.eye(points.shape[0], dtype=bool)].min()))
 
 
 def _max_noise(n: int) -> float:
@@ -31,7 +28,7 @@ def _max_noise(n: int) -> float:
     1 + 2 * noise, each of the n(n - 1) squared distances sums n - 1 of
     them squared, and at this bound the total is about a quarter of the
     largest double."""
-    return math.sqrt(_FLOAT_MAX / n) / (4 * max(n - 1, 1))
+    return math.sqrt(_FLOAT_MAX / n) / (4 * (n - 1))
 
 
 def generate_points(kind: str, n: int, seed: int = 0, noise: float = 0.01) -> np.ndarray:
@@ -42,20 +39,23 @@ def generate_points(kind: str, n: int, seed: int = 0, noise: float = 0.01) -> np
         are affinely independent with pairwise distances >= 1e-3.
     perturbed: unit regular simplex with uniform coordinate noise in
         [-noise, noise], resampled until affinely independent.
+
+    Every kind refuses (InputError) fewer than two points, which `embed`
+    cannot take, a negative seed, and a noise outside [0, _max_noise(n)].
     """
     if kind not in KINDS:
         raise InputError(f"unknown input kind {kind!r}, expected one of {KINDS}")
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"point count must be an integer >= 1, got {n!r}")
-    if kind == "regular":
-        return regular_simplex(n, 1.0)
+    if not isinstance(n, int) or n < 2:
+        raise InputError(f"point count must be an integer >= 2, got {n!r}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed!r}")
-    if kind == "perturbed" and not 0.0 <= noise <= _max_noise(n):
+    if not 0.0 <= noise <= _max_noise(n):
         raise InputError(
             f"noise must lie in [0, {_max_noise(n):.6g}] for n = {n}, got {noise!r}: "
             f"a larger --noise can overflow the points' squared distances"
         )
+    if kind == "regular":
+        return regular_simplex(n, 1.0)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         if kind == "random":
@@ -63,7 +63,7 @@ def generate_points(kind: str, n: int, seed: int = 0, noise: float = 0.01) -> np
             if not (is_simplex(pts) and _min_distance(pts) >= _MIN_GAP):
                 continue
         else:
-            pts = regular_simplex(n, 1.0) + rng.uniform(-noise, noise, (n, max(n - 1, 0)))
+            pts = regular_simplex(n, 1.0) + rng.uniform(-noise, noise, (n, n - 1))
             if not is_simplex(pts):
                 continue
         return pts

@@ -18,9 +18,11 @@ polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
 a random 16-point simplex takes about 150 factors in all.
 
 The certificate's layout is fixed, so the torus and the assignment are the
-correction's only record. The first n - 1 - len(dropped_coordinates)
-factors are the base, one per kept base axis. Every later factor is one
-cut, with the cut's points on vertex 1 and the rest on vertex 0: the n
+correction's only record. The first n - 1 factors are the base, one per
+base axis: the base columns are the centered Gram's eigenvectors
+orthogonal to the centering mode, and a constant column would be parallel
+to that mode, so the grid never drops one. Every later factor is one cut,
+with the cut's points on vertex 1 and the rest on vertex 0: the n
 singletons {0}, ..., {n - 1} first, then the kept pairs {i, j} in
 row-major order. Each factor's order is in the torus: 3, or the base's m
 under uniform_m.
@@ -206,7 +208,6 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
         "m": str(de.params.m),
         "r": de.params.r,
         "scale_exponent": de.params.e,
-        "dropped_coordinates": list(de.dropped_axes),
         "correction_margin": plan.margin,
         "uniform_m": cfg.uniform_m,
         "rank_tolerance": DEFAULT_TOL,

@@ -67,6 +67,23 @@ def test_embed_collinear_exits_2(tmp_path, capsys):
     assert "not a simplex" in stderr
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"points": [[0.5, 1.0]]}, {"points": [[]]}, {"squared_distances": [[0.0]]}],
+    ids=["point", "zero-dim-point", "one-by-one-matrix"],
+)
+def test_embed_one_point_exits_2(tmp_path, capsys, data):
+    # one point is affinely independent, so it is a simplex, but too small to
+    # embed; {"points": [[]]} is what `gen regular 1` wrote before it refused n < 2
+    inp = tmp_path / "in.json"
+    write_json(inp, data)
+    code, stdout, stderr = run(capsys, "embed", str(inp), str(tmp_path / "c.json"))
+    assert code == 2
+    assert stderr == "torus-embed: input has fewer than two points\n"
+    assert stdout == ""
+    assert not (tmp_path / "c.json").exists()
+
+
 @pytest.mark.parametrize("scale", [1e-158, 1e-162, 1e-170])
 def test_embed_underflowing_squared_distances_exits_1(tmp_path, capsys, scale):
     # distinct points whose squared distances leave the normal doubles lose
@@ -289,7 +306,7 @@ def test_embed_uniform_m_flag(tmp_path, capsys):
 
 
 def test_embed_alpha_fraction_out_of_range_exits_1(tmp_path, capsys):
-    # one point is no simplex (exit 2), but the bad option is refused first
+    # one point exits 2, but the bad option is refused first
     inp = tmp_path / "in.json"
     for points, fraction in (([[0.0], [1.0]], "2.5"), ([[0.0, 1.0]], "3")):
         write_json(inp, {"points": points})
@@ -302,14 +319,21 @@ def test_embed_alpha_fraction_out_of_range_exits_1(tmp_path, capsys):
 
 def test_embed_flattened_simplex_near_rank_tolerance(tmp_path, capsys):
     # `gen random 4 --seed 1` with its last coordinate scaled by 3e-4: its
-    # Gram spectrum sits just above the rank tolerance, and it embeds tightly
+    # Gram spectrum sits just above the rank tolerance, and it embeds tightly;
+    # its first points - 1 = 3 factors are the base, at the base's order m,
+    # and every later one is a triangle
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"
     assert main(["gen", "random", "4", "--seed", "1", "-o", str(inp)]) == 0
     pts = json.loads(inp.read_text())["points"]
     write_json(inp, {"points": [row[:-1] + [row[-1] * 3e-4] for row in pts]})
     assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
-    assert load_certificate(out).errors["max_rel"] <= 1e-12
+    cert = load_certificate(out)
+    assert "dropped_coordinates" not in cert.parameters
+    orders = [f.m for f in cert.torus.factors]
+    assert orders[:3] == [int(cert.parameters["m"])] * 3
+    assert set(orders[3:]) == {3}
+    assert cert.errors["max_rel"] <= 1e-12
     assert run(capsys, "verify", str(out), "--tolerance", "1e-12")[0] == 0
 
 
@@ -319,10 +343,10 @@ def test_verify_tampered_certificate_exits_3(tmp_path, capsys):
     write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
     assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
     obj = json.loads(out.read_text())
-    # the base takes the first points - 1 - len(dropped_coordinates)
-    # factors and the singleton cut {0} the next, with point 0 on vertex 1;
-    # bump point 1's index there, so pair (0, 1) loses that whole chord
-    slot = len(obj["assignment"]) - 1 - len(obj["parameters"]["dropped_coordinates"])
+    # the base takes the first points - 1 factors and the singleton cut {0}
+    # the next, with point 0 on vertex 1; bump point 1's index there, so pair
+    # (0, 1) loses that whole chord
+    slot = len(obj["assignment"]) - 1
     assert [row[slot] for row in obj["assignment"]] == ["1", "0", "0"]
     m = int(obj["torus"]["factors"][slot]["m"])
     obj["assignment"][1][slot] = str((int(obj["assignment"][1][slot]) + 1) % m)
@@ -431,9 +455,17 @@ def test_help_exits_0(capsys, argv):
      (["perturbed", "4", "--noise", "-1"], "noise"),
      (["perturbed", "4", "--noise", "1e308"], "noise"),
      (["random", "4", "--seed", "-1"], "seed"),
-     (["perturbed", "4", "--seed", "-1"], "seed")],
+     (["perturbed", "4", "--seed", "-1"], "seed"),
+     (["regular", "4", "--seed", "-3"], "seed"),
+     (["random", "4", "--noise", "nan"], "noise"),
+     (["regular", "4", "--noise", "-1"], "noise"),
+     (["regular", "1"], "point count"),
+     (["random", "1"], "point count"),
+     (["perturbed", "0"], "point count")],
     ids=["noise-nan", "noise-inf", "noise-negative", "noise-overflows-draw",
-         "seed-negative-random", "seed-negative-perturbed"],
+         "seed-negative-random", "seed-negative-perturbed", "seed-negative-regular",
+         "noise-nan-random", "noise-negative-regular", "one-point-regular",
+         "one-point-random", "no-point-perturbed"],
 )
 def test_gen_bad_option_exits_1(tmp_path, capsys, argv, named):
     out = tmp_path / "p.json"
@@ -444,42 +476,43 @@ def test_gen_bad_option_exits_1(tmp_path, capsys, argv, named):
 
 
 def test_verify_env_tolerance_override(tmp_path, capsys, monkeypatch):
-    inp = tmp_path / "in.json"
-    out = tmp_path / "c.json"
+    # the tolerance comes from --tolerance alone: TORUS_EMBED_TOL, which once
+    # overrode the default, no longer moves any verdict or output
+    monkeypatch.chdir(tmp_path)  # embed prints its output path as given
     # a triangle whose certificate misses its input by float rounding (the
     # one at (0.5, 0.8) now verifies with no error at all)
-    write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]})
-    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
-    report = json.loads(out.read_text())["errors"]
-    assert report["max_rel"] > 0  # the override below must therefore bite
-    monkeypatch.setenv("TORUS_EMBED_TOL", "1e-30")
-    code, stdout, _ = run(capsys, "verify", str(out))
-    assert code == 3  # float rounding exceeds an absurdly tight tolerance
-    monkeypatch.setenv("TORUS_EMBED_TOL", "1e-8")
-    assert run(capsys, "verify", str(out))[0] == 0
-    # explicit flag beats the environment
-    monkeypatch.setenv("TORUS_EMBED_TOL", "1e-30")
-    assert run(capsys, "verify", str(out), "--tolerance", "1e-8")[0] == 0
+    write_json(tmp_path / "in.json", {"points": [[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]})
+    assert run(capsys, "embed", "in.json", "c.json", "--quiet")[0] == 0
+    assert load_certificate("c.json").errors["max_rel"] > 0  # so 1e-30 must bite
+    assert run(capsys, "verify", "c.json", "--tolerance", "1e-30")[0] == 3
+    assert run(capsys, "verify", "c.json", "--tolerance", "1e-8")[0] == 0
+
+    def outcomes():
+        return [run(capsys, "embed", "in.json", "again.json")[:2],
+                run(capsys, "verify", "c.json")[:2]]
+
+    monkeypatch.delenv("TORUS_EMBED_TOL", raising=False)
+    unset = outcomes()
+    assert [code for code, _ in unset] == [0, 0]
+    for value in ("1e-30", "abc"):
+        monkeypatch.setenv("TORUS_EMBED_TOL", value)
+        assert outcomes() == unset
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
-def test_bad_tolerance_exits_1(tmp_path, capsys, monkeypatch, value, source):
+# the tolerance comes from the flag alone, as the ids say
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"], ids=lambda v: f"{v}-flag")
+def test_bad_tolerance_exits_1(tmp_path, capsys, value):
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"
     write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
     assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
-    extra = []
-    if source == "flag":
-        extra = ["--tolerance", value]
-    else:
-        monkeypatch.setenv("TORUS_EMBED_TOL", value)
-    code, stdout, stderr = run(capsys, "verify", str(out), *extra)
+    flag = ["--tolerance", value]
+    code, stdout, stderr = run(capsys, "verify", str(out), *flag)
     assert code == 1
     assert stderr.startswith("torus-embed: ") and "tolerance" in stderr
     assert "PASS" not in stdout and "FAIL" not in stdout
     other = tmp_path / "other.json"
-    code, _, stderr = run(capsys, "embed", str(inp), str(other), "--quiet", *extra)
+    code, _, stderr = run(capsys, "embed", str(inp), str(other), "--quiet", *flag)
     assert code == 1
     assert stderr.startswith("torus-embed: ") and "tolerance" in stderr
     assert not other.exists()

@@ -37,11 +37,10 @@ from torus_embed import (
 
 def correction_cuts(cert):
     """The layout rule of the pipeline docstring: the factors after the
-    first n - 1 - len(dropped_coordinates) are the correction's cuts, one
-    each. Returns the first cut's position and each cut's points (those on
-    vertex 1), after checking that every index there is 0 or 1."""
-    n = len(cert.assignment)
-    first = n - 1 - len(cert.parameters["dropped_coordinates"])
+    first n - 1 are the correction's cuts, one each. Returns the first cut's
+    position and each cut's points (those on vertex 1), after checking that
+    every index there is 0 or 1."""
+    first = len(cert.assignment) - 1
     cuts = []
     for k in range(first, len(cert.torus.factors)):
         column = [p.indices[k] for p in cert.assignment]
@@ -266,13 +265,28 @@ def test_embed_triangle_certificate():
     assert cert.parameters["correction_margin"] > 0
 
 
+# random simplices, some flattened to just above the rank tolerance (as in
+# test_flattened_simplex_keeps_every_base_axis) and some scaled to 1e+-150
+LAYOUT_INPUTS = {
+    **{str(n): (lambda n=n: generate_points("random", n, seed=n)) for n in (2, 3, 5, 8, 16)},
+    "4-flat": lambda: flattened_random(4, 1, 3e-4),
+    "8-flat": lambda: flattened_random(8, 1, 1.6e-4),
+    "8-1e-150": lambda: generate_points("random", 8, seed=8) * 1e-150,
+    "8-1e150": lambda: generate_points("random", 8, seed=8) * 1e150,
+}
+
+
 @pytest.mark.parametrize("uniform_m", [False, True], ids=["triangles", "uniform-m"])
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-def test_certificate_layout_locates_every_cut(monkeypatch, n, uniform_m):
-    # the torus and the assignment alone give every cut: the n singletons in
-    # order, then the kept pairs (those below the largest correction entry)
-    # in row-major order
+@pytest.mark.parametrize("name", list(LAYOUT_INPUTS))
+def test_certificate_layout_locates_every_cut(monkeypatch, name, uniform_m):
+    # the torus and the assignment alone give every cut: the first n - 1
+    # factors are the base, at its order m, then come the n singletons in
+    # order and the kept pairs (those below the largest correction entry) in
+    # row-major order
     from torus_embed import pipeline
+
+    pts = LAYOUT_INPUTS[name]()
+    n = len(pts)
 
     planned = []
 
@@ -281,10 +295,8 @@ def test_certificate_layout_locates_every_cut(monkeypatch, n, uniform_m):
         return realization_plan(sq)
 
     monkeypatch.setattr(pipeline, "realization_plan", recorded)
-    cfg = PipelineConfig(uniform_m=uniform_m)
-    cert = embed_simplex(generate_points("random", n, seed=n), cfg)
-    assert "correction_cuts" not in cert.parameters
-    assert "correction_m" not in cert.parameters
+    cert = embed_simplex(pts, PipelineConfig(uniform_m=uniform_m))
+    assert not {"correction_cuts", "correction_m", "dropped_coordinates"} & set(cert.parameters)
     (corr_sq,) = planned
     upper = corr_sq[np.triu_indices(n, 1)]
     kept = [list(pair) for pair, c in zip(combinations(range(n), 2), upper) if c < upper.max()]
@@ -292,8 +304,19 @@ def test_certificate_layout_locates_every_cut(monkeypatch, n, uniform_m):
     assert first == n - 1
     assert cuts == [[k] for k in range(n)] + kept
     assert len(cuts) == n + len(kept)
-    orders = {f.m for f in cert.torus.factors[first:]}
-    assert orders == {int(cert.parameters["m"]) if uniform_m else 3}
+    m = int(cert.parameters["m"])
+    assert [f.m for f in cert.torus.factors[:first]] == [m] * (n - 1)
+    assert {f.m for f in cert.torus.factors[first:]} == {m if uniform_m else 3}
+
+
+def old_version(cert, version, extra):
+    """The certificate as an older version wrote it: the parameters in extra
+    each inserted after the key it names, and meta.version set."""
+    params = {}
+    for key, value in cert.parameters.items():
+        params[key] = value
+        params.update(extra.get(key, {}))
+    return dataclasses.replace(cert, parameters=params, meta={**cert.meta, "version": version})
 
 
 def test_version_0_7_0_certificate_still_verifies():
@@ -302,19 +325,31 @@ def test_version_0_7_0_certificate_still_verifies():
     # certificate verifies and round-trips byte for byte
     cert = embed_simplex(generate_points("random", 5, seed=2))
     _, cuts = correction_cuts(cert)
-    params = {}
-    for key, value in cert.parameters.items():
-        params[key] = value
-        if key == "dropped_coordinates":
-            params["correction_m"] = "3"
-        elif key == "uniform_m":
-            params["correction_cuts"] = cuts
-    old = dataclasses.replace(cert, parameters=params, meta={**cert.meta, "version": "0.7.0"})
+    old = old_version(cert, "0.7.0", {
+        "scale_exponent": {"dropped_coordinates": [], "correction_m": "3"},
+        "uniform_m": {"correction_cuts": cuts},
+    })
     text = dumps_certificate(old)
     assert '"correction_cuts":[[0],[1],' in text
     loaded = loads_certificate(text)
     assert verify_certificate(loaded).passed
     assert dumps_certificate(loaded) == text
+
+
+def test_version_0_8_0_certificate_still_verifies():
+    # 0.8.0 also wrote dropped_coordinates, always [], which the n - 1 rule
+    # makes redundant; such a certificate verifies and round-trips byte for
+    # byte, and is 0.9.0's but for that key and meta.version
+    cert = embed_simplex(generate_points("random", 5, seed=2))
+    old = old_version(cert, "0.8.0", {"scale_exponent": {"dropped_coordinates": []}})
+    text = dumps_certificate(old)
+    assert '"scale_exponent":' in text and '"dropped_coordinates":[],' in text
+    loaded = loads_certificate(text)
+    assert verify_certificate(loaded).passed
+    assert dumps_certificate(loaded) == text
+    new = dumps_certificate(cert)
+    assert len(text) - len(new) == len('"dropped_coordinates":[],')
+    assert text.replace('"dropped_coordinates":[],', "").replace('"0.8.0"', '"0.9.0"') == new
 
 
 def test_embed_two_points_minimal_case():
