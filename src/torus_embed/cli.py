@@ -70,11 +70,7 @@ def _read_certificate(path):
 
 
 def _cmd_embed(args) -> int:
-    cfg = PipelineConfig(
-        accept_tol=args.tolerance,
-        alpha_fraction=args.alpha_fraction,
-        uniform_m=args.uniform_m,
-    )
+    cfg = PipelineConfig(accept_tol=args.tolerance, uniform_m=args.uniform_m)
     embed, data = _load_input(args.input)
     cert = embed(data, cfg)
     try:
@@ -168,9 +164,13 @@ def _json_provenance(value):
 
 
 def _provenance(value, spec: str) -> str:
-    # verification never reads provenance, so a non-number is shown as given
+    # verification never reads provenance, so a non-number, or an integer
+    # past the double range that a float spec cannot format, is shown as given
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return format(value, spec)
+        try:
+            return format(value, spec)
+        except OverflowError:
+            pass
     return str(value)
 
 
@@ -224,9 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="relative acceptance tolerance (default %(default)g)")
     p_embed.add_argument("--uniform-m", action="store_true", dest="uniform_m",
                          help="force every torus factor to the same polygon order")
-    p_embed.add_argument("--alpha-fraction", type=float, default=1.0,
-                         dest="alpha_fraction",
-                         help="expansion fraction of the smallest Gram eigenvalue, in (0, 2)")
     p_embed.add_argument("--quiet", action="store_true")
     p_embed.set_defaults(func=_cmd_embed)
 

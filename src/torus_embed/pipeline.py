@@ -25,7 +25,7 @@ to that mode, so the grid never drops one. Every later factor is one cut,
 with the cut's points on vertex 1 and the rest on vertex 0: the n
 singletons {0}, ..., {n - 1} first, then the kept pairs {i, j} in
 row-major order. Each factor's order is in the torus: 3, or the base's m
-under uniform_m.
+under uniform_m, so the parameters do not repeat that flag.
 """
 
 from __future__ import annotations
@@ -71,26 +71,24 @@ CORRECTION_ORDER = 3
 
 @dataclass(frozen=True)
 class ExpansionDecomposition:
-    """Base points plus the uniform squared-distance increment alpha^2."""
+    """Base points plus the uniform squared-distance increment alpha_sq, the
+    smallest centered-Gram eigenvalue off the centering mode: the one alpha^2
+    that the base, the budget and the correction all use."""
 
     base: np.ndarray
-    alpha: float
-    lambda_min: float  # smallest centered-Gram eigenvalue off the centering mode
+    alpha_sq: float
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Options of one embed, checked when made: a NaN, negative or infinite
-    accept_tol, or an alpha_fraction outside (0, 2), is refused (InputError)
-    before any construction."""
+    accept_tol is refused (InputError) before any construction."""
 
     accept_tol: float = DEFAULT_ACCEPT_TOL
-    alpha_fraction: float = 1.0
     uniform_m: bool = False
 
     def __post_init__(self):
         _check_tolerance(self.accept_tol)
-        _check_alpha_fraction(self.alpha_fraction)
 
 
 @dataclass(frozen=True)
@@ -103,36 +101,30 @@ class VerificationReport:
     worst_pair: tuple[int, int] | None
 
 
-def schoenberg_decompose(
-    sq, tol: float = DEFAULT_TOL, alpha_fraction: float = 1.0
-) -> ExpansionDecomposition:
+def schoenberg_decompose(sq, tol: float = DEFAULT_TOL) -> ExpansionDecomposition:
     """Write a simplex, given by its squared-distance matrix, as a base set
     whose squared distances are uniformly alpha^2 smaller.
 
     Subtracting alpha^2 from every off-diagonal squared distance shifts each
     centered-Gram eigenvalue (off the centering mode) down by alpha^2/2 and
     keeps every eigenvector, so any alpha^2 below twice the smallest such
-    eigenvalue keeps the base realizable. alpha^2 = alpha_fraction *
-    lambda_min, default exactly lambda_min, which leaves the base well
-    conditioned.
+    eigenvalue lambda_min keeps the base realizable. alpha^2 = lambda_min,
+    which leaves the base well conditioned.
 
     One eigendecomposition decides it all: `simplex_spectrum` applies the
-    Euclidean and rank rules, its lambda_min gives alpha^2, and its
+    Euclidean and rank rules, its lambda_min is alpha^2, and its
     eigenvectors, scaled by the square roots of the shifted eigenvalues
-    lambda_i - alpha^2/2 >= (1 - alpha_fraction/2) * lambda_min > 0, are the
-    base's n - 1 coordinates in decreasing eigenvalue order. There is no
-    second rank decision, so no base axis can drop. An alpha_fraction
-    outside (0, 2) is refused (InputError) before anything else.
+    lambda_i - alpha^2/2 >= lambda_min / 2 > 0, are the base's n - 1
+    coordinates in decreasing eigenvalue order. There is no second rank
+    decision, so no base axis can drop.
     """
-    _check_alpha_fraction(alpha_fraction)
     g = centered_gram(sq)
     if g.shape[0] < 2:
         raise TrivialInput("decomposition needs at least two points")
     w, v = simplex_spectrum(g, tol)  # w[0], v[:, 0] are the centering mode
-    lam_min = float(w[1])
-    alpha_sq = alpha_fraction * lam_min
+    alpha_sq = float(w[1])
     base = v[:, :0:-1] * np.sqrt(w[:0:-1] - 0.5 * alpha_sq)
-    return ExpansionDecomposition(base, math.sqrt(alpha_sq), lam_min)
+    return ExpansionDecomposition(base, alpha_sq)
 
 
 def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertificate:
@@ -167,8 +159,8 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     cfg = cfg or PipelineConfig()
     input_sq = check_squared_distances(sq)
     n = input_sq.shape[0]
-    dec = schoenberg_decompose(input_sq, DEFAULT_TOL, cfg.alpha_fraction)
-    alpha_sq = dec.alpha**2
+    dec = schoenberg_decompose(input_sq, DEFAULT_TOL)
+    alpha_sq = dec.alpha_sq
 
     delta = alpha_sq / n**2
     if not delta > 0.0:
@@ -200,8 +192,7 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
         for i in range(n)
     )
     parameters = {
-        "alpha": dec.alpha,
-        "alpha_fraction": cfg.alpha_fraction,
+        "alpha": math.sqrt(alpha_sq),
         "delta": delta,
         "n0": str(de.params.n0),
         "n": str(de.params.n),
@@ -209,7 +200,6 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
         "r": de.params.r,
         "scale_exponent": de.params.e,
         "correction_margin": plan.margin,
-        "uniform_m": cfg.uniform_m,
         "rank_tolerance": DEFAULT_TOL,
         "accept_tolerance": cfg.accept_tol,
     }
@@ -238,11 +228,6 @@ def _check_tolerance(tol) -> float:
     if not 0.0 <= tol < math.inf:
         raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
     return tol
-
-
-def _check_alpha_fraction(alpha_fraction) -> None:
-    if not 0.0 < alpha_fraction < 2.0:
-        raise InputError(f"alpha_fraction must lie in (0, 2), got {alpha_fraction!r}")
 
 
 def _check_structure(cert: EmbeddingCertificate) -> int:

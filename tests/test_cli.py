@@ -306,14 +306,15 @@ def test_embed_uniform_m_flag(tmp_path, capsys):
 
 
 def test_embed_alpha_fraction_out_of_range_exits_1(tmp_path, capsys):
-    # one point exits 2, but the bad option is refused first
+    # alpha^2 is the smallest Gram eigenvalue, with no option to scale it:
+    # --alpha-fraction is an unknown option at any value, 1 included
     inp = tmp_path / "in.json"
-    for points, fraction in (([[0.0], [1.0]], "2.5"), ([[0.0, 1.0]], "3")):
-        write_json(inp, {"points": points})
+    write_json(inp, {"points": [[0.0], [1.0]]})
+    for fraction in ("1", "2.5"):
         code, _, stderr = run(capsys, "embed", str(inp), str(tmp_path / "c.json"),
                               "--alpha-fraction", fraction)
         assert code == 1
-        assert "alpha_fraction" in stderr
+        assert "unrecognized arguments: --alpha-fraction" in stderr
         assert not (tmp_path / "c.json").exists()
 
 
@@ -521,8 +522,11 @@ def test_bad_tolerance_exits_1(tmp_path, capsys, value):
 @pytest.mark.parametrize(
     "field, value, shown",
     [("parameters", {"alpha": "x"}, "alpha:             x"),
-     ("errors", {"max_abs": 1.0}, "max_rel None")],
-    ids=["string-alpha", "missing-max-rel"],
+     ("errors", {"max_abs": 1.0}, "max_rel None"),
+     # integers past the double range, which a float format overflows on
+     ("parameters", {"alpha": 10**400}, f"alpha:             {10**400}\n"),
+     ("errors", {"max_abs": 10**400, "max_rel": 0.0}, f"max_abs {10**400}  max_rel")],
+    ids=["string-alpha", "missing-max-rel", "huge-int-alpha", "huge-int-max-abs"],
 )
 def test_inspect_shows_untrusted_provenance_as_given(tmp_path, capsys, field, value, shown):
     inp = tmp_path / "in.json"

@@ -753,7 +753,7 @@ def test_base_error_enclosed_below_budget(npts, count, extreme):
     rng = np.random.default_rng(1212 + npts)
     for _ in range(count):
         dec = schoenberg_decompose(squared_distances(draw_points(rng, npts, extreme)))
-        de = product_embed(dec.base, dec.alpha**2 / npts**2)
+        de = product_embed(dec.base, dec.alpha_sq / npts**2)
         p = de.params
         kept = [c for c in range(dec.base.shape[1]) if c not in de.dropped_axes]
         with interval_precision(PREC):

@@ -91,10 +91,10 @@ def reference_report(cert, tol):
     )
 
 
-def reference_schoenberg_decompose(points, tol=1e-9, alpha_fraction=1.0):
+def reference_schoenberg_decompose(points, tol=1e-9):
     """The decomposition written out plainly on one eigendecomposition of
-    the points' centered Gram: the rank rule, alpha^2 from lambda_min, then
-    the base one eigenvector at a time, in decreasing eigenvalue order, each
+    the points' centered Gram: the rank rule, alpha^2 = lambda_min, then the
+    base one eigenvector at a time, in decreasing eigenvalue order, each
     scaled by the square root of its eigenvalue less alpha^2/2."""
     arr = np.asarray(points, dtype=float)
     n = arr.shape[0]
@@ -102,17 +102,15 @@ def reference_schoenberg_decompose(points, tol=1e-9, alpha_fraction=1.0):
     if np.count_nonzero(w > tol * max(float(w[-1]), 0.0)) != n - 1:
         raise NotSimplex("points are not affinely independent at the working tolerance")
     lam_min = float(w[1])
-    alpha_sq = alpha_fraction * lam_min
     base = np.column_stack(
-        [v[:, k] * math.sqrt(w[k] - 0.5 * alpha_sq) for k in range(n - 1, 0, -1)]
+        [v[:, k] * math.sqrt(w[k] - 0.5 * lam_min) for k in range(n - 1, 0, -1)]
     )
-    return math.sqrt(alpha_sq), lam_min, base
+    return lam_min, base
 
 
 def assert_matches_reference(dec, points):
-    alpha, lam_min, base = reference_schoenberg_decompose(points)
-    assert dec.alpha == alpha
-    assert dec.lambda_min == lam_min
+    lam_min, base = reference_schoenberg_decompose(points)
+    assert dec.alpha_sq == lam_min
     np.testing.assert_array_equal(dec.base, base)
 
 
@@ -132,7 +130,7 @@ def unit_line_cert(input_sq, indices):
 def test_decompose_regular_simplex():
     side = 1.0
     dec = schoenberg_decompose(squared_distances(regular_simplex(4, side)))
-    assert dec.alpha == pytest.approx(side / math.sqrt(2), rel=1e-10)
+    assert dec.alpha_sq == pytest.approx(side**2 / 2, rel=1e-10)
     base_d2 = squared_distances(dec.base)
     off = ~np.eye(4, dtype=bool)
     np.testing.assert_allclose(base_d2[off], side**2 / 2, rtol=1e-10)
@@ -141,7 +139,7 @@ def test_decompose_regular_simplex():
 def test_decompose_two_points():
     d = 3.7
     dec = schoenberg_decompose(squared_distances([[0.0], [d]]))
-    assert dec.alpha == pytest.approx(d / math.sqrt(2), rel=1e-12)
+    assert dec.alpha_sq == pytest.approx(d**2 / 2, rel=1e-12)
     assert math.dist(dec.base[0], dec.base[1]) == pytest.approx(d / math.sqrt(2), rel=1e-12)
 
 
@@ -153,17 +151,6 @@ def test_decompose_collinear_raises():
 def test_decompose_single_point_raises():
     with pytest.raises(TrivialInput):
         schoenberg_decompose(squared_distances([[1.0, 2.0]]))
-
-
-def test_decompose_alpha_fraction_range():
-    # refused before any construction: one point would otherwise raise
-    # TrivialInput first
-    for fraction in (0.0, 2.0, 3.0, -1.0, math.nan):
-        with pytest.raises(InputError, match="alpha_fraction"):
-            PipelineConfig(alpha_fraction=fraction)
-        for pts in (regular_simplex(3, 1.0), [[1.0, 2.0]]):
-            with pytest.raises(InputError, match="alpha_fraction"):
-                schoenberg_decompose(squared_distances(pts), alpha_fraction=fraction)
 
 
 def flattened_random(n, seed, factor):
@@ -217,7 +204,7 @@ def test_decompose_reconstructs_input_distances():
         pts = rng.uniform(-1, 1, (n, n - 1))
         d2 = squared_distances(pts)
         dec = schoenberg_decompose(d2)
-        rebuilt = squared_distances(dec.base) + dec.alpha**2
+        rebuilt = squared_distances(dec.base) + dec.alpha_sq
         np.fill_diagonal(rebuilt, 0.0)
         assert np.abs(rebuilt - d2).max() <= 1e-10 * d2.max()
 
@@ -244,14 +231,14 @@ def test_uniform_m_embed_decomposes_as_reference(monkeypatch):
     cert = embed_simplex(pts, PipelineConfig(uniform_m=True))
     assert len(seen) == 1
     assert_matches_reference(seen[0], pts)
-    assert cert.parameters["alpha"] == seen[0].alpha
+    assert cert.parameters["alpha"] == math.sqrt(seen[0].alpha_sq)
 
 
 def test_decompose_alpha_positive_for_simplices():
     rng = np.random.default_rng(99)
     for n in (2, 4, 6):
         pts = rng.uniform(-1, 1, (n, n - 1))
-        assert schoenberg_decompose(squared_distances(pts)).alpha > 0
+        assert schoenberg_decompose(squared_distances(pts)).alpha_sq > 0
 
 
 def test_embed_triangle_certificate():
@@ -319,6 +306,11 @@ def old_version(cert, version, extra):
     return dataclasses.replace(cert, parameters=params, meta={**cert.meta, "version": version})
 
 
+# what 0.9.0 also wrote: alpha_fraction (1 unless --alpha-fraction was
+# given) and uniform_m, which the torus's factor orders state
+V0_9_0_KEYS = {"alpha": {"alpha_fraction": 1.0}, "correction_margin": {"uniform_m": False}}
+
+
 def test_version_0_7_0_certificate_still_verifies():
     # 0.7.0 also wrote correction_m and correction_cuts, which the layout
     # rule recovers; verification never reads parameters, so such a
@@ -326,11 +318,12 @@ def test_version_0_7_0_certificate_still_verifies():
     cert = embed_simplex(generate_points("random", 5, seed=2))
     _, cuts = correction_cuts(cert)
     old = old_version(cert, "0.7.0", {
+        **V0_9_0_KEYS,
         "scale_exponent": {"dropped_coordinates": [], "correction_m": "3"},
-        "uniform_m": {"correction_cuts": cuts},
+        "correction_margin": {"uniform_m": False, "correction_cuts": cuts},
     })
     text = dumps_certificate(old)
-    assert '"correction_cuts":[[0],[1],' in text
+    assert '"uniform_m":false,"correction_cuts":[[0],[1],' in text
     loaded = loads_certificate(text)
     assert verify_certificate(loaded).passed
     assert dumps_certificate(loaded) == text
@@ -341,15 +334,39 @@ def test_version_0_8_0_certificate_still_verifies():
     # makes redundant; such a certificate verifies and round-trips byte for
     # byte, and is 0.9.0's but for that key and meta.version
     cert = embed_simplex(generate_points("random", 5, seed=2))
-    old = old_version(cert, "0.8.0", {"scale_exponent": {"dropped_coordinates": []}})
+    old = old_version(cert, "0.8.0", {
+        **V0_9_0_KEYS, "scale_exponent": {"dropped_coordinates": []},
+    })
     text = dumps_certificate(old)
     assert '"scale_exponent":' in text and '"dropped_coordinates":[],' in text
     loaded = loads_certificate(text)
     assert verify_certificate(loaded).passed
     assert dumps_certificate(loaded) == text
+    v0_9_0 = dumps_certificate(old_version(cert, "0.9.0", V0_9_0_KEYS))
+    assert len(text) - len(v0_9_0) == len('"dropped_coordinates":[],')
+    assert text.replace('"dropped_coordinates":[],', "").replace('"0.8.0"', '"0.9.0"') == v0_9_0
+
+
+@pytest.mark.parametrize("uniform_m", [False, True], ids=["triangles", "uniform-m"])
+def test_version_0_9_0_certificate_still_verifies(uniform_m):
+    # 0.9.0 also wrote alpha_fraction and uniform_m; such a certificate
+    # verifies and round-trips byte for byte, and is 0.10.0's but for those
+    # two keys and meta.version
+    cert = embed_simplex(generate_points("random", 5, seed=2), PipelineConfig(uniform_m=uniform_m))
+    old = old_version(cert, "0.9.0", {
+        **V0_9_0_KEYS, "correction_margin": {"uniform_m": uniform_m},
+    })
+    text = dumps_certificate(old)
+    keys = ('"alpha_fraction":1,', f'"uniform_m":{str(uniform_m).lower()},')
+    assert all(key in text for key in keys)
+    loaded = loads_certificate(text)
+    assert verify_certificate(loaded).passed
+    assert dumps_certificate(loaded) == text
     new = dumps_certificate(cert)
-    assert len(text) - len(new) == len('"dropped_coordinates":[],')
-    assert text.replace('"dropped_coordinates":[],', "").replace('"0.8.0"', '"0.9.0"') == new
+    assert len(text) - len(new) == sum(map(len, keys)) - 1  # "0.10.0" is one byte longer
+    for key in keys:
+        text = text.replace(key, "")
+    assert text.replace('"0.9.0"', '"0.10.0"') == new
 
 
 def test_embed_two_points_minimal_case():
@@ -385,24 +402,70 @@ def test_embed_uniform_m_mode():
     assert verify_certificate(cert, 1e-8).passed
 
 
-def test_embed_alpha_fraction_changes_alpha():
-    pts = regular_simplex(3, 1.0)
-    small = embed_simplex(pts, PipelineConfig(alpha_fraction=0.5))
-    default = embed_simplex(pts)
-    assert small.parameters["alpha"] < default.parameters["alpha"]
-    assert verify_certificate(small, 1e-8).passed
+# regular simplices whose alpha^2 = lambda_min does not survive a square
+# root and back: math.sqrt(a)**2 != a for each
+ONE_ALPHA_SIDES = {2: 0.7, 3: 1.0, 4: 1.0, 8: 0.7}
+
+
+@pytest.mark.parametrize("n", list(ONE_ALPHA_SIDES))
+def test_alpha_sq_has_one_value(monkeypatch, n):
+    # the decomposition's alpha^2 is the very value the budget and the
+    # correction use, bit for bit, never alpha re-squared
+    from torus_embed import pipeline
+
+    calls = {}  # name: (args, result)
+
+    def spy(fn):
+        def recorded(*args):
+            calls[fn.__name__] = args, fn(*args)
+            return calls[fn.__name__][1]
+        monkeypatch.setattr(pipeline, fn.__name__, recorded)
+
+    for fn in (pipeline.schoenberg_decompose, pipeline.product_embed, pipeline.realization_plan):
+        spy(fn)
+    cert = embed_simplex(regular_simplex(n, ONE_ALPHA_SIDES[n]))
+    alpha_sq = calls["schoenberg_decompose"][1].alpha_sq
+    assert math.sqrt(alpha_sq) ** 2 != alpha_sq
+    (corr_sq,) = calls["realization_plan"][0]
+    expected = calls["product_embed"][1].per_pair_error + alpha_sq
+    off = ~np.eye(n, dtype=bool)
+    np.testing.assert_array_equal(corr_sq[off], expected[off])
+    assert cert.parameters["delta"] == alpha_sq / n**2
+    assert cert.parameters["alpha"] == math.sqrt(alpha_sq)
+    assert cert.errors["max_rel"] <= 1e-12
+    assert verify_certificate(cert, 1e-12).passed
 
 
 @pytest.mark.parametrize("fraction", [1.9, 1.95, 1.99, 1.999])
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
-def test_budget_kept_where_it_exceeds_the_base_distances(n, fraction):
-    # a regular simplex's base squared distances are all (2 - f) lambda_min
-    # against the budget f lambda_min / n**2, so the budget reaches them once
-    # f >= 2 n**2 / (n**2 + 1): the grid alone keeps the base injective, and
-    # the certificate records the budget alpha**2 / n**2 as it was used
-    cert = embed_simplex(regular_simplex(n, 1.0), PipelineConfig(alpha_fraction=fraction))
-    alpha = cert.parameters["alpha"]
-    assert cert.parameters["delta"] == alpha**2 / n**2
+def test_budget_kept_where_it_exceeds_the_base_distances(monkeypatch, n, fraction):
+    # alpha^2 = lambda_min keeps every base squared distance >= lambda_min >
+    # delta, but any alpha^2 below 2 lambda_min decomposes the simplex. A
+    # regular simplex decomposed at alpha^2 = f lambda_min has base squared
+    # distances (2 - f) lambda_min against the budget f lambda_min / n**2,
+    # which reaches them once f >= 2 n**2 / (n**2 + 1): the rest of the
+    # pipeline takes such a decomposition as given, the grid alone keeps the
+    # base injective, and the certificate records the budget alpha_sq / n**2
+    # as it was used
+    from torus_embed import pipeline
+
+    decompose = pipeline.schoenberg_decompose
+    seen = []
+
+    def wider(sq, tol):
+        dec = decompose(sq, tol)
+        seen.append(pipeline.ExpansionDecomposition(
+            dec.base * math.sqrt(2.0 - fraction), fraction * dec.alpha_sq
+        ))
+        return seen[-1]
+
+    monkeypatch.setattr(pipeline, "schoenberg_decompose", wider)
+    cert = embed_simplex(regular_simplex(n, 1.0))
+    (dec,) = seen
+    delta = cert.parameters["delta"]
+    assert delta == dec.alpha_sq / n**2
+    base_min = squared_distances(dec.base)[~np.eye(n, dtype=bool)].min()
+    assert (delta >= base_min) == (fraction >= 2 * n**2 / (n**2 + 1))
     assert cert.errors["max_rel"] <= 1e-12
     assert verify_certificate(cert, 1e-12).passed
 
@@ -412,14 +475,14 @@ def test_final_distance_identity():
     pts = generate_points("random", 4, seed=2)
     dec = schoenberg_decompose(squared_distances(pts))
     n = len(pts)
-    de = product_embed(dec.base, dec.alpha**2 / n**2)
+    de = product_embed(dec.base, dec.alpha_sq / n**2)
     cert = embed_simplex(pts)
     k = len(de.torus.factors)
     for i, j in combinations(range(n), 2):
         pi, pj = cert.assignment[i].indices, cert.assignment[j].indices
         front = chord_sq_sum(cert.torus.factors[:k], pi[:k], pj[:k])
         back = chord_sq_sum(cert.torus.factors[k:], pi[k:], pj[k:])
-        corr_sq = de.per_pair_error[i, j] + dec.alpha**2
+        corr_sq = de.per_pair_error[i, j] + dec.alpha_sq
         assert back == pytest.approx(corr_sq, rel=1e-10)
         d2 = squared_distances(pts)[i, j]
         assert front + back == pytest.approx(d2, rel=1e-10)
@@ -431,8 +494,8 @@ def test_correction_matrix_is_almost_regular_every_run():
         n = int(rng.integers(2, 7))
         pts = generate_points("random", n, seed=seed)
         dec = schoenberg_decompose(squared_distances(pts))
-        de = product_embed(dec.base, dec.alpha**2 / n**2)
-        corr_sq = de.per_pair_error + dec.alpha**2
+        de = product_embed(dec.base, dec.alpha_sq / n**2)
+        corr_sq = de.per_pair_error + dec.alpha_sq
         np.fill_diagonal(corr_sq, 0.0)
         valid, margin = check_almost_regular(corr_sq)
         assert valid and margin > 0
