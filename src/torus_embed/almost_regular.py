@@ -64,10 +64,6 @@ class RealizationPlan:
     margin: float
     cuts: tuple[tuple[tuple[int, ...], float], ...]
 
-    @property
-    def base_side(self) -> float:
-        return math.sqrt(self.margin)
-
 
 def _deficits(sq):
     """Validate a squared-distance matrix once. Returns its size n, the

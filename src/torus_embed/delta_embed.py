@@ -94,7 +94,6 @@ class DeltaEmbedding:
     delta: float  # the error budget as requested
     per_pair_error: np.ndarray  # input squared distance minus torus squared distance
     params: DeltaParams
-    dropped_axes: tuple[int, ...] = ()
 
 
 def _check_budget(delta) -> float:
@@ -239,7 +238,7 @@ def _vertex_index(value: int, num: int, den: int) -> int:
     return value * num // den
 
 
-def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped: tuple) -> DeltaEmbedding:
+def _snap(cols: np.ndarray, d2: np.ndarray, delta: float) -> DeltaEmbedding:
     """Snap each column, translated exactly to start at 0, onto one polygon
     of a shared (m, r) at a budget of delta / #columns; per_pair_error is `d2`
     minus the torus distances. The grid's unit 2**e comes from the columns'
@@ -260,7 +259,7 @@ def _snap(cols: np.ndarray, d2: np.ndarray, delta: float, dropped: tuple) -> Del
     torus = TorusSpec(tuple(PolygonSpec(p.m, p.r) for _ in nums))
     assignment = tuple(TorusPoint._of_ints(row) for row in zip(*columns))
     per_pair = d2 - pairwise_sq(torus, assignment)
-    return DeltaEmbedding(torus, assignment, delta, per_pair, p, dropped)
+    return DeltaEmbedding(torus, assignment, delta, per_pair, p)
 
 
 def product_embed(points, delta) -> DeltaEmbedding:
@@ -268,13 +267,14 @@ def product_embed(points, delta) -> DeltaEmbedding:
 
     The grid's only constructor: a set of reals is one column, so a 1-d
     array is read as one point per value. One polygon factor per
-    non-constant coordinate; constant coordinates carry no distance
-    information and are dropped (and recorded). All factors share one
-    (m, r) pair, derived from the coordinates' largest span and smallest
-    gap and a per-coordinate budget of exactly delta / #factors. Points may
-    share values along an axis, but not all of them: equal rows are refused
-    (InputError), and so is a single point (TrivialInput). Distinct points
-    whose squared distance underflows to 0.0 are embedded.
+    non-constant coordinate, in input order; constant coordinates carry no
+    distance information and are dropped, as the input itself shows. All
+    factors share one (m, r) pair, derived from the coordinates' largest
+    span and smallest gap and a per-coordinate budget of exactly
+    delta / #factors. Points may share values along an axis, but not all of
+    them: equal rows are refused (InputError), and so is a single point
+    (TrivialInput). Distinct points whose squared distance underflows to 0.0
+    are embedded.
 
     The assignment is injective at any budget: distinct points differ on
     some kept axis, and on each axis the grid's step is below the smallest
@@ -296,6 +296,5 @@ def product_embed(points, delta) -> DeltaEmbedding:
     if np.any(np.all(arr[i] == arr[j], axis=1)):
         raise InputError("points are not pairwise distinct")
     kept = [c for c in range(arr.shape[1]) if np.any(arr[:, c] != arr[0, c])]
-    dropped = tuple(c for c in range(arr.shape[1]) if c not in kept)
     # distinct points must differ somewhere, so at least one axis survives
-    return _snap(arr[:, kept], d2, delta, dropped)
+    return _snap(arr[:, kept], d2, delta)

@@ -5,8 +5,9 @@ A squared-distance matrix is Euclidean-realizable iff its doubly centered
 negative half is positive semidefinite (Schoenberg's criterion); `realize`
 is the constructive inverse via classical scaling.
 
-All rank and positivity decisions use a relative tolerance against the
-largest eigenvalue, so they are invariant under rescaling the input.
+All rank and positivity decisions use one relative tolerance, DEFAULT_TOL,
+against the largest eigenvalue, so they are invariant under rescaling the
+input. `_zero_floor` alone reads it; no function takes a tolerance.
 """
 
 from __future__ import annotations
@@ -91,21 +92,20 @@ def centered_gram(sqdist) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def realize(gram, tol: float = DEFAULT_TOL) -> np.ndarray:
+def realize(gram) -> np.ndarray:
     """Recover point coordinates from a centered Gram matrix.
 
     Args:
         gram: symmetric (n, n) matrix.
-        tol: relative eigenvalue tolerance; eigenvalues in
-            [-tol * lambda_max, tol * lambda_max] count as zero.
 
     Returns:
         (n, rank) array of coordinates ordered by decreasing eigenvalue, so
-        the ambient dimension equals the numerical rank. The output is the
+        the ambient dimension equals the numerical rank: eigenvalues at or
+        below DEFAULT_TOL * lambda_max count as zero. The output is the
         canonical eigenbasis representative of its rigid-motion class.
 
     Raises:
-        NotEuclidean: if an eigenvalue falls below -tol * lambda_max.
+        NotEuclidean: if an eigenvalue falls below -DEFAULT_TOL * lambda_max.
     """
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
@@ -113,38 +113,39 @@ def realize(gram, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise InputError("Gram matrix contains non-finite entries")
     w, v = np.linalg.eigh(0.5 * (g + g.T))
-    keep = np.flatnonzero(w > _zero_floor(w, tol))[::-1]  # decreasing eigenvalue order
+    keep = np.flatnonzero(w > _zero_floor(w))[::-1]  # decreasing eigenvalue order
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def _zero_floor(w, tol: float) -> float:
+def _zero_floor(w) -> float:
     """The Euclidean rule on an ascending spectrum: NotEuclidean if an
-    eigenvalue falls below -tol * lambda_max. Returns tol * lambda_max, at
-    or below which an eigenvalue counts as zero."""
-    floor = tol * max(float(w[-1]), 0.0)
+    eigenvalue falls below -DEFAULT_TOL * lambda_max. Returns
+    DEFAULT_TOL * lambda_max, at or below which an eigenvalue counts as
+    zero."""
+    floor = DEFAULT_TOL * max(float(w[-1]), 0.0)
     if float(w[0]) < -floor:
         raise NotEuclidean(
-            f"smallest eigenvalue {w[0]:.6e} is below -tol*lambda_max = {-floor:.6e}"
+            f"smallest eigenvalue {w[0]:.6e} is below -DEFAULT_TOL*lambda_max = {-floor:.6e}"
         )
     return floor
 
 
-def simplex_spectrum(gram, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def simplex_spectrum(gram) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and matching eigenvectors (columns) of the
     centered Gram of n points, after the Euclidean rule and the rank rule,
     which raises NotSimplex unless exactly n - 1 of them exceed
-    tol * lambda_max. The first pair is then the centering mode."""
+    DEFAULT_TOL * lambda_max. The first pair is then the centering mode."""
     w, v = np.linalg.eigh(gram)
-    if np.count_nonzero(w > _zero_floor(w, tol)) != len(w) - 1:
+    if np.count_nonzero(w > _zero_floor(w)) != len(w) - 1:
         raise NotSimplex("points are not affinely independent at the working tolerance")
     return w, v
 
 
-def is_simplex(points, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the points are affinely independent at the given tolerance:
-    `simplex_spectrum` accepts their centered Gram."""
+def is_simplex(points) -> bool:
+    """True iff the points are affinely independent at the working
+    tolerance: `simplex_spectrum` accepts their centered Gram."""
     try:
-        simplex_spectrum(centered_gram(squared_distances(points)), tol)
+        simplex_spectrum(centered_gram(squared_distances(points)))
     except (NotEuclidean, NotSimplex):
         return False
     return True

@@ -25,7 +25,10 @@ to that mode, so the grid never drops one. Every later factor is one cut,
 with the cut's points on vertex 1 and the rest on vertex 0: the n
 singletons {0}, ..., {n - 1} first, then the kept pairs {i, j} in
 row-major order. Each factor's order is in the torus: 3, or the base's m
-under uniform_m, so the parameters do not repeat that flag.
+under uniform_m, so the parameters do not repeat that flag. Nor do they
+repeat the base grid's n, the cube root of m, or its radius r, which
+every base factor states; `parameters.m` stays, to find the base factors
+by.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .errors import (
     VerificationFailed,
 )
 from .geometry import (
-    DEFAULT_TOL,
     as_point_array,
     centered_gram,
     check_squared_distances,
@@ -101,7 +103,7 @@ class VerificationReport:
     worst_pair: tuple[int, int] | None
 
 
-def schoenberg_decompose(sq, tol: float = DEFAULT_TOL) -> ExpansionDecomposition:
+def schoenberg_decompose(sq) -> ExpansionDecomposition:
     """Write a simplex, given by its squared-distance matrix, as a base set
     whose squared distances are uniformly alpha^2 smaller.
 
@@ -121,7 +123,7 @@ def schoenberg_decompose(sq, tol: float = DEFAULT_TOL) -> ExpansionDecomposition
     g = centered_gram(sq)
     if g.shape[0] < 2:
         raise TrivialInput("decomposition needs at least two points")
-    w, v = simplex_spectrum(g, tol)  # w[0], v[:, 0] are the centering mode
+    w, v = simplex_spectrum(g)  # w[0], v[:, 0] are the centering mode
     alpha_sq = float(w[1])
     base = v[:, :0:-1] * np.sqrt(w[:0:-1] - 0.5 * alpha_sq)
     return ExpansionDecomposition(base, alpha_sq)
@@ -159,7 +161,7 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     cfg = cfg or PipelineConfig()
     input_sq = check_squared_distances(sq)
     n = input_sq.shape[0]
-    dec = schoenberg_decompose(input_sq, DEFAULT_TOL)
+    dec = schoenberg_decompose(input_sq)
     alpha_sq = dec.alpha_sq
 
     delta = alpha_sq / n**2
@@ -195,15 +197,12 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
         "alpha": math.sqrt(alpha_sq),
         "delta": delta,
         "n0": str(de.params.n0),
-        "n": str(de.params.n),
         "m": str(de.params.m),
-        "r": de.params.r,
         "scale_exponent": de.params.e,
         "correction_margin": plan.margin,
-        "rank_tolerance": DEFAULT_TOL,
         "accept_tolerance": cfg.accept_tol,
     }
-    meta = {"tool": "torus-embed", "version": VERSION, "float_format": ".17g"}
+    meta = {"tool": "torus-embed", "version": VERSION}
     cert = EmbeddingCertificate(input_sq, torus, assignment, parameters, {}, meta)
     report = verify_certificate(cert, cfg.accept_tol)
     if not report.passed:

@@ -64,11 +64,6 @@ class TorusSpec:
     def ambient_dim(self) -> int:
         return 2 * len(self.factors)
 
-    def contains(self, point: "TorusPoint") -> bool:
-        return len(point.indices) == len(self.factors) and all(
-            0 <= idx < f.m for idx, f in zip(point.indices, self.factors)
-        )
-
 
 @dataclass(frozen=True)
 class TorusPoint:

@@ -95,7 +95,7 @@ def test_criterion_2_almost_regular_realization():
         d2 = squared_distances(z)
         off = ~np.eye(n, dtype=bool)
         worst = max(worst, float(np.abs(d2[off] - c[off]).max() / cmax))
-        all_simplices = all_simplices and is_simplex(z, 1e-9)
+        all_simplices = all_simplices and is_simplex(z)
     elapsed = time.perf_counter() - start
     report(2, "almost-regular realization identity",
            worst <= 1e-10 and all_simplices, elapsed, 5.0,
@@ -118,7 +118,9 @@ def test_criterion_3_delta_embedding_guarantee():
         max_bits = max(max_bits, de.params.m.bit_length())
         off = ~np.eye(npts, dtype=bool)
         ok = ok and float(np.abs(de.per_pair_error[off]).max()) < delta
-        kept = [c for c in range(k) if c not in de.dropped_axes]
+        # product_embed keeps every axis the input does not hold constant
+        kept = [c for c in range(k) if np.any(pts[:, c] != pts[0, c])]
+        assert len(kept) == len(de.torus.factors)
         budget = de.delta / len(kept)
         n0, n, e, m, r = de.params.n0, de.params.n, de.params.e, de.params.m, de.params.r
         with mp.workprec(200):

@@ -110,7 +110,7 @@ def test_realize_regular_matrix_collapses_to_base_simplex():
     c = 1.69 * (np.ones((5, 5)) - np.eye(5))
     z, plan = realize_almost_regular(c)
     assert [members for members, _ in plan.cuts] == [(k,) for k in range(5)]
-    assert plan.base_side == pytest.approx(1.3, rel=1e-14)
+    assert math.sqrt(plan.margin) == pytest.approx(1.3, rel=1e-14)
     off = ~np.eye(5, dtype=bool)
     np.testing.assert_allclose(squared_distances(z)[off], 1.69, rtol=1e-12)
 
@@ -171,7 +171,7 @@ def test_realization_output_is_simplex_and_factor_count_bounded():
         n = int(rng.integers(2, 8))
         c = random_valid_matrix(rng, n)
         z, plan = realize_almost_regular(c)
-        assert is_simplex(z, 1e-9)
+        assert is_simplex(z)
         assert len(plan.cuts) <= n * (n + 1) // 2 - 1
 
 
@@ -302,11 +302,11 @@ def test_cut_weights_do_not_underflow():
     # the margin is the smallest subnormal double; no weight is halved
     # before its square root, so the sides are sqrt(5e-324) * sqrt(1/2)
     plan = realization_plan([[0.0, 5e-324], [5e-324, 0.0]])
-    assert plan.base_side**2 == 5e-324
+    assert plan.margin == 5e-324
     spec, points = embed_almost_regular(plan, 3)
     assert len(spec.factors) == 2
     for _, side in plan.cuts:
-        assert side == pytest.approx(plan.base_side / math.sqrt(2.0), rel=1e-15)
+        assert side == pytest.approx(math.sqrt(plan.margin) / math.sqrt(2.0), rel=1e-15)
 
 
 def reference_deficits(sq):
@@ -367,7 +367,6 @@ def test_plan_matches_reference_bitwise():
         plan = realization_plan(c)
         assert plan.n_points == n
         assert (plan.cuts, plan.margin) == ref
-        assert plan.base_side == math.sqrt(plan.margin)
 
 
 @st.composite

@@ -205,8 +205,15 @@ def test_one_dim_matches_reference_bitwise():
         assert got.params == ref.params
         assert got.torus == ref.torus
         assert got.delta == ref.delta
-        assert got.dropped_axes == ()
+        assert len(got.torus.factors) == 1  # the one column is kept
         assert got.per_pair_error.tobytes() == ref.per_pair_error.tobytes()
+
+
+def kept_axes(points):
+    """The axes on which the points do not all have the same value: the
+    ones product_embed keeps, one factor each, in order."""
+    arr = np.asarray(points, dtype=float)
+    return [c for c in range(arr.shape[1]) if np.any(arr[:, c] != arr[0, c])]
 
 
 def check_exact_errors_below_budget(de, cols):
@@ -382,14 +389,16 @@ def test_product_unit_square_corners():
     assert len(de.torus.factors) == 2
     off = ~np.eye(4, dtype=bool)
     assert np.abs(de.per_pair_error[off]).max() < 1e-2
-    assert de.dropped_axes == ()
+    assert kept_axes(corners) == [0, 1]
 
 
 def test_product_constant_axis_dropped():
     pts = [[0.0, 5.0], [1.0, 5.0], [2.5, 5.0]]
     de = product_embed(pts, 1e-2)
+    assert kept_axes(pts) == [0]
     assert len(de.torus.factors) == 1
-    assert de.dropped_axes == (1,)
+    # the one factor is axis 0: its three distinct values get three vertices
+    assert len({p.indices[0] for p in de.assignment}) == 3
     off = ~np.eye(3, dtype=bool)
     assert np.abs(de.per_pair_error[off]).max() < 1e-2
 
@@ -413,7 +422,8 @@ def test_product_half_budgets_per_coordinate():
         cols = [rng.choice(17, npts, replace=False) / 16.0 for _ in range(k)]
         pts = np.stack(cols, axis=1)
         de = product_embed(pts, 1e-2)
-        kept = [c for c in range(k) if c not in de.dropped_axes]
+        kept = kept_axes(pts)
+        assert len(kept) == len(de.torus.factors)
         budget = de.delta / len(kept)
         for axis_pos, c in enumerate(kept):
             values = list(pts[:, c])
@@ -755,7 +765,8 @@ def test_base_error_enclosed_below_budget(npts, count, extreme):
         dec = schoenberg_decompose(squared_distances(draw_points(rng, npts, extreme)))
         de = product_embed(dec.base, dec.alpha_sq / npts**2)
         p = de.params
-        kept = [c for c in range(dec.base.shape[1]) if c not in de.dropped_axes]
+        kept = kept_axes(dec.base)
+        assert len(kept) == len(de.torus.factors)
         with interval_precision(PREC):
             cap = iv.mpf(de.delta) / len(kept)
             bound = sum(closed_form_terms(p.n0, p.n, p.e))

@@ -33,6 +33,7 @@ from torus_embed import (
     squared_distances,
     verify_certificate,
 )
+from torus_embed.certificate import dumps_canonical
 
 
 def correction_cuts(cert):
@@ -283,7 +284,9 @@ def test_certificate_layout_locates_every_cut(monkeypatch, name, uniform_m):
 
     monkeypatch.setattr(pipeline, "realization_plan", recorded)
     cert = embed_simplex(pts, PipelineConfig(uniform_m=uniform_m))
-    assert not {"correction_cuts", "correction_m", "dropped_coordinates"} & set(cert.parameters)
+    dropped = {"correction_cuts", "correction_m", "dropped_coordinates", "alpha_fraction",
+               "uniform_m", "n", "r", "rank_tolerance", "float_format"}
+    assert not dropped & (set(cert.parameters) | set(cert.meta))
     (corr_sq,) = planned
     upper = corr_sq[np.triu_indices(n, 1)]
     kept = [list(pair) for pair, c in zip(combinations(range(n), 2), upper) if c < upper.max()]
@@ -296,18 +299,43 @@ def test_certificate_layout_locates_every_cut(monkeypatch, name, uniform_m):
     assert {f.m for f in cert.torus.factors[first:]} == {m if uniform_m else 3}
 
 
-def old_version(cert, version, extra):
-    """The certificate as an older version wrote it: the parameters in extra
-    each inserted after the key it names, and meta.version set."""
-    params = {}
-    for key, value in cert.parameters.items():
-        params[key] = value
-        params.update(extra.get(key, {}))
-    return dataclasses.replace(cert, parameters=params, meta={**cert.meta, "version": version})
+def old_version(cert, version, *layers):
+    """The certificate as an older version wrote it: meta.version set, then
+    each layer's keys inserted after the key they name, in parameters or in
+    meta, the newest version's layer first."""
+    params, meta = cert.parameters, {**cert.meta, "version": version}
+    for extra in layers:
+        params, meta = (_inserted(d, extra) for d in (params, meta))
+    return dataclasses.replace(cert, parameters=params, meta=meta)
 
 
-# what 0.9.0 also wrote: alpha_fraction (1 unless --alpha-fraction was
-# given) and uniform_m, which the torus's factor orders state
+def _inserted(d, extra):
+    out = {}
+    for key, value in d.items():
+        out[key] = value
+        out.update(extra.get(key, {}))
+    return out
+
+
+def v0_10_0_keys(cert):
+    """What 0.10.0 also wrote: the grid's n, the cube root of m; its radius
+    r, which every base factor states; the rank tolerance 1e-9; and the
+    codec's fixed float format."""
+    m = int(cert.parameters["m"])
+    n = round(m ** (1 / 3))
+    assert n**3 == m
+    (r,) = {f.r for f in cert.torus.factors[: len(cert.assignment) - 1]}
+    return {
+        "n0": {"n": str(n)},
+        "m": {"r": r},
+        "correction_margin": {"rank_tolerance": 1e-9},
+        "version": {"float_format": ".17g"},
+    }
+
+
+# what 0.9.0 also wrote, over 0.10.0's: alpha_fraction (1 unless
+# --alpha-fraction was given) and uniform_m, which the torus's factor
+# orders state
 V0_9_0_KEYS = {"alpha": {"alpha_fraction": 1.0}, "correction_margin": {"uniform_m": False}}
 
 
@@ -317,13 +345,13 @@ def test_version_0_7_0_certificate_still_verifies():
     # certificate verifies and round-trips byte for byte
     cert = embed_simplex(generate_points("random", 5, seed=2))
     _, cuts = correction_cuts(cert)
-    old = old_version(cert, "0.7.0", {
-        **V0_9_0_KEYS,
+    old = old_version(cert, "0.7.0", v0_10_0_keys(cert), V0_9_0_KEYS, {
         "scale_exponent": {"dropped_coordinates": [], "correction_m": "3"},
-        "correction_margin": {"uniform_m": False, "correction_cuts": cuts},
+        "uniform_m": {"correction_cuts": cuts},
     })
     text = dumps_certificate(old)
     assert '"uniform_m":false,"correction_cuts":[[0],[1],' in text
+    assert '"correction_cuts":' in text.split('"rank_tolerance":')[0]
     loaded = loads_certificate(text)
     assert verify_certificate(loaded).passed
     assert dumps_certificate(loaded) == text
@@ -334,15 +362,14 @@ def test_version_0_8_0_certificate_still_verifies():
     # makes redundant; such a certificate verifies and round-trips byte for
     # byte, and is 0.9.0's but for that key and meta.version
     cert = embed_simplex(generate_points("random", 5, seed=2))
-    old = old_version(cert, "0.8.0", {
-        **V0_9_0_KEYS, "scale_exponent": {"dropped_coordinates": []},
-    })
+    newer = (v0_10_0_keys(cert), V0_9_0_KEYS)
+    old = old_version(cert, "0.8.0", *newer, {"scale_exponent": {"dropped_coordinates": []}})
     text = dumps_certificate(old)
     assert '"scale_exponent":' in text and '"dropped_coordinates":[],' in text
     loaded = loads_certificate(text)
     assert verify_certificate(loaded).passed
     assert dumps_certificate(loaded) == text
-    v0_9_0 = dumps_certificate(old_version(cert, "0.9.0", V0_9_0_KEYS))
+    v0_9_0 = dumps_certificate(old_version(cert, "0.9.0", *newer))
     assert len(text) - len(v0_9_0) == len('"dropped_coordinates":[],')
     assert text.replace('"dropped_coordinates":[],', "").replace('"0.8.0"', '"0.9.0"') == v0_9_0
 
@@ -353,7 +380,8 @@ def test_version_0_9_0_certificate_still_verifies(uniform_m):
     # verifies and round-trips byte for byte, and is 0.10.0's but for those
     # two keys and meta.version
     cert = embed_simplex(generate_points("random", 5, seed=2), PipelineConfig(uniform_m=uniform_m))
-    old = old_version(cert, "0.9.0", {
+    newer = v0_10_0_keys(cert)
+    old = old_version(cert, "0.9.0", newer, {
         **V0_9_0_KEYS, "correction_margin": {"uniform_m": uniform_m},
     })
     text = dumps_certificate(old)
@@ -362,11 +390,41 @@ def test_version_0_9_0_certificate_still_verifies(uniform_m):
     loaded = loads_certificate(text)
     assert verify_certificate(loaded).passed
     assert dumps_certificate(loaded) == text
-    new = dumps_certificate(cert)
-    assert len(text) - len(new) == sum(map(len, keys)) - 1  # "0.10.0" is one byte longer
+    v0_10_0 = dumps_certificate(old_version(cert, "0.10.0", newer))
+    assert len(text) - len(v0_10_0) == sum(map(len, keys)) - 1  # "0.10.0" is one byte longer
     for key in keys:
         text = text.replace(key, "")
-    assert text.replace('"0.9.0"', '"0.10.0"') == new
+    assert text.replace('"0.9.0"', '"0.10.0"') == v0_10_0
+
+
+@pytest.mark.parametrize("uniform_m", [False, True], ids=["triangles", "uniform-m"])
+def test_version_0_10_0_certificate_still_verifies(uniform_m):
+    # 0.10.0 also wrote the grid's n and r, the rank tolerance and the float
+    # format; such a certificate verifies and round-trips byte for byte, and
+    # is 0.11.0's but for those four keys and meta.version: the input, the
+    # torus, the assignment and the errors are the same bytes
+    cert = embed_simplex(generate_points("random", 5, seed=2), PipelineConfig(uniform_m=uniform_m))
+    # n and r, read back from m and the base factors, are the grid's own
+    dec = schoenberg_decompose(cert.input_sq)
+    grid = product_embed(dec.base, cert.parameters["delta"]).params
+    old = old_version(cert, "0.10.0", v0_10_0_keys(cert))
+    assert (old.parameters["n"], old.parameters["r"]) == (str(grid.n), grid.r)
+    text = dumps_certificate(old)
+    keys = (
+        f'"n":"{grid.n}",',
+        f'"r":{dumps_canonical(grid.r)},',
+        '"rank_tolerance":1.0000000000000001e-09,',
+        ',"float_format":".17g"',
+    )
+    assert all(text.count(key) == 1 for key in keys)
+    loaded = loads_certificate(text)
+    assert verify_certificate(loaded).passed
+    assert dumps_certificate(loaded) == text
+    new = dumps_certificate(cert)
+    assert len(text) - len(new) == sum(map(len, keys))
+    for key in keys:
+        text = text.replace(key, "")
+    assert text.replace('"0.10.0"', '"0.11.0"') == new
 
 
 def test_embed_two_points_minimal_case():
@@ -452,8 +510,8 @@ def test_budget_kept_where_it_exceeds_the_base_distances(monkeypatch, n, fractio
     decompose = pipeline.schoenberg_decompose
     seen = []
 
-    def wider(sq, tol):
-        dec = decompose(sq, tol)
+    def wider(sq):
+        dec = decompose(sq)
         seen.append(pipeline.ExpansionDecomposition(
             dec.base * math.sqrt(2.0 - fraction), fraction * dec.alpha_sq
         ))

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_embed import (
+    EmbeddingCertificate,
     InputError,
+    InvalidCertificate,
     PolygonSpec,
     TorusPoint,
     TorusSpec,
@@ -19,6 +21,7 @@ from torus_embed import (
     shift,
     torus_distance,
     torus_distance_sq,
+    verify_certificate,
 )
 
 
@@ -284,8 +287,17 @@ def test_torus_point_validation():
 
 
 def test_torus_contains():
+    # a point lies on the torus when it has one index per factor, each in
+    # range: the rule the verifier enforces on a certificate's assignment
     t = TorusSpec((PolygonSpec(4, 1.0),))
-    assert t.contains(TorusPoint((3,)))
-    assert not t.contains(TorusPoint((4,)))
-    assert not t.contains(TorusPoint((0, 0)))
     assert t.ambient_dim == 2
+
+    def check(indices):
+        cert = EmbeddingCertificate(np.zeros((1, 1)), t, (TorusPoint(indices),), {}, {}, {})
+        return verify_certificate(cert).passed
+
+    assert check((3,))
+    for indices, field in (((4,), "assignment[0][0]"), ((0, 0), "assignment[0]")):
+        with pytest.raises(InvalidCertificate) as exc:
+            check(indices)
+        assert exc.value.field == field
