@@ -41,7 +41,6 @@ from .geometry import (
 )
 from .pipeline import (
     ExpansionDecomposition,
-    PipelineConfig,
     VerificationReport,
     embed_simplex,
     embed_squared_distances,
@@ -72,7 +71,6 @@ __all__ = [
     "NotAlmostRegular",
     "NotEuclidean",
     "NotSimplex",
-    "PipelineConfig",
     "PolygonSpec",
     "RealizationPlan",
     "TorusPoint",

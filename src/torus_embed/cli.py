@@ -34,7 +34,6 @@ from .gen import KINDS, generate_points
 from .geometry import check_squared_distances
 from .pipeline import (
     DEFAULT_ACCEPT_TOL,
-    PipelineConfig,
     embed_simplex,
     embed_squared_distances,
     verify_certificate,
@@ -70,9 +69,8 @@ def _read_certificate(path):
 
 
 def _cmd_embed(args) -> int:
-    cfg = PipelineConfig(accept_tol=args.tolerance, uniform_m=args.uniform_m)
     embed, data = _load_input(args.input)
-    cert = embed(data, cfg)
+    cert = embed(data)
     try:
         save_certificate(cert, args.output)
     except OSError as exc:
@@ -85,7 +83,7 @@ def _cmd_embed(args) -> int:
         )
         print(
             f"max abs error: {cert.errors['max_abs']:.3e}  "
-            f"max rel error: {cert.errors['max_rel']:.3e}  (tolerance {cfg.accept_tol:g})"
+            f"max rel error: {cert.errors['max_rel']:.3e}  (tolerance {DEFAULT_ACCEPT_TOL:g})"
         )
     return 0
 
@@ -220,10 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed = sub.add_parser("embed", help="embed a simplex and write a certificate")
     p_embed.add_argument("input", help="JSON file with 'points' or 'squared_distances'")
     p_embed.add_argument("output", help="certificate output path")
-    p_embed.add_argument("--tolerance", type=float, default=DEFAULT_ACCEPT_TOL,
-                         help="relative acceptance tolerance (default %(default)g)")
-    p_embed.add_argument("--uniform-m", action="store_true", dest="uniform_m",
-                         help="force every torus factor to the same polygon order")
     p_embed.add_argument("--quiet", action="store_true")
     p_embed.set_defaults(func=_cmd_embed)
 

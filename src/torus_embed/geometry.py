@@ -141,11 +141,17 @@ def simplex_spectrum(gram) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def is_simplex(points) -> bool:
-    """True iff the points are affinely independent at the working
-    tolerance: `simplex_spectrum` accepts their centered Gram."""
+def spectrum_accepts(sqdist) -> bool:
+    """True iff `simplex_spectrum` accepts the centered Gram of the
+    squared-distance matrix."""
     try:
-        simplex_spectrum(centered_gram(squared_distances(points)))
+        simplex_spectrum(centered_gram(sqdist))
     except (NotEuclidean, NotSimplex):
         return False
     return True
+
+
+def is_simplex(points) -> bool:
+    """True iff the points are affinely independent at the working
+    tolerance: `spectrum_accepts` their squared distances."""
+    return spectrum_accepts(squared_distances(points))

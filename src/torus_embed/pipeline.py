@@ -24,11 +24,12 @@ orthogonal to the centering mode, and a constant column would be parallel
 to that mode, so the grid never drops one. Every later factor is one cut,
 with the cut's points on vertex 1 and the rest on vertex 0: the n
 singletons {0}, ..., {n - 1} first, then the kept pairs {i, j} in
-row-major order. Each factor's order is in the torus: 3, or the base's m
-under uniform_m, so the parameters do not repeat that flag. Nor do they
-repeat the base grid's n, the cube root of m, or its radius r, which
-every base factor states; `parameters.m` stays, to find the base factors
-by.
+row-major order, each a triangle (order 3). The parameters do not repeat
+the base grid's n, the cube root of m, or its radius r, which every base
+factor states, nor the self-check's tolerance, the package's
+DEFAULT_ACCEPT_TOL; `parameters.m` stays, to find the base factors by.
+Certificates of earlier versions whose cut factors have the base's order
+m still verify: the verifier reads only the torus and the assignment.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ from .geometry import (
     is_simplex,
     realize,
     simplex_spectrum,
+    spectrum_accepts,
     squared_distances,
 )
 from .torus import TorusPoint, TorusSpec, pairwise_sq
 
 DEFAULT_ACCEPT_TOL = 1e-8
 
-# default polygon order for the correction factors; triangles keep
-# certificates small, while uniform_m forces them to the base embedding's
-# (huge) order instead
+# polygon order of every correction factor: triangles keep certificates small
 CORRECTION_ORDER = 3
 
 
@@ -79,18 +79,6 @@ class ExpansionDecomposition:
 
     base: np.ndarray
     alpha_sq: float
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Options of one embed, checked when made: a NaN, negative or infinite
-    accept_tol is refused (InputError) before any construction."""
-
-    accept_tol: float = DEFAULT_ACCEPT_TOL
-    uniform_m: bool = False
-
-    def __post_init__(self):
-        _check_tolerance(self.accept_tol)
 
 
 @dataclass(frozen=True)
@@ -129,15 +117,15 @@ def schoenberg_decompose(sq) -> ExpansionDecomposition:
     return ExpansionDecomposition(base, alpha_sq)
 
 
-def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertificate:
-    """`embed_squared_distances` of the points' squared distances. Points that
-    lose their rank only because two distinct points are nearer than the
-    smallest normal double allows are refused with InputError."""
-    cfg = cfg or PipelineConfig()
+def embed_simplex(points) -> EmbeddingCertificate:
+    """`embed_squared_distances` of the points' squared distances, with the
+    same bytes. Points that lose their rank only because two distinct points
+    are nearer than the smallest normal double allows are refused with
+    InputError."""
     arr = as_point_array(points)
     sq = squared_distances(arr)
     try:
-        return embed_squared_distances(sq, cfg)
+        return _embed(check_squared_distances(sq))
     except (NotEuclidean, NotSimplex):
         distinct = np.any(arr[:, None, :] != arr[None, :, :], axis=2)
         if np.any(distinct & (sq < np.finfo(float).tiny)):
@@ -145,7 +133,7 @@ def embed_simplex(points, cfg: PipelineConfig | None = None) -> EmbeddingCertifi
         raise
 
 
-def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingCertificate:
+def embed_squared_distances(sq) -> EmbeddingCertificate:
     """Construct a verified isometric embedding of a simplex into a torus from
     its squared-distance matrix, validated once and certified as given.
 
@@ -153,13 +141,42 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
     VerificationFailed if, against all analysis, the correction is not
     almost regular, the base embedding's error is not below its budget or
     the built certificate does not pass its own verification at
-    cfg.accept_tol. A certificate that fails there on a matrix with
-    subnormal off-diagonal entries is refused as InputError, naming them:
-    those entries keep too few bits for the check. `PipelineConfig` has
-    refused bad options before any construction.
+    DEFAULT_ACCEPT_TOL. A matrix with positive subnormal entries is refused
+    as InputError, naming one, where the spectrum refuses it but accepts it
+    times the exact power of two that brings its largest entry below 1 (a
+    larger one is not scaled), or where its certificate fails that
+    verification: those entries keep too few bits for the decision or the
+    check.
     """
-    cfg = cfg or PipelineConfig()
     input_sq = check_squared_distances(sq)
+    try:
+        return _embed(input_sq)
+    except (NotEuclidean, NotSimplex):
+        refusal = _subnormal_refusal(input_sq, "for the spectrum to decide")
+        # 2**k times the largest entry is in [1/2, 1), or k = 0: scaling up
+        # is exact, so the scaled matrix is the same metric's
+        k = max(0, -math.frexp(float(input_sq.max()))[1])
+        if refusal is None or not spectrum_accepts(np.ldexp(input_sq, k)):
+            raise
+        raise refusal from None
+
+
+def _subnormal_refusal(sq, why: str) -> InputError | None:
+    """InputError naming sq's first positive subnormal entry, too coarse
+    `why`, or None if it has none."""
+    subnormal = np.argwhere((sq > 0.0) & (sq < np.finfo(float).tiny))
+    if not len(subnormal):
+        return None
+    i, j = subnormal[0]
+    return InputError(
+        f"squared distances are subnormal doubles ({float(sq[i, j])!r} at "
+        f"pair {(int(i), int(j))}, say), too coarse {why}"
+    )
+
+
+def _embed(input_sq: np.ndarray) -> EmbeddingCertificate:
+    """The construction on a validated squared-distance matrix; the spectrum's
+    NotEuclidean or NotSimplex is left to the caller to explain."""
     n = input_sq.shape[0]
     dec = schoenberg_decompose(input_sq)
     alpha_sq = dec.alpha_sq
@@ -185,8 +202,7 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
             f"base embedding error {base_error:.6e} is not below its budget "
             f"delta = {delta:.6e}"
         )
-    correction_m = de.params.m if cfg.uniform_m else CORRECTION_ORDER
-    corr_torus, corr_points = embed_almost_regular(plan, correction_m)
+    corr_torus, corr_points = embed_almost_regular(plan, CORRECTION_ORDER)
 
     torus = TorusSpec(de.torus.factors + corr_torus.factors)
     assignment = tuple(
@@ -200,33 +216,20 @@ def embed_squared_distances(sq, cfg: PipelineConfig | None = None) -> EmbeddingC
         "m": str(de.params.m),
         "scale_exponent": de.params.e,
         "correction_margin": plan.margin,
-        "accept_tolerance": cfg.accept_tol,
     }
     meta = {"tool": "torus-embed", "version": VERSION}
     cert = EmbeddingCertificate(input_sq, torus, assignment, parameters, {}, meta)
-    report = verify_certificate(cert, cfg.accept_tol)
+    report = verify_certificate(cert)
     if not report.passed:
-        subnormal = (input_sq > 0.0) & (input_sq < np.finfo(float).tiny)
-        if np.any(subnormal):
-            i, j = np.argwhere(subnormal)[0]
-            raise InputError(
-                f"squared distances are subnormal doubles ({float(input_sq[i, j])!r} at "
-                f"pair {(int(i), int(j))}, say), too coarse for the certificate to "
-                f"verify: max relative error {report.max_rel_error:.6e}"
-            )
+        why = f"for the certificate to verify: max relative error {report.max_rel_error:.6e}"
+        if refusal := _subnormal_refusal(input_sq, why):
+            raise refusal
         raise VerificationFailed(
             f"certificate verification failed: max relative error "
             f"{report.max_rel_error:.6e} at pair {report.worst_pair}"
         )
     cert.errors = {"max_abs": report.max_abs_error, "max_rel": report.max_rel_error}
     return cert
-
-
-def _check_tolerance(tol) -> float:
-    tol = float(tol)
-    if not 0.0 <= tol < math.inf:
-        raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    return tol
 
 
 def _check_structure(cert: EmbeddingCertificate) -> int:
@@ -267,7 +270,9 @@ def verify_certificate(
     is at most tol. Raises InputError unless 0 <= tol < inf: a NaN or
     negative tol would fail every certificate and an infinite one pass all.
     """
-    tol = _check_tolerance(tol)
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
     n = _check_structure(cert)
     k = np.arange(n)
     iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost

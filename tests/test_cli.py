@@ -140,6 +140,44 @@ def test_embed_subnormal_squared_distances_with_rank_still_embed(tmp_path, capsy
     assert run(capsys, "verify", str(out))[0] == 0
 
 
+# squared-distance matrices with positive subnormal entries, and the exit
+# code and message each gets: the spectrum refuses the first two at their
+# scale and accepts them times an exact power of two, so their refusal is
+# the subnormals' lost bits (exit 1, as for the first one's points); the
+# last two are no metric at any scale (exit 2)
+SUBNORMAL_MATRICES = {
+    "random-4-points": (
+        squared_distances(generate_points("random", 4, seed=1) * 1e-158),
+        1, "squared distances are subnormal doubles (2.70641527",
+    ),
+    "two-points": (
+        [[0.0, 5e-324], [5e-324, 0.0]],
+        1, "squared distances are subnormal doubles (5e-324 at pair (0, 1), say)",
+    ),
+    "not-euclidean": (
+        [[0.0, 1.0, 5e-324], [1.0, 0.0, 5e-324], [5e-324, 5e-324, 0.0]],
+        2, "input is not a simplex (squared distances are not Euclidean)",
+    ),
+    # the same at 2**-10 times the scale, which is decided again at 2**9
+    "not-euclidean-small": (
+        [[0.0, 2.0**-10, 5e-324], [2.0**-10, 0.0, 5e-324], [5e-324, 5e-324, 0.0]],
+        2, "input is not a simplex (squared distances are not Euclidean)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBNORMAL_MATRICES))
+def test_embed_subnormal_matrix_one_verdict(tmp_path, capsys, name):
+    matrix, code, message = SUBNORMAL_MATRICES[name]
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"squared_distances": np.asarray(matrix).tolist()})
+    got, _, stderr = run(capsys, "embed", str(inp), str(out))
+    assert got == code
+    assert stderr.startswith(f"torus-embed: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [9e153, 1e200], ids=["sum-overflows", "entries-overflow"])
 def test_embed_overflowing_squared_distances_exits_1(tmp_path, capsys, scale):
     # at 9e153 every squared distance is finite but their sum, which the
@@ -163,12 +201,15 @@ def test_gen_noise_overflowing_squared_distances_exits_1(tmp_path, capsys):
 
 
 def test_embed_bad_tolerance_refused_before_simplex_check(tmp_path, capsys):
+    # embed self-checks at the package's DEFAULT_ACCEPT_TOL: --tolerance is
+    # a usage error (exit 1) before the input, not a simplex, is read
     inp = tmp_path / "in.json"
     write_json(inp, {"points": [[0.0], [1.0], [2.0]]})
     code, _, stderr = run(capsys, "embed", str(inp), str(tmp_path / "c.json"),
                           "--tolerance", "nan")
     assert code == 1
-    assert "tolerance" in stderr
+    assert "unrecognized arguments: --tolerance" in stderr
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_embed_unreadable_path_exits_1(tmp_path, capsys):
@@ -296,25 +337,18 @@ def test_embed_quiet_suppresses_output(tmp_path, capsys):
     assert stdout == ""
 
 
-def test_embed_uniform_m_flag(tmp_path, capsys):
-    inp = tmp_path / "in.json"
-    write_json(inp, {"points": [[0.0], [1.0]]})
-    out = tmp_path / "c.json"
-    assert run(capsys, "embed", str(inp), str(out), "--uniform-m", "--quiet")[0] == 0
-    cert = load_certificate(out)
-    assert len({f.m for f in cert.torus.factors}) == 1
-
-
 def test_embed_alpha_fraction_out_of_range_exits_1(tmp_path, capsys):
-    # alpha^2 is the smallest Gram eigenvalue, with no option to scale it:
-    # --alpha-fraction is an unknown option at any value, 1 included
+    # embed takes no options but --quiet: alpha^2 is the smallest Gram
+    # eigenvalue, every cut factor is a triangle and the self-check's
+    # tolerance is DEFAULT_ACCEPT_TOL, so --alpha-fraction (at any value, 1
+    # included), --uniform-m and --tolerance are unknown options
     inp = tmp_path / "in.json"
     write_json(inp, {"points": [[0.0], [1.0]]})
-    for fraction in ("1", "2.5"):
-        code, _, stderr = run(capsys, "embed", str(inp), str(tmp_path / "c.json"),
-                              "--alpha-fraction", fraction)
+    for flag in (["--alpha-fraction", "1"], ["--alpha-fraction", "2.5"], ["--uniform-m"],
+                 ["--tolerance", "1e-30"]):
+        code, _, stderr = run(capsys, "embed", str(inp), str(tmp_path / "c.json"), *flag)
         assert code == 1
-        assert "unrecognized arguments: --alpha-fraction" in stderr
+        assert f"unrecognized arguments: {' '.join(flag)}" in stderr
         assert not (tmp_path / "c.json").exists()
 
 
@@ -507,16 +541,10 @@ def test_bad_tolerance_exits_1(tmp_path, capsys, value):
     out = tmp_path / "c.json"
     write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
     assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
-    flag = ["--tolerance", value]
-    code, stdout, stderr = run(capsys, "verify", str(out), *flag)
+    code, stdout, stderr = run(capsys, "verify", str(out), "--tolerance", value)
     assert code == 1
     assert stderr.startswith("torus-embed: ") and "tolerance" in stderr
     assert "PASS" not in stdout and "FAIL" not in stdout
-    other = tmp_path / "other.json"
-    code, _, stderr = run(capsys, "embed", str(inp), str(other), "--quiet", *flag)
-    assert code == 1
-    assert stderr.startswith("torus-embed: ") and "tolerance" in stderr
-    assert not other.exists()
 
 
 @pytest.mark.parametrize(

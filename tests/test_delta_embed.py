@@ -13,7 +13,6 @@ from mpmath import iv, mp, mpf
 
 from torus_embed import (
     InputError,
-    PipelineConfig,
     PolygonSpec,
     TorusPoint,
     TorusSpec,
@@ -584,28 +583,27 @@ def test_gap_bound_matches_fraction_reference(values, e):
 
 
 IDENTITY_INPUTS = {
-    "n16": (generate_points("random", 16, seed=1), PipelineConfig()),
-    "n16-uniform-m": (generate_points("random", 16, seed=1), PipelineConfig(uniform_m=True)),
-    "n8-1e100": (generate_points("random", 8, seed=1) * 1e100, PipelineConfig()),
+    "n16": generate_points("random", 16, seed=1),
+    "n8-1e100": generate_points("random", 8, seed=1) * 1e100,
     # refused on the unit grid (delta is too small); embeds in units of 2**e
-    "n8-1e-100": (generate_points("random", 8, seed=1) * 1e-100, PipelineConfig()),
+    "n8-1e-100": generate_points("random", 8, seed=1) * 1e-100,
 }
 
 
-def certificate_or_refusal(points, cfg):
+def certificate_or_refusal(points):
     try:
-        return dumps_certificate(embed_simplex(points, cfg)).encode()
+        return dumps_certificate(embed_simplex(points)).encode()
     except (InputError, VerificationFailed) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("name", list(IDENTITY_INPUTS))
 def test_integer_gridding_writes_the_fraction_bytes(monkeypatch, name):
-    points, cfg = IDENTITY_INPUTS[name]
-    got = certificate_or_refusal(points, cfg)
+    points = IDENTITY_INPUTS[name]
+    got = certificate_or_refusal(points)
     monkeypatch.setattr(delta_embed, "_vertex_index", fraction_vertex_index)
     monkeypatch.setattr(delta_embed, "_gap_bound", fraction_gap_bound)
-    assert got == certificate_or_refusal(points, cfg)
+    assert got == certificate_or_refusal(points)
 
 
 def unit_grid(gap_bound, subdivisions):
@@ -633,24 +631,24 @@ def unit_grid_params(n0, n, e):
     return delta_embed.DeltaParams(n0, n, n**3, n0 * n / (2.0 * math.pi), 0)
 
 
-@pytest.mark.parametrize("name", ["n16", "n16-uniform-m", "n8-1e100"])
+@pytest.mark.parametrize("name", ["n16", "n8-1e100"])
 def test_unit_exponent_writes_the_unit_grid_bytes(monkeypatch, name):
     # the unit grid is the e = 0 case: with the exponent held at 0, the
     # certificate is the one the unit grid's references write
-    points, cfg = IDENTITY_INPUTS[name]
+    points = IDENTITY_INPUTS[name]
 
     def subdivisions(n0, budget):
         return _subdivisions(n0, budget, 0, _pi_bits(n0, budget, 0))
 
     monkeypatch.setattr(delta_embed, "_choose_grid", unit_grid(_gap_bound, subdivisions))
-    got = certificate_or_refusal(points, cfg)
+    got = certificate_or_refusal(points)
     assert b'"scale_exponent":0,' in got
     monkeypatch.setattr(delta_embed, "_vertex_index", fraction_vertex_index)
     monkeypatch.setattr(
         delta_embed, "_choose_grid", unit_grid(fraction_gap_bound, unit_subdivisions)
     )
     monkeypatch.setattr(delta_embed, "_grid_params", unit_grid_params)
-    assert got == certificate_or_refusal(points, cfg)
+    assert got == certificate_or_refusal(points)
 
 
 def assert_scale_covariant(embed, xs, delta, k):

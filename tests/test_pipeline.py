@@ -12,7 +12,6 @@ from torus_embed import (
     InputError,
     InvalidCertificate,
     NotSimplex,
-    PipelineConfig,
     PolygonSpec,
     TorusPoint,
     TorusSpec,
@@ -23,6 +22,7 @@ from torus_embed import (
     check_almost_regular,
     chord,
     dumps_certificate,
+    embed_almost_regular,
     embed_simplex,
     generate_points,
     loads_certificate,
@@ -48,6 +48,33 @@ def correction_cuts(cert):
         assert set(column) <= {0, 1}
         cuts.append([i for i, j in enumerate(column) if j == 1])
     return first, cuts
+
+
+def uniform_m_certificate(points):
+    """The points' certificate with every cut factor at the base's order m,
+    as `embed --uniform-m` wrote it before 0.12.0 (less its
+    accept_tolerance): the base factors, then `embed_almost_regular(plan,
+    m)`, with the errors that torus gives."""
+    cert = embed_simplex(points)
+    dec = schoenberg_decompose(cert.input_sq)
+    de = product_embed(dec.base, cert.parameters["delta"])
+    corr_sq = de.per_pair_error + dec.alpha_sq
+    np.fill_diagonal(corr_sq, 0.0)
+    corr_torus, corr_points = embed_almost_regular(realization_plan(corr_sq), de.params.m)
+    uniform = dataclasses.replace(
+        cert,
+        torus=TorusSpec(de.torus.factors + corr_torus.factors),
+        assignment=tuple(
+            TorusPoint(p.indices + q.indices) for p, q in zip(de.assignment, corr_points)
+        ),
+    )
+    report = verify_certificate(uniform)
+    return dataclasses.replace(
+        uniform, errors={"max_abs": report.max_abs_error, "max_rel": report.max_rel_error}
+    )
+
+
+CERTIFICATES = {"triangles": embed_simplex, "uniform-m": uniform_m_certificate}
 
 
 def chord_sq_sum(factors, p, q):
@@ -218,23 +245,6 @@ def test_decompose_matches_reference_bitwise(scale):
         assert_matches_reference(schoenberg_decompose(squared_distances(pts)), pts)
 
 
-def test_uniform_m_embed_decomposes_as_reference(monkeypatch):
-    from torus_embed import pipeline
-
-    seen = []
-
-    def recorded(*args):
-        seen.append(schoenberg_decompose(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(pipeline, "schoenberg_decompose", recorded)
-    pts = generate_points("random", 6, seed=5)
-    cert = embed_simplex(pts, PipelineConfig(uniform_m=True))
-    assert len(seen) == 1
-    assert_matches_reference(seen[0], pts)
-    assert cert.parameters["alpha"] == math.sqrt(seen[0].alpha_sq)
-
-
 def test_decompose_alpha_positive_for_simplices():
     rng = np.random.default_rng(99)
     for n in (2, 4, 6):
@@ -264,13 +274,14 @@ LAYOUT_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("uniform_m", [False, True], ids=["triangles", "uniform-m"])
+@pytest.mark.parametrize("kind", list(CERTIFICATES))
 @pytest.mark.parametrize("name", list(LAYOUT_INPUTS))
-def test_certificate_layout_locates_every_cut(monkeypatch, name, uniform_m):
+def test_certificate_layout_locates_every_cut(monkeypatch, name, kind):
     # the torus and the assignment alone give every cut: the first n - 1
     # factors are the base, at its order m, then come the n singletons in
     # order and the kept pairs (those below the largest correction entry) in
-    # row-major order
+    # row-major order, each a triangle, or at the base's m in the
+    # uniform-order form that versions before 0.12.0 could write
     from torus_embed import pipeline
 
     pts = LAYOUT_INPUTS[name]()
@@ -283,9 +294,9 @@ def test_certificate_layout_locates_every_cut(monkeypatch, name, uniform_m):
         return realization_plan(sq)
 
     monkeypatch.setattr(pipeline, "realization_plan", recorded)
-    cert = embed_simplex(pts, PipelineConfig(uniform_m=uniform_m))
+    cert = CERTIFICATES[kind](pts)
     dropped = {"correction_cuts", "correction_m", "dropped_coordinates", "alpha_fraction",
-               "uniform_m", "n", "r", "rank_tolerance", "float_format"}
+               "uniform_m", "n", "r", "rank_tolerance", "float_format", "accept_tolerance"}
     assert not dropped & (set(cert.parameters) | set(cert.meta))
     (corr_sq,) = planned
     upper = corr_sq[np.triu_indices(n, 1)]
@@ -296,7 +307,7 @@ def test_certificate_layout_locates_every_cut(monkeypatch, name, uniform_m):
     assert len(cuts) == n + len(kept)
     m = int(cert.parameters["m"])
     assert [f.m for f in cert.torus.factors[:first]] == [m] * (n - 1)
-    assert {f.m for f in cert.torus.factors[first:]} == {m if uniform_m else 3}
+    assert {f.m for f in cert.torus.factors[first:]} == {m if kind == "uniform-m" else 3}
 
 
 def old_version(cert, version, *layers):
@@ -315,6 +326,10 @@ def _inserted(d, extra):
         out[key] = value
         out.update(extra.get(key, {}))
     return out
+
+
+# what 0.7.0 to 0.11.0 also wrote: the self-check's tolerance, last
+V0_11_0_KEYS = {"correction_margin": {"accept_tolerance": 1e-8}}
 
 
 def v0_10_0_keys(cert):
@@ -345,7 +360,7 @@ def test_version_0_7_0_certificate_still_verifies():
     # certificate verifies and round-trips byte for byte
     cert = embed_simplex(generate_points("random", 5, seed=2))
     _, cuts = correction_cuts(cert)
-    old = old_version(cert, "0.7.0", v0_10_0_keys(cert), V0_9_0_KEYS, {
+    old = old_version(cert, "0.7.0", V0_11_0_KEYS, v0_10_0_keys(cert), V0_9_0_KEYS, {
         "scale_exponent": {"dropped_coordinates": [], "correction_m": "3"},
         "uniform_m": {"correction_cuts": cuts},
     })
@@ -362,7 +377,7 @@ def test_version_0_8_0_certificate_still_verifies():
     # makes redundant; such a certificate verifies and round-trips byte for
     # byte, and is 0.9.0's but for that key and meta.version
     cert = embed_simplex(generate_points("random", 5, seed=2))
-    newer = (v0_10_0_keys(cert), V0_9_0_KEYS)
+    newer = (V0_11_0_KEYS, v0_10_0_keys(cert), V0_9_0_KEYS)
     old = old_version(cert, "0.8.0", *newer, {"scale_exponent": {"dropped_coordinates": []}})
     text = dumps_certificate(old)
     assert '"scale_exponent":' in text and '"dropped_coordinates":[],' in text
@@ -374,14 +389,15 @@ def test_version_0_8_0_certificate_still_verifies():
     assert text.replace('"dropped_coordinates":[],', "").replace('"0.8.0"', '"0.9.0"') == v0_9_0
 
 
-@pytest.mark.parametrize("uniform_m", [False, True], ids=["triangles", "uniform-m"])
-def test_version_0_9_0_certificate_still_verifies(uniform_m):
+@pytest.mark.parametrize("kind", list(CERTIFICATES))
+def test_version_0_9_0_certificate_still_verifies(kind):
     # 0.9.0 also wrote alpha_fraction and uniform_m; such a certificate
     # verifies and round-trips byte for byte, and is 0.10.0's but for those
     # two keys and meta.version
-    cert = embed_simplex(generate_points("random", 5, seed=2), PipelineConfig(uniform_m=uniform_m))
-    newer = v0_10_0_keys(cert)
-    old = old_version(cert, "0.9.0", newer, {
+    cert = CERTIFICATES[kind](generate_points("random", 5, seed=2))
+    uniform_m = kind == "uniform-m"
+    newer = (V0_11_0_KEYS, v0_10_0_keys(cert))
+    old = old_version(cert, "0.9.0", *newer, {
         **V0_9_0_KEYS, "correction_margin": {"uniform_m": uniform_m},
     })
     text = dumps_certificate(old)
@@ -390,24 +406,24 @@ def test_version_0_9_0_certificate_still_verifies(uniform_m):
     loaded = loads_certificate(text)
     assert verify_certificate(loaded).passed
     assert dumps_certificate(loaded) == text
-    v0_10_0 = dumps_certificate(old_version(cert, "0.10.0", newer))
+    v0_10_0 = dumps_certificate(old_version(cert, "0.10.0", *newer))
     assert len(text) - len(v0_10_0) == sum(map(len, keys)) - 1  # "0.10.0" is one byte longer
     for key in keys:
         text = text.replace(key, "")
     assert text.replace('"0.9.0"', '"0.10.0"') == v0_10_0
 
 
-@pytest.mark.parametrize("uniform_m", [False, True], ids=["triangles", "uniform-m"])
-def test_version_0_10_0_certificate_still_verifies(uniform_m):
+@pytest.mark.parametrize("kind", list(CERTIFICATES))
+def test_version_0_10_0_certificate_still_verifies(kind):
     # 0.10.0 also wrote the grid's n and r, the rank tolerance and the float
     # format; such a certificate verifies and round-trips byte for byte, and
     # is 0.11.0's but for those four keys and meta.version: the input, the
     # torus, the assignment and the errors are the same bytes
-    cert = embed_simplex(generate_points("random", 5, seed=2), PipelineConfig(uniform_m=uniform_m))
+    cert = CERTIFICATES[kind](generate_points("random", 5, seed=2))
     # n and r, read back from m and the base factors, are the grid's own
     dec = schoenberg_decompose(cert.input_sq)
     grid = product_embed(dec.base, cert.parameters["delta"]).params
-    old = old_version(cert, "0.10.0", v0_10_0_keys(cert))
+    old = old_version(cert, "0.10.0", V0_11_0_KEYS, v0_10_0_keys(cert))
     assert (old.parameters["n"], old.parameters["r"]) == (str(grid.n), grid.r)
     text = dumps_certificate(old)
     keys = (
@@ -420,11 +436,31 @@ def test_version_0_10_0_certificate_still_verifies(uniform_m):
     loaded = loads_certificate(text)
     assert verify_certificate(loaded).passed
     assert dumps_certificate(loaded) == text
-    new = dumps_certificate(cert)
+    new = dumps_certificate(old_version(cert, "0.11.0", V0_11_0_KEYS))
     assert len(text) - len(new) == sum(map(len, keys))
     for key in keys:
         text = text.replace(key, "")
     assert text.replace('"0.10.0"', '"0.11.0"') == new
+
+
+@pytest.mark.parametrize("kind", list(CERTIFICATES))
+def test_version_0_11_0_certificate_still_verifies(kind):
+    # 0.11.0 also wrote the self-check's tolerance, now the package's
+    # DEFAULT_ACCEPT_TOL; such a certificate verifies and round-trips byte
+    # for byte, and is 0.12.0's but for that key and meta.version
+    cert = CERTIFICATES[kind](generate_points("random", 5, seed=2))
+    assert {f.m for f in cert.torus.factors[len(cert.assignment) - 1:]} == (
+        {int(cert.parameters["m"])} if kind == "uniform-m" else {3}
+    )
+    text = dumps_certificate(old_version(cert, "0.11.0", V0_11_0_KEYS))
+    key = ',"accept_tolerance":1e-08'
+    assert text.count(key) == 1
+    loaded = loads_certificate(text)
+    assert verify_certificate(loaded).passed
+    assert dumps_certificate(loaded) == text
+    new = dumps_certificate(cert)
+    assert len(text) - len(new) == len(key) == 25
+    assert text.replace(key, "").replace('"0.11.0"', '"0.12.0"') == new
 
 
 def test_embed_two_points_minimal_case():
@@ -450,14 +486,6 @@ def test_embed_is_deterministic():
     a = dumps_certificate(embed_simplex(pts))
     b = dumps_certificate(embed_simplex(pts))
     assert a == b
-
-
-def test_embed_uniform_m_mode():
-    cert = embed_simplex(regular_simplex(3, 1.0), PipelineConfig(uniform_m=True))
-    orders = {f.m for f in cert.torus.factors}
-    assert len(orders) == 1
-    assert orders == {int(cert.parameters["m"])}
-    assert verify_certificate(cert, 1e-8).passed
 
 
 # regular simplices whose alpha^2 = lambda_min does not survive a square
@@ -711,9 +739,10 @@ def test_verify_single_point_vacuous():
 
 def test_verify_matches_reference_loop_on_clean_and_tampered():
     rejected = 0
-    configs = [(n, PipelineConfig()) for n in (2, 3, 5, 8, 24)] + [(8, PipelineConfig(uniform_m=True))]
-    for seed, (n, cfg) in enumerate(configs):
-        cert = embed_simplex(generate_points("random", n, seed=seed), cfg)
+    # the n = 8 uniform-order certificate runs the kernel's all-big-order path
+    configs = [(n, embed_simplex) for n in (2, 3, 5, 8, 24)] + [(8, uniform_m_certificate)]
+    for seed, (n, certify) in enumerate(configs):
+        cert = certify(generate_points("random", n, seed=seed))
         rng = np.random.default_rng(seed)
         for _ in range(4 if n < 24 else 1):
             i = int(rng.integers(n))
@@ -759,15 +788,6 @@ def test_verify_rejects_bad_tolerance(tol):
     cert = embed_simplex(regular_simplex(3, 1.0))
     with pytest.raises(InputError):
         verify_certificate(cert, tol)
-    with pytest.raises(InputError):
-        embed_simplex(regular_simplex(3, 1.0), PipelineConfig(accept_tol=tol))
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
-def test_bad_tolerance_refused_before_construction(tol):
-    # a non-simplex input would otherwise raise NotSimplex first
-    with pytest.raises(InputError, match="tolerance"):
-        embed_simplex([[0.0], [1.0], [2.0]], PipelineConfig(accept_tol=tol))
 
 
 def test_verify_ignores_parameters():
