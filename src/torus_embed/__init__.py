@@ -56,8 +56,6 @@ from .torus import (
     materialize,
     pairwise_sq,
     shift,
-    torus_distance,
-    torus_distance_sq,
 )
 
 __all__ = [
@@ -103,7 +101,5 @@ __all__ = [
     "schoenberg_decompose",
     "shift",
     "squared_distances",
-    "torus_distance",
-    "torus_distance_sq",
     "verify_certificate",
 ]

@@ -10,9 +10,13 @@ The codec follows the certificate's fixed schema rather than walking a
 generic JSON tree. The writer emits the top-level fields in order: the input
 rows and the factor radii through `_format_float`, and each order `m` and
 each vertex index as its decimal string, joined a row at a time. Only the
-free-form `parameters`, `errors` and `meta` objects go through
-`dumps_canonical`, which keeps its own stack, so that nesting depth is
-bounded only by memory.
+provenance objects `parameters`, `errors` and `meta`, which the verifier
+never reads, go through `dumps_canonical`. Both the reader and the writer
+hold them to one rule, `_check_provenance`: every value is a string, a
+boolean, a number that is a finite double, or an array of these nested at
+most two deep. So a NaN, an integer past the double range, a null, an
+object or a deeper array is refused by its field name, and every
+certificate that is written reads back to the same bytes.
 
 The reader checks each assignment row's type once and reads the whole row
 in bulk when every entry is a canonical decimal string (`0`, `[1-9][0-9]*`
@@ -76,7 +80,17 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _format_scalar(obj) -> str:
+def dumps_canonical(obj) -> str:
+    """Deterministic compact JSON: dict order preserved, floats at 17 digits."""
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise ValueError(f"non-string key in certificate object: {list(obj)!r}")
+        members = (json.dumps(k) + ":" + dumps_canonical(v) for k, v in obj.items())
+        return "{" + ",".join(members) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(dumps_canonical, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -85,59 +99,47 @@ def _format_scalar(obj) -> str:
         return repr(obj)
     if isinstance(obj, float):
         return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def _members(obj):
-    """(text before the value, value) for each member of a list or object."""
-    if isinstance(obj, dict):
-        sep = ""
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise ValueError(f"non-string key in certificate object: {k!r}")
-            yield sep + json.dumps(k) + ":", v
-            sep = ","
-    else:
-        for k, v in enumerate(obj):
-            yield ("," if k else ""), v
+def _check_provenance(name: str, section) -> dict:
+    """`section`, the certificate's `parameters`, `errors` or `meta`, after
+    checking the provenance rule: an object whose every value is a string, a
+    boolean, a number that is a finite double, or an array of these nested at
+    most two deep. Else raises InvalidCertificate (a ValueError) naming the
+    first value that breaks it, say `parameters.alpha[0][0]`."""
+    if not isinstance(section, dict):
+        raise InvalidCertificate(f"{name} must be an object", field=name)
+    for key, value in section.items():
+        _check_provenance_value(f"{name}.{key}", value, 0)
+    return section
 
 
-def dumps_canonical(obj) -> str:
-    """Deterministic compact JSON: dict order preserved, floats at 17 digits.
-
-    Nested lists and objects are walked with an explicit stack, so any depth
-    that `json.loads` can read is written back.
-    """
-    parts = []
-    open_ = []  # the containers being written, innermost last: (members, closer)
-    while True:
-        if isinstance(obj, (list, tuple)):
-            if set(map(type, obj)) <= {int}:  # plain ints, joined at C speed
-                parts.append("[" + ",".join(map(repr, obj)) + "]")
-            else:
-                parts.append("[")
-                open_.append((_members(obj), "]"))
-        elif isinstance(obj, dict):
-            parts.append("{")
-            open_.append((_members(obj), "}"))
-        else:
-            parts.append(_format_scalar(obj))
-        # the next value to write, closing each container it finishes
-        while open_:
-            member = next(open_[-1][0], None)
-            if member is not None:
-                break
-            parts.append(open_.pop()[1])
-        else:
-            return "".join(parts)
-        sep, obj = member
-        parts.append(sep)
+def _check_provenance_value(field: str, value, depth: int) -> None:
+    if isinstance(value, (list, tuple)) and depth < 2:
+        for k, v in enumerate(value):
+            _check_provenance_value(f"{field}[{k}]", v, depth + 1)
+        return
+    try:
+        if isinstance(value, (str, bool)) or (
+            isinstance(value, (int, float)) and math.isfinite(value)
+        ):
+            return
+    except OverflowError:  # an int past the largest double
+        pass
+    raise InvalidCertificate(
+        f"{field} must be a string, a boolean, a finite number, or an array of these "
+        "nested at most two deep",
+        field=field,
+    )
 
 
 def dumps_certificate(cert: EmbeddingCertificate) -> str:
-    """The certificate's canonical JSON, written field by field."""
+    """The certificate's canonical JSON, written field by field. Provenance
+    that breaks the rule of `_check_provenance` is refused, so that what is
+    written reads back."""
+    for name in ("parameters", "errors", "meta"):
+        _check_provenance(name, getattr(cert, name))
     return "".join((
         '{"input":{"squared_distances":[',
         ",".join(
@@ -291,20 +293,13 @@ def loads_certificate(text: str) -> EmbeddingCertificate:
     torus = obj.get("torus", {})
     factors = _read_factors(torus.get("factors") if isinstance(torus, dict) else None)
     assignment = _read_assignment(obj.get("assignment"))
-
-    def _dict_field(name):
-        val = obj.get(name, {})
-        if not isinstance(val, dict):
-            raise InvalidCertificate(f"{name} must be an object", field=name)
-        return val
-
     return EmbeddingCertificate(
         input_sq=input_sq,
         torus=TorusSpec(factors),
         assignment=assignment,
-        parameters=_dict_field("parameters"),
-        errors=_dict_field("errors"),
-        meta=_dict_field("meta"),
+        parameters=_check_provenance("parameters", obj.get("parameters", {})),
+        errors=_check_provenance("errors", obj.get("errors", {})),
+        meta=_check_provenance("meta", obj.get("meta", {})),
     )
 
 

@@ -10,13 +10,11 @@ A `squared_distances` input is embedded as given, not through points.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections import Counter
 
 from .certificate import (
     dumps_canonical,
-    dumps_certificate,
     load_certificate,
     parse_json,
     read_number_matrix,
@@ -129,46 +127,18 @@ def _inspect_summary(cert) -> dict:
         ],
         "radius_min": min(radii),
         "radius_max": max(radii),
-        "alpha": _json_provenance(cert.parameters.get("alpha")),
-        "scale_exponent": _json_provenance(cert.parameters.get("scale_exponent")),
-        "delta": _json_provenance(cert.parameters.get("delta")),
-        "errors": _json_provenance(cert.errors),
+        "alpha": cert.parameters.get("alpha"),
+        "scale_exponent": cert.parameters.get("scale_exponent"),
+        "delta": cert.parameters.get("delta"),
+        "errors": cert.errors,
     }
 
 
-def _json_provenance(value):
-    """The value with every non-finite float, at any depth, written as the
-    text mode shows it ("nan", "inf", "-inf"): json.loads accepts NaN and
-    Infinity, canonical JSON refuses them. Copied with an explicit stack, so
-    any depth that json.loads reads is walked."""
-    pending = []  # (source container, its copy still to fill)
-
-    def copy(v):
-        if isinstance(v, float) and not math.isfinite(v):
-            return str(v)
-        if isinstance(v, (list, dict)):
-            pending.append((v, type(v)()))
-            return pending[-1][1]
-        return v
-
-    root = copy(value)
-    while pending:
-        src, dst = pending.pop()
-        if isinstance(src, list):
-            dst.extend([copy(v) for v in src])
-        else:
-            dst.update([(k, copy(v)) for k, v in src.items()])
-    return root
-
-
 def _provenance(value, spec: str) -> str:
-    # verification never reads provenance, so a non-number, or an integer
-    # past the double range that a float spec cannot format, is shown as given
+    # verification never reads provenance, so a value other than a number is
+    # shown as given; the reader keeps every number within the double range
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return format(value, spec)
-        except OverflowError:
-            pass
+        return format(value, spec)
     return str(value)
 
 

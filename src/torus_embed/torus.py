@@ -218,15 +218,6 @@ def _exact_chords(block, indices, iu, out, tables) -> None:
     np.multiply(out, two_r, out=out, where=out != 0.0)
 
 
-def torus_distance_sq(t: TorusSpec, p: TorusPoint, q: TorusPoint) -> float:
-    """Squared Euclidean distance in the ambient product space."""
-    return float(pairwise_sq(t, (p, q))[0, 1])
-
-
-def torus_distance(t: TorusSpec, p: TorusPoint, q: TorusPoint) -> float:
-    return math.sqrt(torus_distance_sq(t, p, q))
-
-
 def shift(t: TorusSpec, p: TorusPoint, offsets) -> TorusPoint:
     """Rotate every factor by the given number of steps.
 

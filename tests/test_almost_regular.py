@@ -20,10 +20,10 @@ from torus_embed import (
     dumps_certificate,
     embed_almost_regular,
     is_simplex,
+    pairwise_sq,
     realization_plan,
     realize_almost_regular,
     squared_distances,
-    torus_distance_sq,
 )
 from torus_embed.geometry import check_squared_distances
 
@@ -181,14 +181,14 @@ def test_embed_regular_matrix_into_triangles():
     assert len(spec.factors) == 3
     assert all(f.m == 3 for f in spec.factors)
     for i, j in combinations(range(3), 2):
-        assert torus_distance_sq(spec, points[i], points[j]) == pytest.approx(1.0, rel=1e-12)
+        assert pairwise_sq(spec, (points[i], points[j]))[0, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_embed_two_points_single_pair():
     c = np.array([[0.0, 0.81], [0.81, 0.0]])
     spec, points = embed_almost_regular(c, 5)
     assert len(spec.factors) == 2  # one 2-vertex base simplex only
-    assert torus_distance_sq(spec, points[0], points[1]) == pytest.approx(0.81, rel=1e-12)
+    assert pairwise_sq(spec, (points[0], points[1]))[0, 1] == pytest.approx(0.81, rel=1e-12)
 
 
 def test_embed_five_points_near_regular():
@@ -196,7 +196,7 @@ def test_embed_five_points_near_regular():
     c = random_valid_matrix(rng, 5)
     spec, points = embed_almost_regular(c, 4)
     for i, j in combinations(range(5), 2):
-        assert torus_distance_sq(spec, points[i], points[j]) == pytest.approx(
+        assert pairwise_sq(spec, (points[i], points[j]))[0, 1] == pytest.approx(
             c[i, j], rel=1e-10
         )
 
@@ -211,7 +211,7 @@ def test_embed_matches_realization_distances():
         dz = squared_distances(z)
         cmax = c.max()
         for i, j in combinations(range(n), 2):
-            dt = torus_distance_sq(spec, points[i], points[j])
+            dt = pairwise_sq(spec, (points[i], points[j]))[0, 1]
             assert abs(dt - dz[i, j]) <= 1e-10 * cmax
 
 
@@ -277,7 +277,7 @@ def test_embed_reproduces_distances_tightly():
             c = random_valid_matrix(rng, n)
             spec, points = embed_almost_regular(c, m)
             for i, j in combinations(range(n), 2):
-                d2 = torus_distance_sq(spec, points[i], points[j])
+                d2 = pairwise_sq(spec, (points[i], points[j]))[0, 1]
                 assert abs(d2 - c[i, j]) <= 1e-12 * c[i, j]
 
 

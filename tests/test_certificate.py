@@ -1,7 +1,9 @@
 """Tests for certificate serialization: canonical JSON, round trips, parsing."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from torus_embed import (
     verify_certificate,
 )
 from torus_embed.certificate import dumps_canonical
+from torus_embed.cli import main
 
 
 def test_float_formatting():
@@ -174,6 +177,12 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=24,
 )
+# provenance under the rule: strings, booleans, finite doubles (an int too,
+# if it is within the double range), and arrays of these two deep at most
+_PROVENANCE_SCALARS = st.text() | st.booleans() | _FLOATS | st.integers(-(2**1000), 2**1000)
+_PROVENANCE = _PROVENANCE_SCALARS | st.lists(
+    _PROVENANCE_SCALARS | st.lists(_PROVENANCE_SCALARS, max_size=3), max_size=4
+)
 _RADII = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.sampled_from(
     [5e-324, 1e-310, 1e308, 1.7976931348623157e308]
 )
@@ -192,9 +201,9 @@ def _certificates(draw):
         input_sq=np.array(entries, dtype=float).reshape(n, n),
         torus=TorusSpec(tuple(factors)),
         assignment=assignment,
-        parameters=draw(st.dictionaries(st.text(), _JSON, max_size=4)),
+        parameters=draw(st.dictionaries(st.text(), _PROVENANCE, max_size=4)),
         errors=draw(st.dictionaries(st.text(), _FLOATS, max_size=2)),
-        meta=draw(st.dictionaries(st.text(), _JSON, max_size=2)),
+        meta=draw(st.dictionaries(st.text(), _PROVENANCE, max_size=2)),
     )
 
 
@@ -221,6 +230,33 @@ def test_writer_matches_generic_layout_without_rows():
 @given(_JSON)
 def test_dumps_canonical_matches_recursive_writer(value):
     assert dumps_canonical(value) == _reference_dumps(value)
+
+
+# the golden certificates of tests/test_pipeline.py, one of each correction
+# order: triangles, and the base's m as `embed --uniform-m` wrote before 0.12.0
+CORPUS = Path(__file__).parent / "data" / "certificates"
+ONE_PER_ORDER = ["0.12.0", "0.11.0-uniform-m"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(ONE_PER_ORDER),
+    st.dictionaries(st.text(), _PROVENANCE, max_size=4),
+    st.dictionaries(st.text(), _PROVENANCE, max_size=2),
+    st.dictionaries(st.text(), _PROVENANCE, max_size=2),
+)
+def test_verdict_and_round_trip_do_not_depend_on_provenance(name, parameters, errors, meta):
+    text = (CORPUS / f"{name}.json").read_text(encoding="utf-8")
+    cert = loads_certificate(text)
+    drawn = dumps_certificate(
+        dataclasses.replace(cert, parameters=parameters, errors=errors, meta=meta)
+    )
+    checked = text[: text.index(',"parameters":')]
+    assert drawn.startswith(checked + ',"parameters":')
+    back = loads_certificate(drawn)
+    assert dumps_certificate(back) == drawn
+    assert verify_certificate(back) == verify_certificate(cert)
+    assert verify_certificate(back).passed
 
 
 def _small_certificate() -> dict:
@@ -264,6 +300,29 @@ def _bad_m_after_bad_r(obj):
     obj["torus"]["factors"][1]["m"] = "abc"
     return obj
 
+
+def _raw(path, text):
+    """Set the value at `path` to the JSON text `text`, which json.dumps may
+    not write: it writes no 1e400, and may not reach 900 arrays deep."""
+
+    def edit(root):
+        return json.dumps(_set(path, "@raw@")(root)).replace('"@raw@"', text, 1)
+
+    return edit
+
+
+# provenance values that break the rule, as JSON text at a path, and the
+# field that names each
+PROVENANCE_REFUSED = {
+    "nan": (["parameters", "alpha"], "NaN", "parameters.alpha"),
+    "infinity": (["errors", "max_rel"], "Infinity", "errors.max_rel"),
+    "1e400": (["parameters", "delta"], "1e400", "parameters.delta"),
+    "10**400": (["errors", "max_abs"], str(10**400), "errors.max_abs"),
+    "null": (["meta", "tool"], "null", "meta.tool"),
+    "object": (["parameters", "alpha"], '{"x": 1.5}', "parameters.alpha"),
+    "three-deep": (["parameters", "m"], '[[["1"]], 2]', "parameters.m[0][0]"),
+    "900-deep": (["meta", "version"], "[" * 900 + "1" + "]" * 900, "meta.version[0][0]"),
+}
 
 # each malformed certificate, and the field its error names (as the generic
 # reader named it)
@@ -310,14 +369,33 @@ MALFORMED = {
     "parameters-list": (_set(["parameters"], []), "parameters"),
     "errors-string": (_set(["errors"], "x"), "errors"),
     "meta-null": (_set(["meta"], None), "meta"),
+    **{f"provenance-{name}": (_raw(path, text), field)
+       for name, (path, text, field) in PROVENANCE_REFUSED.items()},
 }
 
 
 @pytest.mark.parametrize("edit, field", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_certificate_names_its_field(edit, field):
+def test_malformed_certificate_names_its_field(tmp_path, capsys, edit, field):
     obj = edit(_small_certificate())
+    text = obj if isinstance(obj, str) else json.dumps(obj)
     with pytest.raises(InvalidCertificate) as exc:
-        loads_certificate(json.dumps(obj))
+        loads_certificate(text)
+    assert exc.value.field == field
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, text, field", list(PROVENANCE_REFUSED.values()), ids=list(PROVENANCE_REFUSED)
+)
+def test_writer_refuses_what_the_reader_refuses(path, text, field):
+    cert = loads_certificate(json.dumps(_small_certificate()))
+    section, key = path
+    getattr(cert, section)[key] = json.loads(text)
+    with pytest.raises(ValueError) as exc:
+        dumps_certificate(cert)
     assert exc.value.field == field
 
 

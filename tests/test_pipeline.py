@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from torus_embed import (
     squared_distances,
     verify_certificate,
 )
-from torus_embed.certificate import dumps_canonical
+from torus_embed.certificate import VERSION
+from torus_embed.cli import main
 
 
 def correction_cuts(cert):
@@ -310,157 +312,29 @@ def test_certificate_layout_locates_every_cut(monkeypatch, name, kind):
     assert {f.m for f in cert.torus.factors[first:]} == {m if kind == "uniform-m" else 3}
 
 
-def old_version(cert, version, *layers):
-    """The certificate as an older version wrote it: meta.version set, then
-    each layer's keys inserted after the key they name, in parameters or in
-    meta, the newest version's layer first."""
-    params, meta = cert.parameters, {**cert.meta, "version": version}
-    for extra in layers:
-        params, meta = (_inserted(d, extra) for d in (params, meta))
-    return dataclasses.replace(cert, parameters=params, meta=meta)
+# what each version's `embed` wrote for `gen random 6 --seed 1`, 0.3.0 to
+# today's, and with --uniform-m (every cut factor at the base's order m) for
+# 0.9.0 to 0.11.0; each is named for its meta.version
+CORPUS = Path(__file__).parent / "data" / "certificates"
+GOLDEN = sorted(CORPUS.glob("*.json"))
 
 
-def _inserted(d, extra):
-    out = {}
-    for key, value in d.items():
-        out[key] = value
-        out.update(extra.get(key, {}))
-    return out
-
-
-# what 0.7.0 to 0.11.0 also wrote: the self-check's tolerance, last
-V0_11_0_KEYS = {"correction_margin": {"accept_tolerance": 1e-8}}
-
-
-def v0_10_0_keys(cert):
-    """What 0.10.0 also wrote: the grid's n, the cube root of m; its radius
-    r, which every base factor states; the rank tolerance 1e-9; and the
-    codec's fixed float format."""
-    m = int(cert.parameters["m"])
-    n = round(m ** (1 / 3))
-    assert n**3 == m
-    (r,) = {f.r for f in cert.torus.factors[: len(cert.assignment) - 1]}
-    return {
-        "n0": {"n": str(n)},
-        "m": {"r": r},
-        "correction_margin": {"rank_tolerance": 1e-9},
-        "version": {"float_format": ".17g"},
-    }
-
-
-# what 0.9.0 also wrote, over 0.10.0's: alpha_fraction (1 unless
-# --alpha-fraction was given) and uniform_m, which the torus's factor
-# orders state
-V0_9_0_KEYS = {"alpha": {"alpha_fraction": 1.0}, "correction_margin": {"uniform_m": False}}
-
-
-def test_version_0_7_0_certificate_still_verifies():
-    # 0.7.0 also wrote correction_m and correction_cuts, which the layout
-    # rule recovers; verification never reads parameters, so such a
-    # certificate verifies and round-trips byte for byte
-    cert = embed_simplex(generate_points("random", 5, seed=2))
-    _, cuts = correction_cuts(cert)
-    old = old_version(cert, "0.7.0", V0_11_0_KEYS, v0_10_0_keys(cert), V0_9_0_KEYS, {
-        "scale_exponent": {"dropped_coordinates": [], "correction_m": "3"},
-        "uniform_m": {"correction_cuts": cuts},
-    })
-    text = dumps_certificate(old)
-    assert '"uniform_m":false,"correction_cuts":[[0],[1],' in text
-    assert '"correction_cuts":' in text.split('"rank_tolerance":')[0]
-    loaded = loads_certificate(text)
-    assert verify_certificate(loaded).passed
-    assert dumps_certificate(loaded) == text
-
-
-def test_version_0_8_0_certificate_still_verifies():
-    # 0.8.0 also wrote dropped_coordinates, always [], which the n - 1 rule
-    # makes redundant; such a certificate verifies and round-trips byte for
-    # byte, and is 0.9.0's but for that key and meta.version
-    cert = embed_simplex(generate_points("random", 5, seed=2))
-    newer = (V0_11_0_KEYS, v0_10_0_keys(cert), V0_9_0_KEYS)
-    old = old_version(cert, "0.8.0", *newer, {"scale_exponent": {"dropped_coordinates": []}})
-    text = dumps_certificate(old)
-    assert '"scale_exponent":' in text and '"dropped_coordinates":[],' in text
-    loaded = loads_certificate(text)
-    assert verify_certificate(loaded).passed
-    assert dumps_certificate(loaded) == text
-    v0_9_0 = dumps_certificate(old_version(cert, "0.9.0", *newer))
-    assert len(text) - len(v0_9_0) == len('"dropped_coordinates":[],')
-    assert text.replace('"dropped_coordinates":[],', "").replace('"0.8.0"', '"0.9.0"') == v0_9_0
-
-
-@pytest.mark.parametrize("kind", list(CERTIFICATES))
-def test_version_0_9_0_certificate_still_verifies(kind):
-    # 0.9.0 also wrote alpha_fraction and uniform_m; such a certificate
-    # verifies and round-trips byte for byte, and is 0.10.0's but for those
-    # two keys and meta.version
-    cert = CERTIFICATES[kind](generate_points("random", 5, seed=2))
-    uniform_m = kind == "uniform-m"
-    newer = (V0_11_0_KEYS, v0_10_0_keys(cert))
-    old = old_version(cert, "0.9.0", *newer, {
-        **V0_9_0_KEYS, "correction_margin": {"uniform_m": uniform_m},
-    })
-    text = dumps_certificate(old)
-    keys = ('"alpha_fraction":1,', f'"uniform_m":{str(uniform_m).lower()},')
-    assert all(key in text for key in keys)
-    loaded = loads_certificate(text)
-    assert verify_certificate(loaded).passed
-    assert dumps_certificate(loaded) == text
-    v0_10_0 = dumps_certificate(old_version(cert, "0.10.0", *newer))
-    assert len(text) - len(v0_10_0) == sum(map(len, keys)) - 1  # "0.10.0" is one byte longer
-    for key in keys:
-        text = text.replace(key, "")
-    assert text.replace('"0.9.0"', '"0.10.0"') == v0_10_0
-
-
-@pytest.mark.parametrize("kind", list(CERTIFICATES))
-def test_version_0_10_0_certificate_still_verifies(kind):
-    # 0.10.0 also wrote the grid's n and r, the rank tolerance and the float
-    # format; such a certificate verifies and round-trips byte for byte, and
-    # is 0.11.0's but for those four keys and meta.version: the input, the
-    # torus, the assignment and the errors are the same bytes
-    cert = CERTIFICATES[kind](generate_points("random", 5, seed=2))
-    # n and r, read back from m and the base factors, are the grid's own
-    dec = schoenberg_decompose(cert.input_sq)
-    grid = product_embed(dec.base, cert.parameters["delta"]).params
-    old = old_version(cert, "0.10.0", V0_11_0_KEYS, v0_10_0_keys(cert))
-    assert (old.parameters["n"], old.parameters["r"]) == (str(grid.n), grid.r)
-    text = dumps_certificate(old)
-    keys = (
-        f'"n":"{grid.n}",',
-        f'"r":{dumps_canonical(grid.r)},',
-        '"rank_tolerance":1.0000000000000001e-09,',
-        ',"float_format":".17g"',
-    )
-    assert all(text.count(key) == 1 for key in keys)
-    loaded = loads_certificate(text)
-    assert verify_certificate(loaded).passed
-    assert dumps_certificate(loaded) == text
-    new = dumps_certificate(old_version(cert, "0.11.0", V0_11_0_KEYS))
-    assert len(text) - len(new) == sum(map(len, keys))
-    for key in keys:
-        text = text.replace(key, "")
-    assert text.replace('"0.10.0"', '"0.11.0"') == new
-
-
-@pytest.mark.parametrize("kind", list(CERTIFICATES))
-def test_version_0_11_0_certificate_still_verifies(kind):
-    # 0.11.0 also wrote the self-check's tolerance, now the package's
-    # DEFAULT_ACCEPT_TOL; such a certificate verifies and round-trips byte
-    # for byte, and is 0.12.0's but for that key and meta.version
-    cert = CERTIFICATES[kind](generate_points("random", 5, seed=2))
-    assert {f.m for f in cert.torus.factors[len(cert.assignment) - 1:]} == (
-        {int(cert.parameters["m"])} if kind == "uniform-m" else {3}
-    )
-    text = dumps_certificate(old_version(cert, "0.11.0", V0_11_0_KEYS))
-    key = ',"accept_tolerance":1e-08'
-    assert text.count(key) == 1
-    loaded = loads_certificate(text)
-    assert verify_certificate(loaded).passed
-    assert dumps_certificate(loaded) == text
-    new = dumps_certificate(cert)
-    assert len(text) - len(new) == len(key) == 25
-    assert text.replace(key, "").replace('"0.11.0"', '"0.12.0"') == new
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
+def test_golden_certificate_verifies_and_round_trips(tmp_path, path):
+    # verification never reads provenance, so each version's certificate
+    # verifies and round-trips byte for byte; today's embed writes today's
+    # file, so any change to the written bytes needs a new VERSION and file
+    assert VERSION in [p.stem for p in GOLDEN]
+    text = path.read_text(encoding="utf-8")
+    cert = loads_certificate(text)
+    assert verify_certificate(cert, 1e-8).passed
+    assert dumps_certificate(cert) + "\n" == text
+    assert cert.meta["version"] == path.stem.removesuffix("-uniform-m")
+    if path.stem == VERSION:
+        inp, out = tmp_path / "in.json", tmp_path / "cert.json"
+        assert main(["gen", "random", "6", "--seed", "1", "-o", str(inp)]) == 0
+        assert main(["embed", "--quiet", str(inp), str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == text
 
 
 def test_embed_two_points_minimal_case():

@@ -12,10 +12,10 @@ from torus_embed import (
     chord,
     circumradius_for_side,
     embed_regular_simplex,
+    pairwise_sq,
     realize,
     regular_simplex,
     squared_distances,
-    torus_distance,
 )
 
 
@@ -89,7 +89,7 @@ def test_embed_two_vertices_in_squares():
     assert [p.indices for p in points] == [(1, 0), (0, 1)]
     # polygon side is alpha/sqrt(2) = 1, so r = 1/(2 sin(pi/4)) = 1/sqrt(2)
     assert spec.factors[0].r == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-    d2 = torus_distance(spec, points[0], points[1]) ** 2
+    d2 = pairwise_sq(spec, (points[0], points[1]))[0, 1]
     assert d2 == pytest.approx(2.0, rel=1e-14)
 
 
@@ -103,7 +103,7 @@ def test_embed_single_vertex():
 def test_embed_four_vertices_in_triangles():
     spec, points = embed_regular_simplex(4, 1.0, 3)
     for i, j in combinations(range(4), 2):
-        assert torus_distance(spec, points[i], points[j]) == pytest.approx(1.0, rel=1e-12)
+        assert pairwise_sq(spec, (points[i], points[j]))[0, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_embed_indices_are_binary_and_structural():
@@ -119,6 +119,5 @@ def test_embed_exactness_sweep(m, side):
     for n in range(1, 11):
         spec, points = embed_regular_simplex(n, side, m)
         for i, j in combinations(range(n), 2):
-            assert torus_distance(spec, points[i], points[j]) == pytest.approx(
-                side, rel=1e-12
-            )
+            d2 = pairwise_sq(spec, (points[i], points[j]))[0, 1]
+            assert math.sqrt(d2) == pytest.approx(side, rel=1e-12)

@@ -19,8 +19,6 @@ from torus_embed import (
     materialize,
     pairwise_sq,
     shift,
-    torus_distance,
-    torus_distance_sq,
     verify_certificate,
 )
 
@@ -78,7 +76,7 @@ def test_chord_monotone_in_step(m):
 def test_torus_distance_identical_points():
     t = TorusSpec((PolygonSpec(5, 1.0), PolygonSpec(7, 2.0)))
     p = TorusPoint((1, 3))
-    assert torus_distance(t, p, p) == 0.0
+    assert pairwise_sq(t, (p, p))[0, 1] == 0.0
 
 
 def test_zero_step_is_zero_on_huge_radius():
@@ -87,25 +85,25 @@ def test_zero_step_is_zero_on_huge_radius():
         assert chord(5, 1e308, dj) == 0.0
     t = TorusSpec((PolygonSpec(5, 1e308),))
     p = TorusPoint((2,))
-    assert torus_distance_sq(t, p, p) == 0.0
+    assert pairwise_sq(t, (p, p))[0, 1] == 0.0
     assert math.copysign(1.0, chord(5, 1.0, 0)) == 1.0  # +0.0, as before
 
 
 def test_torus_distance_two_square_factors():
     t = TorusSpec((PolygonSpec(4, 1.0), PolygonSpec(4, 1.0)))
-    d = torus_distance(t, TorusPoint((0, 0)), TorusPoint((1, 1)))
-    assert d == pytest.approx(2.0, rel=1e-15)
+    d2 = pairwise_sq(t, (TorusPoint((0, 0)), TorusPoint((1, 1))))[0, 1]
+    assert d2 == pytest.approx(4.0, rel=1e-15)
 
 
 def test_torus_distance_single_factor_equals_chord():
     t = TorusSpec((PolygonSpec(11, 3.0),))
-    assert torus_distance(t, TorusPoint((2,)), TorusPoint((9,))) == chord(11, 3.0, 7)
+    assert pairwise_sq(t, (TorusPoint((2,)), TorusPoint((9,))))[0, 1] == chord(11, 3.0, 7) ** 2
 
 
 def test_torus_distance_mismatched_factor_count():
     t = TorusSpec((PolygonSpec(4, 1.0),))
     with pytest.raises(InputError):
-        torus_distance(t, TorusPoint((0, 0)), TorusPoint((0, 0)))
+        pairwise_sq(t, (TorusPoint((0, 0)), TorusPoint((0, 0))))
 
 
 def reference_pairwise_sq(t, points):
@@ -182,7 +180,7 @@ def test_pairwise_sq_matches_reference_loop_bitwise(n):
         assert got.tobytes() == reference_pairwise_sq(t, points).tobytes()
         for i in range(min(n, 5)):
             for j in range(min(n, 5)):
-                assert torus_distance_sq(t, points[i], points[j]) == got[i, j]
+                assert pairwise_sq(t, (points[i], points[j]))[0, 1] == got[i, j]
     if n > 1:  # the kernel met 2r = inf on a nonzero step
         assert np.isinf(got).any()
 
@@ -242,7 +240,8 @@ def test_shift_preserves_distance_bitwise():
         p = TorusPoint(tuple(rng.randrange(f.m) for f in factors))
         q = TorusPoint(tuple(rng.randrange(f.m) for f in factors))
         offs = tuple(rng.randrange(-(10**12), 10**12) for _ in factors)
-        assert torus_distance(t, shift(t, p, offs), shift(t, q, offs)) == torus_distance(t, p, q)
+        moved = (shift(t, p, offs), shift(t, q, offs))
+        assert pairwise_sq(t, moved)[0, 1] == pairwise_sq(t, (p, q))[0, 1]
 
 
 def test_materialize_index_zero_on_axis():
@@ -263,7 +262,7 @@ def test_materialize_agrees_with_chord_metric(m):
         p = TorusPoint((int(rng.integers(0, m)), int(rng.integers(0, m))))
         q = TorusPoint((int(rng.integers(0, m)), int(rng.integers(0, m))))
         direct = float(np.linalg.norm(materialize(t, p) - materialize(t, q)))
-        via_chords = torus_distance(t, p, q)
+        via_chords = math.sqrt(pairwise_sq(t, (p, q))[0, 1])
         assert direct == pytest.approx(via_chords, rel=1e-12, abs=1e-300)
 
 
