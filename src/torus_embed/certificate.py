@@ -48,7 +48,7 @@ import numpy as np
 from .errors import InputError, InvalidCertificate
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
-VERSION = "0.12.0"
+VERSION = "0.13.0"
 
 # the characters of canonical decimal integers joined by commas
 _DECIMAL_ROW_CHARS = re.compile(r"[0-9,-]*")

@@ -47,10 +47,12 @@ enclosure's upper end. `_pi_bits` takes b with 2**b >= 512 * n0**2 / B, so
 the snap's pi slack 3*|c|*n0**2 stays below B/128. Every pair's
 squared-distance error is then below (63/64)(1 + 2**-44) B + B/128 < B, for
 the radius as written. Every term falls as 1/n**2, so n is about
-2.3 n0 / sqrt(B), and polygon orders stay near 40 bits on well-spread
-inputs. n > n0 (so n >= 2) keeps the step below the smallest gap despite
-r's rounding, s~ < s < h*(1 + 2**-50) <= n0*(1 + 2**-50) / (n0 + 1)**2 < 1/n0,
-so distinct values of a column get distinct vertices, at any budget.
+2.3 n0 / sqrt(B), and the order m = n**3 takes 1.5 fewer bits each time B
+doubles: at the pipeline's coarse budget, polygon orders are near 32 bits
+on well-spread 16-point inputs. n > n0 (so n >= 2) keeps the step below
+the smallest gap despite r's rounding,
+s~ < s < h*(1 + 2**-50) <= n0*(1 + 2**-50) / (n0 + 1)**2 < 1/n0, so
+distinct values of a column get distinct vertices, at any budget.
 """
 
 from __future__ import annotations

@@ -6,12 +6,23 @@ verifiable certificate whose input metric is that very matrix.
 
 The correction step is what makes the result exact: writing e_ij for the
 base embedding's squared-distance error and a for the increment, the
-correction's squared distances e_ij + a^2 always satisfy the
-almost-regularity condition because every |e_ij| stays below a^2/n^2: the
-n(n - 1)/2 deficits, each below 2a^2/n^2, sum below a^2(1 - 1/n), and the
-largest entry exceeds a^2(1 - 1/n^2). Its realization contributes exactly
-the missing e_ij + a^2 to each pair. `embed_squared_distances` checks that
-bound on the errors it gets, as well as the almost-regularity it implies.
+correction's squared distances e_ij + a^2 must satisfy the almost-regularity
+condition, and its realization contributes exactly the missing e_ij + a^2
+to each pair.
+
+The base is gridded at one of two budgets. The grid at delta = a^2/n^2 is
+proven a priori: every |e_ij| stays below delta, so the n(n - 1)/2
+deficits, each below 2a^2/n^2, sum below a^2(1 - 1/n), and the largest
+entry exceeds a^2(1 - 1/n^2). That worst case is far from met, as the grid
+uses a few per cent of delta, so the base is first gridded at the coarser
+delta*K, with K = 2**floor(log2 n) the largest power of two <= n, which
+takes 1.5 log2 K fewer bits of polygon order. The coarse grid is accepted
+on its planned margin, not proven: its errors must stay below delta*K, the
+margin of its correction's plan must be at least a^2/4, and its certificate
+must pass the self-check at DEFAULT_ACCEPT_TOL. On any other outcome the
+base is gridded again at delta, with the proven bound and the
+almost-regularity it implies checked as met, so every input the delta grid
+embeds is embedded. `parameters.delta` records the budget of the grid kept.
 
 The correction is its plan's merged cuts (see `almost_regular`): one
 polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
@@ -138,15 +149,16 @@ def embed_squared_distances(sq) -> EmbeddingCertificate:
     its squared-distance matrix, validated once and certified as given.
 
     Raises NotEuclidean or NotSimplex for a matrix that is not a simplex's and
-    VerificationFailed if, against all analysis, the correction is not
-    almost regular, the base embedding's error is not below its budget or
-    the built certificate does not pass its own verification at
-    DEFAULT_ACCEPT_TOL. A matrix with positive subnormal entries is refused
-    as InputError, naming one, where the spectrum refuses it but accepts it
-    times the exact power of two that brings its largest entry below 1 (a
-    larger one is not scaled), or where its certificate fails that
-    verification: those entries keep too few bits for the decision or the
-    check.
+    VerificationFailed if, against all analysis, the proven grid's
+    correction is not almost regular, its base embedding's error is not
+    below its budget or the built certificate does not pass its own
+    verification at DEFAULT_ACCEPT_TOL (a coarse grid that fails any of
+    these is dropped for the proven one, module docstring). A matrix with
+    positive subnormal entries is refused as InputError, naming one, where
+    the spectrum refuses it but accepts it times the exact power of two
+    that brings its largest entry below 1 (a larger one is not scaled), or
+    where the proven grid's certificate fails that verification: those
+    entries keep too few bits for the decision or the check.
     """
     input_sq = check_squared_distances(sq)
     try:
@@ -179,14 +191,30 @@ def _embed(input_sq: np.ndarray) -> EmbeddingCertificate:
     NotEuclidean or NotSimplex is left to the caller to explain."""
     n = input_sq.shape[0]
     dec = schoenberg_decompose(input_sq)
-    alpha_sq = dec.alpha_sq
-
-    delta = alpha_sq / n**2
+    delta = dec.alpha_sq / n**2
     if not delta > 0.0:
         raise InputError(
-            f"the base's error budget alpha^2 / n^2 = {alpha_sq!r} / {n**2} "
+            f"the base's error budget alpha^2 / n^2 = {dec.alpha_sq!r} / {n**2} "
             "underflows a double"
         )
+    # the coarse grid first, then the proven one (module docstring)
+    try:
+        return _certify(input_sq, dec, delta * (1 << (n.bit_length() - 1)), 0.25 * dec.alpha_sq)
+    except (InputError, VerificationFailed):
+        pass
+    return _certify(input_sq, dec, delta)
+
+
+def _certify(
+    input_sq: np.ndarray, dec: ExpansionDecomposition, delta: float, min_margin: float = 0.0
+) -> EmbeddingCertificate:
+    """The self-checked certificate on the base gridded at budget delta.
+    Raises VerificationFailed if the correction is not almost regular with a
+    margin of at least min_margin or the base error is not below delta, and
+    VerificationFailed, or InputError for subnormal input entries, if the
+    certificate fails its self-check."""
+    n = input_sq.shape[0]
+    alpha_sq = dec.alpha_sq
     de = product_embed(dec.base, delta)
 
     corr_sq = de.per_pair_error + alpha_sq
@@ -195,6 +223,10 @@ def _embed(input_sq: np.ndarray) -> EmbeddingCertificate:
         plan = realization_plan(corr_sq)
     except (InputError, NotAlmostRegular) as exc:
         raise VerificationFailed(f"correction matrix is not almost regular ({exc})") from None
+    if not plan.margin >= min_margin:
+        raise VerificationFailed(
+            f"correction margin {plan.margin:.6e} is below {min_margin:.6e}"
+        )
     # the bound the whole analysis rests on, |e_ij| < delta, checked as met
     base_error = float(np.abs(de.per_pair_error).max())
     if not base_error < delta:

@@ -9,7 +9,6 @@ import time
 from itertools import combinations
 
 import numpy as np
-import pytest
 from mpmath import mp, mpf
 
 from torus_embed import (
@@ -17,7 +16,6 @@ from torus_embed import (
     PolygonSpec,
     TorusPoint,
     TorusSpec,
-    check_almost_regular,
     embed_almost_regular,
     embed_regular_simplex,
     embed_simplex,

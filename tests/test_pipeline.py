@@ -79,6 +79,12 @@ def uniform_m_certificate(points):
 CERTIFICATES = {"triangles": embed_simplex, "uniform-m": uniform_m_certificate}
 
 
+def coarsening(n):
+    """K = 2**floor(log2 n): the embed grids the base at K times the proven
+    budget alpha^2 / n**2 first (pipeline docstring)."""
+    return 1 << (n.bit_length() - 1)
+
+
 def chord_sq_sum(factors, p, q):
     return sum(chord(f.m, f.r, a - b) ** 2 for f, a, b in zip(factors, p, q))
 
@@ -337,6 +343,69 @@ def test_golden_certificate_verifies_and_round_trips(tmp_path, path):
         assert out.read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize("failure", ["margin", "self-check"])
+def test_coarse_grid_failure_falls_back_to_the_proven_grid(monkeypatch, tmp_path, failure):
+    # a coarse grid whose planned margin falls short of alpha^2 / 4 by an
+    # ulp, or whose certificate fails its self-check, is dropped, and the
+    # base is gridded again at the proven budget alpha^2 / n**2: what 0.12.0
+    # wrote, byte for byte, less its version
+    from torus_embed import pipeline
+
+    inp, out = tmp_path / "in.json", tmp_path / "cert.json"
+    assert main(["gen", "random", "6", "--seed", "1", "-o", str(inp)]) == 0
+    points = generate_points("random", 6, seed=1)
+    alpha_sq = schoenberg_decompose(squared_distances(points)).alpha_sq
+    budgets = []
+
+    def recorded_embed(points, delta):
+        budgets.append(delta)
+        return product_embed(points, delta)
+
+    def short_plan(sq):
+        plan = realization_plan(sq)
+        if len(budgets) > 1:
+            return plan
+        return dataclasses.replace(plan, margin=math.nextafter(alpha_sq / 4, 0.0))
+
+    def failed_check(cert, *args):
+        report = verify_certificate(cert, *args)
+        return report if len(budgets) > 1 else dataclasses.replace(report, passed=False)
+
+    monkeypatch.setattr(pipeline, "product_embed", recorded_embed)
+    if failure == "margin":
+        monkeypatch.setattr(pipeline, "realization_plan", short_plan)
+    else:
+        monkeypatch.setattr(pipeline, "verify_certificate", failed_check)
+    assert main(["embed", "--quiet", str(inp), str(out)]) == 0
+    assert budgets == [(alpha_sq / 36) * 4, alpha_sq / 36]
+    old = (CORPUS / "0.12.0.json").read_text(encoding="utf-8")
+    version = '"version":"0.12.0"'
+    assert old.count(version) == 1
+    assert out.read_text(encoding="utf-8") == old.replace(version, f'"version":"{VERSION}"')
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bench_sized_inputs_keep_the_coarse_grid(seed):
+    # n = 16 points uniform in [-1, 1]^15, drawn as the embed-random
+    # workload draws them: the base is gridded at 16 times the proven
+    # budget, and the planned margin keeps at least alpha^2 / 4
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(8):
+        cert = embed_simplex(rng.uniform(-1.0, 1.0, (16, 15)))
+        alpha_sq = schoenberg_decompose(cert.input_sq).alpha_sq
+        assert cert.parameters["delta"] == (alpha_sq / 256) * 16
+        assert cert.parameters["correction_margin"] >= alpha_sq / 4
+
+
+def test_sixty_four_point_base_orders_stay_below_two_to_the_53():
+    # `gen random 64 --seed 1` took 61-bit base orders on the proven grid;
+    # the coarse grid keeps every base factor on the chord kernel's numpy path
+    cert = embed_simplex(generate_points("random", 64, seed=1))
+    base = cert.torus.factors[:63]
+    assert {f.m for f in base} == {int(cert.parameters["m"])}
+    assert int(cert.parameters["m"]) < 2**53
+
+
 def test_embed_two_points_minimal_case():
     cert = embed_simplex([[0.0], [1.0]])
     assert verify_certificate(cert, 1e-8).passed
@@ -390,23 +459,24 @@ def test_alpha_sq_has_one_value(monkeypatch, n):
     expected = calls["product_embed"][1].per_pair_error + alpha_sq
     off = ~np.eye(n, dtype=bool)
     np.testing.assert_array_equal(corr_sq[off], expected[off])
-    assert cert.parameters["delta"] == alpha_sq / n**2
+    assert cert.parameters["delta"] == (alpha_sq / n**2) * coarsening(n)
     assert cert.parameters["alpha"] == math.sqrt(alpha_sq)
     assert cert.errors["max_rel"] <= 1e-12
     assert verify_certificate(cert, 1e-12).passed
 
 
-@pytest.mark.parametrize("fraction", [1.9, 1.95, 1.99, 1.999])
+@pytest.mark.parametrize("fraction", [1.5, 1.7, 1.9, 1.95, 1.99, 1.999])
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_budget_kept_where_it_exceeds_the_base_distances(monkeypatch, n, fraction):
     # alpha^2 = lambda_min keeps every base squared distance >= lambda_min >
     # delta, but any alpha^2 below 2 lambda_min decomposes the simplex. A
     # regular simplex decomposed at alpha^2 = f lambda_min has base squared
-    # distances (2 - f) lambda_min against the budget f lambda_min / n**2,
-    # which reaches them once f >= 2 n**2 / (n**2 + 1): the rest of the
-    # pipeline takes such a decomposition as given, the grid alone keeps the
-    # base injective, and the certificate records the budget alpha_sq / n**2
-    # as it was used
+    # distances (2 - f) lambda_min against the coarse budget
+    # K f lambda_min / n**2, which reaches them once
+    # f >= 2 n**2 / (n**2 + K): the rest of the pipeline takes such a
+    # decomposition as given, the grid alone keeps the base injective, and
+    # the certificate records the budget (alpha_sq / n**2) * K as it was
+    # used
     from torus_embed import pipeline
 
     decompose = pipeline.schoenberg_decompose
@@ -422,10 +492,10 @@ def test_budget_kept_where_it_exceeds_the_base_distances(monkeypatch, n, fractio
     monkeypatch.setattr(pipeline, "schoenberg_decompose", wider)
     cert = embed_simplex(regular_simplex(n, 1.0))
     (dec,) = seen
-    delta = cert.parameters["delta"]
-    assert delta == dec.alpha_sq / n**2
+    delta, k = cert.parameters["delta"], coarsening(n)
+    assert delta == (dec.alpha_sq / n**2) * k
     base_min = squared_distances(dec.base)[~np.eye(n, dtype=bool)].min()
-    assert (delta >= base_min) == (fraction >= 2 * n**2 / (n**2 + 1))
+    assert (delta >= base_min) == (fraction >= 2 * n**2 / (n**2 + k))
     assert cert.errors["max_rel"] <= 1e-12
     assert verify_certificate(cert, 1e-12).passed
 
@@ -434,9 +504,9 @@ def test_final_distance_identity():
     # chord sums over the concatenated torus split into the two parts
     pts = generate_points("random", 4, seed=2)
     dec = schoenberg_decompose(squared_distances(pts))
-    n = len(pts)
-    de = product_embed(dec.base, dec.alpha_sq / n**2)
     cert = embed_simplex(pts)
+    de = product_embed(dec.base, cert.parameters["delta"])
+    n = len(pts)
     k = len(de.torus.factors)
     for i, j in combinations(range(n), 2):
         pi, pj = cert.assignment[i].indices, cert.assignment[j].indices
@@ -521,7 +591,7 @@ def test_correction_not_almost_regular_is_verification_failure(monkeypatch):
         # two of three pairs short by 0.9 alpha^2 each: still positive, but
         # the deficits exceed the largest entry's square
         de = product_embed(points, delta)
-        alpha_sq = 9 * delta  # embed_simplex asks for delta = alpha^2 / n^2
+        alpha_sq = 9 * delta  # the proven grid's delta = alpha^2 / n^2
         err = np.zeros((3, 3))
         err[0, 1] = err[1, 0] = err[0, 2] = err[2, 0] = -0.9 * alpha_sq
         return dataclasses.replace(de, per_pair_error=err)
