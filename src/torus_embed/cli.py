@@ -5,11 +5,15 @@ in `main`: 0 success / verification pass, 1 usage error or unreadable or
 malformed input or certificate, 2 input is not a simplex or has fewer than
 two points, 3 verification failed.
 A `squared_distances` input is embedded as given, not through points.
+`main(argv)` may be called any number of times in one process: the parser
+is built on the first call and reused, and the `torus-embed` console
+script, one call per process, runs as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 
@@ -178,6 +182,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="torus-embed",

@@ -1,5 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import json
 import sys
 import warnings
@@ -7,9 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from torus_embed import generate_points, is_simplex, load_certificate, squared_distances
+from torus_embed import cli, generate_points, is_simplex, load_certificate, squared_distances
 from torus_embed.certificate import dumps_canonical
-from torus_embed.cli import main
+from torus_embed.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -481,6 +483,71 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage: torus-embed" in capsys.readouterr().out
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process, so no option value, default or
+    # command of one call may reach the next
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(tmp_path)
+    # a triangle whose certificate misses its input by float rounding
+    write_json(tmp_path / "in.json", {"points": [[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]})
+    assert run(capsys, "embed", "in.json", "c.json", "--quiet")[0] == 0
+    assert load_certificate("c.json").errors["max_rel"] > 0  # so tolerance 0 must bite
+    code, stdout, _ = run(capsys, "verify", "c.json", "--tolerance", "0")
+    assert code == 3
+    assert "tolerance: 0\n" in stdout
+    code, stdout, _ = run(capsys, "verify", "c.json")
+    assert code == 0
+    assert "tolerance: 1e-08\n" in stdout
+    assert run(capsys, "verify")[0] == 1
+    assert run(capsys, "verify", "c.json")[0] == 0
+    seeded = run(capsys, "gen", "random", "4", "--seed", "3")
+    default = run(capsys, "gen", "random", "4")
+    assert default == run(capsys, "gen", "random", "4", "--seed", "0")
+    assert default[0] == 0
+    assert default[1] != seeded[1]
+    args = build_parser().parse_args(["gen", "random", "4"])
+    assert args is not build_parser().parse_args(["gen", "random", "4"])
+    assert not hasattr(args, "cert") and not hasattr(args, "tolerance")
+
+
+def test_usage_and_help_reach_the_streams_of_each_call(capsys):
+    # a parser first used while other streams were installed still prints
+    # to sys.stdout and sys.stderr as they are at the later call
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify"]) == 1
+        with pytest.raises(SystemExit):
+            main(["--help"])
+    code, stdout, stderr = run(capsys, "verify")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("usage: torus-embed verify")
+    assert stderr.splitlines()[-1].startswith("torus-embed: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert "usage: torus-embed" in captured.out
+    assert captured.err == ""
+
+
+def test_boundary_names_are_looked_up_at_each_call(tmp_path, capsys, monkeypatch):
+    # the benchmark's traced run patches these cli attributes after the
+    # parser exists, so the handlers must not capture them when it is built
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "regular", "3", "-o", "in.json"]) == 0
+    ran = []
+    names = ["embed_simplex", "save_certificate", "load_certificate", "verify_certificate"]
+    for name in names:
+        def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            ran.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    assert run(capsys, "embed", "in.json", "c.json", "--quiet")[0] == 0
+    assert run(capsys, "verify", "c.json")[0] == 0
+    assert ran == names
 
 
 @pytest.mark.parametrize(
