@@ -10,8 +10,8 @@ from .almost_regular import (
     RealizationPlan,
     check_almost_regular,
     embed_almost_regular,
+    embed_regular_simplex,
     realization_plan,
-    realize_almost_regular,
 )
 from .certificate import (
     VERSION as __version__,
@@ -31,7 +31,7 @@ from .errors import (
     TrivialInput,
     VerificationFailed,
 )
-from .gen import generate_points
+from .gen import generate_points, regular_simplex
 from .geometry import (
     as_point_array,
     centered_gram,
@@ -47,13 +47,11 @@ from .pipeline import (
     schoenberg_decompose,
     verify_certificate,
 )
-from .simplex import circumradius_for_side, embed_regular_simplex, regular_simplex
 from .torus import (
     PolygonSpec,
     TorusPoint,
     TorusSpec,
     chord,
-    materialize,
     pairwise_sq,
     shift,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "centered_gram",
     "check_almost_regular",
     "chord",
-    "circumradius_for_side",
     "dumps_certificate",
     "embed_almost_regular",
     "embed_regular_simplex",
@@ -90,12 +87,10 @@ __all__ = [
     "is_simplex",
     "load_certificate",
     "loads_certificate",
-    "materialize",
     "pairwise_sq",
     "product_embed",
     "realization_plan",
     "realize",
-    "realize_almost_regular",
     "regular_simplex",
     "save_certificate",
     "schoenberg_decompose",

@@ -28,6 +28,11 @@ for n = 2 no pair cut covers the whole point set.
 Each weight is a sum of nonnegative terms, at most C, and its side is
 taken as sqrt(2w) * sqrt(1/2): no weight is halved before its square
 root, so every side of a validated matrix is finite and positive.
+
+`embed_almost_regular` is the package's one path from cuts to polygons. The
+regular simplex of side s is the plan with no deficits: its n singleton
+cuts, each of side s * sqrt(1/2), and no pair cut, which is what
+`embed_regular_simplex` embeds. A plan needs at least two points.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NotAlmostRegular
+from .errors import InputError, NotAlmostRegular, TrivialInput
 from .geometry import check_squared_distances
-from .simplex import _unit_side, embed_regular_simplex
-from .torus import PolygonSpec, TorusPoint, TorusSpec
+from .torus import PolygonSpec, TorusPoint, TorusSpec, chord
 
 _ROOT_HALF = math.sqrt(0.5)
 
@@ -97,12 +101,12 @@ def realization_plan(sq) -> RealizationPlan:
     """The merged cuts of an almost-regular squared-distance matrix.
 
     Raises InputError for a matrix that is not a valid squared-distance
-    matrix with positive off-diagonal entries, and NotAlmostRegular for a
-    margin that is not positive.
+    matrix with positive off-diagonal entries, TrivialInput for fewer than
+    two points, and NotAlmostRegular for a margin that is not positive.
     """
     n, i, j, deficits, margin = _deficits(sq)
-    if n == 1:
-        return RealizationPlan(1, 0.0, ())
+    if n < 2:
+        raise TrivialInput("a realization plan needs at least two points")
     if not margin > 0.0:
         raise NotAlmostRegular(
             f"almost-regularity margin is {margin:.6e}, must be positive"
@@ -130,33 +134,38 @@ def _incidence(plan: RealizationPlan) -> np.ndarray:
     return out
 
 
-def realize_almost_regular(sq) -> tuple[np.ndarray, RealizationPlan]:
-    """Point realization of an almost-regular squared-distance matrix.
+def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
+    """Embed a realization plan into a torus whose factors all have order m.
 
-    Returns affinely independent points whose pairwise squared distances
-    reproduce the matrix: one coordinate per cut, equal to the cut's side
-    on its points and 0 elsewhere. The singleton cuts alone keep the
-    points affinely independent.
+    Each cut of `plan.cuts` becomes one m-gon with the cut's side; the cut's
+    points sit on vertex 1 and all others on vertex 0, so pairwise squared
+    distances match the planned matrix. Each radius is the side over the
+    side of the m-gon of circumradius 1, computed once.
     """
-    plan = realization_plan(sq)
-    sides = np.array([side for _, side in plan.cuts])
-    return _incidence(plan) * sides, plan
-
-
-def embed_almost_regular(sq, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
-    """Embed the realization into a torus whose factors all have order m.
-
-    `sq` is an almost-regular squared-distance matrix, or the
-    RealizationPlan already made from one. Each cut of `plan.cuts` becomes
-    one m-gon with the cut's side; the cut's points sit on vertex 1 and all
-    others on vertex 0, so pairwise squared distances match the matrix.
-    Each radius is side / _unit_side(m), as `circumradius_for_side` has it,
-    with the unit side computed once.
-    """
-    plan = sq if isinstance(sq, RealizationPlan) else realization_plan(sq)
-    if plan.n_points == 1:
-        return embed_regular_simplex(1, 1.0, m)
-    unit = _unit_side(m)
+    if not isinstance(m, int) or m < 2:
+        raise InputError(f"polygon order must be an integer >= 2, got {m!r}")
+    unit = chord(m, 1.0, 1)
     spec = TorusSpec(tuple(PolygonSpec(m, side / unit) for _, side in plan.cuts))
     points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(plan).tolist()]
     return spec, points
+
+
+# bench/spans.py patches embed_regular_simplex here, so it stays defined in
+# this module
+def embed_regular_simplex(n: int, side: float, m: int) -> tuple[TorusSpec, list[TorusPoint]]:
+    """Isometric embedding of a regular simplex of the given side into n
+    equal m-gon factors: `embed_almost_regular` of the plan with no deficits.
+
+    Vertex i sits at polygon vertex 1 in factor i and at the adjacent vertex
+    0 everywhere else, and each polygon side is side * sqrt(1/2), so two
+    vertices differ by one polygon side in exactly two factors. Raises
+    InputError unless side is positive and finite with a square that is a
+    positive finite double, and TrivialInput for one vertex.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"vertex count must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(side) and side > 0):
+        raise InputError(f"side length must be positive and finite, got {side!r}")
+    sq = np.full((n, n), side * side)
+    np.fill_diagonal(sq, 0.0)
+    return embed_almost_regular(realization_plan(sq), m)

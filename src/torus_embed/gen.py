@@ -1,4 +1,5 @@
-"""Deterministic input generators used by the CLI and the test suite."""
+"""Deterministic input generators used by the CLI and the test suite, and
+the regular simplex's vertices they start from."""
 
 from __future__ import annotations
 
@@ -8,13 +9,32 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import is_simplex, squared_distances
-from .simplex import regular_simplex
 
 KINDS = ("regular", "random", "perturbed")
 
 _MIN_GAP = 1e-3
 _MAX_TRIES = 1000
 _FLOAT_MAX = float(np.finfo(float).max)
+
+
+def regular_simplex(n: int, side: float) -> np.ndarray:
+    """Vertices of a regular simplex with n vertices in R^(n-1).
+
+    Scaled standard-basis construction: the n unit vectors of R^n form a
+    regular simplex of side sqrt(2) inside the sum-one hyperplane, and the
+    orthonormal Helmert basis of that hyperplane carries them to R^(n-1).
+    Deterministic, no eigendecomposition involved.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"vertex count must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(side) and side > 0):
+        raise InputError(f"side length must be positive and finite, got {side!r}")
+    basis = np.zeros((n - 1, n))
+    for k in range(1, n):
+        basis[k - 1, :k] = 1.0
+        basis[k - 1, k] = -float(k)
+        basis[k - 1] /= math.sqrt(k * (k + 1))
+    return (side / math.sqrt(2.0)) * basis.T
 
 
 def _min_distance(points: np.ndarray) -> float:
@@ -41,14 +61,15 @@ def generate_points(kind: str, n: int, seed: int = 0, noise: float = 0.01) -> np
         [-noise, noise], resampled until affinely independent.
 
     Every kind refuses (InputError) fewer than two points, which `embed`
-    cannot take, a negative seed, and a noise outside [0, _max_noise(n)].
+    cannot take, a seed that is not an integer >= 0, and a noise outside
+    [0, _max_noise(n)].
     """
     if kind not in KINDS:
         raise InputError(f"unknown input kind {kind!r}, expected one of {KINDS}")
     if not isinstance(n, int) or n < 2:
         raise InputError(f"point count must be an integer >= 2, got {n!r}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed!r}")
+    if not isinstance(seed, int) or seed < 0:
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
     if not 0.0 <= noise <= _max_noise(n):
         raise InputError(
             f"noise must lie in [0, {_max_noise(n):.6g}] for n = {n}, got {noise!r}: "

@@ -299,12 +299,17 @@ def verify_certificate(
     Recomputes every pairwise distance from the chord formula on vertex
     index differences alone; the certificate's construction parameters are
     never consulted. Passes iff the largest relative squared-distance error
-    is at most tol. Raises InputError unless 0 <= tol < inf: a NaN or
-    negative tol would fail every certificate and an infinite one pass all.
+    is at most tol. Raises InputError unless tol is a number with
+    0 <= tol < inf: a NaN or negative tol would fail every certificate and
+    an infinite one pass all.
     """
-    tol = float(tol)
-    if not 0.0 <= tol < math.inf:
+    try:
+        value = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not 0.0 <= value < math.inf:
         raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    tol = value
     n = _check_structure(cert)
     k = np.arange(n)
     iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost

@@ -232,18 +232,3 @@ def shift(t: TorusSpec, p: TorusPoint, offsets) -> TorusPoint:
         tuple((i + o) % f.m for f, i, o in zip(t.factors, p.indices, offsets))
     )
 
-
-def materialize(t: TorusSpec, p: TorusPoint) -> np.ndarray:
-    """Cartesian coordinates of a torus vertex in R^(2 * len(factors)).
-
-    The vertex angle is 2*pi*(index/m) with the ratio formed first. For
-    very large m adjacent vertices are closer than float spacing, so this
-    representation is lossy; metric checks must use the chord formula.
-    """
-    _check_point(t, p)
-    coords = np.empty(2 * len(t.factors))
-    for i, (f, idx) in enumerate(zip(t.factors, p.indices)):
-        theta = math.tau * ((idx % f.m) / f.m)
-        coords[2 * i] = f.r * math.cos(theta)
-        coords[2 * i + 1] = f.r * math.sin(theta)
-    return coords

@@ -21,16 +21,16 @@ from torus_embed import (
     embed_simplex,
     generate_points,
     is_simplex,
-    materialize,
     pairwise_sq,
     product_embed,
-    realize_almost_regular,
+    realization_plan,
     regular_simplex,
     schoenberg_decompose,
     shift,
     squared_distances,
     verify_certificate,
 )
+from torus_embed.geometry import spectrum_accepts
 
 
 def report(num, name, ok, elapsed=None, limit=None, detail=""):
@@ -40,6 +40,18 @@ def report(num, name, ok, elapsed=None, limit=None, detail=""):
     assert ok, f"criterion {num} failed {detail}"
     if limit is not None:
         assert elapsed < limit, f"criterion {num} took {elapsed:.2f}s, limit {limit}s"
+
+
+def materialize(t, p):
+    """Cartesian coordinates of a torus vertex in R^(2 * len(factors)), the
+    vertex angle 2 pi (index / m) with the ratio formed first: lossy once
+    adjacent vertices are closer than float spacing, so only small orders
+    are checked against it."""
+    coords = []
+    for f, idx in zip(t.factors, p.indices):
+        theta = math.tau * ((idx % f.m) / f.m)
+        coords += [f.r * math.cos(theta), f.r * math.sin(theta)]
+    return np.array(coords)
 
 
 def random_healthy_matrix(rng, n):
@@ -78,7 +90,7 @@ def test_criterion_2_almost_regular_realization():
     rng = np.random.default_rng(2024)
     worst = 0.0
     all_simplices = True
-    for _ in range(200):
+    for trial in range(200):
         n = int(rng.integers(2, 8))
         cmax = float(rng.uniform(0.5, 2.0)) ** 2
         pairs = n * (n - 1) // 2
@@ -89,11 +101,11 @@ def test_criterion_2_almost_regular_realization():
         c = np.zeros((n, n))
         for idx, (i, j) in enumerate(combinations(range(n), 2)):
             c[i, j] = c[j, i] = cmax * (1.0 - u[idx])
-        z, _ = realize_almost_regular(c)
-        d2 = squared_distances(z)
+        m = (3, 4, 6, 12)[trial % 4]
+        d2 = pairwise_sq(*embed_almost_regular(realization_plan(c), m))
         off = ~np.eye(n, dtype=bool)
         worst = max(worst, float(np.abs(d2[off] - c[off]).max() / cmax))
-        all_simplices = all_simplices and is_simplex(z)
+        all_simplices = all_simplices and spectrum_accepts(d2)
     elapsed = time.perf_counter() - start
     report(2, "almost-regular realization identity",
            worst <= 1e-10 and all_simplices, elapsed, 5.0,
@@ -225,7 +237,7 @@ def test_criterion_7_tamper_detection():
             n = int(rng.integers(3, 7))
             m = int(rng.choice([4, 6, 12]))
             input_sq = random_healthy_matrix(rng, n)
-            spec, points = embed_almost_regular(input_sq, m)
+            spec, points = embed_almost_regular(realization_plan(input_sq), m)
         cert = EmbeddingCertificate(input_sq, spec, tuple(points), {}, {}, {})
         assert verify_certificate(cert, 1e-8).passed
         s = int(rng.integers(0, n))
@@ -255,7 +267,7 @@ def test_criterion_8_materialization_consistency():
         EmbeddingCertificate(np.ones((4, 4)) - np.eye(4), spec, tuple(points), {}, {}, {})
     )
     c = random_healthy_matrix(np.random.default_rng(8), 5)
-    spec, points = embed_almost_regular(c, 17)
+    spec, points = embed_almost_regular(realization_plan(c), 17)
     certs.append(EmbeddingCertificate(c, spec, tuple(points), {}, {}, {}))
 
     ok = True

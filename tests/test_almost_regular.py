@@ -16,13 +16,13 @@ from torus_embed import (
     EmbeddingCertificate,
     InputError,
     NotAlmostRegular,
+    TrivialInput,
     check_almost_regular,
     dumps_certificate,
     embed_almost_regular,
     is_simplex,
     pairwise_sq,
     realization_plan,
-    realize_almost_regular,
     squared_distances,
 )
 from torus_embed.geometry import check_squared_distances
@@ -46,6 +46,16 @@ def random_valid_matrix(rng, n):
     for idx, (i, j) in enumerate(combinations(range(n), 2)):
         c[i, j] = c[j, i] = cmax * (1.0 - u[idx])
     return c
+
+
+def realize(sq):
+    """The plan's Euclidean realization: one coordinate per cut, the cut's
+    side on its points and 0 elsewhere."""
+    plan = realization_plan(sq)
+    z = np.zeros((plan.n_points, len(plan.cuts)))
+    for k, (members, side) in enumerate(plan.cuts):
+        z[list(members), k] = side
+    return z, plan
 
 
 def test_check_regular_matrix():
@@ -108,7 +118,7 @@ def test_cut_sides_finite_and_positive_at_the_edges(name):
 
 def test_realize_regular_matrix_collapses_to_base_simplex():
     c = 1.69 * (np.ones((5, 5)) - np.eye(5))
-    z, plan = realize_almost_regular(c)
+    z, plan = realize(c)
     assert [members for members, _ in plan.cuts] == [(k,) for k in range(5)]
     assert math.sqrt(plan.margin) == pytest.approx(1.3, rel=1e-14)
     off = ~np.eye(5, dtype=bool)
@@ -117,15 +127,14 @@ def test_realize_regular_matrix_collapses_to_base_simplex():
 
 def test_realize_two_points():
     c = np.array([[0.0, 0.1764], [0.1764, 0.0]])
-    z, plan = realize_almost_regular(c)
+    z, plan = realize(c)
     assert [members for members, _ in plan.cuts] == [(0,), (1,)]
     assert float(np.sum((z[0] - z[1]) ** 2)) == pytest.approx(0.1764, rel=1e-13)
 
 
 def test_realize_single_point():
-    z, plan = realize_almost_regular([[0.0]])
-    assert z.shape == (1, 0)
-    assert plan.cuts == ()
+    with pytest.raises(TrivialInput):
+        realization_plan([[0.0]])
 
 
 def test_realize_near_regular_four_points():
@@ -135,7 +144,7 @@ def test_realize_near_regular_four_points():
     vals[0] = 1.0
     for idx, (i, j) in enumerate(combinations(range(4), 2)):
         c[i, j] = c[j, i] = vals[idx]
-    z, _ = realize_almost_regular(c)
+    z, _ = realize(c)
     d2 = squared_distances(z)
     for i, j in combinations(range(4), 2):
         assert d2[i, j] == pytest.approx(c[i, j], rel=1e-10)
@@ -144,9 +153,7 @@ def test_realize_near_regular_four_points():
 def test_realize_rejects_invalid():
     c = np.array([[0.0, 1.0, 0.25], [1.0, 0.0, 0.25], [0.25, 0.25, 0.0]])
     with pytest.raises(NotAlmostRegular):
-        realize_almost_regular(c)
-    with pytest.raises(NotAlmostRegular):
-        embed_almost_regular(c, 4)
+        realization_plan(c)
 
 
 def test_realization_identity_random():
@@ -155,7 +162,7 @@ def test_realization_identity_random():
     for _ in range(40):
         n = int(rng.integers(2, 8))
         c = random_valid_matrix(rng, n)
-        z, plan = realize_almost_regular(c)
+        z, plan = realize(c)
         cmax = c.max()
         _, margin = check_almost_regular(c)
         total_deficit = sum(cmax - c[i, j] for i, j in combinations(range(n), 2))
@@ -170,14 +177,14 @@ def test_realization_output_is_simplex_and_factor_count_bounded():
     for _ in range(20):
         n = int(rng.integers(2, 8))
         c = random_valid_matrix(rng, n)
-        z, plan = realize_almost_regular(c)
+        z, plan = realize(c)
         assert is_simplex(z)
         assert len(plan.cuts) <= n * (n + 1) // 2 - 1
 
 
 def test_embed_regular_matrix_into_triangles():
     c = np.ones((3, 3)) - np.eye(3)
-    spec, points = embed_almost_regular(c, 3)
+    spec, points = embed_almost_regular(realization_plan(c), 3)
     assert len(spec.factors) == 3
     assert all(f.m == 3 for f in spec.factors)
     for i, j in combinations(range(3), 2):
@@ -186,7 +193,7 @@ def test_embed_regular_matrix_into_triangles():
 
 def test_embed_two_points_single_pair():
     c = np.array([[0.0, 0.81], [0.81, 0.0]])
-    spec, points = embed_almost_regular(c, 5)
+    spec, points = embed_almost_regular(realization_plan(c), 5)
     assert len(spec.factors) == 2  # one 2-vertex base simplex only
     assert pairwise_sq(spec, (points[0], points[1]))[0, 1] == pytest.approx(0.81, rel=1e-12)
 
@@ -194,7 +201,7 @@ def test_embed_two_points_single_pair():
 def test_embed_five_points_near_regular():
     rng = np.random.default_rng(77)
     c = random_valid_matrix(rng, 5)
-    spec, points = embed_almost_regular(c, 4)
+    spec, points = embed_almost_regular(realization_plan(c), 4)
     for i, j in combinations(range(5), 2):
         assert pairwise_sq(spec, (points[i], points[j]))[0, 1] == pytest.approx(
             c[i, j], rel=1e-10
@@ -206,8 +213,8 @@ def test_embed_matches_realization_distances():
     for _ in range(10):
         n = int(rng.integers(2, 7))
         c = random_valid_matrix(rng, n)
-        z, _ = realize_almost_regular(c)
-        spec, points = embed_almost_regular(c, 6)
+        z, _ = realize(c)
+        spec, points = embed_almost_regular(realization_plan(c), 6)
         dz = squared_distances(z)
         cmax = c.max()
         for i, j in combinations(range(n), 2):
@@ -236,7 +243,7 @@ def test_embed_one_factor_per_cut():
             c = random_valid_matrix(rng, n)
             plan = realization_plan(c)
             margin, kept = reference_deficits(c)
-            spec, points = embed_almost_regular(c, 3)
+            spec, points = embed_almost_regular(plan, 3)
             assert len(spec.factors) == n + len(kept)
             assert len(kept) <= n * (n - 1) // 2 - 1
             if n == 2:
@@ -265,8 +272,8 @@ def test_torus_vertex_pattern_matches_realization_support():
     rng = np.random.default_rng(29)
     for n in range(2, 9):
         c = random_valid_matrix(rng, n)
-        z, _ = realize_almost_regular(c)
-        _, points = embed_almost_regular(c, 3)
+        z, _ = realize(c)
+        _, points = embed_almost_regular(realization_plan(c), 3)
         np.testing.assert_array_equal(np.array([p.indices for p in points]) == 1, z != 0)
 
 
@@ -275,15 +282,10 @@ def test_embed_reproduces_distances_tightly():
     for n in range(2, 9):
         for m in (2, 3, 5, 12):
             c = random_valid_matrix(rng, n)
-            spec, points = embed_almost_regular(c, m)
+            spec, points = embed_almost_regular(realization_plan(c), m)
             for i, j in combinations(range(n), 2):
                 d2 = pairwise_sq(spec, (points[i], points[j]))[0, 1]
                 assert abs(d2 - c[i, j]) <= 1e-12 * c[i, j]
-
-
-def test_embed_accepts_plan():
-    c = random_valid_matrix(np.random.default_rng(9), 6)
-    assert embed_almost_regular(realization_plan(c), 4) == embed_almost_regular(c, 4)
 
 
 def test_embed_is_bytewise_deterministic():
@@ -292,7 +294,7 @@ def test_embed_is_bytewise_deterministic():
         c = random_valid_matrix(rng, n)
         texts = []
         for _ in range(2):
-            spec, points = embed_almost_regular(c.copy(), 3)
+            spec, points = embed_almost_regular(realization_plan(c.copy()), 3)
             cert = EmbeddingCertificate(c, spec, tuple(points), {}, {}, {})
             texts.append(dumps_certificate(cert))
         assert texts[0] == texts[1]
@@ -326,8 +328,8 @@ def reference_plan(sq):
     from the margin over the kept pairs without the point."""
     n = check_squared_distances(sq).shape[0]
     margin, kept = reference_deficits(sq)
-    if n == 1:
-        return (), 0.0
+    if n < 2:
+        raise TrivialInput("a realization plan needs at least two points")
     if not margin > 0.0:
         raise NotAlmostRegular(f"almost-regularity margin is {margin:.6e}, must be positive")
     cuts = []
@@ -359,8 +361,8 @@ def test_plan_matches_reference_bitwise():
             c[0, 1] = c[1, 0] = 1e-6 * c.max()  # far from almost regular
         try:
             ref = reference_plan(c)
-        except NotAlmostRegular as exc:
-            with pytest.raises(NotAlmostRegular) as got:
+        except (NotAlmostRegular, TrivialInput) as exc:
+            with pytest.raises(type(exc)) as got:
                 realization_plan(c)
             assert str(got.value) == str(exc)
             continue
@@ -401,7 +403,7 @@ def test_plan_covariant_under_scaling_by_powers_of_four(c, data):
     assert got.margin == plan.margin * 4.0**k
     assert [members for members, _ in got.cuts] == [members for members, _ in plan.cuts]
     assert [side for _, side in got.cuts] == [side * 2.0**k for _, side in plan.cuts]
-    z, _ = realize_almost_regular(c)
+    z, _ = realize(c)
     n = c.shape[0]
     off = ~np.eye(n, dtype=bool)
     np.testing.assert_allclose(squared_distances(z)[off], c[off], rtol=1e-12)

@@ -9,7 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from torus_embed import cli, generate_points, is_simplex, load_certificate, squared_distances
+from torus_embed import (
+    InputError,
+    cli,
+    generate_points,
+    is_simplex,
+    load_certificate,
+    squared_distances,
+)
 from torus_embed.certificate import dumps_canonical
 from torus_embed.cli import build_parser, main
 
@@ -575,6 +582,14 @@ def test_gen_bad_option_exits_1(tmp_path, capsys, argv, named):
     assert code == 1
     assert stderr.startswith(f"torus-embed: {named} must")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", None])
+@pytest.mark.parametrize("kind", ["random", "perturbed", "regular"])
+def test_generate_points_refuses_non_integer_seed(kind, seed):
+    # the library refuses it by name, as it refuses a non-integer point count
+    with pytest.raises(InputError, match="seed must be an integer"):
+        generate_points(kind, 4, seed=seed)
 
 
 def test_verify_env_tolerance_override(tmp_path, capsys, monkeypatch):

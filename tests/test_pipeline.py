@@ -727,10 +727,14 @@ def test_verify_zero_target_with_nonzero_distance_is_worst():
     assert report == reference_report(cert, 1e-8)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+@pytest.mark.parametrize(
+    "tol",
+    [math.nan, -1.0, -1e-300, math.inf, None, "abc", [1e-8], 10**400],
+    ids=["nan", "-1.0", "-1e-300", "inf", "none", "text", "list", "int-past-double"],
+)
 def test_verify_rejects_bad_tolerance(tol):
     cert = embed_simplex(regular_simplex(3, 1.0))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="tolerance must be a finite number"):
         verify_certificate(cert, tol)
 
 

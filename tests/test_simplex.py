@@ -1,4 +1,5 @@
-"""Tests for regular simplex construction and its torus embedding."""
+"""Tests for regular simplex construction and its torus embedding, the
+almost-regular plan with no deficits."""
 
 import math
 from itertools import combinations
@@ -8,9 +9,9 @@ import pytest
 
 from torus_embed import (
     InputError,
+    TrivialInput,
     centered_gram,
     chord,
-    circumradius_for_side,
     embed_regular_simplex,
     pairwise_sq,
     realize,
@@ -65,6 +66,13 @@ def test_regular_simplex_agrees_with_classical_scaling():
         )
 
 
+def circumradius_for_side(m, side):
+    """The circumradius `embed_regular_simplex` gives the m-gon of the given
+    side: two vertices at distance side * sqrt(2) take one such polygon each."""
+    spec, _ = embed_regular_simplex(2, side * math.sqrt(2.0), m)
+    return spec.factors[0].r
+
+
 def test_circumradius_hexagon():
     assert circumradius_for_side(6, 1.0) == pytest.approx(1.0, rel=1e-15)
 
@@ -94,10 +102,20 @@ def test_embed_two_vertices_in_squares():
 
 
 def test_embed_single_vertex():
-    spec, points = embed_regular_simplex(1, 1.0, 5)
-    assert len(spec.factors) == 1
-    assert len(points) == 1
-    assert len(points[0].indices) == 1 and 0 <= points[0].indices[0] < spec.factors[0].m
+    # a plan needs two points, as the pipeline does
+    with pytest.raises(TrivialInput):
+        embed_regular_simplex(1, 1.0, 5)
+
+
+def test_embed_refuses_sides_by_name():
+    # a negative side squares to a valid matrix, so it is refused itself;
+    # sides whose square is not a positive finite double are refused too
+    for side in (-1.0, 0.0, math.inf, math.nan, 1e200, 1e-200):
+        with pytest.raises(InputError):
+            embed_regular_simplex(3, side, 4)
+    for order in (1, 2.0):
+        with pytest.raises(InputError):
+            embed_regular_simplex(3, 1.0, order)
 
 
 def test_embed_four_vertices_in_triangles():
@@ -113,10 +131,10 @@ def test_embed_indices_are_binary_and_structural():
         assert [k for k, v in enumerate(p.indices) if v == 1] == [i]
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 12])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 12, 10**15 + 3])
 @pytest.mark.parametrize("side", [0.1, 1.0, 10.0])
 def test_embed_exactness_sweep(m, side):
-    for n in range(1, 11):
+    for n in range(2, 11):
         spec, points = embed_regular_simplex(n, side, m)
         for i, j in combinations(range(n), 2):
             d2 = pairwise_sq(spec, (points[i], points[j]))[0, 1]

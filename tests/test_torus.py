@@ -16,7 +16,6 @@ from torus_embed import (
     TorusPoint,
     TorusSpec,
     chord,
-    materialize,
     pairwise_sq,
     shift,
     verify_certificate,
@@ -244,14 +243,16 @@ def test_shift_preserves_distance_bitwise():
         assert pairwise_sq(t, moved)[0, 1] == pairwise_sq(t, (p, q))[0, 1]
 
 
-def test_materialize_index_zero_on_axis():
-    t = TorusSpec((PolygonSpec(8, 2.5),))
-    np.testing.assert_array_equal(materialize(t, TorusPoint((0,))), [2.5, 0.0])
-
-
-def test_materialize_quarter_turn():
-    t = TorusSpec((PolygonSpec(4, 1.0),))
-    np.testing.assert_allclose(materialize(t, TorusPoint((1,))), [0.0, 1.0], atol=1e-15)
+def materialize(t, p):
+    """Cartesian coordinates of a torus vertex in R^(2 * len(factors)), the
+    vertex angle 2 pi (index / m) with the ratio formed first: an oracle
+    for the chord kernel independent of it, lossy once adjacent vertices
+    are closer than float spacing."""
+    coords = []
+    for f, idx in zip(t.factors, p.indices):
+        theta = math.tau * ((idx % f.m) / f.m)
+        coords += [f.r * math.cos(theta), f.r * math.sin(theta)]
+    return np.array(coords)
 
 
 @pytest.mark.parametrize("m", [3, 17, 9999, 10**6])
