@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NotAlmostRegular, TrivialInput
+from .errors import InputError, NotAlmostRegular, TrivialInput, check_count, check_real
 from .geometry import check_squared_distances
 from .torus import PolygonSpec, TorusPoint, TorusSpec, chord
 
@@ -140,11 +140,18 @@ def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list
     Each cut of `plan.cuts` becomes one m-gon with the cut's side; the cut's
     points sit on vertex 1 and all others on vertex 0, so pairwise squared
     distances match the planned matrix. Each radius is the side over the
-    side of the m-gon of circumradius 1, computed once.
+    side of the m-gon of circumradius 1, computed once. Raises InputError
+    for a plan that is not a RealizationPlan and for an order that is not an
+    integer >= 2 or whose unit side is not a normal double.
     """
-    if not isinstance(m, int) or m < 2:
-        raise InputError(f"polygon order must be an integer >= 2, got {m!r}")
+    if not isinstance(plan, RealizationPlan):
+        raise InputError(f"plan must be a RealizationPlan, got {type(plan).__name__}")
+    check_count(m, "polygon order", 2)
     unit = chord(m, 1.0, 1)
+    if unit < np.finfo(float).tiny:  # 2 sin(pi/m), for m past about 2.8e308
+        raise InputError(
+            f"polygon order must keep 2 sin(pi/m) a normal double, got {m.bit_length()} bits"
+        )
     spec = TorusSpec(tuple(PolygonSpec(m, side / unit) for _, side in plan.cuts))
     points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(plan).tolist()]
     return spec, points
@@ -162,10 +169,8 @@ def embed_regular_simplex(n: int, side: float, m: int) -> tuple[TorusSpec, list[
     InputError unless side is positive and finite with a square that is a
     positive finite double, and TrivialInput for one vertex.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"vertex count must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(side) and side > 0):
-        raise InputError(f"side length must be positive and finite, got {side!r}")
+    check_count(n, "vertex count", 1)
+    side = check_real(side, "side length")
     sq = np.full((n, n), side * side)
     np.fill_diagonal(sq, 0.0)
     return embed_almost_regular(realization_plan(sq), m)

@@ -241,7 +241,7 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
         orders = _canonical_ints([f["m"] for f in raw])
         if orders is not None:
             return tuple(map(PolygonSpec, orders, (f["r"] for f in raw)))
-    except (KeyError, TypeError, ValueError, OverflowError, InputError):
+    except (KeyError, TypeError, InputError):
         pass
     # one factor at a time, to name the first bad one
     factors = []
@@ -252,7 +252,7 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
         m = _parse_big_int(f["m"], field + ".m")
         try:
             factors.append(PolygonSpec(m, f["r"]))
-        except (InputError, TypeError, ValueError, OverflowError) as exc:
+        except InputError as exc:
             raise InvalidCertificate(f"{field}: {exc}", field=field) from None
     return tuple(factors)
 

@@ -64,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, TrivialInput
+from .errors import InputError, TrivialInput, check_real
 from .geometry import as_point_array, squared_distances
 from .torus import PolygonSpec, TorusPoint, TorusSpec, pairwise_sq
 
@@ -96,15 +96,6 @@ class DeltaEmbedding:
     delta: float  # the error budget as requested
     per_pair_error: np.ndarray  # input squared distance minus torus squared distance
     params: DeltaParams
-
-
-def _check_budget(delta) -> float:
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-        raise InputError(f"delta must be a positive real, got {delta!r}")
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0):
-        raise InputError(f"delta must be a positive real, got {delta!r}")
-    return delta
 
 
 def _exact_columns(cols: np.ndarray) -> tuple[list[list[int]], int]:
@@ -283,7 +274,7 @@ def product_embed(points, delta) -> DeltaEmbedding:
     gap (n > n0, module docstring), so delta is kept as requested even
     when it exceeds the smallest squared distance.
     """
-    delta = _check_budget(delta)
+    delta = check_real(delta, "delta")
     try:
         arr = as_point_array(points)
     except InputError:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count, check_real
 from .geometry import is_simplex, squared_distances
 
 KINDS = ("regular", "random", "perturbed")
@@ -25,10 +25,8 @@ def regular_simplex(n: int, side: float) -> np.ndarray:
     orthonormal Helmert basis of that hyperplane carries them to R^(n-1).
     Deterministic, no eigendecomposition involved.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"vertex count must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(side) and side > 0):
-        raise InputError(f"side length must be positive and finite, got {side!r}")
+    check_count(n, "vertex count", 1)
+    side = check_real(side, "side length")
     basis = np.zeros((n - 1, n))
     for k in range(1, n):
         basis[k - 1, :k] = 1.0
@@ -66,11 +64,10 @@ def generate_points(kind: str, n: int, seed: int = 0, noise: float = 0.01) -> np
     """
     if kind not in KINDS:
         raise InputError(f"unknown input kind {kind!r}, expected one of {KINDS}")
-    if not isinstance(n, int) or n < 2:
-        raise InputError(f"point count must be an integer >= 2, got {n!r}")
-    if not isinstance(seed, int) or seed < 0:
-        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
-    if not 0.0 <= noise <= _max_noise(n):
+    check_count(n, "point count", 2)
+    check_count(seed, "seed", 0)
+    noise = check_real(noise, "noise", positive=False)
+    if noise > _max_noise(n):
         raise InputError(
             f"noise must lie in [0, {_max_noise(n):.6g}] for n = {n}, got {noise!r}: "
             f"a larger --noise can overflow the points' squared distances"

@@ -19,19 +19,26 @@ from .errors import InputError, NotEuclidean, NotSimplex
 DEFAULT_TOL = 1e-9
 
 
+def _finite_array(value, name: str, square: bool = False) -> np.ndarray:
+    """`value` as a nonempty float array of two axes, square if `square`,
+    with every entry finite, else InputError naming it. Without `square` a
+    one-axis array is one column."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a rectangular array of numbers") from None
+    if arr.ndim == 1 and not square:
+        arr = arr.reshape(-1, 1)
+    if arr.ndim != 2 or arr.shape[0] == 0 or (square and arr.shape[0] != arr.shape[1]):
+        raise InputError(f"{name} must be a nonempty {'square' if square else '(n, dim)'} array")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{name} must have finite entries")
+    return arr
+
+
 def as_point_array(points) -> np.ndarray:
     """Coerce to a nonempty (n, dim) float array, one point per row."""
-    try:
-        arr = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError("points do not form a rectangular numeric array") from None
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise InputError("expected a nonempty (n, dim) array of points")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("points contain non-finite coordinates")
-    return arr
+    return _finite_array(points, "points")
 
 
 def squared_distances(points) -> np.ndarray:
@@ -58,11 +65,7 @@ def check_squared_distances(sqdist, name: str = "squared-distance matrix") -> np
     overflow. Returns a cleaned copy (exactly symmetric, exact zero
     diagonal). `name` labels the matrix in the InputError messages.
     """
-    arr = np.asarray(sqdist, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise InputError(f"{name} must be square and nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} contains non-finite entries")
+    arr = _finite_array(sqdist, name, square=True)
     magnitudes = np.abs(arr)
     with np.errstate(over="ignore"):
         total = float(magnitudes.sum())
@@ -107,11 +110,7 @@ def realize(gram) -> np.ndarray:
     Raises:
         NotEuclidean: if an eigenvalue falls below -DEFAULT_TOL * lambda_max.
     """
-    g = np.asarray(gram, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
-        raise InputError("Gram matrix must be square and nonempty")
-    if not np.all(np.isfinite(g)):
-        raise InputError("Gram matrix contains non-finite entries")
+    g = _finite_array(gram, "Gram matrix", square=True)
     w, v = np.linalg.eigh(0.5 * (g + g.T))
     keep = np.flatnonzero(w > _zero_floor(w))[::-1]  # decreasing eigenvalue order
     return v[:, keep] * np.sqrt(w[keep])

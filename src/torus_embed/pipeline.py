@@ -63,6 +63,7 @@ from .errors import (
     NotSimplex,
     TrivialInput,
     VerificationFailed,
+    check_real,
 )
 from .geometry import (
     as_point_array,
@@ -299,17 +300,11 @@ def verify_certificate(
     Recomputes every pairwise distance from the chord formula on vertex
     index differences alone; the certificate's construction parameters are
     never consulted. Passes iff the largest relative squared-distance error
-    is at most tol. Raises InputError unless tol is a number with
+    is at most tol. Raises InputError unless tol is an int or a float with
     0 <= tol < inf: a NaN or negative tol would fail every certificate and
     an infinite one pass all.
     """
-    try:
-        value = float(tol)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise InputError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    tol = value
+    tol = check_real(tol, "tolerance", positive=False)
     n = _check_structure(cert)
     k = np.arange(n)
     iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost

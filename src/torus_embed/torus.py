@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,8 @@ class PolygonSpec:
     r: float
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise InputError(f"polygon order must be an integer >= 2, got {self.m!r}")
-        r = self.r
-        if not isinstance(r, (int, float)) or isinstance(r, bool) or not math.isfinite(r) or r <= 0:
-            raise InputError(f"circumradius must be a positive finite real, got {self.r!r}")
-        object.__setattr__(self, "r", float(r))
+        check_count(self.m, "polygon order", 2)
+        object.__setattr__(self, "r", check_real(self.r, "circumradius"))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from torus_embed import (
     check_almost_regular,
     dumps_certificate,
     embed_almost_regular,
+    embed_regular_simplex,
     is_simplex,
     pairwise_sq,
     realization_plan,
@@ -196,6 +197,33 @@ def test_embed_two_points_single_pair():
     spec, points = embed_almost_regular(realization_plan(c), 5)
     assert len(spec.factors) == 2  # one 2-vertex base simplex only
     assert pairwise_sq(spec, (points[0], points[1]))[0, 1] == pytest.approx(0.81, rel=1e-12)
+
+
+def test_embed_orders_by_size():
+    # an order near 2**80 embeds to its distances; one whose unit side
+    # 2 sin(pi/m) is not a normal double is refused by name, where a unit
+    # side of 0.0 once raised ZeroDivisionError
+    plan = realization_plan(np.ones((3, 3)) - np.eye(3))
+    for m in (2**80 - 1, 2**80 + 1):
+        spec, points = embed_almost_regular(plan, m)
+        d2 = pairwise_sq(spec, points)[np.triu_indices(3, 1)]
+        assert d2 == pytest.approx(1.0, rel=1e-12)
+    for m in (2**1030, 10**400):
+        with pytest.raises(InputError, match="^polygon order must "):
+            embed_almost_regular(plan, m)
+        with pytest.raises(InputError, match="^polygon order must "):
+            embed_regular_simplex(3, 1.0, m)
+
+
+@pytest.mark.parametrize(
+    "plan", [np.ones((3, 3)) - np.eye(3), [[0.0, 1.0], [1.0, 0.0]], None],
+    ids=["array", "list", "none"],
+)
+def test_embed_refuses_what_is_not_a_plan(plan):
+    # a matrix is planned first, with realization_plan
+    named = f"plan must be a RealizationPlan, got {type(plan).__name__}"
+    with pytest.raises(InputError, match=named):
+        embed_almost_regular(plan, 3)
 
 
 def test_embed_five_points_near_regular():

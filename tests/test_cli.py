@@ -109,7 +109,7 @@ def test_embed_underflowing_squared_distances_exits_1(tmp_path, capsys, scale):
 @pytest.mark.parametrize("n, decades", [(3, 161.5), (6, 160.5), (6, 161.0)])
 def test_embed_underflowing_error_budget_exits_1(tmp_path, capsys, n, decades):
     # the points keep their rank, but the base's budget alpha^2 / n^2 is 0.0:
-    # refused by name, not as "delta must be a positive real"
+    # refused by name, not as "delta must be a positive finite number"
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"
     pts = generate_points("random", n, seed=2) * 10.0**-decades

@@ -29,7 +29,6 @@ from torus_embed import (
 from torus_embed.certificate import dumps_certificate
 from torus_embed.delta_embed import (
     DeltaEmbedding,
-    _check_budget,
     _exact_columns,
     _gap_bound,
     _grid_params,
@@ -40,6 +39,7 @@ from torus_embed.delta_embed import (
     _unit_budget,
     _vertex_index,
 )
+from torus_embed.errors import check_real
 
 # interval precision of the exact error checks
 PREC = 128
@@ -146,7 +146,7 @@ def reference_one_dim_embed(xs, delta):
     exact translation; of the exponents around the balance point, the first
     with the least n, found by bisection against pi itself; each value t at
     vertex floor(t * m / (2 pi r)) for the float r, with pi at 512 bits."""
-    delta = _check_budget(delta)
+    delta = check_real(delta, "delta")
     exact = [Fraction(v) for v in reference_values(xs).tolist()]
     translated = [v - min(exact) for v in exact]
     span, gap = fraction_span_and_gap(translated)

@@ -1,13 +1,41 @@
-"""Tests for the package's public names and the module attributes the
-benchmark's span tracer patches."""
+"""Tests for the package's public names, the module attributes the
+benchmark's span tracer patches, and the library's refusal of bad
+arguments."""
 
 import ast
+import functools
 import importlib
+import math
+import re
 from pathlib import Path
 
-import torus_embed
+import numpy as np
+import pytest
 
-BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+import torus_embed
+from torus_embed import (
+    InputError,
+    PolygonSpec,
+    as_point_array,
+    centered_gram,
+    embed_almost_regular,
+    embed_regular_simplex,
+    embed_simplex,
+    embed_squared_distances,
+    generate_points,
+    product_embed,
+    realization_plan,
+    realize,
+    regular_simplex,
+    schoenberg_decompose,
+    squared_distances,
+    verify_certificate,
+)
+from torus_embed.geometry import check_squared_distances
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_SPANS = ROOT / "bench" / "spans.py"
+PACKAGE_SOURCES = sorted((ROOT / "src" / "torus_embed").glob("*.py"))
 
 
 def test_all_names_resolve_once_in_sorted_order():
@@ -35,3 +63,99 @@ def test_bench_patch_points_resolve():
     for module, attribute in boundaries:
         mod = importlib.import_module(f"torus_embed.{module}")
         assert callable(getattr(mod, attribute, None)), f"torus_embed.{module}.{attribute}"
+
+
+@functools.cache
+def triangle_plan():
+    return realization_plan(np.ones((3, 3)) - np.eye(3))
+
+
+@functools.cache
+def triangle_certificate():
+    return embed_simplex(regular_simplex(3, 1.0))
+
+
+# values no argument below takes, but an int past the largest double is a
+# count too large to allocate, a valid seed and a valid PolygonSpec order
+JUNK = {
+    "none": None,
+    "text": "x",
+    "numeric-text": "1",
+    "dict": {},
+    "true": True,
+    "nan": math.nan,
+    "inf": math.inf,
+    "minus-inf": -math.inf,
+    "minus-one": -1,
+    "int-past-double": 10**400,
+    "minus-int-past-repr": -(10**5000),
+    "float32": np.float32(1),
+}
+
+# (argument, call on the value, name its refusal starts with, values it takes)
+ARGUMENTS = [
+    ("PolygonSpec.m", lambda v: PolygonSpec(v, 1.0), "polygon order", {"int-past-double"}),
+    ("PolygonSpec.r", lambda v: PolygonSpec(3, v), "circumradius", set()),
+    ("product_embed.delta", lambda v: product_embed([[0.0], [1.0]], v), "delta", set()),
+    ("regular_simplex.n", lambda v: regular_simplex(v, 1.0), "vertex count", {"int-past-double"}),
+    ("regular_simplex.side", lambda v: regular_simplex(3, v), "side length", set()),
+    ("embed_regular_simplex.n", lambda v: embed_regular_simplex(v, 1.0, 4), "vertex count",
+     {"int-past-double"}),
+    ("embed_regular_simplex.side", lambda v: embed_regular_simplex(3, v, 4), "side length", set()),
+    ("embed_regular_simplex.m", lambda v: embed_regular_simplex(3, 1.0, v), "polygon order", set()),
+    ("embed_almost_regular.plan", lambda v: embed_almost_regular(v, 3), "plan", set()),
+    ("embed_almost_regular.m", lambda v: embed_almost_regular(triangle_plan(), v),
+     "polygon order", set()),
+    ("generate_points.n", lambda v: generate_points("random", v), "point count",
+     {"int-past-double"}),
+    ("generate_points.seed", lambda v: generate_points("random", 4, seed=v), "seed",
+     {"int-past-double"}),
+    ("generate_points.noise", lambda v: generate_points("perturbed", 4, noise=v), "noise", set()),
+    ("verify_certificate.tol", lambda v: verify_certificate(triangle_certificate(), v),
+     "tolerance", set()),
+    ("as_point_array", as_point_array, "points", set()),
+    ("squared_distances", squared_distances, "points", set()),
+    ("check_squared_distances", check_squared_distances, "squared-distance matrix", set()),
+    ("centered_gram", centered_gram, "squared-distance matrix", set()),
+    ("realize", realize, "Gram matrix", set()),
+    ("realization_plan", realization_plan, "squared-distance matrix", set()),
+    ("schoenberg_decompose", schoenberg_decompose, "squared-distance matrix", set()),
+    ("embed_simplex", embed_simplex, "points", set()),
+    ("embed_squared_distances", embed_squared_distances, "squared-distance matrix", set()),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call, name, value",
+    [pytest.param(call, name, value, id=f"{argument}-{key}")
+     for argument, call, name, takes in ARGUMENTS
+     for key, value in JUNK.items() if key not in takes],
+)
+def test_library_refuses_bad_arguments_by_name(call, name, value):
+    # an InputError whose message names the argument, never a TypeError,
+    # OverflowError, ZeroDivisionError, bare ValueError or numpy warning
+    with pytest.raises(InputError, match=f"^{re.escape(name)} must "):
+        call(value)
+
+
+# the wording of the argument rules that errors.check_count and
+# errors.check_real hold
+RULE_WORDING = ("must be an integer", "must be a positive finite number", "finite number >= 0")
+
+
+def test_argument_rules_are_worded_only_in_errors():
+    # a module that words one of these rules in its own InputError has a
+    # copy of a check that errors.py holds once
+    assert len(PACKAGE_SOURCES) > 1
+    for path in PACKAGE_SOURCES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "InputError":
+                text = "".join(
+                    c.value for c in ast.walk(node)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+                copied = [w for w in RULE_WORDING if w in text]
+                assert not copied, f"{path.name}:{node.lineno} words {copied}"
