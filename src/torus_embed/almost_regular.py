@@ -43,7 +43,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NotAlmostRegular, TrivialInput, check_count, check_real
+from .errors import (
+    InputError,
+    NotAlmostRegular,
+    TrivialInput,
+    check_count,
+    check_instance,
+    check_real,
+)
 from .geometry import check_squared_distances
 from .torus import PolygonSpec, TorusPoint, TorusSpec, chord
 
@@ -144,15 +151,16 @@ def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list
     for a plan that is not a RealizationPlan and for an order that is not an
     integer >= 2 or whose unit side is not a normal double.
     """
-    if not isinstance(plan, RealizationPlan):
-        raise InputError(f"plan must be a RealizationPlan, got {type(plan).__name__}")
+    check_instance(plan, RealizationPlan, "plan")
     check_count(m, "polygon order", 2)
     unit = chord(m, 1.0, 1)
     if unit < np.finfo(float).tiny:  # 2 sin(pi/m), for m past about 2.8e308
         raise InputError(
             f"polygon order must keep 2 sin(pi/m) a normal double, got {m.bit_length()} bits"
         )
-    spec = TorusSpec(tuple(PolygonSpec(m, side / unit) for _, side in plan.cuts))
+    with np.errstate(over="ignore"):  # an inf radius is refused by name below
+        radii = (np.array([side for _, side in plan.cuts]) / unit).tolist()
+    spec = TorusSpec(PolygonSpec._many([m] * len(radii), radii))
     points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(plan).tolist()]
     return spec, points
 

@@ -45,7 +45,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, InvalidCertificate
+from .errors import InputError, InvalidCertificate, check_instance
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
 VERSION = "0.13.0"
@@ -137,7 +137,9 @@ def _check_provenance_value(field: str, value, depth: int) -> None:
 def dumps_certificate(cert: EmbeddingCertificate) -> str:
     """The certificate's canonical JSON, written field by field. Provenance
     that breaks the rule of `_check_provenance` is refused, so that what is
-    written reads back."""
+    written reads back. Raises InputError for a `cert` that is not an
+    EmbeddingCertificate."""
+    check_instance(cert, EmbeddingCertificate, "certificate")
     for name in ("parameters", "errors", "meta"):
         _check_provenance(name, getattr(cert, name))
     return "".join((
@@ -240,7 +242,7 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
     try:
         orders = _canonical_ints([f["m"] for f in raw])
         if orders is not None:
-            return tuple(map(PolygonSpec, orders, (f["r"] for f in raw)))
+            return PolygonSpec._many(orders, [f["r"] for f in raw])
     except (KeyError, TypeError, InputError):
         pass
     # one factor at a time, to name the first bad one

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one check of each
-kind of scalar argument that the library's entry points take."""
+kind of argument that the library's entry points take: a count, a real
+number, and an instance of one of the package's types."""
 
 import math
 
@@ -57,6 +58,14 @@ def check_real(value, name: str, positive: bool = True) -> float:
             return x
     rule = "a positive finite number" if positive else "a finite number >= 0"
     raise InputError(f"{name} must be {rule}, got {_shown(value)}")
+
+
+def check_instance(value, cls: type, name: str):
+    """`value` if it is an instance of `cls`, else InputError naming it."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InputError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _shown(value) -> str:

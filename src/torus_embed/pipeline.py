@@ -63,6 +63,7 @@ from .errors import (
     NotSimplex,
     TrivialInput,
     VerificationFailed,
+    check_instance,
     check_real,
 )
 from .geometry import (
@@ -300,10 +301,12 @@ def verify_certificate(
     Recomputes every pairwise distance from the chord formula on vertex
     index differences alone; the certificate's construction parameters are
     never consulted. Passes iff the largest relative squared-distance error
-    is at most tol. Raises InputError unless tol is an int or a float with
+    is at most tol. Raises InputError for a `cert` that is not an
+    EmbeddingCertificate, and unless tol is an int or a float with
     0 <= tol < inf: a NaN or negative tol would fail every certificate and
     an infinite one pass all.
     """
+    check_instance(cert, EmbeddingCertificate, "certificate")
     tol = check_real(tol, "tolerance", positive=False)
     n = _check_structure(cert)
     k = np.arange(n)

@@ -6,28 +6,31 @@ astronomically many vertices stay exact. Distances always go through the
 chord formula on index differences; subtracting materialized Cartesian
 coordinates would cancel catastrophically once the polygon order is large.
 
-Every distance comes from one kernel, `pairwise_sq`, with two paths that
-both keep `chord`'s bits. Below 2**53, an order, a folded index and a step
-are exact doubles, so k / m in float64 is the one correctly rounded division
-that `chord`'s int division is; those factors run in numpy, the sine from
-`math.sin` (off a per-order table for small orders such as the m = 3 cut
-factors, else per entry). That covers the grid's base factors, whose orders
-are near 40 bits. Larger orders call `chord` on Python ints once per pair.
-The squared chords are summed in factor order, so each entry has the bits of
-a plain per-pair loop over `chord`. Factors run in blocks of about 2k
-pair-factor entries, and the chords are written straight into the block's
-rows, which bounds the kernel's scratch memory whatever the factor count.
+Every distance comes from one kernel, `pairwise_sq`, with three paths that
+all keep `chord`'s bits, chosen by a factor's order alone. A cut factor, of
+order 2 or 3 (the correction's triangles), has one nonzero chord,
+`chord(m, r, 1)`, on each pair whose folded indices differ: a run of them
+is added with one `np.add.at` per chunk, over the split pairs alone. Any
+other order below 2**53 runs in numpy: an order, a folded index and a step
+are exact doubles there, so k / m in float64 is the one correctly rounded
+division that `chord`'s int division is, and the sine is `math.sin` per
+entry. That covers the grid's base factors, whose orders are near 40 bits.
+Orders of 2**53 and more call `chord` on Python ints once per pair. The
+squared chords are summed in factor order, so each entry has the bits of a
+plain per-pair loop over `chord`. Factors run in chunks of a few thousand
+pair-factor entries, which bounds the kernel's scratch memory whatever the
+factor count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
-from .errors import InputError, check_count, check_real
+from .errors import InputError, check_count, check_instance, check_real
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,28 @@ class PolygonSpec:
         check_count(self.m, "polygon order", 2)
         object.__setattr__(self, "r", check_real(self.r, "circumradius"))
 
+    @classmethod
+    def _many(cls, orders: list, radii: list) -> tuple["PolygonSpec", ...]:
+        """PolygonSpec(m, r) for each order and radius, checked in bulk: one
+        test that every order is an int >= 2 and every radius an int or a
+        float that is a positive finite double. If any is not, they are
+        built one at a time, so the error names the first bad one."""
+        try:
+            if (set(map(type, orders)) == {int} and min(orders) >= 2
+                    and set(map(type, radii)) <= {int, float} and len(radii) == len(orders)):
+                r = np.array(radii, dtype=float)
+                if np.all((r > 0.0) & (r < math.inf)):
+                    specs = []
+                    for m, x in zip(orders, r.tolist()):
+                        spec = object.__new__(cls)
+                        object.__setattr__(spec, "m", m)
+                        object.__setattr__(spec, "r", x)
+                        specs.append(spec)
+                    return tuple(specs)
+        except OverflowError:  # an int radius past the largest double
+            pass
+        return tuple(map(cls, orders, radii))
+
 
 @dataclass(frozen=True)
 class TorusSpec:
@@ -49,12 +74,16 @@ class TorusSpec:
     factors: tuple[PolygonSpec, ...]
 
     def __post_init__(self):
-        factors = tuple(self.factors)
-        if not factors:
-            raise InputError("a torus needs at least one polygon factor")
-        if not all(isinstance(f, PolygonSpec) for f in factors):
-            raise InputError("torus factors must be PolygonSpec instances")
-        object.__setattr__(self, "factors", factors)
+        factors = self.factors
+        if not isinstance(factors, (tuple, list)) or not factors:
+            raise InputError(
+                "torus factors must be a nonempty tuple or list of PolygonSpec instances, "
+                f"got {type(factors).__name__}"
+            )
+        for f in factors:
+            if not isinstance(f, PolygonSpec):
+                raise InputError(f"torus factors must be PolygonSpec instances, got {type(f).__name__}")
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def ambient_dim(self) -> int:
@@ -68,10 +97,7 @@ class TorusPoint:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        indices = tuple(self.indices)
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in indices):
-            raise InputError("vertex indices must be integers")
-        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "indices", _int_tuple(self.indices, "vertex indices"))
 
     @classmethod
     def _of_ints(cls, indices: tuple[int, ...]) -> "TorusPoint":
@@ -82,12 +108,27 @@ class TorusPoint:
         return point
 
 
+def _int_tuple(values, name: str) -> tuple[int, ...]:
+    """`values`, a tuple or list of ints (not bools), as a tuple, else
+    InputError naming it."""
+    if not isinstance(values, (tuple, list)):
+        raise InputError(f"{name} must be a tuple or list of integers, got {type(values).__name__}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InputError(f"{name} must be integers, got {type(v).__name__}")
+    return tuple(values)
+
+
 def chord(m: int, r: float, dj: int) -> float:
     """Chord length between polygon vertices dj steps apart.
 
     The step ratio k/m is formed as a single (big-)integer division before
     multiplying by pi, so there is no cancellation even for m far beyond
     2**63. Signed or out-of-range dj is folded into [0, m) first.
+
+    This is the unchecked per-pair primitive: it takes m, r and dj as given,
+    and a bad one raises whatever Python raises. `PolygonSpec` checks an
+    order and a radius, and `pairwise_sq` checks its torus and points.
     """
     k = dj % m
     if not k:
@@ -99,6 +140,7 @@ def chord(m: int, r: float, dj: int) -> float:
 
 
 def _check_point(t: TorusSpec, p: TorusPoint) -> None:
+    check_instance(p, TorusPoint, "torus point")
     if len(p.indices) != len(t.factors):
         raise InputError(
             f"torus point has {len(p.indices)} indices but the torus has {len(t.factors)} factors"
@@ -111,7 +153,11 @@ def _check_point(t: TorusSpec, p: TorusPoint) -> None:
 _EXACT_M = 2**53
 # Pair-factor entries per block of consecutive factors: bounds the scratch
 # (16 kB per float array) while spreading numpy's per-call cost over a block.
+# A chunk of cut factors holds twice as many, as int8 and bool entries.
 _BLOCK = 2048
+# sin(pi * k / m) at the one nonzero step k = 1 of the cut orders 2 and 3,
+# as `chord` computes it
+_CUT_SINES = {m: math.sin(math.pi * (1 / m)) for m in (2, 3)}
 
 
 def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
@@ -120,23 +166,32 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
 
     Each entry has the bits of a per-pair loop that adds `c * c`, for
     `c = chord(m, r, a - b)`, over the factors left to right. The factors run
-    in blocks of about `_BLOCK` pair-factor entries: `np.add.accumulate` adds
-    a block's squared chords onto the running sums in factor order (`np.sum`
-    would add pairwise and change the bits), and the sums carry on to the
-    next block, so scratch stays bounded however many factors there are.
-    Each factor's chords take one of two paths, both with `chord`'s bits:
+    in chunks of consecutive factors, each chunk adding its squared chords
+    onto the running sums in factor order, so scratch stays bounded however
+    many factors there are. Each factor takes one of three paths, chosen by
+    its order alone, all with `chord`'s bits:
 
-    - an order below 2**53 runs in numpy, written straight into the block's
-      rows (`_exact_chords`). Every folded index, step and order is an exact
+    - an order of 2 or 3, a cut factor, has one nonzero chord,
+      `chord(m, r, 1)`, on every pair whose folded indices differ. A run of
+      such factors goes in chunks of about 2 * `_BLOCK` pair-factor entries
+      (`_add_cuts`): the split pairs are listed with their squared chords,
+      factor after factor for each pair, and `np.add.at` adds them in that
+      order. Skipping a 0.0 term is exact, so no bit changes;
+    - any other order below 2**53 runs in numpy, in blocks of about `_BLOCK`
+      pair-factor entries written straight into the block's rows
+      (`_exact_chords`). Every folded index, step and order is an exact
       double there, so k / m is one correctly rounded division, the quotient
-      of `chord`'s int division. The sine is `math.sin`, as in `chord`: read
-      off a table of the steps 0 .. m // 2, one per order, when there are
-      fewer of those than pairs (the m = 3 cut factors, say), else mapped
-      over the row;
-    - a larger order calls `chord` on Python ints once per pair.
+      of `chord`'s int division, and the sine is `math.sin` per entry, as in
+      `chord`. `np.add.accumulate` adds the rows onto the running sums in
+      factor order (`np.sum` would add pairwise and change the bits);
+    - an order of 2**53 or more calls `chord` on Python ints once per pair,
+      in the same blocks.
 
     Overflow gives inf and underflow 0.0 without a warning, as in Python.
+    Raises InputError for a torus that is not a TorusSpec, and for a point
+    that is not a TorusPoint with one index per factor.
     """
+    check_instance(t, TorusSpec, "torus")
     points = tuple(points)
     for p in points:
         _check_point(t, p)
@@ -148,14 +203,17 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     if not npairs:
         return out
     step = min(max(1, _BLOCK // npairs), len(t.factors))
-    tables = {}  # order -> the sines of its steps 0 .. m // 2, shared by its factors
+    cut_step = max(1, 2 * _BLOCK // npairs)
     sq = np.zeros((step + 1, npairs))  # row 0 carries the running sums
     with np.errstate(over="ignore", under="ignore"):
-        for start in range(0, len(t.factors), step):
-            block = t.factors[start:start + step]
+        for start, stop, cut in _chunks(t.factors, step, cut_step):
+            block = t.factors[start:stop]
+            indices = [p.indices[start:stop] for p in points]
+            if cut:
+                _add_cuts(block, indices, iu, sq[0])
+                continue
             rows = sq[:len(block) + 1]
-            indices = [p.indices[start:start + len(block)] for p in points]
-            _exact_chords(block, indices, iu, rows[1:], tables)
+            _exact_chords(block, indices, iu, rows[1:])
             for c, f in enumerate(block):
                 if f.m >= _EXACT_M:
                     m, r = f.m, f.r
@@ -170,11 +228,53 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     return out
 
 
-def _exact_chords(block, indices, iu, out, tables) -> None:
+def _chunks(factors, step, cut_step):
+    """(start, stop, cut) for each chunk of consecutive factors: the runs of
+    cut orders (2 and 3) in chunks of cut_step factors, cut true, and the
+    runs of other orders in chunks of step factors."""
+    start = 0
+    for cut, run in groupby(f.m < 4 for f in factors):
+        stop = start + len(list(run))
+        size = cut_step if cut else step
+        for a in range(start, stop, size):
+            yield a, min(a + size, stop), cut
+        start = stop
+
+
+def _fold(indices, ms) -> np.ndarray:
+    """indices[i][c] mod ms[c] as an int64 array, folded in int64 when the
+    indices fit, else by Python's %."""
+    try:
+        x = np.array(indices, dtype=np.int64)
+        x %= np.array(ms)
+    except OverflowError:
+        x = np.array([[i % m for i, m in zip(row, ms)] for row in indices], dtype=np.int64)
+    return x
+
+
+def _add_cuts(block, indices, iu, sums) -> None:
+    """Add the squared chords of a chunk of cut factors (orders 2 and 3) over
+    the pairs iu onto sums, in factor order; indices[i] holds point i's
+    indices on the chunk.
+
+    A pair is split by a factor when its folded indices differ, and its chord
+    is then `chord(m, r, 1)`, else 0.0. The split pairs are listed pair by
+    pair, each pair's factors in order, with their squared chords, and
+    `np.add.at` applies repeated indices in the order listed. An unsplit
+    pair adds nothing, which is exact, so 2r = inf gives inf only where a
+    pair is split, never inf * 0.0.
+    """
+    ms = [f.m for f in block]
+    x = _fold(indices, ms).astype(np.int8)
+    pairs, c = np.nonzero(x[iu[0]] != x[iu[1]])
+    chords = np.array([2.0 * f.r for f in block]) * [_CUT_SINES[m] for m in ms]
+    np.add.at(sums, pairs, np.square(chords)[c])
+
+
+def _exact_chords(block, indices, iu, out) -> None:
     """`chord` over the pairs iu, written into row c of out for every factor
     c of the block with an order below 2**53; the rows of larger orders are
-    left to the caller. indices[i] holds point i's indices on the block, and
-    tables caches each small order's sines across blocks.
+    left to the caller. indices[i] holds point i's indices on the block.
 
     The indices are folded mod m in int64 (a block holding an index past
     int64 is folded by Python's %), and then held as exact doubles. A step d
@@ -183,12 +283,7 @@ def _exact_chords(block, indices, iu, out, tables) -> None:
     is nan once 2r overflows to inf.
     """
     ms = [f.m if f.m < _EXACT_M else 1 for f in block]  # 1 marks a larger order
-    try:
-        x = np.array(indices, dtype=np.int64).T
-        x %= np.array(ms)[:, None]
-    except OverflowError:
-        x = np.array([[i % m for i, m in zip(row, ms)] for row in indices]).T
-    x = x.astype(float)
+    x = _fold(indices, ms).T.astype(float)
     np.take(x, iu[0], axis=1, out=out, mode="clip")
     out -= x[:, iu[1]]
     half = np.array(ms, dtype=float)[:, None] * 0.5
@@ -197,19 +292,10 @@ def _exact_chords(block, indices, iu, out, tables) -> None:
     np.abs(out, out=out)
     np.subtract(half, out, out=out)
     npairs = out.shape[1]
-    short = {}
     for c, m in enumerate(ms):
-        if m < 2 * npairs:  # m // 2 < npairs: the table is the shorter
-            if m > 1:
-                short.setdefault(m, []).append(c)
-        else:
+        if m > 1:
             angles = (math.pi * (out[c] / m)).tolist()
             out[c] = np.fromiter(map(math.sin, angles), float, npairs)
-    for m, cs in short.items():
-        if m not in tables:
-            sines = (math.sin(math.pi * (q / m)) for q in range(m // 2 + 1))
-            tables[m] = np.fromiter(sines, float, m // 2 + 1)
-        out[cs] = tables[m][out[cs].astype(np.intp)]
     two_r = np.array([2.0 * f.r for f in block])[:, None]
     np.multiply(out, two_r, out=out, where=out != 0.0)
 
@@ -219,12 +305,16 @@ def shift(t: TorusSpec, p: TorusPoint, offsets) -> TorusPoint:
 
     This is the transitive abelian action of the torus on itself; it
     preserves all index differences mod m, hence all distances bit for bit.
+    Raises InputError unless t is a TorusSpec, p a TorusPoint on it, and
+    offsets a tuple or list of ints, one per factor.
     """
+    check_instance(t, TorusSpec, "torus")
     _check_point(t, p)
-    offsets = tuple(offsets)
+    offsets = _int_tuple(offsets, "offsets")
     if len(offsets) != len(t.factors):
-        raise InputError("offset count must match the factor count")
-    return TorusPoint(
+        raise InputError(
+            f"offsets must be one per torus factor, got {len(offsets)} for {len(t.factors)}"
+        )
+    return TorusPoint._of_ints(
         tuple((i + o) % f.m for f, i, o in zip(t.factors, p.indices, offsets))
     )
-

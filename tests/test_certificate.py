@@ -356,6 +356,9 @@ MALFORMED = {
     "r-string": (_as_string(["torus", "factors", 1, "r"]), "torus.factors[1]"),
     "r-bool": (_set(["torus", "factors", 1, "r"], True), "torus.factors[1]"),
     "r-negative": (_set(["torus", "factors", 1, "r"], -1.0), "torus.factors[1]"),
+    "r-zero": (_set(["torus", "factors", 1, "r"], 0.0), "torus.factors[1]"),
+    "r-infinity": (_raw(["torus", "factors", 1, "r"], "Infinity"), "torus.factors[1]"),
+    "r-nan": (_raw(["torus", "factors", 1, "r"], "NaN"), "torus.factors[1]"),
     "r-null": (_set(["torus", "factors", 1, "r"], None), "torus.factors[1]"),
     "r-before-later-m": (_bad_m_after_bad_r, "torus.factors[0]"),
     "assignment-missing": (_set(["assignment"], _DELETE), "assignment"),

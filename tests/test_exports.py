@@ -16,18 +16,23 @@ import torus_embed
 from torus_embed import (
     InputError,
     PolygonSpec,
+    TorusPoint,
+    TorusSpec,
     as_point_array,
     centered_gram,
     embed_almost_regular,
     embed_regular_simplex,
     embed_simplex,
     embed_squared_distances,
+    dumps_certificate,
     generate_points,
+    pairwise_sq,
     product_embed,
     realization_plan,
     realize,
     regular_simplex,
     schoenberg_decompose,
+    shift,
     squared_distances,
     verify_certificate,
 )
@@ -92,10 +97,21 @@ JUNK = {
     "float32": np.float32(1),
 }
 
+# a one-factor torus and a point on it
+TRIANGLE = TorusSpec((PolygonSpec(3, 1.0),))
+VERTEX = TorusPoint((0,))
+
 # (argument, call on the value, name its refusal starts with, values it takes)
 ARGUMENTS = [
     ("PolygonSpec.m", lambda v: PolygonSpec(v, 1.0), "polygon order", {"int-past-double"}),
     ("PolygonSpec.r", lambda v: PolygonSpec(3, v), "circumradius", set()),
+    ("TorusSpec.factors", TorusSpec, "torus factors", set()),
+    ("TorusPoint.indices", TorusPoint, "vertex indices", set()),
+    ("pairwise_sq.t", lambda v: pairwise_sq(v, [VERTEX, VERTEX]), "torus", set()),
+    ("pairwise_sq.points", lambda v: pairwise_sq(TRIANGLE, [VERTEX, v]), "torus point", set()),
+    ("shift.t", lambda v: shift(v, VERTEX, (1,)), "torus", set()),
+    ("shift.p", lambda v: shift(TRIANGLE, v, (1,)), "torus point", set()),
+    ("shift.offsets", lambda v: shift(TRIANGLE, VERTEX, v), "offsets", set()),
     ("product_embed.delta", lambda v: product_embed([[0.0], [1.0]], v), "delta", set()),
     ("regular_simplex.n", lambda v: regular_simplex(v, 1.0), "vertex count", {"int-past-double"}),
     ("regular_simplex.side", lambda v: regular_simplex(3, v), "side length", set()),
@@ -113,6 +129,8 @@ ARGUMENTS = [
     ("generate_points.noise", lambda v: generate_points("perturbed", 4, noise=v), "noise", set()),
     ("verify_certificate.tol", lambda v: verify_certificate(triangle_certificate(), v),
      "tolerance", set()),
+    ("verify_certificate.cert", verify_certificate, "certificate", set()),
+    ("dumps_certificate.cert", dumps_certificate, "certificate", set()),
     ("as_point_array", as_point_array, "points", set()),
     ("squared_distances", squared_distances, "points", set()),
     ("check_squared_distances", check_squared_distances, "squared-distance matrix", set()),

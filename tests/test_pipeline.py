@@ -333,7 +333,12 @@ def test_golden_certificate_verifies_and_round_trips(tmp_path, path):
     assert VERSION in [p.stem for p in GOLDEN]
     text = path.read_text(encoding="utf-8")
     cert = loads_certificate(text)
-    assert verify_certificate(cert, 1e-8).passed
+    report = verify_certificate(cert, 1e-8)
+    assert report.passed
+    # the kernel reproduces the errors that the writing version recorded, bit
+    # for bit
+    assert report.max_abs_error.hex() == float(cert.errors["max_abs"]).hex()
+    assert report.max_rel_error.hex() == float(cert.errors["max_rel"]).hex()
     assert dumps_certificate(cert) + "\n" == text
     assert cert.meta["version"] == path.stem.removesuffix("-uniform-m")
     if path.stem == VERSION:

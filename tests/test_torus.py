@@ -123,12 +123,15 @@ def reference_pairwise_sq(t, points):
 EDGE_ORDERS = (2, 3, 4, 2**52 - 1, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1)
 
 
-def edge_torus(rng, n, k, orders=EDGE_ORDERS):
+def edge_torus(rng, n, k, orders=EDGE_ORDERS, huge=True):
     """k factors cycling through the orders, every fourth of radius 1e308
-    (where 2r overflows to inf), and n points whose indices give zero steps,
-    signed and out-of-range steps, and indices past int64."""
+    (where 2r overflows to inf) when huge, and n points whose indices give
+    zero steps, signed and out-of-range steps, and indices past int64."""
     factors = tuple(
-        PolygonSpec(orders[i % len(orders)], 1e308 if i % 4 == 1 else rng.uniform(0.1, 100.0))
+        PolygonSpec(
+            orders[i % len(orders)],
+            1e308 if huge and i % 4 == 1 else rng.uniform(0.1, 100.0),
+        )
         for i in range(k)
     )
     first = [rng.randrange(f.m) for f in factors]
@@ -166,9 +169,15 @@ def test_pairwise_sq_matches_reference_loop_bitwise(n):
         cases.append((TorusSpec(factors), points))
     # small and big orders interleaved; 24 points x 80 factors span several blocks
     cases += [edge_torus(rng, n, k) for k in (1, 2, 7, 12, 80 if n == 24 else 30)]
-    # orders on both sides of the chord table's bound, m // 2 < pairs
+    # small orders above the cut orders 2 and 3, near twice the pair count
     npairs = n * (n - 1) // 2
-    cases.append(edge_torus(rng, n, 8, tuple(max(2, 2 * npairs + e) for e in (-1, 0, 1, 2))))
+    cases.append(edge_torus(rng, n, 8, tuple(max(4, 2 * npairs + e) for e in (-1, 0, 1, 2))))
+    # runs of cut factors (orders 2 and 3) broken up by big orders, every
+    # index value in their columns; at 24 points the long runs span several
+    # chunks of cut factors. Finite radii, where a sum in another order
+    # would change the bits, and every fourth radius 1e308
+    cuts = (3,) * 40 + (2**53 + 1,) + (2, 3) * 9 + (2**40 + 1, 5) + (3,) * 31 + (2,) * 7
+    cases += [edge_torus(rng, n, len(cuts), cuts, huge) for huge in (False, True)]
     # random orders of 20 to 53 bits, the grid's base orders, on the numpy path
     for _ in range(4):
         orders = tuple(rng.randrange(2 ** (b - 1), 2**b) for b in (20, 33, 41, 47, 52, 53))
@@ -191,17 +200,21 @@ def test_pairwise_sq_scratch_is_bounded():
     import tracemalloc
 
     rng = random.Random(0)
-    # the table, the numpy per-entry and the per-pair paths
+    # the cut, the numpy per-entry and the per-pair paths
     orders = (3,) * 17 + (2, 2**53 + 1, 2**40 + 1, 1561, 2**20 + 7, 2**45 + 1, 2**53 - 1)
     t = TorusSpec(tuple(PolygonSpec(orders[i % len(orders)], 1.5) for i in range(600)))
     points = [TorusPoint(tuple(rng.randrange(f.m) for f in t.factors)) for _ in range(40)]
-    tracemalloc.start()
-    try:
-        pairwise_sq(t, points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
+    # the correction's layout: 600 triangles, each column of 0s and 1s
+    cuts = TorusSpec((PolygonSpec(3, 1.5),) * 600)
+    cut_points = [TorusPoint(tuple(rng.randrange(2) for _ in range(600))) for _ in range(40)]
+    for t, points in ((t, points), (cuts, cut_points)):
+        tracemalloc.start()
+        try:
+            pairwise_sq(t, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 def test_pairwise_sq_empty_and_mismatched():
