@@ -160,7 +160,7 @@ def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list
         )
     with np.errstate(over="ignore"):  # an inf radius is refused by name below
         radii = (np.array([side for _, side in plan.cuts]) / unit).tolist()
-    spec = TorusSpec(PolygonSpec._many([m] * len(radii), radii))
+    spec = TorusSpec(tuple(PolygonSpec(m, r) for r in radii))
     points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(plan).tolist()]
     return spec, points
 

@@ -25,12 +25,21 @@ is checked to hold only digits, commas and minus signs, and then read by the
 C JSON decoder, whose integer grammar is the canonical one but for `-0`.
 Any other row, say one holding JSON integers (also accepted), goes entry by
 entry, so that an error names the first bad entry in its `field`; a string
-in any other form is refused. Polygon orders are read the same way. Indices
-are not range-checked here; the verifier does that. Each assignment row is
-dropped from the parsed JSON once read, to bound the reader's peak memory.
-The input matrix and the radii must be JSON numbers: a string such as
-"0.5" or a boolean, which numpy or `float` would read, is refused. The CLI
-reads its `embed` input through the same `parse_json` and `read_number_matrix`.
+in any other form is refused. Polygon orders are read the same way, and the
+factors are built by `PolygonSpec` in one pass; only if that fails are they
+walked one at a time, to name the first bad one. Indices are not
+range-checked here; the verifier does that. Each assignment row is dropped
+from the parsed JSON once read, to bound the reader's peak memory. The
+input matrix and the radii must be JSON numbers that are finite doubles: a
+string such as "0.5" or a boolean, which numpy or `float` would read, is
+refused, and so are the NaN, Infinity and 1e400 that Python's JSON reads.
+The CLI reads its `embed` input through the same `parse_json` and
+`read_number_matrix`.
+
+An in-memory certificate is held to the reader's rules too: the writer and
+the verifier refuse an input matrix, a torus or an assignment that the
+reader would not return (`_check_fields`), naming the field, so that a
+certificate either writes bytes that read back or is refused.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, InvalidCertificate, check_instance
+from .errors import InputError, InvalidCertificate, check_instance, check_sequence
+from .geometry import _finite_array
 from .torus import PolygonSpec, TorusPoint, TorusSpec
 
 VERSION = "0.13.0"
@@ -134,20 +144,36 @@ def _check_provenance_value(field: str, value, depth: int) -> None:
     )
 
 
+def _check_fields(cert: EmbeddingCertificate) -> np.ndarray:
+    """The certificate's input matrix as a float array, after holding the
+    fields that the verifier reads to the reader's rules: a nonempty square
+    input matrix of finite numbers, a TorusSpec, and a tuple or list of
+    TorusPoints. Else raises InvalidCertificate (a ValueError) naming the
+    field, `input.squared_distances`, `torus` or `assignment`."""
+    field = "input.squared_distances"
+    try:
+        input_sq = _finite_array(cert.input_sq, field, square=True)
+        field = "torus"
+        check_instance(cert.torus, TorusSpec, field)
+        field = "assignment"
+        check_sequence(cert.assignment, field, TorusPoint)
+    except InputError as exc:
+        raise InvalidCertificate(str(exc), field=field) from None
+    return input_sq
+
+
 def dumps_certificate(cert: EmbeddingCertificate) -> str:
-    """The certificate's canonical JSON, written field by field. Provenance
-    that breaks the rule of `_check_provenance` is refused, so that what is
-    written reads back. Raises InputError for a `cert` that is not an
-    EmbeddingCertificate."""
+    """The certificate's canonical JSON, written field by field. A field that
+    breaks the reader's rules, `_check_fields` or the provenance rule of
+    `_check_provenance`, is refused, so that what is written reads back.
+    Raises InputError for a `cert` that is not an EmbeddingCertificate."""
     check_instance(cert, EmbeddingCertificate, "certificate")
+    input_sq = _check_fields(cert)
     for name in ("parameters", "errors", "meta"):
         _check_provenance(name, getattr(cert, name))
     return "".join((
         '{"input":{"squared_distances":[',
-        ",".join(
-            "[" + ",".join(map(_format_float, map(float, row))) + "]"
-            for row in cert.input_sq
-        ),
+        ",".join("[" + ",".join(map(_format_float, row)) + "]" for row in input_sq.tolist()),
         ']},"torus":{"factors":[',
         ",".join(
             '{"m":"' + str(f.m) + '","r":' + _format_float(f.r) + "}"
@@ -183,8 +209,9 @@ def parse_json(text: str, error, prefix: str = ""):
 
 def read_number_matrix(rows, field: str, error) -> np.ndarray:
     """The float matrix of parsed outside JSON `rows`, which must be a nonempty
-    list of equally long lists of JSON numbers (numpy alone would also read
-    "0.5" or true), else `error(message)` naming `field` is raised."""
+    list of equally long lists of JSON numbers that are finite doubles (numpy
+    alone would also read "0.5" or true, and Python's JSON reads NaN,
+    Infinity and 1e400), else `error(message)` naming `field` is raised."""
     if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
         raise error(f"{field} must be a nonempty array of number arrays")
     if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
@@ -192,9 +219,12 @@ def read_number_matrix(rows, field: str, error) -> np.ndarray:
     if len(set(map(len, rows))) != 1:
         raise error(f"{field} has rows of different lengths")
     try:
-        return np.array(rows, dtype=float)
+        matrix = np.array(rows, dtype=float)
     except OverflowError:  # an integer past the largest double
         raise error(f"{field} holds a number too large for a double") from None
+    if not np.all(np.isfinite(matrix)):
+        raise error(f"{field} must have finite entries")
+    return matrix
 
 
 def _parse_big_int(text, field: str) -> int:
@@ -242,7 +272,7 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
     try:
         orders = _canonical_ints([f["m"] for f in raw])
         if orders is not None:
-            return PolygonSpec._many(orders, [f["r"] for f in raw])
+            return tuple(map(PolygonSpec, orders, [f["r"] for f in raw]))
     except (KeyError, TypeError, InputError):
         pass
     # one factor at a time, to name the first bad one

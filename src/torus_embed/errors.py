@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one check of each
 kind of argument that the library's entry points take: a count, a real
-number, and an instance of one of the package's types."""
+number, an instance of one of the package's types, and a sequence of ints
+or of instances."""
 
 import math
 
@@ -48,7 +49,7 @@ def check_count(value, name: str, least: int) -> int:
 def check_real(value, name: str, positive: bool = True) -> float:
     """`value` as a float if it is an int or a float (not a bool), finite as
     a double and > 0, or >= 0 when not `positive`; else InputError naming
-    it. A plain isinstance test: `PolygonSpec` runs this once per factor."""
+    it."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             x = float(value)
@@ -66,6 +67,21 @@ def check_instance(value, cls: type, name: str):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise InputError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def check_sequence(values, name: str, cls: type, nonempty: bool = False) -> tuple:
+    """`values` as a tuple if it is a tuple or a list, nonempty if
+    `nonempty`, of instances of `cls` (of ints, not bools, for `int`), else
+    InputError naming it."""
+    kind = "integers" if cls is int else f"{cls.__name__} instances"
+    if not isinstance(values, (tuple, list)) or (nonempty and not values):
+        size = "nonempty " if nonempty else ""
+        got = type(values).__name__
+        raise InputError(f"{name} must be a {size}tuple or list of {kind}, got {got}")
+    for v in values:
+        if not isinstance(v, cls) or (cls is int and isinstance(v, bool)):
+            raise InputError(f"{name} must be {kind}, got {type(v).__name__}")
+    return tuple(values)
 
 
 def _shown(value) -> str:

@@ -53,7 +53,7 @@ import numpy as np
 # check_almost_regular, is_simplex and realize are unused here, but
 # bench/spans.py patches them here
 from .almost_regular import check_almost_regular, embed_almost_regular, realization_plan
-from .certificate import VERSION, EmbeddingCertificate
+from .certificate import VERSION, EmbeddingCertificate, _check_fields
 from .delta_embed import product_embed
 from .errors import (
     InputError,
@@ -304,10 +304,13 @@ def verify_certificate(
     is at most tol. Raises InputError for a `cert` that is not an
     EmbeddingCertificate, and unless tol is an int or a float with
     0 <= tol < inf: a NaN or negative tol would fail every certificate and
-    an infinite one pass all.
+    an infinite one pass all. Raises InvalidCertificate naming the first
+    field that breaks the reader's rules (`certificate._check_fields`), or
+    whose sizes or indices do not fit together.
     """
     check_instance(cert, EmbeddingCertificate, "certificate")
     tol = check_real(tol, "tolerance", positive=False)
+    _check_fields(cert)
     n = _check_structure(cert)
     k = np.arange(n)
     iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost

@@ -6,6 +6,14 @@ astronomically many vertices stay exact. Distances always go through the
 chord formula on index differences; subtracting materialized Cartesian
 coordinates would cancel catastrophically once the polygon order is large.
 
+Each value type has one checked constructor. `PolygonSpec` passes the common
+case, an int order >= 2 and a float radius that is a positive finite double,
+on one test, and sends anything else to `errors.check_count` and
+`errors.check_real`, which store a radius as a float or refuse it by name.
+`TorusSpec`'s factors and `TorusPoint`'s indices go through
+`errors.check_sequence`. `TorusPoint._of_ints` alone skips the check, for
+index tuples the package has just built from ints.
+
 Every distance comes from one kernel, `pairwise_sq`, with three paths that
 all keep `chord`'s bits, chosen by a factor's order alone. A cut factor, of
 order 2 or 3 (the correction's triangles), has one nonzero chord,
@@ -30,7 +38,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .errors import InputError, check_count, check_instance, check_real
+from .errors import InputError, check_count, check_instance, check_real, check_sequence
 
 
 @dataclass(frozen=True)
@@ -41,30 +49,11 @@ class PolygonSpec:
     r: float
 
     def __post_init__(self):
-        check_count(self.m, "polygon order", 2)
-        object.__setattr__(self, "r", check_real(self.r, "circumradius"))
-
-    @classmethod
-    def _many(cls, orders: list, radii: list) -> tuple["PolygonSpec", ...]:
-        """PolygonSpec(m, r) for each order and radius, checked in bulk: one
-        test that every order is an int >= 2 and every radius an int or a
-        float that is a positive finite double. If any is not, they are
-        built one at a time, so the error names the first bad one."""
-        try:
-            if (set(map(type, orders)) == {int} and min(orders) >= 2
-                    and set(map(type, radii)) <= {int, float} and len(radii) == len(orders)):
-                r = np.array(radii, dtype=float)
-                if np.all((r > 0.0) & (r < math.inf)):
-                    specs = []
-                    for m, x in zip(orders, r.tolist()):
-                        spec = object.__new__(cls)
-                        object.__setattr__(spec, "m", m)
-                        object.__setattr__(spec, "r", x)
-                        specs.append(spec)
-                    return tuple(specs)
-        except OverflowError:  # an int radius past the largest double
-            pass
-        return tuple(map(cls, orders, radii))
+        m, r = self.m, self.r
+        if type(m) is int and m >= 2 and type(r) is float and 0.0 < r < math.inf:
+            return  # the common case, as the checks below would store it
+        check_count(m, "polygon order", 2)
+        object.__setattr__(self, "r", check_real(r, "circumradius"))
 
 
 @dataclass(frozen=True)
@@ -74,16 +63,8 @@ class TorusSpec:
     factors: tuple[PolygonSpec, ...]
 
     def __post_init__(self):
-        factors = self.factors
-        if not isinstance(factors, (tuple, list)) or not factors:
-            raise InputError(
-                "torus factors must be a nonempty tuple or list of PolygonSpec instances, "
-                f"got {type(factors).__name__}"
-            )
-        for f in factors:
-            if not isinstance(f, PolygonSpec):
-                raise InputError(f"torus factors must be PolygonSpec instances, got {type(f).__name__}")
-        object.__setattr__(self, "factors", tuple(factors))
+        factors = check_sequence(self.factors, "torus factors", PolygonSpec, nonempty=True)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def ambient_dim(self) -> int:
@@ -97,7 +78,7 @@ class TorusPoint:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", _int_tuple(self.indices, "vertex indices"))
+        object.__setattr__(self, "indices", check_sequence(self.indices, "vertex indices", int))
 
     @classmethod
     def _of_ints(cls, indices: tuple[int, ...]) -> "TorusPoint":
@@ -106,17 +87,6 @@ class TorusPoint:
         point = object.__new__(cls)
         object.__setattr__(point, "indices", indices)
         return point
-
-
-def _int_tuple(values, name: str) -> tuple[int, ...]:
-    """`values`, a tuple or list of ints (not bools), as a tuple, else
-    InputError naming it."""
-    if not isinstance(values, (tuple, list)):
-        raise InputError(f"{name} must be a tuple or list of integers, got {type(values).__name__}")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(f"{name} must be integers, got {type(v).__name__}")
-    return tuple(values)
 
 
 def chord(m: int, r: float, dj: int) -> float:
@@ -310,7 +280,7 @@ def shift(t: TorusSpec, p: TorusPoint, offsets) -> TorusPoint:
     """
     check_instance(t, TorusSpec, "torus")
     _check_point(t, p)
-    offsets = _int_tuple(offsets, "offsets")
+    offsets = check_sequence(offsets, "offsets", int)
     if len(offsets) != len(t.factors):
         raise InputError(
             f"offsets must be one per torus factor, got {len(offsets)} for {len(t.factors)}"

@@ -220,8 +220,10 @@ def test_writer_matches_generic_layout_and_reads_back(cert):
 
 
 def test_writer_matches_generic_layout_without_rows():
+    # an assignment row without indices; an empty input matrix is refused
+    # (test_writer_refuses_what_the_reader_refuses)
     cert = EmbeddingCertificate(
-        np.zeros((0, 0)), TorusSpec((PolygonSpec(3, 1.0),)), (TorusPoint(()),), {}, {}, {}
+        np.zeros((1, 1)), TorusSpec((PolygonSpec(3, 1.0),)), (TorusPoint(()),), {}, {}, {}
     )
     assert dumps_certificate(cert) == _reference_dumps(_reference_layout(cert))
 
@@ -336,6 +338,10 @@ MALFORMED = {
     "entry-too-large": (
         _set(["input", "squared_distances", 0, 1], 10**400), "input.squared_distances"
     ),
+    "input-nan": (_raw(["input", "squared_distances", 0, 1], "NaN"), "input.squared_distances"),
+    "input-infinity": (
+        _raw(["input", "squared_distances", 0, 1], "Infinity"), "input.squared_distances"
+    ),
     "matrix-ragged": (
         _set(["input", "squared_distances"], [[0.0, 1.0], [1.0]]), "input.squared_distances"
     ),
@@ -390,16 +396,62 @@ def test_malformed_certificate_names_its_field(tmp_path, capsys, edit, field):
     assert field in capsys.readouterr().err
 
 
+def _set_provenance(path, text):
+    """Set the provenance value at `path` of a certificate to the JSON text `text`."""
+
+    def edit(cert):
+        section, key = path
+        getattr(cert, section)[key] = json.loads(text)
+        return cert
+
+    return edit
+
+
+def _replace(**fields):
+    return lambda cert: dataclasses.replace(cert, **fields)
+
+
+# in-memory certificates with a field that the verifier reads but the reader
+# would refuse, and the field that names each
+FIELDS_REFUSED = {
+    "input-not-square": (_replace(input_sq=np.zeros((1, 2))), "input.squared_distances"),
+    "input-empty": (_replace(input_sq=np.zeros((0, 0))), "input.squared_distances"),
+    "input-one-axis": (_replace(input_sq=np.zeros(3)), "input.squared_distances"),
+    "input-nan": (_replace(input_sq=np.full((3, 3), math.nan)), "input.squared_distances"),
+    "input-text": (_replace(input_sq="x"), "input.squared_distances"),
+    "torus-none": (_replace(torus=None), "torus"),
+    "torus-factor-tuple": (_replace(torus=(PolygonSpec(3, 1.0),)), "torus"),
+    "assignment-none": (_replace(assignment=None), "assignment"),
+    "assignment-tuples": (
+        lambda cert: dataclasses.replace(cert, assignment=[p.indices for p in cert.assignment]),
+        "assignment",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "path, text, field", list(PROVENANCE_REFUSED.values()), ids=list(PROVENANCE_REFUSED)
+    "edit, field",
+    [*((_set_provenance(path, text), field) for path, text, field in PROVENANCE_REFUSED.values()),
+     *FIELDS_REFUSED.values()],
+    ids=[*PROVENANCE_REFUSED, *FIELDS_REFUSED],
 )
-def test_writer_refuses_what_the_reader_refuses(path, text, field):
-    cert = loads_certificate(json.dumps(_small_certificate()))
-    section, key = path
-    getattr(cert, section)[key] = json.loads(text)
-    with pytest.raises(ValueError) as exc:
+def test_writer_refuses_what_the_reader_refuses(edit, field):
+    cert = edit(loads_certificate(json.dumps(_small_certificate())))
+    with pytest.raises(InvalidCertificate) as exc:
         dumps_certificate(cert)
     assert exc.value.field == field
+    assert str(exc.value).startswith(field)
+
+
+@pytest.mark.parametrize("edit, field", list(FIELDS_REFUSED.values()), ids=list(FIELDS_REFUSED))
+def test_verifier_refuses_what_the_reader_refuses(edit, field):
+    # the verifier holds the fields it reads to the writer's rules, so a
+    # malformed in-memory certificate is refused by name, never an AttributeError
+    cert = edit(loads_certificate(json.dumps(_small_certificate())))
+    with pytest.raises(InvalidCertificate) as exc:
+        verify_certificate(cert)
+    assert exc.value.field == field
+    assert str(exc.value).startswith(field)
 
 
 NOT_CANONICAL = ["0_0", " 42_7 ", "+7", "007", "٣", "-0", "", "7 ", "1e3", "0x1f", "1.0"]
@@ -428,6 +480,17 @@ def test_loads_accepts_json_integers():
     cert = loads_certificate(json.dumps(obj))
     assert dumps_certificate(cert) == dumps_canonical(_small_certificate())
     assert verify_certificate(cert).passed
+
+
+def test_loads_reads_an_integer_radius_as_a_float():
+    obj = _small_certificate()
+    obj["torus"]["factors"][1]["r"] = 2
+    text = dumps_canonical(obj)
+    assert '"r":2}' in text
+    cert = loads_certificate(text)
+    r = cert.torus.factors[1].r
+    assert type(r) is float and r == 2.0
+    assert dumps_certificate(cert) == text
 
 
 def test_negative_index_string_is_out_of_range():

@@ -692,12 +692,16 @@ def test_inspect_shows_the_scale_exponent(tmp_path, capsys):
      ("parameters", "delta", float("inf"), "parameters.delta"),
      ("errors", "max_rel", float("nan"), "errors.max_rel"),
      ("parameters", "alpha", [float("nan")], "parameters.alpha[0]"),
-     ("errors", "max_rel", {"x": float("inf"), "y": [-float("inf"), 1.5]}, "errors.max_rel")],
-    ids=["nan-alpha", "inf-delta", "nan-max-rel", "nan-in-alpha-list", "inf-in-max-rel-object"],
+     ("errors", "max_rel", {"x": float("inf"), "y": [-float("inf"), 1.5]}, "errors.max_rel"),
+     ("input", "squared_distances", [[0.0, float("nan")], [float("inf"), 0.0]],
+      "input.squared_distances")],
+    ids=["nan-alpha", "inf-delta", "nan-max-rel", "nan-in-alpha-list", "inf-in-max-rel-object",
+         "non-finite-input"],
 )
 def test_inspect_json_shows_non_finite_provenance(tmp_path, capsys, field, key, value, named):
-    # a non-finite number, or an object, breaks the provenance rule: both
-    # modes refuse the certificate with exit 1, naming the value
+    # a non-finite number, or an object, breaks the provenance rule, and a
+    # non-finite input entry the input's: both modes refuse the certificate
+    # with exit 1, naming the value
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"
     write_json(inp, {"points": [[0.0], [1.0]]})
@@ -709,7 +713,7 @@ def test_inspect_json_shows_non_finite_provenance(tmp_path, capsys, field, key, 
         code, stdout, stderr = run(capsys, "inspect", str(out), *mode)
         assert code == 1
         assert stdout == ""
-        assert f"invalid certificate: {named} must be" in stderr
+        assert f"invalid certificate: {named} must " in stderr
 
 
 @pytest.mark.parametrize(

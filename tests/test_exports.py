@@ -157,9 +157,12 @@ def test_library_refuses_bad_arguments_by_name(call, name, value):
         call(value)
 
 
-# the wording of the argument rules that errors.check_count and
-# errors.check_real hold
-RULE_WORDING = ("must be an integer", "must be a positive finite number", "finite number >= 0")
+# the wording of the argument rules that errors.check_count,
+# errors.check_real and errors.check_sequence hold
+RULE_WORDING = (
+    "must be an integer", "must be a positive finite number", "finite number >= 0",
+    "tuple or list of",
+)
 
 
 def test_argument_rules_are_worded_only_in_errors():

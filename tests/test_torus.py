@@ -287,6 +287,18 @@ def test_polygon_spec_validation():
         PolygonSpec(4, 0.0)
     with pytest.raises(InputError):
         PolygonSpec(4, math.inf)
+    for order, radius in ((True, 1.0), (4, True)):
+        with pytest.raises(InputError):
+            PolygonSpec(order, radius)
+    # radii are stored as Python floats equal to what was given
+    for radius in (np.float64(1.5), 2):
+        r = PolygonSpec(4, radius).r
+        assert type(r) is float and r == radius
+
+    class Order(int):
+        pass
+
+    assert PolygonSpec(Order(5), 1.0).m == 5
 
 
 def test_torus_spec_validation():
