@@ -16,10 +16,12 @@ from .almost_regular import (
 from .certificate import (
     VERSION as __version__,
     EmbeddingCertificate,
+    VerificationReport,
     dumps_certificate,
     load_certificate,
     loads_certificate,
     save_certificate,
+    verify_certificate,
 )
 from .delta_embed import DeltaEmbedding, DeltaParams, product_embed
 from .errors import (
@@ -41,11 +43,9 @@ from .geometry import (
 )
 from .pipeline import (
     ExpansionDecomposition,
-    VerificationReport,
     embed_simplex,
     embed_squared_distances,
     schoenberg_decompose,
-    verify_certificate,
 )
 from .torus import (
     PolygonSpec,

@@ -1,5 +1,8 @@
 """Embedding certificates: a self-contained record of an input metric, a
-torus, and a vertex assignment, plus canonical JSON (de)serialization.
+torus, and a vertex assignment, plus canonical JSON (de)serialization and
+the verifier. This module owns what a valid certificate is: the reader,
+the writer and `verify_certificate` hold it to one set of rules, and
+`pipeline` only builds certificates.
 
 Polygon orders, vertex indices and grid parameters serialize as decimal
 strings so they survive arbitrary precision across JSON parsers. Floats are
@@ -28,18 +31,22 @@ entry, so that an error names the first bad entry in its `field`; a string
 in any other form is refused. Polygon orders are read the same way, and the
 factors are built by `PolygonSpec` in one pass; only if that fails are they
 walked one at a time, to name the first bad one. Indices are not
-range-checked here; the verifier does that. Each assignment row is dropped
-from the parsed JSON once read, to bound the reader's peak memory. The
-input matrix and the radii must be JSON numbers that are finite doubles: a
-string such as "0.5" or a boolean, which numpy or `float` would read, is
-refused, and so are the NaN, Infinity and 1e400 that Python's JSON reads.
-The CLI reads its `embed` input through the same `parse_json` and
-`read_number_matrix`.
+range-checked by the reader; `verify_certificate` does that. Each
+assignment row is dropped from the parsed JSON once read, to bound the
+reader's peak memory. The input matrix and the radii must be JSON numbers
+that are finite doubles: a string such as "0.5" or a boolean, which numpy
+or `float` would read, is refused, and so are the NaN, Infinity and 1e400
+that Python's JSON reads. The CLI reads its `embed` input through the same
+`parse_json` and `read_number_matrix`.
 
 An in-memory certificate is held to the reader's rules too: the writer and
 the verifier refuse an input matrix, a torus or an assignment that the
 reader would not return (`_check_fields`), naming the field, so that a
-certificate either writes bytes that read back or is refused.
+certificate either writes bytes that read back or is refused. The verifier
+then holds what the reader lets through to the metric's rules: the input
+must be a squared-distance matrix, with one assignment row per point, one
+index per factor and every index in range. It converts the input once and
+measures every pair against that array's upper triangle as given.
 """
 
 from __future__ import annotations
@@ -54,11 +61,13 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, InvalidCertificate, check_instance, check_sequence
-from .geometry import _finite_array
-from .torus import PolygonSpec, TorusPoint, TorusSpec
+from .errors import InputError, InvalidCertificate, check_instance, check_real, check_sequence
+from .geometry import _finite_array, check_squared_distances
+from .torus import PolygonSpec, TorusPoint, TorusSpec, pairwise_sq
 
 VERSION = "0.13.0"
+
+DEFAULT_ACCEPT_TOL = 1e-8
 
 # the characters of canonical decimal integers joined by commas
 _DECIMAL_ROW_CHARS = re.compile(r"[0-9,-]*")
@@ -114,13 +123,18 @@ def dumps_canonical(obj) -> str:
 
 def _check_provenance(name: str, section) -> dict:
     """`section`, the certificate's `parameters`, `errors` or `meta`, after
-    checking the provenance rule: an object whose every value is a string, a
-    boolean, a number that is a finite double, or an array of these nested at
-    most two deep. Else raises InvalidCertificate (a ValueError) naming the
-    first value that breaks it, say `parameters.alpha[0][0]`."""
+    checking the provenance rule: an object with string keys whose every
+    value is a string, a boolean, a number that is a finite double, or an
+    array of these nested at most two deep. Else raises InvalidCertificate
+    (a ValueError) naming the section, for a key, or the first value that
+    breaks it, say `parameters.alpha[0][0]`."""
     if not isinstance(section, dict):
         raise InvalidCertificate(f"{name} must be an object", field=name)
     for key, value in section.items():
+        if not isinstance(key, str):
+            raise InvalidCertificate(
+                f"{name} must have string keys, got {type(key).__name__}", field=name
+            )
         _check_provenance_value(f"{name}.{key}", value, 0)
     return section
 
@@ -336,8 +350,12 @@ def loads_certificate(text: str) -> EmbeddingCertificate:
 
 
 def save_certificate(cert: EmbeddingCertificate, path) -> None:
+    """Write the certificate's canonical JSON and a newline to `path`. The
+    text is made before the file is opened, so a refused certificate leaves
+    an existing file as it was and creates none."""
+    text = dumps_certificate(cert)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_certificate(cert))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -348,3 +366,76 @@ def load_certificate(path) -> EmbeddingCertificate:
         except UnicodeDecodeError as exc:
             raise InvalidCertificate(f"not UTF-8 text: {exc}", field="") from None
     return loads_certificate(text)
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    passed: bool
+    max_abs_error: float
+    max_rel_error: float
+    tolerance: float
+    pair_count: int
+    worst_pair: tuple[int, int] | None
+
+
+def verify_certificate(
+    cert: EmbeddingCertificate, tol: float = DEFAULT_ACCEPT_TOL
+) -> VerificationReport:
+    """Independently check a certificate against its input metric.
+
+    Recomputes every pairwise distance from the chord formula on vertex
+    index differences alone; the certificate's construction parameters are
+    never consulted. Passes iff the largest relative squared-distance error
+    is at most tol. Raises InputError for a `cert` that is not an
+    EmbeddingCertificate, and unless tol is an int or a float with
+    0 <= tol < inf: a NaN or negative tol would fail every certificate and
+    an infinite one pass all. Raises InvalidCertificate naming the first
+    field that breaks the reader's rules (`_check_fields`), whose input is
+    not a squared-distance matrix (`geometry.check_squared_distances`), or
+    whose sizes or indices do not fit together.
+    """
+    check_instance(cert, EmbeddingCertificate, "certificate")
+    tol = check_real(tol, "tolerance", positive=False)
+    input_sq = _check_fields(cert)
+    try:
+        check_squared_distances(input_sq, "input.squared_distances")
+    except InputError as exc:
+        raise InvalidCertificate(str(exc), field="input.squared_distances") from None
+    n = input_sq.shape[0]
+    if len(cert.assignment) != n:
+        raise InvalidCertificate(
+            f"assignment has {len(cert.assignment)} points, input has {n}",
+            field="assignment",
+        )
+    factors = cert.torus.factors
+    for i, p in enumerate(cert.assignment):
+        if len(p.indices) != len(factors):
+            raise InvalidCertificate(
+                f"assignment[{i}] has {len(p.indices)} indices, torus has "
+                f"{len(factors)} factors",
+                field=f"assignment[{i}]",
+            )
+        for k, idx in enumerate(p.indices):
+            if not 0 <= idx < factors[k].m:
+                raise InvalidCertificate(
+                    f"assignment[{i}][{k}] = {idx} out of range for m = {factors[k].m}",
+                    field=f"assignment[{i}][{k}]",
+                )
+    k = np.arange(n)
+    iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost
+    # the upper triangle as given, not check_squared_distances' symmetrized copy
+    target = input_sq[iu]
+    abs_err = np.abs(pairwise_sq(cert.torus, cert.assignment)[iu] - target)
+    # a zero target is met only by a zero error
+    zero_target = np.where(abs_err == 0.0, 0.0, math.inf)
+    rel_err = np.divide(abs_err, target, out=zero_target, where=target > 0.0)
+    worst = int(np.argmax(rel_err)) if rel_err.size else None
+    max_rel = float(rel_err.max(initial=0.0))
+    return VerificationReport(
+        passed=max_rel <= tol,
+        max_abs_error=float(abs_err.max(initial=0.0)),
+        max_rel_error=max_rel,
+        tolerance=tol,
+        pair_count=int(rel_err.size),
+        worst_pair=None if worst is None else (int(iu[0][worst]), int(iu[1][worst])),
+    )

@@ -18,11 +18,13 @@ import sys
 from collections import Counter
 
 from .certificate import (
+    DEFAULT_ACCEPT_TOL,
     dumps_canonical,
     load_certificate,
     parse_json,
     read_number_matrix,
     save_certificate,
+    verify_certificate,
 )
 from .errors import (
     InputError,
@@ -34,12 +36,7 @@ from .errors import (
 )
 from .gen import KINDS, generate_points
 from .geometry import check_squared_distances
-from .pipeline import (
-    DEFAULT_ACCEPT_TOL,
-    embed_simplex,
-    embed_squared_distances,
-    verify_certificate,
-)
+from .pipeline import embed_simplex, embed_squared_distances
 
 
 def _load_input(path):

@@ -4,6 +4,11 @@ polygons, absorb the per-pair snapping errors into an almost-regular
 correction matrix, and concatenate both embeddings into one torus with a
 verifiable certificate whose input metric is that very matrix.
 
+This module builds certificates and `certificate` checks them: the
+self-check below is `certificate.verify_certificate` at its
+DEFAULT_ACCEPT_TOL, the verifier that `torus-embed verify` runs, and the
+construction holds no rule of its own on what a valid certificate is.
+
 The correction step is what makes the result exact: writing e_ij for the
 base embedding's squared-distance error and a for the increment, the
 correction's squared distances e_ij + a^2 must satisfy the almost-regularity
@@ -51,20 +56,18 @@ from dataclasses import dataclass
 import numpy as np
 
 # check_almost_regular, is_simplex and realize are unused here, but
-# bench/spans.py patches them here
+# bench/spans.py patches them here; it patches verify_certificate here too,
+# so `_certify` calls it by this module's name
 from .almost_regular import check_almost_regular, embed_almost_regular, realization_plan
-from .certificate import VERSION, EmbeddingCertificate, _check_fields
+from .certificate import VERSION, EmbeddingCertificate, verify_certificate
 from .delta_embed import product_embed
 from .errors import (
     InputError,
-    InvalidCertificate,
     NotAlmostRegular,
     NotEuclidean,
     NotSimplex,
     TrivialInput,
     VerificationFailed,
-    check_instance,
-    check_real,
 )
 from .geometry import (
     as_point_array,
@@ -76,9 +79,7 @@ from .geometry import (
     spectrum_accepts,
     squared_distances,
 )
-from .torus import TorusPoint, TorusSpec, pairwise_sq
-
-DEFAULT_ACCEPT_TOL = 1e-8
+from .torus import TorusPoint, TorusSpec
 
 # polygon order of every correction factor: triangles keep certificates small
 CORRECTION_ORDER = 3
@@ -92,16 +93,6 @@ class ExpansionDecomposition:
 
     base: np.ndarray
     alpha_sq: float
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    passed: bool
-    max_abs_error: float
-    max_rel_error: float
-    tolerance: float
-    pair_count: int
-    worst_pair: tuple[int, int] | None
 
 
 def schoenberg_decompose(sq) -> ExpansionDecomposition:
@@ -264,68 +255,3 @@ def _certify(
         )
     cert.errors = {"max_abs": report.max_abs_error, "max_rel": report.max_rel_error}
     return cert
-
-
-def _check_structure(cert: EmbeddingCertificate) -> int:
-    try:
-        n = check_squared_distances(cert.input_sq, "input.squared_distances").shape[0]
-    except InputError as exc:
-        raise InvalidCertificate(str(exc), field="input.squared_distances") from None
-    if len(cert.assignment) != n:
-        raise InvalidCertificate(
-            f"assignment has {len(cert.assignment)} points, input has {n}",
-            field="assignment",
-        )
-    factors = cert.torus.factors
-    for i, p in enumerate(cert.assignment):
-        if len(p.indices) != len(factors):
-            raise InvalidCertificate(
-                f"assignment[{i}] has {len(p.indices)} indices, torus has "
-                f"{len(factors)} factors",
-                field=f"assignment[{i}]",
-            )
-        for k, idx in enumerate(p.indices):
-            if not 0 <= idx < factors[k].m:
-                raise InvalidCertificate(
-                    f"assignment[{i}][{k}] = {idx} out of range for m = {factors[k].m}",
-                    field=f"assignment[{i}][{k}]",
-                )
-    return n
-
-
-def verify_certificate(
-    cert: EmbeddingCertificate, tol: float = DEFAULT_ACCEPT_TOL
-) -> VerificationReport:
-    """Independently check a certificate against its input metric.
-
-    Recomputes every pairwise distance from the chord formula on vertex
-    index differences alone; the certificate's construction parameters are
-    never consulted. Passes iff the largest relative squared-distance error
-    is at most tol. Raises InputError for a `cert` that is not an
-    EmbeddingCertificate, and unless tol is an int or a float with
-    0 <= tol < inf: a NaN or negative tol would fail every certificate and
-    an infinite one pass all. Raises InvalidCertificate naming the first
-    field that breaks the reader's rules (`certificate._check_fields`), or
-    whose sizes or indices do not fit together.
-    """
-    check_instance(cert, EmbeddingCertificate, "certificate")
-    tol = check_real(tol, "tolerance", positive=False)
-    _check_fields(cert)
-    n = _check_structure(cert)
-    k = np.arange(n)
-    iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost
-    target = np.asarray(cert.input_sq, dtype=float)[iu]
-    abs_err = np.abs(pairwise_sq(cert.torus, cert.assignment)[iu] - target)
-    # a zero target is met only by a zero error
-    zero_target = np.where(abs_err == 0.0, 0.0, math.inf)
-    rel_err = np.divide(abs_err, target, out=zero_target, where=target > 0.0)
-    worst = int(np.argmax(rel_err)) if rel_err.size else None
-    max_rel = float(rel_err.max(initial=0.0))
-    return VerificationReport(
-        passed=max_rel <= tol,
-        max_abs_error=float(abs_err.max(initial=0.0)),
-        max_rel_error=max_rel,
-        tolerance=tol,
-        pair_count=int(rel_err.size),
-        worst_pair=None if worst is None else (int(iu[0][worst]), int(iu[1][worst])),
-    )

@@ -20,6 +20,7 @@ from torus_embed import (
     embed_simplex,
     loads_certificate,
     regular_simplex,
+    save_certificate,
     verify_certificate,
 )
 from torus_embed.certificate import dumps_canonical
@@ -441,6 +442,33 @@ def test_writer_refuses_what_the_reader_refuses(edit, field):
         dumps_certificate(cert)
     assert exc.value.field == field
     assert str(exc.value).startswith(field)
+
+
+@pytest.mark.parametrize("section", ["parameters", "errors", "meta"])
+def test_writer_refuses_a_provenance_key_that_is_not_a_string(section):
+    # parsed JSON has string keys only, so just an in-memory certificate can
+    # hold another; the verifier never reads provenance, so it is the
+    # writer's case alone
+    cert = loads_certificate(json.dumps(_small_certificate()))
+    with pytest.raises(InvalidCertificate) as exc:
+        dumps_certificate(dataclasses.replace(cert, **{section: {1: 0.5}}))
+    assert exc.value.field == section
+    assert str(exc.value).startswith(section)
+
+
+def test_refused_save_leaves_files_as_they_were(tmp_path):
+    cert = loads_certificate(json.dumps(_small_certificate()))
+    path = tmp_path / "c.json"
+    save_certificate(cert, path)
+    saved = path.read_bytes()
+    assert saved == (dumps_certificate(cert) + "\n").encode()
+    refused = dataclasses.replace(cert, torus=None)
+    with pytest.raises(InvalidCertificate):
+        save_certificate(refused, path)
+    assert path.read_bytes() == saved
+    with pytest.raises(InvalidCertificate):
+        save_certificate(refused, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
 
 
 @pytest.mark.parametrize("edit, field", list(FIELDS_REFUSED.values()), ids=list(FIELDS_REFUSED))

@@ -401,6 +401,55 @@ def test_verify_tampered_certificate_exits_3(tmp_path, capsys):
     assert "worst pair" in stdout
 
 
+def _index_at_order(obj):
+    obj["assignment"][0][0] = obj["torus"]["factors"][0]["m"]
+
+
+def _index_minus_one(obj):
+    obj["assignment"][0][0] = "-1"
+
+
+def _short_row(obj):
+    obj["assignment"][1] = obj["assignment"][1][:-1]
+
+
+def _missing_row(obj):
+    del obj["assignment"][-1]
+
+
+def _asymmetric(obj):
+    obj["input"]["squared_distances"][1][0] += 0.5
+
+
+# faults that the reader lets through and only the verifier refuses, and the
+# field that names each
+VERIFIER_REFUSED = {
+    "index-at-order": (_index_at_order, "assignment[0][0]"),
+    "index-minus-one": (_index_minus_one, "assignment[0][0]"),
+    "row-one-short": (_short_row, "assignment[1]"),
+    "row-missing": (_missing_row, "assignment"),
+    "input-asymmetric": (_asymmetric, "input.squared_distances"),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, field", list(VERIFIER_REFUSED.values()), ids=list(VERIFIER_REFUSED)
+)
+def test_verify_names_the_field_only_the_verifier_refuses(tmp_path, capsys, edit, field):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "c.json"
+    write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
+    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
+    obj = json.loads(out.read_text())
+    edit(obj)
+    out.write_text(json.dumps(obj))
+    load_certificate(out)  # the reader takes it; only the verifier refuses
+    code, stdout, err = run(capsys, "verify", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"torus-embed: invalid certificate: {field} ")
+
+
 def test_verify_truncated_certificate_exits_1(tmp_path, capsys):
     out = tmp_path / "c.json"
     out.write_text('{"input": {')
