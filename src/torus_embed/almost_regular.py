@@ -9,7 +9,46 @@ when, writing C for its largest entry and d_ij = C - c_ij for the deficits,
 
 The slack M = C - sum of all d_ij is the margin. A positive margin needs
 every d_ij below C, so every off-diagonal entry is then positive. The
-matrix is a sum of cuts, each splitting some points off the rest:
+matrix is a positive sum of cuts, each splitting some points off the rest.
+A cut of weight w is one coordinate of size sqrt(w) on its points, and one
+m-gon of side sqrt(w) with its points on vertex 1 and the rest on vertex 0.
+There are two plans; `realization_plan` returns the one with fewer cuts.
+
+The pair plan, for n = 3 and n >= 5: one cut {i, j} per pair, in row-major
+order, n(n - 1)/2 cuts. A pair cut splits the pairs that share exactly one
+point with it, so its cut matrix A is the adjacency matrix of the
+triangular graph T(n). That graph is strongly regular with parameters
+(n(n - 1)/2, 2(n - 2), n - 2, 4) (Brouwer and Haemers, Spectra of Graphs,
+ch. 9), so A^2 = (2n - 8) I + (n - 6) A + 4 J, and for n other than 2 and
+4, A is invertible with
+
+    A^-1 = x I + y A + z J,   x = (6 - n)/(2n - 8),  y = 1/(2n - 8),
+                              z = -1/((n - 2)(n - 4)).
+
+The weights are A^-1 c. With c = C - d and A 1 = 2(n - 2) 1, in deficit
+form, so that the uniform part carries no cancellation,
+
+    w_p = C/(2(n - 2)) - (x d_p + y (Ad)_p + z sum of all d),
+
+where (Ad)_p = D_i + D_j - 2 d_p for p = (i, j) and D holds the deficit
+row sums; the plan is O(n^2). Each weight is positive whenever the margin
+is, by these bounds (ROADMAP item 11):
+
+    n >= 6:  w_p >= (C - (Ad)_p)/(2(n - 2)),
+    n = 5:   w_p >= (C - d_p - (Ad)_p)/6,
+    n = 3:   w_p = (C - sum of all d)/2 + d_p,
+
+since (Ad)_p and d_p + (Ad)_p are sums of distinct deficits, so at most
+their total, which is below C. Rounding can still lose a weight near
+zero (a margin near 1e-15 C), so the plan checks every computed weight
+positive and refuses a matrix that fails with NotAlmostRegular. The
+weights are computed on C and the deficits scaled by the exact power of
+four 4^-k that puts C in [1, 4), so no step under- or overflows; each side
+is the square root of the scaled weight times 2^k, which is sqrt(w_p),
+finite and positive, and scales exactly with the matrix.
+
+The singleton plan, kept for n = 2 and 4 (where A is singular) and
+wherever it has no more cuts than the pair plan:
 
     {k} for every point k, of weight M/2 + sum of d_ij/2 over the pairs
         without k;
@@ -19,18 +58,16 @@ Points s and t are split by both singletons and by each pair cut holding
 just one of them, so their squared distance is M + sum of all d_ij - d_st
 = c_st. This is the paper's product of regular simplices (a base simplex
 of squared side M, and one per pair in which i and j share a vertex) with
-equal cuts merged. A cut of weight w is one coordinate of size sqrt(w) on
-its points, and one m-gon of side sqrt(w) with its points on vertex 1 and
-the rest on vertex 0. A pair is kept when its deficit is positive; one
-attaining C has none, so n points take at most n(n + 1)/2 - 1 cuts, and
-for n = 2 no pair cut covers the whole point set.
-
-Each weight is a sum of nonnegative terms, at most C, and its side is
-taken as sqrt(2w) * sqrt(1/2): no weight is halved before its square
-root, so every side of a validated matrix is finite and positive.
+equal cuts merged. A pair is kept when its deficit is positive; one
+attaining C has none, so n points take n plus the number of positive
+deficits cuts, at most n(n + 1)/2 - 1, and the pair plan has fewer as soon
+as more than n(n - 3)/2 deficits are positive. Each weight is a sum of
+nonnegative terms, at most C, and its side is taken as sqrt(2w) *
+sqrt(1/2): no weight is halved before its square root, so every side of a
+validated matrix is finite and positive.
 
 `embed_almost_regular` is the package's one path from cuts to polygons. The
-regular simplex of side s is the plan with no deficits: its n singleton
+regular simplex of side s is a plan with no deficits: its n singleton
 cuts, each of side s * sqrt(1/2), and no pair cut, which is what
 `embed_regular_simplex` embeds. A plan needs at least two points.
 """
@@ -67,8 +104,10 @@ class RealizationPlan:
     """The realization as merged cuts.
 
     `cuts` holds (points split off, polygon side = sqrt of the cut's
-    weight): every singleton {k}, then every kept pair {i, j} in row-major
-    order. `margin` is the almost-regularity margin M.
+    weight): in the pair plan every pair {i, j} in row-major order, in the
+    singleton plan every singleton {k}, then every kept pair {i, j} in
+    row-major order (module docstring). `margin` is the almost-regularity
+    margin M.
     """
 
     n_points: int
@@ -78,8 +117,9 @@ class RealizationPlan:
 
 def _deficits(sq):
     """Validate a squared-distance matrix once. Returns its size n, the
-    pairs (i, j) in row-major order, their deficits C - c_ij and the
-    margin, C minus the correctly rounded sum of the deficits."""
+    pairs (i, j) in row-major order, their largest entry C, their deficits
+    C - c_ij and the margin, C minus the correctly rounded sum of the
+    deficits."""
     c = check_squared_distances(sq)
     n = c.shape[0]
     i, j = np.triu_indices(n, k=1)
@@ -92,7 +132,7 @@ def _deficits(sq):
         margin = cmax - math.fsum(deficits.tolist())
     except OverflowError:  # the deficits sum past the largest double, so past C
         margin = -math.inf
-    return n, i, j, deficits, margin
+    return n, i, j, cmax, deficits, margin
 
 
 def check_almost_regular(sq) -> AlmostRegularCheck:
@@ -105,13 +145,16 @@ def check_almost_regular(sq) -> AlmostRegularCheck:
 
 
 def realization_plan(sq) -> RealizationPlan:
-    """The merged cuts of an almost-regular squared-distance matrix.
+    """The merged cuts of an almost-regular squared-distance matrix: the
+    pair plan for n = 3 and n >= 5 when it has fewer cuts, else the
+    singleton plan (module docstring).
 
     Raises InputError for a matrix that is not a valid squared-distance
     matrix with positive off-diagonal entries, TrivialInput for fewer than
-    two points, and NotAlmostRegular for a margin that is not positive.
+    two points, and NotAlmostRegular for a margin that is not positive or a
+    pair-plan weight that is not.
     """
-    n, i, j, deficits, margin = _deficits(sq)
+    n, i, j, cmax, deficits, margin = _deficits(sq)
     if n < 2:
         raise TrivialInput("a realization plan needs at least two points")
     if not margin > 0.0:
@@ -119,7 +162,16 @@ def realization_plan(sq) -> RealizationPlan:
             f"almost-regularity margin is {margin:.6e}, must be positive"
         )
     kept = deficits > 0.0
-    i, j, deficits = i[kept], j[kept], deficits[kept]
+    # the pair cuts' cut matrix is singular at n = 2 and 4
+    if n in (2, 4) or len(deficits) >= n + int(np.count_nonzero(kept)):
+        cuts = _singleton_cuts(n, i[kept], j[kept], deficits[kept], margin)
+    else:
+        cuts = _pair_cuts(n, i, j, cmax, deficits)
+    return RealizationPlan(n, margin, cuts)
+
+
+def _singleton_cuts(n, i, j, deficits, margin):
+    """The singleton plan's cuts, given its kept pairs and their deficits."""
     points = np.arange(n)[:, None]
     apart = (points != i) & (points != j)  # point k lies outside pair p
     # twice the weight of {k}: the margin, then the deficits of the pairs
@@ -129,7 +181,32 @@ def realization_plan(sq) -> RealizationPlan:
     pairs = np.sqrt(deficits) * _ROOT_HALF
     cuts = [((k,), side) for k, side in enumerate(singles.tolist())]
     cuts.extend(zip(zip(i.tolist(), j.tolist()), pairs.tolist()))
-    return RealizationPlan(n, margin, tuple(cuts))
+    return tuple(cuts)
+
+
+def _pair_cuts(n, i, j, cmax, deficits):
+    """The pair plan's cuts, one per pair (i, j) in row-major order, at the
+    weights A^-1 c in deficit form, on C and the deficits scaled by 4^-k
+    with C 4^-k in [1, 4) (module docstring). Raises NotAlmostRegular for a
+    weight that is not positive."""
+    k = (math.frexp(cmax)[1] - 1) // 2
+    cmax = math.ldexp(cmax, -2 * k)
+    d = np.ldexp(deficits, -2 * k)
+    total = math.fsum(d.tolist())
+    square = np.zeros((n, n))
+    square[i, j] = square[j, i] = d
+    rows = square.cumsum(axis=1)[:, -1]  # D, summed in column order as a loop would
+    adjacent = (rows[i] + rows[j]) - 2.0 * d  # (Ad)_p
+    x, y, z = (6 - n) / (2 * n - 8), 1 / (2 * n - 8), -1 / ((n - 2) * (n - 4))
+    weights = cmax / (2 * (n - 2)) - (x * d + y * adjacent + z * total)
+    if not np.all(weights > 0.0):
+        p = int(np.argmin(weights))
+        raise NotAlmostRegular(
+            f"pair cut {(int(i[p]), int(j[p]))} has weight {float(weights[p]) / cmax:.6e} C, "
+            "must be positive"
+        )
+    sides = np.ldexp(np.sqrt(weights), k)
+    return tuple(zip(zip(i.tolist(), j.tolist()), sides.tolist()))
 
 
 def _incidence(plan: RealizationPlan) -> np.ndarray:

@@ -10,9 +10,10 @@ written with 17 significant digits; together with a fixed field order this
 makes parse-then-reserialize byte identical.
 
 The codec follows the certificate's fixed schema rather than walking a
-generic JSON tree. The writer emits the top-level fields in order: the input
-rows and the factor radii through `_format_float`, and each order `m` and
-each vertex index as its decimal string, joined a row at a time. Only the
+generic JSON tree. The writer emits the top-level fields in order, each
+input row, the factor list and each assignment row through one % template
+(`%.17g` for a float, the same text as `_format_float`, and `%d` for an
+order `m` or a vertex index, its decimal string). Only the
 provenance objects `parameters`, `errors` and `meta`, which the verifier
 never reads, go through `dumps_canonical`. Both the reader and the writer
 hold them to one rule, `_check_provenance`: every value is a string, a
@@ -56,7 +57,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -65,7 +66,7 @@ from .errors import InputError, InvalidCertificate, check_instance, check_real, 
 from .geometry import _finite_array, check_squared_distances
 from .torus import PolygonSpec, TorusPoint, TorusSpec, pairwise_sq
 
-VERSION = "0.13.0"
+VERSION = "0.14.0"
 
 DEFAULT_ACCEPT_TOL = 1e-8
 
@@ -97,6 +98,14 @@ def _format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize -0.0 so reparsing cannot change the bytes
     return format(float(x), ".17g")
+
+
+@lru_cache(maxsize=64)
+def _row_template(item: str, count: int) -> str:
+    """The % template of a JSON array of `count` items: the writer formats
+    each row with one % operation. For a finite float, `%.17g` writes what
+    `_format_float` does, and for an int `%d` writes what `str` does."""
+    return "[" + ",".join([item] * count) + "]"
 
 
 def dumps_canonical(obj) -> str:
@@ -185,20 +194,19 @@ def dumps_certificate(cert: EmbeddingCertificate) -> str:
     input_sq = _check_fields(cert)
     for name in ("parameters", "errors", "meta"):
         _check_provenance(name, getattr(cert, name))
+    factors = cert.torus.factors
+    float_row = _row_template("%.17g", input_sq.shape[1])
     return "".join((
         '{"input":{"squared_distances":[',
-        ",".join("[" + ",".join(map(_format_float, row)) + "]" for row in input_sq.tolist()),
-        ']},"torus":{"factors":[',
-        ",".join(
-            '{"m":"' + str(f.m) + '","r":' + _format_float(f.r) + "}"
-            for f in cert.torus.factors
-        ),
+        # adding 0.0 turns -0.0 into 0.0, so reparsing cannot change the bytes
+        ",".join(float_row % tuple(row) for row in (input_sq + 0.0).tolist()),
+        ']},"torus":{"factors":',
+        # radii are positive and finite, by PolygonSpec
+        _row_template('{"m":"%d","r":%.17g}', len(factors))
+        % tuple(chain.from_iterable((f.m, f.r) for f in factors)),
         # the decimal text of an int needs no JSON escaping
-        ']},"assignment":[',
-        ",".join(
-            '["' + '","'.join(map(str, p.indices)) + '"]' if p.indices else "[]"
-            for p in cert.assignment
-        ),
+        '},"assignment":[',
+        ",".join(_row_template('"%d"', len(p.indices)) % p.indices for p in cert.assignment),
         '],"parameters":',
         dumps_canonical(cert.parameters),
         ',"errors":',

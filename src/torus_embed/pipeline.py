@@ -29,18 +29,22 @@ base is gridded again at delta, with the proven bound and the
 almost-regularity it implies checked as met, so every input the delta grid
 embeds is embedded. `parameters.delta` records the budget of the grid kept.
 
-The correction is its plan's merged cuts (see `almost_regular`): one
-polygon per point and one per kept pair, at most n(n + 1)/2 - 1 of them, so
-a random 16-point simplex takes about 150 factors in all.
+The correction is its plan's merged cuts (see `almost_regular`): for
+n = 3 and n >= 5 the pair plan, one polygon per pair, n(n - 1)/2 of them,
+so a random 16-point simplex takes 135 factors in all; for n = 2 and 4, or
+a correction with few positive deficits, the singleton plan, one polygon
+per point and one per kept pair.
 
 The certificate's layout is fixed, so the torus and the assignment are the
 correction's only record. The first n - 1 factors are the base, one per
 base axis: the base columns are the centered Gram's eigenvectors
 orthogonal to the centering mode, and a constant column would be parallel
 to that mode, so the grid never drops one. Every later factor is one cut,
-with the cut's points on vertex 1 and the rest on vertex 0: the n
+a triangle (order 3) with the cut's points on vertex 1 and the rest on
+vertex 0: in the pair plan, every pair {i, j} in row-major order, so each
+correction column holds exactly two 1s; in the singleton plan, the n
 singletons {0}, ..., {n - 1} first, then the kept pairs {i, j} in
-row-major order, each a triangle (order 3). The parameters do not repeat
+row-major order. The parameters do not repeat
 the base grid's n, the cube root of m, or its radius r, which every base
 factor states, nor the self-check's tolerance, the package's
 DEFAULT_ACCEPT_TOL; `parameters.m` stays, to find the base factors by.

@@ -263,8 +263,10 @@ def test_plan_skips_zero_side_pairs():
 
 
 def test_embed_one_factor_per_cut():
-    # n singleton cuts plus one cut per kept pair; the pair attaining C is
-    # never kept, so two points take exactly two factors
+    # one factor per cut, in the plan's order: the pair plan's n(n - 1)/2
+    # pairs in row-major order for n = 3 and n >= 5, else n singleton cuts
+    # plus one per kept pair; the pair attaining C is never kept, so two
+    # points take exactly two factors
     rng = np.random.default_rng(5)
     for n in range(2, 9):
         for _ in range(5):
@@ -272,17 +274,25 @@ def test_embed_one_factor_per_cut():
             plan = realization_plan(c)
             margin, kept = reference_deficits(c)
             spec, points = embed_almost_regular(plan, 3)
-            assert len(spec.factors) == n + len(kept)
-            assert len(kept) <= n * (n - 1) // 2 - 1
-            if n == 2:
-                assert len(spec.factors) == 2
             cuts = [
                 tuple(s for s in range(n) if points[s].indices[k])
                 for k in range(len(spec.factors))
             ]
+            assert [members for members, _ in plan.cuts] == cuts
+            assert len(kept) <= n * (n - 1) // 2 - 1
+            if pair_plan_applies(n, kept):
+                assert cuts == list(combinations(range(n), 2))
+                # weights against a dense solve of the cut system A w = c
+                upper = c[np.triu_indices(n, 1)]
+                weights = np.linalg.solve(triangular_graph(n), upper)
+                np.testing.assert_allclose([side**2 for _, side in plan.cuts], weights, rtol=1e-12)
+                continue
+            assert n in (2, 4)
+            assert len(spec.factors) == n + len(kept)
+            if n == 2:
+                assert len(spec.factors) == 2
             pairs = [(i, j) for i, j, _ in kept]
             assert cuts == [(k,) for k in range(n)] + pairs
-            assert [members for members, _ in plan.cuts] == cuts
             # weights against the loop over the simplices' one-hot cuts
             weights = [margin / 2] * n
             for i, j, d in kept:
@@ -292,6 +302,74 @@ def test_embed_one_factor_per_cut():
             weights += [d / 2 for _, _, d in kept]
             for (_, side), w in zip(plan.cuts, weights):
                 assert side**2 == pytest.approx(w, rel=1e-13)
+
+
+def triangular_graph(n):
+    """The pair cuts' cut matrix: entry (p, q) is 1 when pairs p and q, in
+    row-major order, share exactly one point, so that cut q splits pair p."""
+    pairs = list(combinations(range(n), 2))
+    return np.array([[float(len(set(p) & set(q)) == 1) for q in pairs] for p in pairs])
+
+
+@pytest.mark.parametrize("n", [3, *range(5, 13)])
+def test_pair_weights_match_a_dense_solve(n):
+    # the closed form A^-1 = xI + yA + zJ, in deficit form, against
+    # np.linalg.solve on the pipeline's kind of matrix and on spread deficits
+    rng = np.random.default_rng(n)
+    a = triangular_graph(n)
+    iu = np.triu_indices(n, 1)
+    for trial in range(6):
+        if trial % 2:
+            c = random_valid_matrix(rng, n)
+        else:
+            e = rng.uniform(-1.0, 1.0, (n, n)) * 0.1 / n**2
+            c = 1.0 + (e + e.T) / 2
+            np.fill_diagonal(c, 0.0)
+        c = c * 10.0 ** rng.uniform(-100, 100)
+        plan = realization_plan(c)
+        assert [members for members, _ in plan.cuts] == list(combinations(range(n), 2))
+        weights = np.array([side**2 for _, side in plan.cuts])
+        np.testing.assert_allclose(weights, np.linalg.solve(a, c[iu]), rtol=1e-12)
+        assert len(plan.cuts) == n * (n - 1) // 2
+
+
+def test_singleton_plan_kept_where_pair_cuts_do_not_win():
+    # n = 2 and 4, where the pair cuts' cut matrix is singular, and a regular
+    # simplex at any n, whose n singleton cuts are never more than its
+    # pairs, keep the singleton plan with the cuts and bits that version
+    # 0.13.0 planned
+    c4 = np.array(
+        [[0.0, 1.0, 0.9, 0.95], [1.0, 0.0, 0.97, 0.99], [0.9, 0.97, 0.0, 0.93],
+         [0.95, 0.99, 0.93, 0.0]]
+    )
+    plan = realization_plan(c4)
+    assert plan.margin.hex() == "0x1.7ae147ae147aep-1"
+    assert [(members, side.hex()) for members, side in plan.cuts] == [
+        ((0,), "0x1.4dc87d61451dbp-1"), ((1,), "0x1.62b9586ad0a22p-1"),
+        ((2,), "0x1.43d136248490fp-1"), ((3,), "0x1.51afebd98a146p-1"),
+        ((0, 2), "0x1.c9f25c5bfedd9p-3"), ((0, 3), "0x1.43d1362484912p-3"),
+        ((1, 2), "0x1.f5a7cecdb684fp-4"), ((1, 3), "0x1.21a1851ff630dp-4"),
+        ((2, 3), "0x1.7f254dab9cc39p-3"),
+    ]
+    plan = realization_plan([[0.0, 0.7], [0.7, 0.0]])
+    assert [(members, side.hex()) for members, side in plan.cuts] == [
+        ((0,), "0x1.2ee73dadc9b58p-1"), ((1,), "0x1.2ee73dadc9b58p-1"),
+    ]
+    for n in range(2, 10):
+        spec, points = embed_regular_simplex(n, 1.3, 7)
+        assert [f.r.hex() for f in spec.factors] == ["0x1.0f2f3ef289446p+0"] * n
+        assert [p.indices for p in points] == [
+            tuple(int(k == s) for k in range(n)) for s in range(n)
+        ]
+    # at n = 5 the two plans tie at five positive deficits: the singleton
+    # plan stays; at six the pair plan has fewer cuts
+    for positive, cuts in ((5, 10), (6, 10)):
+        c = np.ones((5, 5)) - np.eye(5)
+        for i, j in list(combinations(range(5), 2))[:positive]:
+            c[i, j] = c[j, i] = 0.99
+        plan = realization_plan(c)
+        assert len(plan.cuts) == cuts
+        assert (plan.cuts[0][0] == (0,)) == (positive == 5)
 
 
 def test_torus_vertex_pattern_matches_realization_support():
@@ -350,16 +428,58 @@ def reference_deficits(sq):
     return margin, [(i, j, d) for i, j, d in deficits if d > 0.0]
 
 
+def pair_plan_applies(n, kept):
+    """The rule of the almost_regular docstring: the pair plan for n = 3 and
+    n >= 5 when its n(n - 1)/2 cuts are fewer than the singleton plan's n
+    plus one per kept pair."""
+    return n not in (2, 4) and n * (n - 1) // 2 < n + len(kept)
+
+
+def reference_pair_cuts(sq):
+    """The pair plan's cuts by plain loops: C and the deficits scaled by the
+    power of four 4^-k that puts C in [1, 4), the row sums D added one
+    column at a time, the exact sum of the deficits rounded once, and each
+    weight C/(2(n - 2)) - (x d_p + y (D_i + D_j - 2 d_p) + z sum d) by the
+    same float expression; each side is sqrt(w) * 2^k."""
+    c = check_squared_distances(sq)
+    n = c.shape[0]
+    pairs = list(combinations(range(n), 2))
+    cmax = max(float(c[p]) for p in pairs)
+    k = (math.frexp(cmax)[1] - 1) // 2
+    scaled = math.ldexp(cmax, -2 * k)
+    d = {p: math.ldexp(cmax - float(c[p]), -2 * k) for p in pairs}
+    total = float(sum(Fraction(v) for v in d.values()))
+    rows = [0.0] * n
+    for s in range(n):
+        for t in range(n):
+            if t != s:
+                rows[s] += d[min(s, t), max(s, t)]
+    x, y, z = (6 - n) / (2 * n - 8), 1 / (2 * n - 8), -1 / ((n - 2) * (n - 4))
+    weights = []
+    for i, j in pairs:
+        adjacent = (rows[i] + rows[j]) - 2.0 * d[i, j]
+        weights.append(scaled / (2 * (n - 2)) - (x * d[i, j] + y * adjacent + z * total))
+    low = min(range(len(pairs)), key=weights.__getitem__)
+    if not weights[low] > 0.0:
+        raise NotAlmostRegular(
+            f"pair cut {pairs[low]} has weight {weights[low] / scaled:.6e} C, must be positive"
+        )
+    return tuple((p, math.ldexp(math.sqrt(w), k)) for p, w in zip(pairs, weights))
+
+
 def reference_plan(sq):
-    """(cuts, margin) of realization_plan, one cut at a time: each side is
-    sqrt(twice the weight) * sqrt(1/2), the singleton's twice-weight summed
-    from the margin over the kept pairs without the point."""
+    """(cuts, margin) of realization_plan, one cut at a time: the pair plan
+    where it applies, else the singleton plan, each side sqrt(twice the
+    weight) * sqrt(1/2), the singleton's twice-weight summed from the margin
+    over the kept pairs without the point."""
     n = check_squared_distances(sq).shape[0]
     margin, kept = reference_deficits(sq)
     if n < 2:
         raise TrivialInput("a realization plan needs at least two points")
     if not margin > 0.0:
         raise NotAlmostRegular(f"almost-regularity margin is {margin:.6e}, must be positive")
+    if pair_plan_applies(n, kept):
+        return reference_pair_cuts(sq), margin
     cuts = []
     for k in range(n):
         twice = margin
@@ -399,12 +519,42 @@ def test_plan_matches_reference_bitwise():
         assert (plan.cuts, plan.margin) == ref
 
 
+def test_pair_weight_lost_to_rounding_is_refused():
+    # five points whose deficits all touch pair (0, 1) and leave a margin
+    # of 1e-16 C to 1e-14 C: then w_01 is exactly margin/6, below the
+    # rounding of the terms that cancel to it, so some computed weights are
+    # not positive and the plan refuses them by name, as the reference does
+    rng = np.random.default_rng(7)
+    near = [(i, j) for i, j in combinations(range(5), 2) if {i, j} & {0, 1}]
+    refused = 0
+    for _ in range(60):
+        c = np.ones((5, 5)) - np.eye(5)
+        share = rng.uniform(0.0, 1.0, len(near))
+        share *= (1.0 - 10.0 ** rng.uniform(-16, -14)) / share.sum()
+        for (i, j), d in zip(near, share):
+            c[i, j] = c[j, i] = 1.0 - d
+        if not check_almost_regular(c).valid:
+            continue
+        try:
+            ref = reference_plan(c)
+        except NotAlmostRegular as exc:
+            refused += 1
+            with pytest.raises(NotAlmostRegular) as got:
+                realization_plan(c)
+            assert str(got.value) == str(exc)
+            assert str(exc).startswith("pair cut (0, 1) has weight ")
+            continue
+        plan = realization_plan(c)
+        assert (plan.cuts, plan.margin) == ref
+    assert refused
+
+
 @st.composite
-def almost_regular_matrices(draw):
-    """A random almost-regular squared-distance matrix, n = 2..9, with C
-    in [1, 2), every deficit at most C/2 and their sum below C; ties with C
-    included."""
-    n = draw(st.integers(2, 9))
+def almost_regular_matrices(draw, sizes=st.integers(2, 9)):
+    """A random almost-regular squared-distance matrix, n drawn from `sizes`,
+    with C in [1, 2), every deficit at most C/2 and their sum below C; ties
+    with C included."""
+    n = draw(sizes)
     pairs = n * (n - 1) // 2
     cmax = draw(st.floats(1.0, 2.0, exclude_max=True))
     shares = draw(st.lists(st.floats(0.0, 1.0), min_size=pairs, max_size=pairs))
@@ -435,3 +585,36 @@ def test_plan_covariant_under_scaling_by_powers_of_four(c, data):
     n = c.shape[0]
     off = ~np.eye(n, dtype=bool)
     np.testing.assert_allclose(squared_distances(z)[off], c[off], rtol=1e-12)
+
+
+def pair_weight_bound(n, cmax, d, p):
+    """The lower bound of the almost_regular docstring on the weight of pair
+    cut p, exactly, from C and the deficits d by pair: (C - (Ad)_p)/(2(n - 2))
+    for n >= 6, (C - d_p - (Ad)_p)/6 for n = 5 and (C - sum d)/2 for n = 3."""
+    adjacent = sum(v for q, v in d.items() if len(set(p) & set(q)) == 1)
+    if n == 3:
+        return (cmax - sum(d.values())) / 2
+    if n == 5:
+        return (cmax - d[p] - adjacent) / 6
+    return (cmax - adjacent) / (2 * (n - 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(almost_regular_matrices(st.sampled_from([3, *range(5, 13)])))
+def test_pair_weights_meet_their_lower_bounds(c):
+    # every weight of the pair plan is at least its bound, which is positive
+    # whenever the margin is: the plan's positivity check never fires on a
+    # matrix that is almost regular in exact arithmetic
+    n = c.shape[0]
+    _, kept = reference_deficits(c)
+    plan = realization_plan(c)
+    if not pair_plan_applies(n, kept):
+        assert plan.cuts[0][0] == (0,)
+        return
+    cmax = Fraction(float(c.max()))
+    d = {p: cmax - Fraction(float(c[p])) for p in combinations(range(n), 2)}
+    assert cmax - sum(d.values()) > 0
+    for p, side in plan.cuts:
+        bound = pair_weight_bound(n, cmax, d, p)
+        assert bound > 0
+        assert side**2 >= float(bound) - 1e-13 * float(cmax)

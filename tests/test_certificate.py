@@ -23,7 +23,7 @@ from torus_embed import (
     save_certificate,
     verify_certificate,
 )
-from torus_embed.certificate import dumps_canonical
+from torus_embed.certificate import _format_float, dumps_canonical
 from torus_embed.cli import main
 
 
@@ -36,6 +36,15 @@ def test_float_formatting():
     assert dumps_canonical(True) == "true"
     assert dumps_canonical(3) == "3"
     assert dumps_canonical(None) == "null"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_percent_template_writes_what_format_float_writes(x):
+    # the writer formats each row through one %.17g template, on an input
+    # matrix with 0.0 added, where dumps_canonical calls _format_float
+    assert "%.17g" % x == format(x, ".17g")
+    assert "%.17g" % (x + 0.0) == _format_float(x)
 
 
 def test_float_formatting_rejects_non_finite():

@@ -387,13 +387,13 @@ def test_verify_tampered_certificate_exits_3(tmp_path, capsys):
     write_json(inp, {"points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]})
     assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
     obj = json.loads(out.read_text())
-    # the base takes the first points - 1 factors and the singleton cut {0}
-    # the next, with point 0 on vertex 1; bump point 1's index there, so pair
-    # (0, 1) loses that whole chord
+    # the base takes the first points - 1 factors and the pair cut {0, 1}
+    # the next, with points 0 and 1 on vertex 1; bump point 2's index there,
+    # so pairs (0, 2) and (1, 2) lose that whole chord
     slot = len(obj["assignment"]) - 1
-    assert [row[slot] for row in obj["assignment"]] == ["1", "0", "0"]
+    assert [row[slot] for row in obj["assignment"]] == ["1", "1", "0"]
     m = int(obj["torus"]["factors"][slot]["m"])
-    obj["assignment"][1][slot] = str((int(obj["assignment"][1][slot]) + 1) % m)
+    obj["assignment"][2][slot] = str((int(obj["assignment"][2][slot]) + 1) % m)
     out.write_text(json.dumps(obj))
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 3

@@ -277,8 +277,9 @@ def test_embed_triangle_certificate():
     report = verify_certificate(cert, 1e-8)
     assert report.passed
     first, cuts = correction_cuts(cert)
-    assert cuts[:3] == [[0], [1], [2]]  # one singleton cut per point first
-    assert all(len(c) == 2 for c in cuts[3:])
+    # the grid leaves the correction's entries unequal, so three points take
+    # the pair plan: one cut per pair, each a singleton's complement
+    assert cuts == [[0, 1], [0, 2], [1, 2]]
     assert 1 <= first <= 2  # base set lives in at most 2 coordinates
     assert cert.parameters["correction_margin"] > 0
 
@@ -298,10 +299,11 @@ LAYOUT_INPUTS = {
 @pytest.mark.parametrize("name", list(LAYOUT_INPUTS))
 def test_certificate_layout_locates_every_cut(monkeypatch, name, kind):
     # the torus and the assignment alone give every cut: the first n - 1
-    # factors are the base, at its order m, then come the n singletons in
-    # order and the kept pairs (those below the largest correction entry) in
-    # row-major order, each a triangle, or at the base's m in the
-    # uniform-order form that versions before 0.12.0 could write
+    # factors are the base, at its order m, then come the pair plan's pairs
+    # in row-major order for n = 3 and n >= 5 (when they are fewer), else the
+    # n singletons in order and the kept pairs (those below the largest
+    # correction entry) in row-major order, each a triangle, or at the base's
+    # m in the uniform-order form that versions before 0.12.0 could write
     from torus_embed import pipeline
 
     pts = LAYOUT_INPUTS[name]()
@@ -320,14 +322,31 @@ def test_certificate_layout_locates_every_cut(monkeypatch, name, kind):
     assert not dropped & (set(cert.parameters) | set(cert.meta))
     (corr_sq,) = planned
     upper = corr_sq[np.triu_indices(n, 1)]
-    kept = [list(pair) for pair, c in zip(combinations(range(n), 2), upper) if c < upper.max()]
+    pairs = [list(pair) for pair in combinations(range(n), 2)]
+    kept = [pair for pair, c in zip(pairs, upper) if c < upper.max()]
     first, cuts = correction_cuts(cert)
     assert first == n - 1
-    assert cuts == [[k] for k in range(n)] + kept
-    assert len(cuts) == n + len(kept)
+    if n in (2, 4):
+        assert cuts == [[k] for k in range(n)] + kept
+        assert len(cuts) == n + len(kept)
+    else:
+        assert len(pairs) < n + len(kept)
+        assert cuts == pairs
     m = int(cert.parameters["m"])
     assert [f.m for f in cert.torus.factors[:first]] == [m] * (n - 1)
     assert {f.m for f in cert.torus.factors[first:]} == {m if kind == "uniform-m" else 3}
+
+
+@pytest.mark.parametrize("n", [3, *range(5, 17)])
+def test_random_certificates_take_one_triangle_per_pair(n):
+    # `gen random n` points: the n - 1 base factors, then the pair plan's
+    # n(n - 1)/2 triangles, n - 1 fewer than the singleton plan's cuts
+    cert = embed_simplex(generate_points("random", n, seed=1))
+    assert len(cert.torus.factors) == n * (n - 1) // 2 + n - 1
+    first, cuts = correction_cuts(cert)
+    assert first == n - 1
+    assert cuts == [list(pair) for pair in combinations(range(n), 2)]
+    assert {f.m for f in cert.torus.factors[first:]} == {3}
 
 
 # what each version's `embed` wrote for `gen random 6 --seed 1`, 0.3.0 to
@@ -364,8 +383,9 @@ def test_golden_certificate_verifies_and_round_trips(tmp_path, path):
 def test_coarse_grid_failure_falls_back_to_the_proven_grid(monkeypatch, tmp_path, failure):
     # a coarse grid whose planned margin falls short of alpha^2 / 4 by an
     # ulp, or whose certificate fails its self-check, is dropped, and the
-    # base is gridded again at the proven budget alpha^2 / n**2: what 0.12.0
-    # wrote, byte for byte, less its version
+    # base is gridded again at the proven budget alpha^2 / n**2: the proven
+    # grid's certificate, byte for byte, whose input, base and parameters are
+    # what 0.12.0 wrote, and whose correction is the pair plan
     from torus_embed import pipeline
 
     inp, out = tmp_path / "in.json", tmp_path / "cert.json"
@@ -395,10 +415,18 @@ def test_coarse_grid_failure_falls_back_to_the_proven_grid(monkeypatch, tmp_path
         monkeypatch.setattr(pipeline, "verify_certificate", failed_check)
     assert main(["embed", "--quiet", str(inp), str(out)]) == 0
     assert budgets == [(alpha_sq / 36) * 4, alpha_sq / 36]
-    old = (CORPUS / "0.12.0.json").read_text(encoding="utf-8")
-    version = '"version":"0.12.0"'
-    assert old.count(version) == 1
-    assert out.read_text(encoding="utf-8") == old.replace(version, f'"version":"{VERSION}"')
+    monkeypatch.undo()
+    sq = squared_distances(points)
+    proven = pipeline._certify(sq, schoenberg_decompose(sq), alpha_sq / 36)
+    text = out.read_text(encoding="utf-8")
+    assert text == dumps_certificate(proven) + "\n"
+    got = loads_certificate(text)
+    old = loads_certificate((CORPUS / "0.12.0.json").read_text(encoding="utf-8"))
+    np.testing.assert_array_equal(got.input_sq, old.input_sq)
+    assert got.torus.factors[:5] == old.torus.factors[:5]
+    assert [p.indices[:5] for p in got.assignment] == [p.indices[:5] for p in old.assignment]
+    assert got.parameters == old.parameters
+    assert correction_cuts(got)[1] == [list(pair) for pair in combinations(range(6), 2)]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -661,11 +689,12 @@ def test_certificate_records_the_scale_exponent():
 def test_verify_tampered_index_fails():
     cert = embed_simplex(regular_simplex(3, 1.0))
     assert verify_certificate(cert, 1e-8).passed
-    # bump point 1's index in the slot of the singleton cut {0}, the first
-    # after the base, where point 0 carries a 1: the pair (0, 1) loses one
-    # chord
+    # bump point 1's index in the slot of the pair cut {0, 2}, the second
+    # after the base, where points 0 and 2 carry a 1: the pair (0, 1) loses
+    # one chord and the pair (1, 2) gains one
     k, cuts = correction_cuts(cert)
-    assert cuts[0] == [0]
+    k += 1
+    assert cuts[1] == [0, 2]
     indices = list(cert.assignment[1].indices)
     indices[k] = (indices[k] + 1) % cert.torus.factors[k].m
     tampered = dataclasses.replace(
