@@ -14,26 +14,36 @@ on one test, and sends anything else to `errors.check_count` and
 `errors.check_sequence`. `TorusPoint._of_ints` alone skips the check, for
 index tuples the package has just built from ints.
 
-Every distance comes from one kernel, `pairwise_sq`, with three paths that
-all keep `chord`'s bits, chosen by a factor's order alone. A cut factor, of
-order 2 or 3 (the correction's triangles), has one nonzero chord,
-`chord(m, r, 1)`, on each pair whose folded indices differ: a run of them
-is added with one `np.add.at` per chunk, over the split pairs alone. Any
-other order below 2**53 runs in numpy: an order, a folded index and a step
-are exact doubles there, so k / m in float64 is the one correctly rounded
-division that `chord`'s int division is, and the sine is `math.sin` per
-entry. That covers the grid's base factors, whose orders are near 40 bits.
-Orders of 2**53 and more call `chord` on Python ints once per pair. The
-squared chords are summed in factor order, so each entry has the bits of a
-plain per-pair loop over `chord`. Factors run in chunks of a few thousand
-pair-factor entries, which bounds the kernel's scratch memory whatever the
-factor count.
+Every distance comes from one kernel, `pairwise_sq`, with four paths that
+all keep `chord`'s bits. The first is chosen by the torus and the points:
+the pair layout, where the last n(n - 1)/2 factors are cuts of order 2 or 3,
+one per pair {k, l} in row-major order, and each point's raw indices on them
+are 1 where the pair holds it, else 0. That is the pair plan, the correction
+`embed_simplex` writes for 3 and for 5 or more points but for rare ties; the
+singleton plan (4 points, `embed_regular_simplex`) takes the other paths. A
+cut splits a pair exactly when it shares one point with it, so each pair is
+split by 2(n - 2) cuts (a vertex of the triangular graph T(n) has that
+degree), and a table cached per n lists them in factor order: O(n**3) work
+in all. The other paths go by a factor's order alone. A cut factor of order
+2 or 3 outside that layout has one nonzero chord, `chord(m, r, 1)`, on each
+pair whose folded indices differ: a run of them is added with one
+`np.add.at` per chunk, over the split pairs alone, and its bits rest on
+`np.add.at` applying repeated indices in the order listed. Any other order
+below 2**53 runs in numpy: an order, a folded index and a step are exact
+doubles there, so k / m in float64 is the one correctly rounded division
+that `chord`'s int division is, and the sine is `math.sin` per entry. That
+covers the grid's base factors, whose orders are near 40 bits. Orders of
+2**53 and more call `chord` on Python ints once per pair. The squared chords
+are summed in factor order, so each entry has the bits of a plain per-pair
+loop over `chord`. Factors run in chunks of a few thousand pair-factor
+entries, which bounds the kernel's scratch memory whatever the factor count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, groupby
 
 import numpy as np
@@ -138,10 +148,21 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     `c = chord(m, r, a - b)`, over the factors left to right. The factors run
     in chunks of consecutive factors, each chunk adding its squared chords
     onto the running sums in factor order, so scratch stays bounded however
-    many factors there are. Each factor takes one of three paths, chosen by
-    its order alone, all with `chord`'s bits:
+    many factors there are. There are four paths, all with `chord`'s bits.
+    The first is chosen by the torus and the points together, the others by
+    a factor's order alone:
 
-    - an order of 2 or 3, a cut factor, has one nonzero chord,
+    - the pair layout of n points: the last n(n - 1)/2 factors have order 2
+      or 3, and every point's raw indices on them are 1 where the factor's
+      pair {k, l} (in row-major order) holds the point, else 0. A cut {k, l}
+      splits a pair exactly when it shares one point with it, so each pair
+      is split by 2(n - 2) of these factors, and the others add 0.0, which
+      is exact. The factors before them take the paths below; then each
+      pair adds the squared chords `chord(m, r, 1) ** 2` of its split cuts
+      in factor order, one numpy round per split cut, from a table cached
+      per n (`_add_pair_cuts`). That is O(n**3) work where the paths below
+      would do O(n**4);
+    - any other order of 2 or 3, a cut factor, has one nonzero chord,
       `chord(m, r, 1)`, on every pair whose folded indices differ. A run of
       such factors goes in chunks of about 2 * `_BLOCK` pair-factor entries
       (`_add_cuts`): the split pairs are listed with their squared chords,
@@ -166,18 +187,21 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     for p in points:
         _check_point(t, p)
     n = len(points)
-    out = np.zeros((n, n))
     # the upper triangle row by row, the order of itertools.combinations
     iu = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     npairs = iu[0].size
     if not npairs:
-        return out
-    step = min(max(1, _BLOCK // npairs), len(t.factors))
+        return np.zeros((n, n))
+    factors = t.factors
+    pair_layout = _is_pair_layout(factors, points)
+    if pair_layout:
+        factors = factors[:-npairs]
+    step = min(max(1, _BLOCK // npairs), len(factors))
     cut_step = max(1, 2 * _BLOCK // npairs)
     sq = np.zeros((step + 1, npairs))  # row 0 carries the running sums
     with np.errstate(over="ignore", under="ignore"):
-        for start, stop, cut in _chunks(t.factors, step, cut_step):
-            block = t.factors[start:stop]
+        for start, stop, cut in _chunks(factors, step, cut_step):
+            block = factors[start:stop]
             indices = [p.indices[start:stop] for p in points]
             if cut:
                 _add_cuts(block, indices, iu, sq[0])
@@ -188,11 +212,14 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
                 if f.m >= _EXACT_M:
                     m, r = f.m, f.r
                     col = [p.indices[start + c] for p in points]
-                    chords = [chord(m, r, a - b) for a, b in combinations(col, 2)]
+                    chords = (chord(m, r, a - b) for a, b in combinations(col, 2))
                     rows[c + 1] = np.fromiter(chords, float, npairs)
             np.square(rows[1:], out=rows[1:])
             np.add.accumulate(rows, axis=0, out=rows)
             sq[0] = rows[-1]
+        if pair_layout:
+            _add_pair_cuts(t.factors[-npairs:], _split_table(n), sq[0])
+    out = np.zeros((n, n))
     out[iu] = sq[0]
     out[iu[::-1]] = sq[0]
     return out
@@ -239,6 +266,67 @@ def _add_cuts(block, indices, iu, sums) -> None:
     pairs, c = np.nonzero(x[iu[0]] != x[iu[1]])
     chords = np.array([2.0 * f.r for f in block]) * [_CUT_SINES[m] for m in ms]
     np.add.at(sums, pairs, np.square(chords)[c])
+
+
+def _is_pair_layout(factors, points) -> bool:
+    """Whether the last n(n - 1)/2 factors have order 2 or 3 and the n
+    points' raw indices on them are the pair layout. An index other than 0
+    or 1, even one that folds to them, is not the layout."""
+    n = len(points)
+    npairs = n * (n - 1) // 2
+    if len(factors) < npairs or any(f.m > 3 for f in factors[-npairs:]):
+        return False
+    rows = memoryview(_pair_layout(n))
+    try:
+        return all(
+            bytes(p.indices[-npairs:]) == rows[k * npairs:(k + 1) * npairs]
+            for k, p in enumerate(points)
+        )
+    except ValueError:  # an index outside range(256)
+        return False
+
+
+@lru_cache(maxsize=4)
+def _pair_layout(n: int) -> bytes:
+    """The pair layout of n points, n rows of n(n - 1)/2 bytes: byte q of row
+    k is 1 where the q-th pair in row-major order holds point k, else 0."""
+    iu = np.triu_indices(n, 1)
+    rows = np.zeros((n, iu[0].size), np.uint8)
+    q = np.arange(iu[0].size)
+    rows[iu[0], q] = 1
+    rows[iu[1], q] = 1
+    return rows.tobytes()
+
+
+@lru_cache(maxsize=4)
+def _split_table(n: int) -> np.ndarray:
+    """The split cuts of every pair of n points in the pair layout, as a
+    (2(n - 2), n(n - 1)/2) array: column p lists in ascending order the cuts
+    q (pairs in row-major order) that hold exactly one point of pair p. It
+    is int16 up to n = 256, and built a few thousand pair-cut entries at a
+    time, so the table itself is the bulk of its memory."""
+    npairs = n * (n - 1) // 2
+    rows = np.frombuffer(_pair_layout(n), np.uint8).reshape(n, npairs)
+    table = np.empty((2 * (n - 2), npairs), np.int16 if npairs < 2**15 else np.int32)
+    size = max(1, 2 * _BLOCK // npairs)
+    for a in range(0, npairs, size):
+        b = min(a + size, npairs)
+        held = np.nonzero(rows[:, a:b].T)[1]  # each pair's two points, in order
+        split = rows[held[0::2]] != rows[held[1::2]]
+        table[:, a:b] = np.nonzero(split)[1].reshape(b - a, 2 * (n - 2)).T
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
+def _add_pair_cuts(cuts, table, sums) -> None:
+    """Add the squared chords of the pair layout's cut factors onto sums,
+    each pair's split cuts in ascending factor order: round t adds the cut
+    in row t of `_split_table`'s table to every pair. A cut's chord is
+    2r * sin(pi / m), multiplied in `chord`'s order, so it has its bits."""
+    w = np.fromiter((2.0 * f.r * _CUT_SINES[f.m] for f in cuts), float, len(cuts))
+    np.square(w, out=w)
+    for row in table:
+        sums += w.take(row)
 
 
 def _exact_chords(block, indices, iu, out) -> None:

@@ -34,7 +34,7 @@ from torus_embed import (
     squared_distances,
     verify_certificate,
 )
-from torus_embed.certificate import VERSION
+from torus_embed.certificate import DEFAULT_ACCEPT_TOL, VERSION
 from torus_embed.cli import main
 
 
@@ -750,6 +750,54 @@ def test_verify_matches_reference_loop_on_clean_and_tampered():
                 assert verify_certificate(tampered, tol) == reference_report(tampered, tol)
             rejected += not verify_certificate(tampered, 1e-8).passed
     assert rejected  # the comparison covers failing reports as well
+
+
+def correction_tampers(cert):
+    """Edits of the correction's columns, each named: a 0 turned to 2 on a
+    triangle (in range, so the reader takes it), a cut member moved, two cut
+    radii swapped, and two assignment rows swapped."""
+    factors = list(cert.torus.factors)
+    rows = [list(p.indices) for p in cert.assignment]
+    k, cuts = correction_cuts(cert)
+    outside = next(i for i in range(len(rows)) if i not in cuts[0])
+    assert factors[k].r != factors[k + 1].r
+
+    def tampered(edit):
+        fs, rs = list(factors), [list(r) for r in rows]
+        edit(fs, rs)
+        torus = TorusSpec(tuple(fs))
+        assignment = tuple(TorusPoint(tuple(r)) for r in rs)
+        return dataclasses.replace(cert, torus=torus, assignment=assignment)
+
+    def zero_to_two(fs, rs):
+        rs[outside][k] = 2
+
+    def member_moved(fs, rs):
+        rs[cuts[0][0]][k], rs[outside][k] = 0, 1
+
+    def radii_swapped(fs, rs):
+        fs[k], fs[k + 1] = (
+            dataclasses.replace(fs[k], r=fs[k + 1].r),
+            dataclasses.replace(fs[k + 1], r=fs[k].r),
+        )
+
+    def rows_swapped(fs, rs):
+        rs[0], rs[1] = rs[1], rs[0]
+
+    edits = (zero_to_two, member_moved, radii_swapped, rows_swapped)
+    return {e.__name__: tampered(e) for e in edits}
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_verify_rejects_tampered_correction_columns(n):
+    # the correction's pair layout, as embed writes it, and every edit below
+    # leaves that layout, yet the verdict is the per-pair loop's
+    cert = embed_simplex(generate_points("random", n, seed=1))
+    assert verify_certificate(cert) == reference_report(cert, DEFAULT_ACCEPT_TOL)
+    for name, tampered in correction_tampers(cert).items():
+        report = verify_certificate(tampered)
+        assert not report.passed, name
+        assert report == reference_report(tampered, DEFAULT_ACCEPT_TOL), name
 
 
 def test_verify_zero_target_met_by_zero_distance():

@@ -1,6 +1,7 @@
 """Tests for the polygonal torus model and chord metric."""
 
 import math
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -16,10 +17,14 @@ from torus_embed import (
     TorusPoint,
     TorusSpec,
     chord,
+    embed_regular_simplex,
+    embed_simplex,
+    generate_points,
     pairwise_sq,
     shift,
     verify_certificate,
 )
+from torus_embed import torus
 
 
 def mp_chord(m, r, dj):
@@ -193,6 +198,109 @@ def test_pairwise_sq_matches_reference_loop_bitwise(n):
         assert np.isinf(got).any()
 
 
+def pair_layout_torus(rng, n, orders=(3,), huge=False):
+    """n points on a few base factors (orders of 20 to 53 bits and one of
+    2**53 + 1), then one cut factor per pair {k, l} in row-major order, its
+    order cycling through `orders`, with the pair's points on vertex 1 and
+    the rest on vertex 0: the correction's pair layout. Radii are random,
+    and every fourth cut's is 1e308 when huge, where 2r overflows to inf."""
+    base = tuple(rng.randrange(2 ** (b - 1), 2**b) for b in (20, 33, 47, 53)) + (2**53 + 1,)
+    pairs = list(combinations(range(n), 2))
+    radii = [1e308 if huge and q % 4 == 1 else rng.uniform(0.1, 100.0) for q in range(len(pairs))]
+    factors = tuple(PolygonSpec(m, rng.uniform(0.1, 100.0)) for m in base) + tuple(
+        PolygonSpec(orders[q % len(orders)], r) for q, r in enumerate(radii)
+    )
+    points = [
+        TorusPoint(
+            tuple(rng.randrange(-3 * m, 3 * m) for m in base)
+            + tuple(int(k in pair) for pair in pairs)
+        )
+        for k in range(n)
+    ]
+    return TorusSpec(factors), points
+
+
+def near_misses(t, points):
+    """Edits of a pair-layout torus that leave the layout, each named: the
+    kernel must take its general paths on them."""
+    factors, rows = list(t.factors), [list(p.indices) for p in points]
+    n, k = len(points), len(t.factors) - 1  # k: the last cut, pair {n - 2, n - 1}
+
+    def edited(name, edit):
+        fs, rs = list(factors), [list(r) for r in rows]
+        edit(fs, rs)
+        return name, TorusSpec(tuple(fs)), [TorusPoint(tuple(r)) for r in rs]
+
+    def zero_to_two(fs, rs):
+        rs[0][k] = 2
+
+    def move_a_one(fs, rs):
+        rs[n - 1][k], rs[0][k] = 0, 1
+
+    def swap_columns(fs, rs):
+        fs[k - 1], fs[k] = fs[k], fs[k - 1]
+        for r in rs:
+            r[k - 1], r[k] = r[k], r[k - 1]
+
+    def drop_a_cut(fs, rs):
+        del fs[k]
+        for r in rs:
+            del r[k]
+
+    def add_a_cut(fs, rs):
+        fs.append(fs[k])
+        for r in rs:
+            r.append(r[k])
+
+    def order_four(fs, rs):
+        fs[k] = PolygonSpec(4, fs[k].r)
+
+    def unfolded(fs, rs):
+        rs[n - 1][k] = 4
+
+    edits = (zero_to_two, move_a_one, swap_columns, drop_a_cut, add_a_cut, order_four, unfolded)
+    return [edited(e.__name__, e) for e in edits]
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 8, 9, 10, 11, 12, 40])
+def test_pairwise_sq_pair_layout_matches_reference_bitwise(n):
+    # the pair layout's own path, and its near misses on the general paths,
+    # keep the bits of the per-pair loop: with finite radii, where a sum in
+    # another order would change the bits, and where 2r = inf
+    import random
+
+    rng = random.Random(n)
+    cases = [("layout", *pair_layout_torus(rng, n, huge=huge)) for huge in (False, True)]
+    if n < 40:
+        cases.append(("layout", *pair_layout_torus(rng, n, (2, 3, 3))))
+        cases += near_misses(*pair_layout_torus(rng, n))
+    for name, t, points in cases:
+        assert torus._is_pair_layout(t.factors, points) == (name == "layout"), name
+        got = pairwise_sq(t, points)
+        assert got.tobytes() == reference_pairwise_sq(t, points).tobytes(), name
+        assert np.isinf(got).any() == (max(f.r for f in t.factors) == 1e308), name
+
+
+def test_pair_layout_certificates_skip_the_general_cut_path(monkeypatch):
+    # embed's pair-plan certificates (n = 3 and n >= 5) take the pair layout's
+    # path alone; the singleton plan (an n = 4 certificate, a regular
+    # simplex) reaches the general cut path
+    pair_plan = [embed_simplex(generate_points("random", n, seed=1)) for n in (3, 5, 16)]
+    four = embed_simplex(generate_points("random", 4, seed=1))
+    singleton_plan = [(four.torus, four.assignment), embed_regular_simplex(6, 1.0, 3)]
+
+    def general_cut_path(*args):
+        raise AssertionError("the general cut path ran")
+
+    monkeypatch.setattr(torus, "_add_cuts", general_cut_path)
+    for cert in pair_plan:
+        got = pairwise_sq(cert.torus, cert.assignment)
+        assert got.tobytes() == reference_pairwise_sq(cert.torus, cert.assignment).tobytes()
+    for t, points in singleton_plan:
+        with pytest.raises(AssertionError, match="general cut path"):
+            pairwise_sq(t, points)
+
+
 def test_pairwise_sq_scratch_is_bounded():
     # 40 points x 600 factors: a dense pairs x factors float array alone would
     # take 3.7 MB; blocks of consecutive factors keep the heap peak far lower
@@ -204,10 +312,15 @@ def test_pairwise_sq_scratch_is_bounded():
     orders = (3,) * 17 + (2, 2**53 + 1, 2**40 + 1, 1561, 2**20 + 7, 2**45 + 1, 2**53 - 1)
     t = TorusSpec(tuple(PolygonSpec(orders[i % len(orders)], 1.5) for i in range(600)))
     points = [TorusPoint(tuple(rng.randrange(f.m) for f in t.factors)) for _ in range(40)]
-    # the correction's layout: 600 triangles, each column of 0s and 1s
+    # the general cut path: 600 triangles, each column of random 0s and 1s
     cuts = TorusSpec((PolygonSpec(3, 1.5),) * 600)
     cut_points = [TorusPoint(tuple(rng.randrange(2) for _ in range(600))) for _ in range(40)]
-    for t, points in ((t, points), (cuts, cut_points)):
+    # the pair layout: 780 triangles after the base, from a cold table cache
+    pairs = pair_layout_torus(rng, 40)
+    assert torus._is_pair_layout(pairs[0].factors, pairs[1])
+    torus._pair_layout.cache_clear()
+    torus._split_table.cache_clear()
+    for t, points in ((t, points), (cuts, cut_points), pairs):
         tracemalloc.start()
         try:
             pairwise_sq(t, points)
