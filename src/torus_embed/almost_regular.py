@@ -8,11 +8,14 @@ when, writing C for its largest entry and d_ij = C - c_ij for the deficits,
     sum over i < j of d_ij  <  C.
 
 The slack M = C - sum of all d_ij is the margin. A positive margin needs
-every d_ij below C, so every off-diagonal entry is then positive. The
-matrix is a positive sum of cuts, each splitting some points off the rest.
-A cut of weight w is one coordinate of size sqrt(w) on its points, and one
-m-gon of side sqrt(w) with its points on vertex 1 and the rest on vertex 0.
-There are two plans; `realization_plan` returns the one with fewer cuts.
+every d_ij below C, so every off-diagonal entry is then positive. Such a
+matrix is a positive sum of cuts, each splitting some points off the rest,
+and so is any matrix whose pair plan below has positive weights. A cut of
+weight w is one coordinate of size sqrt(w) on its points, and one m-gon of
+side sqrt(w) with its points on vertex 1 and the rest on vertex 0. There
+are two plans; `realization_plan` returns the one with fewer cuts that
+applies, and records the slack it was accepted on: M for the singleton
+plan, the smallest weight for the pair plan.
 
 The pair plan, for n = 3 and n >= 5: one cut {i, j} per pair, in row-major
 order, n(n - 1)/2 cuts. A pair cut splits the pairs that share exactly one
@@ -39,16 +42,21 @@ is, by these bounds (ROADMAP item 11):
     n = 3:   w_p = (C - sum of all d)/2 + d_p,
 
 since (Ad)_p and d_p + (Ad)_p are sums of distinct deficits, so at most
-their total, which is below C. Rounding can still lose a weight near
-zero (a margin near 1e-15 C), so the plan checks every computed weight
-positive and refuses a matrix that fails with NotAlmostRegular. The
+their total, which is below C. The converse fails: positive weights need
+no positive margin. The pair plan asks only what the realization needs,
+every weight positive, and M plays no part in it; its slack is the
+smallest weight, which the uniform matrix C off the diagonal puts at
+C/(2(n - 2)). Every computed weight is checked positive, which also
+refuses a weight that rounding loses near zero (a margin near 1e-15 C),
+with NotAlmostRegular naming the pair. The
 weights are computed on C and the deficits scaled by the exact power of
 four 4^-k that puts C in [1, 4), so no step under- or overflows; each side
 is the square root of the scaled weight times 2^k, which is sqrt(w_p),
 finite and positive, and scales exactly with the matrix.
 
 The singleton plan, kept for n = 2 and 4 (where A is singular) and
-wherever it has no more cuts than the pair plan:
+wherever it has no more cuts than the pair plan, when M is positive (for
+n = 3 and n >= 5 a singleton plan without one gives way to the pair plan):
 
     {k} for every point k, of weight M/2 + sum of d_ij/2 over the pairs
         without k;
@@ -70,6 +78,8 @@ validated matrix is finite and positive.
 regular simplex of side s is a plan with no deficits: its n singleton
 cuts, each of side s * sqrt(1/2), and no pair cut, which is what
 `embed_regular_simplex` embeds. A plan needs at least two points.
+`check_almost_regular` is kept for the benchmark's tracer, which patches
+it; no plan calls it.
 """
 
 from __future__ import annotations
@@ -106,33 +116,35 @@ class RealizationPlan:
     `cuts` holds (points split off, polygon side = sqrt of the cut's
     weight): in the pair plan every pair {i, j} in row-major order, in the
     singleton plan every singleton {k}, then every kept pair {i, j} in
-    row-major order (module docstring). `margin` is the almost-regularity
-    margin M.
+    row-major order (module docstring). `slack` is what the plan was
+    accepted on: the smallest cut weight in the pair plan, the margin M in
+    the singleton plan.
     """
 
     n_points: int
-    margin: float
+    slack: float
     cuts: tuple[tuple[tuple[int, ...], float], ...]
 
 
-def _deficits(sq):
-    """Validate a squared-distance matrix once. Returns its size n, the
-    pairs (i, j) in row-major order, their largest entry C, their deficits
-    C - c_ij and the margin, C minus the correctly rounded sum of the
-    deficits."""
-    c = check_squared_distances(sq)
+def _deficits(c):
+    """The size n of a validated squared-distance matrix, its pairs (i, j)
+    in row-major order, their largest entry C and their deficits C - c_ij.
+    Raises InputError for an off-diagonal entry that is not positive."""
     n = c.shape[0]
     i, j = np.triu_indices(n, k=1)
     upper = c[i, j]
     if float(upper.min(initial=math.inf)) <= 0.0:
         raise InputError("off-diagonal entries must be strictly positive")
     cmax = float(upper.max(initial=0.0))
-    deficits = cmax - upper
+    return n, i, j, cmax, cmax - upper
+
+
+def _margin(cmax, deficits) -> float:
+    """The margin M: C minus the correctly rounded sum of the deficits."""
     try:
-        margin = cmax - math.fsum(deficits.tolist())
+        return cmax - math.fsum(deficits.tolist())
     except OverflowError:  # the deficits sum past the largest double, so past C
-        margin = -math.inf
-    return n, i, j, cmax, deficits, margin
+        return -math.inf
 
 
 def check_almost_regular(sq) -> AlmostRegularCheck:
@@ -140,34 +152,44 @@ def check_almost_regular(sq) -> AlmostRegularCheck:
 
     margin = C - sum_{i<j} (C - c_ij); valid iff margin > 0.
     """
-    margin = _deficits(sq)[-1]
+    _, _, _, cmax, deficits = _deficits(check_squared_distances(sq))
+    margin = _margin(cmax, deficits)
     return AlmostRegularCheck(margin > 0.0, margin)
 
 
 def realization_plan(sq) -> RealizationPlan:
-    """The merged cuts of an almost-regular squared-distance matrix: the
-    pair plan for n = 3 and n >= 5 when it has fewer cuts, else the
-    singleton plan (module docstring).
+    """The merged cuts of a squared-distance matrix that is a positive sum
+    of cuts: the singleton plan where it has no more cuts than the pair
+    plan and its margin M is positive, or n is 2 or 4; else the pair plan,
+    for n = 3 and n >= 5, when every weight A^-1 c is positive, whatever M
+    is (module docstring).
 
     Raises InputError for a matrix that is not a valid squared-distance
     matrix with positive off-diagonal entries, TrivialInput for fewer than
-    two points, and NotAlmostRegular for a margin that is not positive or a
-    pair-plan weight that is not.
+    two points, and NotAlmostRegular for a singleton plan whose margin is
+    not positive or a pair plan with a weight that is not.
     """
-    n, i, j, cmax, deficits, margin = _deficits(sq)
+    return _realization_plan(check_squared_distances(sq))
+
+
+def _realization_plan(c) -> RealizationPlan:
+    """`realization_plan` of a squared-distance matrix that is already
+    validated, as one the pipeline has just built."""
+    n, i, j, cmax, deficits = _deficits(c)
     if n < 2:
         raise TrivialInput("a realization plan needs at least two points")
-    if not margin > 0.0:
-        raise NotAlmostRegular(
-            f"almost-regularity margin is {margin:.6e}, must be positive"
-        )
     kept = deficits > 0.0
     # the pair cuts' cut matrix is singular at n = 2 and 4
     if n in (2, 4) or len(deficits) >= n + int(np.count_nonzero(kept)):
-        cuts = _singleton_cuts(n, i[kept], j[kept], deficits[kept], margin)
-    else:
-        cuts = _pair_cuts(n, i, j, cmax, deficits)
-    return RealizationPlan(n, margin, cuts)
+        margin = _margin(cmax, deficits)
+        if margin > 0.0:
+            cuts = _singleton_cuts(n, i[kept], j[kept], deficits[kept], margin)
+            return RealizationPlan(n, margin, cuts)
+        if n in (2, 4):
+            raise NotAlmostRegular(
+                f"almost-regularity margin is {margin:.6e}, must be positive"
+            )
+    return RealizationPlan(n, *_pair_cuts(n, i, j, cmax, deficits))
 
 
 def _singleton_cuts(n, i, j, deficits, margin):
@@ -185,10 +207,10 @@ def _singleton_cuts(n, i, j, deficits, margin):
 
 
 def _pair_cuts(n, i, j, cmax, deficits):
-    """The pair plan's cuts, one per pair (i, j) in row-major order, at the
-    weights A^-1 c in deficit form, on C and the deficits scaled by 4^-k
-    with C 4^-k in [1, 4) (module docstring). Raises NotAlmostRegular for a
-    weight that is not positive."""
+    """The pair plan's smallest weight and its cuts, one per pair (i, j) in
+    row-major order, at the weights A^-1 c in deficit form, on C and the
+    deficits scaled by 4^-k with C 4^-k in [1, 4) (module docstring).
+    Raises NotAlmostRegular for a weight that is not positive."""
     k = (math.frexp(cmax)[1] - 1) // 2
     cmax = math.ldexp(cmax, -2 * k)
     d = np.ldexp(deficits, -2 * k)
@@ -206,7 +228,8 @@ def _pair_cuts(n, i, j, cmax, deficits):
             "must be positive"
         )
     sides = np.ldexp(np.sqrt(weights), k)
-    return tuple(zip(zip(i.tolist(), j.tolist()), sides.tolist()))
+    slack = math.ldexp(float(weights.min()), 2 * k)
+    return slack, tuple(zip(zip(i.tolist(), j.tolist()), sides.tolist()))
 
 
 def _incidence(plan: RealizationPlan) -> np.ndarray:

@@ -66,7 +66,7 @@ from .errors import InputError, InvalidCertificate, check_instance, check_real, 
 from .geometry import _finite_array, check_squared_distances
 from .torus import PolygonSpec, TorusPoint, TorusSpec, pairwise_sq
 
-VERSION = "0.14.0"
+VERSION = "0.15.0"
 
 DEFAULT_ACCEPT_TOL = 1e-8
 

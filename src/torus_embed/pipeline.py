@@ -11,23 +11,28 @@ construction holds no rule of its own on what a valid certificate is.
 
 The correction step is what makes the result exact: writing e_ij for the
 base embedding's squared-distance error and a for the increment, the
-correction's squared distances e_ij + a^2 must satisfy the almost-regularity
-condition, and its realization contributes exactly the missing e_ij + a^2
-to each pair.
+correction's squared distances e_ij + a^2 must be a positive sum of cuts
+(almost regularity implies it), and its realization contributes exactly
+the missing e_ij + a^2 to each pair.
 
 The base is gridded at one of two budgets. The grid at delta = a^2/n^2 is
 proven a priori: every |e_ij| stays below delta, so the n(n - 1)/2
 deficits, each below 2a^2/n^2, sum below a^2(1 - 1/n), and the largest
 entry exceeds a^2(1 - 1/n^2). That worst case is far from met, as the grid
 uses a few per cent of delta, so the base is first gridded at the coarser
-delta*K, with K = 2**floor(log2 n) the largest power of two <= n, which
-takes 1.5 log2 K fewer bits of polygon order. The coarse grid is accepted
-on its planned margin, not proven: its errors must stay below delta*K, the
-margin of its correction's plan must be at least a^2/4, and its certificate
-must pass the self-check at DEFAULT_ACCEPT_TOL. On any other outcome the
-base is gridded again at delta, with the proven bound and the
-almost-regularity it implies checked as met, so every input the delta grid
-embeds is embedded. `parameters.delta` records the budget of the grid kept.
+delta*K, with K = 2**floor(log2(n^2/2)), the largest power of two <= n^2/2,
+which takes 1.5 log2 K fewer bits of polygon order (10.5 at n = 16). The
+coarse grid is accepted on its plan's own slack, not proven: its errors
+must stay below delta*K; its plan's slack must be at least a quarter of
+what the plan has with no base error, on a^2 off the diagonal, that is
+every pair weight at least a^2/(8(n - 2)) for the pair plan and M at least
+a^2/4 for the singleton plan; and its certificate must pass the self-check
+at DEFAULT_ACCEPT_TOL. On any other outcome the base is gridded again at
+delta, where the proven bound, checked as met, makes the correction almost
+regular, so its plan exists and every input the delta grid embeds is
+embedded.
+`parameters.delta` records the budget of the grid kept, and
+`parameters.correction_slack` the slack of its plan.
 
 The correction is its plan's merged cuts (see `almost_regular`): for
 n = 3 and n >= 5 the pair plan, one polygon per pair, n(n - 1)/2 of them,
@@ -59,10 +64,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# check_almost_regular, is_simplex and realize are unused here, but
-# bench/spans.py patches them here; it patches verify_certificate here too,
-# so `_certify` calls it by this module's name
-from .almost_regular import check_almost_regular, embed_almost_regular, realization_plan
+# check_almost_regular, realization_plan, is_simplex and realize are unused
+# here, but bench/spans.py patches them here; it patches verify_certificate
+# here too, so `_certify` calls it by this module's name
+from .almost_regular import (
+    _realization_plan,
+    check_almost_regular,
+    embed_almost_regular,
+    realization_plan,
+)
 from .certificate import VERSION, EmbeddingCertificate, verify_certificate
 from .delta_embed import product_embed
 from .errors import (
@@ -194,20 +204,23 @@ def _embed(input_sq: np.ndarray) -> EmbeddingCertificate:
             f"the base's error budget alpha^2 / n^2 = {dec.alpha_sq!r} / {n**2} "
             "underflows a double"
         )
-    # the coarse grid first, then the proven one (module docstring)
+    # the coarse grid first, at K = 2**floor(log2(n^2/2)), then the proven
+    # one (module docstring)
+    coarsening = 1 << ((n * n // 2).bit_length() - 1)
     try:
-        return _certify(input_sq, dec, delta * (1 << (n.bit_length() - 1)), 0.25 * dec.alpha_sq)
+        return _certify(input_sq, dec, delta * coarsening, gated=True)
     except (InputError, VerificationFailed):
         pass
     return _certify(input_sq, dec, delta)
 
 
 def _certify(
-    input_sq: np.ndarray, dec: ExpansionDecomposition, delta: float, min_margin: float = 0.0
+    input_sq: np.ndarray, dec: ExpansionDecomposition, delta: float, gated: bool = False
 ) -> EmbeddingCertificate:
     """The self-checked certificate on the base gridded at budget delta.
-    Raises VerificationFailed if the correction is not almost regular with a
-    margin of at least min_margin or the base error is not below delta, and
+    Raises VerificationFailed if the correction is not a positive sum of
+    cuts, if gated and its slack is below the coarse grid's gate (module
+    docstring), or if the base error is not below delta, and
     VerificationFailed, or InputError for subnormal input entries, if the
     certificate fails its self-check."""
     n = input_sq.shape[0]
@@ -217,13 +230,15 @@ def _certify(
     corr_sq = de.per_pair_error + alpha_sq
     np.fill_diagonal(corr_sq, 0.0)
     try:
-        plan = realization_plan(corr_sq)
+        plan = _realization_plan(corr_sq)  # built here: no input check
     except (InputError, NotAlmostRegular) as exc:
         raise VerificationFailed(f"correction matrix is not almost regular ({exc})") from None
-    if not plan.margin >= min_margin:
-        raise VerificationFailed(
-            f"correction margin {plan.margin:.6e} is below {min_margin:.6e}"
-        )
+    if gated:
+        # a quarter of the slack on alpha^2 off the diagonal; the pair plan's
+        # first cut is the pair {0, 1}
+        floor = alpha_sq / (8 * (n - 2)) if len(plan.cuts[0][0]) == 2 else 0.25 * alpha_sq
+        if not plan.slack >= floor:
+            raise VerificationFailed(f"correction slack {plan.slack:.6e} is below {floor:.6e}")
     # the bound the whole analysis rests on, |e_ij| < delta, checked as met
     base_error = float(np.abs(de.per_pair_error).max())
     if not base_error < delta:
@@ -244,7 +259,7 @@ def _certify(
         "n0": str(de.params.n0),
         "m": str(de.params.m),
         "scale_exponent": de.params.e,
-        "correction_margin": plan.margin,
+        "correction_slack": plan.slack,
     }
     meta = {"tool": "torus-embed", "version": VERSION}
     cert = EmbeddingCertificate(input_sq, torus, assignment, parameters, {}, meta)

@@ -32,7 +32,8 @@ pair whose folded indices differ: a run of them is added with one
 below 2**53 runs in numpy: an order, a folded index and a step are exact
 doubles there, so k / m in float64 is the one correctly rounded division
 that `chord`'s int division is, and the sine is `math.sin` per entry. That
-covers the grid's base factors, whose orders are near 40 bits. Orders of
+covers the grid's base factors, whose orders are about 27 bits at 16 points
+and 45 bits at 128. Orders of
 2**53 and more call `chord` on Python ints once per pair. The squared chords
 are summed in factor order, so each entry has the bits of a plain per-pair
 loop over `chord`. Factors run in chunks of a few thousand pair-factor
@@ -303,19 +304,38 @@ def _split_table(n: int) -> np.ndarray:
     """The split cuts of every pair of n points in the pair layout, as a
     (2(n - 2), n(n - 1)/2) array: column p lists in ascending order the cuts
     q (pairs in row-major order) that hold exactly one point of pair p. It
-    is int16 up to n = 256, and built a few thousand pair-cut entries at a
-    time, so the table itself is the bulk of its memory."""
+    is int16 up to n = 256.
+
+    The cuts come in closed form. Those of pair (i, j), i < j, in factor
+    order, are {a, i} and {a, j} for each a < i, then {i, b} for each
+    b > i other than j, then, for each a > i other than j, {a, j} or
+    {j, a}, each read from the symmetric matrix of pair places. The pairs
+    (i, j) of one i are built together, O(n^2) entries a round, so the
+    table itself is the bulk of its memory."""
     npairs = n * (n - 1) // 2
-    rows = np.frombuffer(_pair_layout(n), np.uint8).reshape(n, npairs)
-    table = np.empty((2 * (n - 2), npairs), np.int16 if npairs < 2**15 else np.int32)
-    size = max(1, 2 * _BLOCK // npairs)
-    for a in range(0, npairs, size):
-        b = min(a + size, npairs)
-        held = np.nonzero(rows[:, a:b].T)[1]  # each pair's two points, in order
-        split = rows[held[0::2]] != rows[held[1::2]]
-        table[:, a:b] = np.nonzero(split)[1].reshape(b - a, 2 * (n - 2)).T
+    dtype = np.int16 if npairs < 2**15 else np.int32
+    number = np.zeros((n, n), dtype)  # number[a, b]: the pair {a, b}'s place
+    iu = np.triu_indices(n, 1)
+    number[iu] = number[iu[::-1]] = np.arange(npairs)
+    table = np.empty((2 * (n - 2), npairs), dtype)
+    start = 0
+    for i in range(n - 1):
+        k = n - 1 - i  # the pairs (i, j) for j > i
+        cols = table[:, start:start + k]
+        cols[0:2 * i:2] = number[:i, i, None]
+        cols[1:2 * i:2] = number[:i, i + 1:]
+        cols[2 * i:2 * i + k - 1] = _rows_off_diagonal(np.tile(number[i, i + 1:], (k, 1)))
+        cols[2 * i + k - 1:] = _rows_off_diagonal(number[i + 1:, i + 1:])
+        start += k
     table.flags.writeable = False  # every caller shares it
     return table
+
+
+def _rows_off_diagonal(square) -> np.ndarray:
+    """The rows of a k x k array, each without its diagonal entry, as the
+    columns of a (k - 1) x k array."""
+    k = square.shape[0]
+    return square.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k].reshape(k, k - 1).T
 
 
 def _add_pair_cuts(cuts, table, sums) -> None:

@@ -194,7 +194,7 @@ def test_criterion_5_end_to_end_theorem_check():
         pts = generate_points(kind, n, seed=seed, noise=0.02)
         cert = embed_simplex(pts)
         rep = verify_certificate(cert, 1e-8)
-        ok = ok and rep.passed and cert.parameters["correction_margin"] > 0
+        ok = ok and rep.passed and cert.parameters["correction_slack"] > 0
         worst = max(worst, rep.max_rel_error)
         count += 1
     elapsed = time.perf_counter() - start

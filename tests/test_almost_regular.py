@@ -4,12 +4,13 @@ Every matrix here is a squared-distance matrix, as the functions take it.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torus_embed import (
@@ -107,10 +108,17 @@ EDGE_MATRICES = {
 def test_cut_sides_finite_and_positive_at_the_edges(name):
     c = EDGE_MATRICES[name]
     plan = realization_plan(c)
-    assert plan.margin == check_almost_regular(c).margin > 0.0
-    if name.startswith("margin"):
-        assert plan.margin == 5e-324
     sides = [side for _, side in plan.cuts]
+    if name.startswith("margin"):
+        assert check_almost_regular(c).margin == 5e-324
+    if plan.cuts[0][0] == (0,):
+        assert plan.slack == check_almost_regular(c).margin > 0.0
+    else:
+        # the pair plan's smallest weight, which the matrix's scale can put
+        # below the smallest subnormal double: 2**-1075 rounds to 0.0 at
+        # margin-5e-324-3, though its side, 2**-537.5, is a normal double
+        assert plan.slack == pytest.approx(min(sides) ** 2, rel=1e-14)
+        assert (plan.slack == 0.0) == (name == "margin-5e-324-3")
     assert len(sides) >= c.shape[0]
     assert all(math.isfinite(side) and side > 0.0 for side in sides)
     spec, _ = embed_almost_regular(plan, 3)
@@ -121,7 +129,7 @@ def test_realize_regular_matrix_collapses_to_base_simplex():
     c = 1.69 * (np.ones((5, 5)) - np.eye(5))
     z, plan = realize(c)
     assert [members for members, _ in plan.cuts] == [(k,) for k in range(5)]
-    assert math.sqrt(plan.margin) == pytest.approx(1.3, rel=1e-14)
+    assert math.sqrt(plan.slack) == pytest.approx(1.3, rel=1e-14)
     off = ~np.eye(5, dtype=bool)
     np.testing.assert_allclose(squared_distances(z)[off], 1.69, rtol=1e-12)
 
@@ -343,7 +351,7 @@ def test_singleton_plan_kept_where_pair_cuts_do_not_win():
          [0.95, 0.99, 0.93, 0.0]]
     )
     plan = realization_plan(c4)
-    assert plan.margin.hex() == "0x1.7ae147ae147aep-1"
+    assert plan.slack.hex() == "0x1.7ae147ae147aep-1"
     assert [(members, side.hex()) for members, side in plan.cuts] == [
         ((0,), "0x1.4dc87d61451dbp-1"), ((1,), "0x1.62b9586ad0a22p-1"),
         ((2,), "0x1.43d136248490fp-1"), ((3,), "0x1.51afebd98a146p-1"),
@@ -410,11 +418,11 @@ def test_cut_weights_do_not_underflow():
     # the margin is the smallest subnormal double; no weight is halved
     # before its square root, so the sides are sqrt(5e-324) * sqrt(1/2)
     plan = realization_plan([[0.0, 5e-324], [5e-324, 0.0]])
-    assert plan.margin == 5e-324
+    assert plan.slack == 5e-324
     spec, points = embed_almost_regular(plan, 3)
     assert len(spec.factors) == 2
     for _, side in plan.cuts:
-        assert side == pytest.approx(math.sqrt(plan.margin) / math.sqrt(2.0), rel=1e-15)
+        assert side == pytest.approx(math.sqrt(plan.slack) / math.sqrt(2.0), rel=1e-15)
 
 
 def reference_deficits(sq):
@@ -429,9 +437,10 @@ def reference_deficits(sq):
 
 
 def pair_plan_applies(n, kept):
-    """The rule of the almost_regular docstring: the pair plan for n = 3 and
-    n >= 5 when its n(n - 1)/2 cuts are fewer than the singleton plan's n
-    plus one per kept pair."""
+    """The pair plan for n = 3 and n >= 5 is preferred when its n(n - 1)/2
+    cuts are fewer than the singleton plan's n plus one per kept pair
+    (almost_regular docstring); it also applies where the singleton plan's
+    margin is not positive."""
     return n not in (2, 4) and n * (n - 1) // 2 < n + len(kept)
 
 
@@ -464,22 +473,24 @@ def reference_pair_cuts(sq):
         raise NotAlmostRegular(
             f"pair cut {pairs[low]} has weight {weights[low] / scaled:.6e} C, must be positive"
         )
-    return tuple((p, math.ldexp(math.sqrt(w), k)) for p, w in zip(pairs, weights))
+    cuts = tuple((p, math.ldexp(math.sqrt(w), k)) for p, w in zip(pairs, weights))
+    return cuts, math.ldexp(weights[low], 2 * k)
 
 
 def reference_plan(sq):
-    """(cuts, margin) of realization_plan, one cut at a time: the pair plan
-    where it applies, else the singleton plan, each side sqrt(twice the
+    """(cuts, slack) of realization_plan, one cut at a time: the singleton
+    plan where the pair plan is not preferred and the margin is positive,
+    else, for n = 3 and n >= 5, the pair plan, each side sqrt(twice the
     weight) * sqrt(1/2), the singleton's twice-weight summed from the margin
-    over the kept pairs without the point."""
+    over the kept pairs without the point; (cuts, slack)."""
     n = check_squared_distances(sq).shape[0]
     margin, kept = reference_deficits(sq)
     if n < 2:
         raise TrivialInput("a realization plan needs at least two points")
+    if pair_plan_applies(n, kept) or (n not in (2, 4) and not margin > 0.0):
+        return reference_pair_cuts(sq)
     if not margin > 0.0:
         raise NotAlmostRegular(f"almost-regularity margin is {margin:.6e}, must be positive")
-    if pair_plan_applies(n, kept):
-        return reference_pair_cuts(sq), margin
     cuts = []
     for k in range(n):
         twice = margin
@@ -516,7 +527,7 @@ def test_plan_matches_reference_bitwise():
             continue
         plan = realization_plan(c)
         assert plan.n_points == n
-        assert (plan.cuts, plan.margin) == ref
+        assert (plan.cuts, plan.slack) == ref
 
 
 def test_pair_weight_lost_to_rounding_is_refused():
@@ -545,7 +556,7 @@ def test_pair_weight_lost_to_rounding_is_refused():
             assert str(exc).startswith("pair cut (0, 1) has weight ")
             continue
         plan = realization_plan(c)
-        assert (plan.cuts, plan.margin) == ref
+        assert (plan.cuts, plan.slack) == ref
     assert refused
 
 
@@ -578,7 +589,7 @@ def test_plan_covariant_under_scaling_by_powers_of_four(c, data):
     scaled = c * 4.0**k
     assert float(scaled[scaled > 0].min()) >= np.finfo(float).tiny
     got = realization_plan(scaled)
-    assert got.margin == plan.margin * 4.0**k
+    assert got.slack == plan.slack * 4.0**k
     assert [members for members, _ in got.cuts] == [members for members, _ in plan.cuts]
     assert [side for _, side in got.cuts] == [side * 2.0**k for _, side in plan.cuts]
     z, _ = realize(c)
@@ -618,3 +629,84 @@ def test_pair_weights_meet_their_lower_bounds(c):
         bound = pair_weight_bound(n, cmax, d, p)
         assert bound > 0
         assert side**2 >= float(bound) - 1e-13 * float(cmax)
+
+
+@st.composite
+def pair_weighted_matrices(draw):
+    """A squared-distance matrix A w for n in {3, 5, ..., 9}, with pair
+    weights w_p = 1 - s r_p for r_p in [0, 1] and a spread s in [0, 3/2]:
+    near-uniform weights with a positive margin, spread ones with none, and
+    some weights 0.0 or negative, so that the pair plan's decision is met on
+    both sides and at its boundary."""
+    n = draw(st.sampled_from([3, *range(5, 10)]))
+    pairs = n * (n - 1) // 2
+    spread = draw(st.floats(0.0, 1.5))
+    r = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=pairs, max_size=pairs)))
+    upper = triangular_graph(n) @ (1.0 - spread * r)
+    assume(float(upper.min()) > 0.0)
+    c = np.zeros((n, n))
+    c[np.triu_indices(n, 1)] = upper
+    return c + c.T
+
+
+def test_pair_plan_decided_by_its_own_weights():
+    # for n = 3 and 5 to 9 the plan is the pair plan exactly when the dense
+    # solve of A w = c is positive, whatever the margin M is, beyond a width
+    # of 1e-10 C, which rounding cannot cross; inside it a matrix is
+    # undecided and only counted. A singleton plan needs a positive M and
+    # fewer cuts, and a refusal names a pair cut
+    counts = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_weighted_matrices())
+    def decide(c):
+        n = c.shape[0]
+        iu = np.triu_indices(n, 1)
+        low = float(np.linalg.solve(triangular_graph(n), c[iu]).min())
+        width = 1e-10 * float(c.max())
+        margin, kept = reference_deficits(c)
+        if abs(low) <= width:
+            outcome = "undecided"
+        elif low < 0.0:
+            outcome = "refused"
+            with pytest.raises(NotAlmostRegular, match=r"^pair cut \(\d+, \d+\) has weight "):
+                realization_plan(c)
+        else:
+            plan = realization_plan(c)
+            if plan.cuts[0][0] == (0,):
+                outcome = "singleton"
+                assert margin > 0.0 and not pair_plan_applies(n, kept)
+            else:
+                outcome = "pair, M > 0" if margin > 0.0 else "pair, M <= 0"
+                assert [members for members, _ in plan.cuts] == list(combinations(range(n), 2))
+                assert plan.slack == pytest.approx(low, rel=1e-9)
+        counts[outcome] += 1
+
+    decide()
+    # both sides are met, and pair plans that the margin rule would refuse;
+    # the tally names the undecided count, 0 to 7 of 300 in five seeded runs
+    tally = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
+    assert counts["refused"] and counts["pair, M > 0"] and counts["pair, M <= 0"], tally
+    assert counts["undecided"] < sum(counts.values()) // 4, tally
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(
+    lambda n: st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+))
+def test_singleton_plan_decided_by_its_margin(upper):
+    # n = 2 and 4, where the pair cuts' cut matrix is singular, keep the
+    # proven rule: the singleton plan exactly when the margin M is positive,
+    # with M as its slack
+    n = 2 if len(upper) == 1 else 4
+    c = np.zeros((n, n))
+    c[np.triu_indices(n, 1)] = upper
+    c = c + c.T
+    margin = check_almost_regular(c).margin
+    if margin > 0.0:
+        plan = realization_plan(c)
+        assert plan.slack == margin
+        assert [members for members, _ in plan.cuts][:n] == [(k,) for k in range(n)]
+    else:
+        with pytest.raises(NotAlmostRegular, match=r"^almost-regularity margin is "):
+            realization_plan(c)

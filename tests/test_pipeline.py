@@ -80,9 +80,9 @@ CERTIFICATES = {"triangles": embed_simplex, "uniform-m": uniform_m_certificate}
 
 
 def coarsening(n):
-    """K = 2**floor(log2 n): the embed grids the base at K times the proven
-    budget alpha^2 / n**2 first (pipeline docstring)."""
-    return 1 << (n.bit_length() - 1)
+    """K = 2**floor(log2(n**2 / 2)): the embed grids the base at K times the
+    proven budget alpha^2 / n**2 first (pipeline docstring)."""
+    return 1 << ((n * n // 2).bit_length() - 1)
 
 
 def chord_sq_sum(factors, p, q):
@@ -281,7 +281,7 @@ def test_embed_triangle_certificate():
     # the pair plan: one cut per pair, each a singleton's complement
     assert cuts == [[0, 1], [0, 2], [1, 2]]
     assert 1 <= first <= 2  # base set lives in at most 2 coordinates
-    assert cert.parameters["correction_margin"] > 0
+    assert cert.parameters["correction_slack"] > 0
 
 
 # random simplices, some flattened to just above the rank tolerance (as in
@@ -315,7 +315,7 @@ def test_certificate_layout_locates_every_cut(monkeypatch, name, kind):
         planned.append(np.array(sq))
         return realization_plan(sq)
 
-    monkeypatch.setattr(pipeline, "realization_plan", recorded)
+    monkeypatch.setattr(pipeline, "_realization_plan", recorded)
     cert = CERTIFICATES[kind](pts)
     dropped = {"correction_cuts", "correction_m", "dropped_coordinates", "alpha_fraction",
                "uniform_m", "n", "r", "rank_tolerance", "float_format", "accept_tolerance"}
@@ -379,13 +379,15 @@ def test_golden_certificate_verifies_and_round_trips(tmp_path, path):
         assert out.read_text(encoding="utf-8") == text
 
 
-@pytest.mark.parametrize("failure", ["margin", "self-check"])
+@pytest.mark.parametrize("failure", ["slack", "self-check"])
 def test_coarse_grid_failure_falls_back_to_the_proven_grid(monkeypatch, tmp_path, failure):
-    # a coarse grid whose planned margin falls short of alpha^2 / 4 by an
-    # ulp, or whose certificate fails its self-check, is dropped, and the
-    # base is gridded again at the proven budget alpha^2 / n**2: the proven
-    # grid's certificate, byte for byte, whose input, base and parameters are
-    # what 0.12.0 wrote, and whose correction is the pair plan
+    # a coarse grid whose pair plan's smallest weight falls short of a
+    # quarter of the uniform weight, alpha^2 / (8 (n - 2)), by an ulp, or
+    # whose certificate fails its self-check, is dropped, and the base is
+    # gridded again at the proven budget alpha^2 / n**2: the proven grid's
+    # certificate, byte for byte, whose input, base and parameters other
+    # than the slack are what 0.12.0 wrote, and whose correction is the pair
+    # plan
     from torus_embed import pipeline
 
     inp, out = tmp_path / "in.json", tmp_path / "cert.json"
@@ -402,19 +404,19 @@ def test_coarse_grid_failure_falls_back_to_the_proven_grid(monkeypatch, tmp_path
         plan = realization_plan(sq)
         if len(budgets) > 1:
             return plan
-        return dataclasses.replace(plan, margin=math.nextafter(alpha_sq / 4, 0.0))
+        return dataclasses.replace(plan, slack=math.nextafter(alpha_sq / 32, 0.0))
 
     def failed_check(cert, *args):
         report = verify_certificate(cert, *args)
         return report if len(budgets) > 1 else dataclasses.replace(report, passed=False)
 
     monkeypatch.setattr(pipeline, "product_embed", recorded_embed)
-    if failure == "margin":
-        monkeypatch.setattr(pipeline, "realization_plan", short_plan)
+    if failure == "slack":
+        monkeypatch.setattr(pipeline, "_realization_plan", short_plan)
     else:
         monkeypatch.setattr(pipeline, "verify_certificate", failed_check)
     assert main(["embed", "--quiet", str(inp), str(out)]) == 0
-    assert budgets == [(alpha_sq / 36) * 4, alpha_sq / 36]
+    assert budgets == [(alpha_sq / 36) * 16, alpha_sq / 36]
     monkeypatch.undo()
     sq = squared_distances(points)
     proven = pipeline._certify(sq, schoenberg_decompose(sq), alpha_sq / 36)
@@ -425,21 +427,63 @@ def test_coarse_grid_failure_falls_back_to_the_proven_grid(monkeypatch, tmp_path
     np.testing.assert_array_equal(got.input_sq, old.input_sq)
     assert got.torus.factors[:5] == old.torus.factors[:5]
     assert [p.indices[:5] for p in got.assignment] == [p.indices[:5] for p in old.assignment]
+    slack = got.parameters.pop("correction_slack")
+    assert old.parameters.pop("correction_margin") > 0
     assert got.parameters == old.parameters
     assert correction_cuts(got)[1] == [list(pair) for pair in combinations(range(6), 2)]
+    # the slack is the pair plan's smallest weight, the square of its
+    # smallest side but for rounding
+    sides = [f.r * chord(3, 1.0, 1) for f in got.torus.factors[5:]]
+    assert slack == pytest.approx(min(sides) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_slack_gate_is_a_quarter_of_the_uniform_slack(monkeypatch, n):
+    # the coarse grid is kept at a slack of exactly its gate and dropped an
+    # ulp under it: alpha^2 / 4 for the singleton plan (n = 4), a quarter of
+    # the margin alpha^2 that the correction has with no base error, and
+    # alpha^2 / (8 (n - 2)) for the pair plan, a quarter of its uniform
+    # weight
+    from torus_embed import pipeline
+
+    points = generate_points("random", n, seed=1)
+    alpha_sq = schoenberg_decompose(squared_distances(points)).alpha_sq
+    gate = alpha_sq / 4 if n == 4 else alpha_sq / (8 * (n - 2))
+    for slack, delta in (
+        (gate, (alpha_sq / n**2) * coarsening(n)),
+        (math.nextafter(gate, 0.0), alpha_sq / n**2),
+    ):
+        budgets = []
+
+        def recorded_embed(points, delta):
+            budgets.append(delta)
+            return product_embed(points, delta)
+
+        def pinned_plan(sq):
+            plan = realization_plan(sq)
+            assert (len(plan.cuts[0][0]) == 2) == (n == 6)
+            return plan if len(budgets) > 1 else dataclasses.replace(plan, slack=slack)
+
+        monkeypatch.setattr(pipeline, "product_embed", recorded_embed)
+        monkeypatch.setattr(pipeline, "_realization_plan", pinned_plan)
+        cert = embed_simplex(points)
+        monkeypatch.undo()
+        assert cert.parameters["delta"] == delta
+        assert budgets[-1] == delta
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_bench_sized_inputs_keep_the_coarse_grid(seed):
     # n = 16 points uniform in [-1, 1]^15, drawn as the embed-random
-    # workload draws them: the base is gridded at 16 times the proven
-    # budget, and the planned margin keeps at least alpha^2 / 4
+    # workload draws them: the base is gridded at 128 times the proven
+    # budget, and the pair plan's weights keep at least a quarter of the
+    # uniform weight alpha^2 / 28
     rng = np.random.default_rng([seed, 1])
     for _ in range(8):
         cert = embed_simplex(rng.uniform(-1.0, 1.0, (16, 15)))
         alpha_sq = schoenberg_decompose(cert.input_sq).alpha_sq
-        assert cert.parameters["delta"] == (alpha_sq / 256) * 16
-        assert cert.parameters["correction_margin"] >= alpha_sq / 4
+        assert cert.parameters["delta"] == (alpha_sq / 256) * 128
+        assert cert.parameters["correction_slack"] >= alpha_sq / 112
 
 
 def test_sixty_four_point_base_orders_stay_below_two_to_the_53():
@@ -449,6 +493,18 @@ def test_sixty_four_point_base_orders_stay_below_two_to_the_53():
     base = cert.torus.factors[:63]
     assert {f.m for f in base} == {int(cert.parameters["m"])}
     assert int(cert.parameters["m"]) < 2**53
+
+
+def test_hundred_twenty_eight_point_base_orders_stay_below_two_to_the_53():
+    # `gen random 128 --seed 1` took 54-bit base orders on the grid at
+    # K = 2**floor(log2 n) = 128, so every base chord ran through `chord` in
+    # Python; at K = 2**floor(log2(n**2 / 2)) = 8192 they take 45 bits
+    cert = embed_simplex(generate_points("random", 128, seed=1))
+    alpha_sq = schoenberg_decompose(cert.input_sq).alpha_sq
+    assert cert.parameters["delta"] == (alpha_sq / 128**2) * 8192
+    assert {f.m for f in cert.torus.factors[:127]} == {int(cert.parameters["m"])}
+    assert int(cert.parameters["m"]) < 2**53
+    assert verify_certificate(cert).passed
 
 
 def test_embed_two_points_minimal_case():
@@ -495,12 +551,12 @@ def test_alpha_sq_has_one_value(monkeypatch, n):
             return calls[fn.__name__][1]
         monkeypatch.setattr(pipeline, fn.__name__, recorded)
 
-    for fn in (pipeline.schoenberg_decompose, pipeline.product_embed, pipeline.realization_plan):
+    for fn in (pipeline.schoenberg_decompose, pipeline.product_embed, pipeline._realization_plan):
         spy(fn)
     cert = embed_simplex(regular_simplex(n, ONE_ALPHA_SIDES[n]))
     alpha_sq = calls["schoenberg_decompose"][1].alpha_sq
     assert math.sqrt(alpha_sq) ** 2 != alpha_sq
-    (corr_sq,) = calls["realization_plan"][0]
+    (corr_sq,) = calls["_realization_plan"][0]
     expected = calls["product_embed"][1].per_pair_error + alpha_sq
     off = ~np.eye(n, dtype=bool)
     np.testing.assert_array_equal(corr_sq[off], expected[off])
@@ -510,7 +566,9 @@ def test_alpha_sq_has_one_value(monkeypatch, n):
     assert verify_certificate(cert, 1e-12).passed
 
 
-@pytest.mark.parametrize("fraction", [1.5, 1.7, 1.9, 1.95, 1.99, 1.999])
+# with K near n**2 / 2 the threshold is 4/3 at n = 2, 4 and 8 and 18/13 at
+# n = 3, so 1.2 and 1.3 keep the side where the budget stays below them
+@pytest.mark.parametrize("fraction", [1.2, 1.3, 1.5, 1.7, 1.9, 1.95, 1.99, 1.999])
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_budget_kept_where_it_exceeds_the_base_distances(monkeypatch, n, fraction):
     # alpha^2 = lambda_min keeps every base squared distance >= lambda_min >
@@ -577,27 +635,31 @@ def test_correction_matrix_is_almost_regular_every_run():
 
 
 def test_correction_checked_once_per_embed(monkeypatch):
-    # the plan validates the correction once and takes its margin once
+    # the embed plans the correction it has just built on the trusted entry:
+    # it never validates that matrix again, and takes its deficits once
     from torus_embed import almost_regular
 
-    validations, margins = [], []
-    check, deficits = almost_regular.check_squared_distances, almost_regular._deficits
+    validations, plans = [], []
+    check, plan_of = almost_regular.check_squared_distances, almost_regular._realization_plan
+    deficits = almost_regular._deficits
 
     def counted_check(sq, *args):
         validations.append(sq)
         return check(sq, *args)
 
-    def counted_deficits(sq):
-        res = deficits(sq)
-        margins.append(res[-1])
-        return res
+    def counted_deficits(c):
+        plans.append(c)
+        return deficits(c)
 
     monkeypatch.setattr(almost_regular, "check_squared_distances", counted_check)
     monkeypatch.setattr(almost_regular, "_deficits", counted_deficits)
     cert = embed_simplex(generate_points("random", 6, seed=4))
+    assert validations == []
+    (corr_sq,) = plans
+    assert cert.parameters["correction_slack"] == plan_of(corr_sq).slack
+    # the public entry is the trusted one plus the check, so both agree
+    assert realization_plan(corr_sq) == plan_of(corr_sq)
     assert len(validations) == 1
-    assert len(margins) == 1
-    assert cert.parameters["correction_margin"] == margins[0]
 
 
 def test_input_read_once_and_decomposed_once_per_embed(monkeypatch):

@@ -281,6 +281,20 @@ def test_pairwise_sq_pair_layout_matches_reference_bitwise(n):
         assert np.isinf(got).any() == (max(f.r for f in t.factors) == 1e308), name
 
 
+def test_split_table_matches_brute_force():
+    # the closed form against its definition: column p lists, in ascending
+    # order, every pair q (row-major) sharing exactly one point with pair p,
+    # found by comparing every pair with every other
+    for n in range(3, 41):
+        pairs = np.array(list(combinations(range(n), 2)))
+        shared = (pairs[:, None, :, None] == pairs[None, :, None, :]).sum(axis=(2, 3))
+        expected = np.array([np.flatnonzero(row == 1) for row in shared]).T
+        table = torus._split_table(n)
+        assert table.shape == (2 * (n - 2), len(pairs))
+        assert table.dtype == np.int16
+        assert table.tolist() == expected.tolist(), n
+
+
 def test_pair_layout_certificates_skip_the_general_cut_path(monkeypatch):
     # embed's pair-plan certificates (n = 3 and n >= 5) take the pair layout's
     # path alone; the singleton plan (an n = 4 certificate, a regular
