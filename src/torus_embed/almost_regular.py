@@ -233,10 +233,17 @@ def _pair_cuts(n, i, j, cmax, deficits):
 
 
 def _incidence(plan: RealizationPlan) -> np.ndarray:
-    """The 0/1 point-by-cut matrix: entry (s, c) is 1 when cut c holds s."""
-    out = np.zeros((plan.n_points, len(plan.cuts)), dtype=np.int64)
+    """The 0/1 point-by-cut matrix: entry (s, c) is 1 when cut c holds s.
+    Raises InputError for a cut member that is not an int (not a bool) in
+    range(plan.n_points)."""
+    n = plan.n_points
+    out = np.zeros((n, len(plan.cuts)), dtype=np.int64)
     points = [s for members, _ in plan.cuts for s in members]
     cuts = [c for c, (members, _) in enumerate(plan.cuts) for _ in members]
+    for c, s in zip(cuts, points):
+        if type(s) is not int or not 0 <= s < n:
+            members = plan.cuts[c][0]
+            raise InputError(f"plan.cuts[{c}] must hold points in range({n}), got {members}")
     out[points, cuts] = 1
     return out
 
@@ -248,8 +255,9 @@ def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list
     points sit on vertex 1 and all others on vertex 0, so pairwise squared
     distances match the planned matrix. Each radius is the side over the
     side of the m-gon of circumradius 1, computed once. Raises InputError
-    for a plan that is not a RealizationPlan and for an order that is not an
-    integer >= 2 or whose unit side is not a normal double.
+    for a plan that is not a RealizationPlan or has a cut member that is not
+    an int in range(plan.n_points), and for an order that is not an integer
+    >= 2 or whose unit side is not a normal double.
     """
     check_instance(plan, RealizationPlan, "plan")
     check_count(m, "polygon order", 2)

@@ -71,9 +71,9 @@ def check_instance(value, cls: type, name: str):
 
 def check_sequence(values, name: str, cls: type, nonempty: bool = False) -> tuple:
     """`values` as a tuple if it is a tuple or a list, nonempty if
-    `nonempty`, of instances of `cls` (of ints, not bools, for `int`), else
-    InputError naming it."""
-    kind = "integers" if cls is int else f"{cls.__name__} instances"
+    `nonempty`, of instances of `cls` (of ints, not bools, for `int`; of
+    anything for `object`), else InputError naming it."""
+    kind = {int: "integers", object: "values"}.get(cls, f"{cls.__name__} instances")
     if not isinstance(values, (tuple, list)) or (nonempty and not values):
         size = "nonempty " if nonempty else ""
         got = type(values).__name__

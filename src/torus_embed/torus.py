@@ -14,7 +14,7 @@ on one test, and sends anything else to `errors.check_count` and
 `errors.check_sequence`. `TorusPoint._of_ints` alone skips the check, for
 index tuples the package has just built from ints.
 
-Every distance comes from one kernel, `pairwise_sq`, with four paths that
+Every distance comes from one kernel, `pairwise_sq`, with three paths that
 all keep `chord`'s bits. The first is chosen by the torus and the points:
 the pair layout, where the last n(n - 1)/2 factors are cuts of order 2 or 3,
 one per pair {k, l} in row-major order, and each point's raw indices on them
@@ -24,20 +24,17 @@ singleton plan (4 points, `embed_regular_simplex`) takes the other paths. A
 cut splits a pair exactly when it shares one point with it, so each pair is
 split by 2(n - 2) cuts (a vertex of the triangular graph T(n) has that
 degree), and a table cached per n lists them in factor order: O(n**3) work
-in all. The other paths go by a factor's order alone. A cut factor of order
-2 or 3 outside that layout has one nonzero chord, `chord(m, r, 1)`, on each
-pair whose folded indices differ: a run of them is added with one
-`np.add.at` per chunk, over the split pairs alone, and its bits rest on
-`np.add.at` applying repeated indices in the order listed. Any other order
-below 2**53 runs in numpy: an order, a folded index and a step are exact
-doubles there, so k / m in float64 is the one correctly rounded division
-that `chord`'s int division is, and the sine is `math.sin` per entry. That
-covers the grid's base factors, whose orders are about 27 bits at 16 points
-and 45 bits at 128. Orders of
-2**53 and more call `chord` on Python ints once per pair. The squared chords
-are summed in factor order, so each entry has the bits of a plain per-pair
-loop over `chord`. Factors run in chunks of a few thousand pair-factor
-entries, which bounds the kernel's scratch memory whatever the factor count.
+in all. The other two paths go by a factor's order alone. An order below
+2**53 runs in numpy: an order, a folded index and a step are exact doubles
+there, so k / m in float64 is the one correctly rounded division that
+`chord`'s int division is, and the sine is `math.sin` per entry, or for a
+cut of order 2 or 3, whose folded steps are exactly 0 or 1, one multiply by
+its one nonzero sine. That covers the grid's base factors, whose orders are
+about 27 bits at 16 points and 45 bits at 128. Orders of 2**53 and more
+call `chord` on Python ints once per pair. The squared chords are summed in
+factor order, so each entry has the bits of a plain per-pair loop over
+`chord`. Factors run in blocks of a few thousand pair-factor entries, which
+bounds the kernel's scratch memory whatever the factor count.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -134,7 +131,6 @@ def _check_point(t: TorusSpec, p: TorusPoint) -> None:
 _EXACT_M = 2**53
 # Pair-factor entries per block of consecutive factors: bounds the scratch
 # (16 kB per float array) while spreading numpy's per-call cost over a block.
-# A chunk of cut factors holds twice as many, as int8 and bool entries.
 _BLOCK = 2048
 # sin(pi * k / m) at the one nonzero step k = 1 of the cut orders 2 and 3,
 # as `chord` computes it
@@ -147,9 +143,9 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
 
     Each entry has the bits of a per-pair loop that adds `c * c`, for
     `c = chord(m, r, a - b)`, over the factors left to right. The factors run
-    in chunks of consecutive factors, each chunk adding its squared chords
+    in blocks of consecutive factors, each block adding its squared chords
     onto the running sums in factor order, so scratch stays bounded however
-    many factors there are. There are four paths, all with `chord`'s bits.
+    many factors there are. There are three paths, all with `chord`'s bits.
     The first is chosen by the torus and the points together, the others by
     a factor's order alone:
 
@@ -163,28 +159,25 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
       in factor order, one numpy round per split cut, from a table cached
       per n (`_add_pair_cuts`). That is O(n**3) work where the paths below
       would do O(n**4);
-    - any other order of 2 or 3, a cut factor, has one nonzero chord,
-      `chord(m, r, 1)`, on every pair whose folded indices differ. A run of
-      such factors goes in chunks of about 2 * `_BLOCK` pair-factor entries
-      (`_add_cuts`): the split pairs are listed with their squared chords,
-      factor after factor for each pair, and `np.add.at` adds them in that
-      order. Skipping a 0.0 term is exact, so no bit changes;
     - any other order below 2**53 runs in numpy, in blocks of about `_BLOCK`
       pair-factor entries written straight into the block's rows
       (`_exact_chords`). Every folded index, step and order is an exact
       double there, so k / m is one correctly rounded division, the quotient
       of `chord`'s int division, and the sine is `math.sin` per entry, as in
-      `chord`. `np.add.accumulate` adds the rows onto the running sums in
-      factor order (`np.sum` would add pairwise and change the bits);
+      `chord`; an order of 2 or 3 has folded steps of exactly 0 and 1, so
+      one multiply by its one nonzero sine gives the same bits.
+      `np.add.accumulate` adds the rows onto the running sums in factor
+      order (`np.sum` would add pairwise and change the bits);
     - an order of 2**53 or more calls `chord` on Python ints once per pair,
       in the same blocks.
 
     Overflow gives inf and underflow 0.0 without a warning, as in Python.
-    Raises InputError for a torus that is not a TorusSpec, and for a point
-    that is not a TorusPoint with one index per factor.
+    Raises InputError for a torus that is not a TorusSpec, for points that
+    are not a tuple or list, and for a point that is not a TorusPoint with
+    one index per factor.
     """
     check_instance(t, TorusSpec, "torus")
-    points = tuple(points)
+    points = check_sequence(points, "points", object)
     for p in points:
         _check_point(t, p)
     n = len(points)
@@ -197,16 +190,14 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     pair_layout = _is_pair_layout(factors, points)
     if pair_layout:
         factors = factors[:-npairs]
-    step = min(max(1, _BLOCK // npairs), len(factors))
-    cut_step = max(1, 2 * _BLOCK // npairs)
+    # at least 1: the pair layout can be the whole torus, as in the tori of
+    # embed_almost_regular, and leave no factor before it
+    step = max(1, min(_BLOCK // npairs, len(factors)))
     sq = np.zeros((step + 1, npairs))  # row 0 carries the running sums
     with np.errstate(over="ignore", under="ignore"):
-        for start, stop, cut in _chunks(factors, step, cut_step):
-            block = factors[start:stop]
-            indices = [p.indices[start:stop] for p in points]
-            if cut:
-                _add_cuts(block, indices, iu, sq[0])
-                continue
+        for start in range(0, len(factors), step):
+            block = factors[start:start + step]
+            indices = [p.indices[start:start + len(block)] for p in points]
             rows = sq[:len(block) + 1]
             _exact_chords(block, indices, iu, rows[1:])
             for c, f in enumerate(block):
@@ -226,19 +217,6 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     return out
 
 
-def _chunks(factors, step, cut_step):
-    """(start, stop, cut) for each chunk of consecutive factors: the runs of
-    cut orders (2 and 3) in chunks of cut_step factors, cut true, and the
-    runs of other orders in chunks of step factors."""
-    start = 0
-    for cut, run in groupby(f.m < 4 for f in factors):
-        stop = start + len(list(run))
-        size = cut_step if cut else step
-        for a in range(start, stop, size):
-            yield a, min(a + size, stop), cut
-        start = stop
-
-
 def _fold(indices, ms) -> np.ndarray:
     """indices[i][c] mod ms[c] as an int64 array, folded in int64 when the
     indices fit, else by Python's %."""
@@ -248,25 +226,6 @@ def _fold(indices, ms) -> np.ndarray:
     except OverflowError:
         x = np.array([[i % m for i, m in zip(row, ms)] for row in indices], dtype=np.int64)
     return x
-
-
-def _add_cuts(block, indices, iu, sums) -> None:
-    """Add the squared chords of a chunk of cut factors (orders 2 and 3) over
-    the pairs iu onto sums, in factor order; indices[i] holds point i's
-    indices on the chunk.
-
-    A pair is split by a factor when its folded indices differ, and its chord
-    is then `chord(m, r, 1)`, else 0.0. The split pairs are listed pair by
-    pair, each pair's factors in order, with their squared chords, and
-    `np.add.at` applies repeated indices in the order listed. An unsplit
-    pair adds nothing, which is exact, so 2r = inf gives inf only where a
-    pair is split, never inf * 0.0.
-    """
-    ms = [f.m for f in block]
-    x = _fold(indices, ms).astype(np.int8)
-    pairs, c = np.nonzero(x[iu[0]] != x[iu[1]])
-    chords = np.array([2.0 * f.r for f in block]) * [_CUT_SINES[m] for m in ms]
-    np.add.at(sums, pairs, np.square(chords)[c])
 
 
 def _is_pair_layout(factors, points) -> bool:
@@ -357,8 +316,9 @@ def _exact_chords(block, indices, iu, out) -> None:
     The indices are folded mod m in int64 (a block holding an index past
     int64 is folded by Python's %), and then held as exact doubles. A step d
     in (-m, m) folds to k = min(|d|, m - |d|) = m/2 - ||d| - m/2|, every term
-    exact. A zero step has sine 0.0 and is left at 0.0, never 2r * 0.0, which
-    is nan once 2r overflows to inf.
+    exact. A cut order, 2 or 3, folds every step to 0 or 1, so its sines are
+    one multiply by `_CUT_SINES[m]`. A zero step has sine 0.0 and is left at
+    0.0, never 2r * 0.0, which is nan once 2r overflows to inf.
     """
     ms = [f.m if f.m < _EXACT_M else 1 for f in block]  # 1 marks a larger order
     x = _fold(indices, ms).T.astype(float)
@@ -371,7 +331,9 @@ def _exact_chords(block, indices, iu, out) -> None:
     np.subtract(half, out, out=out)
     npairs = out.shape[1]
     for c, m in enumerate(ms):
-        if m > 1:
+        if m in _CUT_SINES:  # steps of exactly 0.0 and 1.0
+            out[c] *= _CUT_SINES[m]
+        elif m > 1:
             angles = (math.pi * (out[c] / m)).tolist()
             out[c] = np.fromiter(map(math.sin, angles), float, npairs)
     two_r = np.array([2.0 * f.r for f in block])[:, None]

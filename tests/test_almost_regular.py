@@ -17,6 +17,7 @@ from torus_embed import (
     EmbeddingCertificate,
     InputError,
     NotAlmostRegular,
+    RealizationPlan,
     TrivialInput,
     check_almost_regular,
     dumps_certificate,
@@ -231,6 +232,16 @@ def test_embed_refuses_what_is_not_a_plan(plan):
     # a matrix is planned first, with realization_plan
     named = f"plan must be a RealizationPlan, got {type(plan).__name__}"
     with pytest.raises(InputError, match=named):
+        embed_almost_regular(plan, 3)
+
+
+@pytest.mark.parametrize("member", [3, 5, -1, 1.5, True, "1"])
+def test_embed_refuses_a_cut_member_out_of_range(member):
+    # an index past the points, 1.5 or True would raise IndexError, "1"
+    # TypeError, and -1 would mark the last point; each is refused by the
+    # cut's place in plan.cuts
+    plan = RealizationPlan(3, 1.0, (((0,), 1.0), ((1, member), 1.0)))
+    with pytest.raises(InputError, match=r"^plan\.cuts\[1\] must hold points in range\(3\)"):
         embed_almost_regular(plan, 3)
 
 

@@ -109,6 +109,7 @@ ARGUMENTS = [
     ("TorusPoint.indices", TorusPoint, "vertex indices", set()),
     ("pairwise_sq.t", lambda v: pairwise_sq(v, [VERTEX, VERTEX]), "torus", set()),
     ("pairwise_sq.points", lambda v: pairwise_sq(TRIANGLE, [VERTEX, v]), "torus point", set()),
+    ("pairwise_sq.points-whole", lambda v: pairwise_sq(TRIANGLE, v), "points", set()),
     ("shift.t", lambda v: shift(v, VERTEX, (1,)), "torus", set()),
     ("shift.p", lambda v: shift(TRIANGLE, v, (1,)), "torus point", set()),
     ("shift.offsets", lambda v: shift(TRIANGLE, VERTEX, v), "offsets", set()),

@@ -179,8 +179,8 @@ def test_pairwise_sq_matches_reference_loop_bitwise(n):
     cases.append(edge_torus(rng, n, 8, tuple(max(4, 2 * npairs + e) for e in (-1, 0, 1, 2))))
     # runs of cut factors (orders 2 and 3) broken up by big orders, every
     # index value in their columns; at 24 points the long runs span several
-    # chunks of cut factors. Finite radii, where a sum in another order
-    # would change the bits, and every fourth radius 1e308
+    # blocks. Finite radii, where a sum in another order would change the
+    # bits, and every fourth radius 1e308
     cuts = (3,) * 40 + (2**53 + 1,) + (2, 3) * 9 + (2**40 + 1, 5) + (3,) * 31 + (2,) * 7
     cases += [edge_torus(rng, n, len(cuts), cuts, huge) for huge in (False, True)]
     # random orders of 20 to 53 bits, the grid's base orders, on the numpy path
@@ -295,24 +295,76 @@ def test_split_table_matches_brute_force():
         assert table.tolist() == expected.tolist(), n
 
 
-def test_pair_layout_certificates_skip_the_general_cut_path(monkeypatch):
-    # embed's pair-plan certificates (n = 3 and n >= 5) take the pair layout's
-    # path alone; the singleton plan (an n = 4 certificate, a regular
-    # simplex) reaches the general cut path
+def singleton_layout_torus(rng, n, huge=False):
+    """n points on n - 1 base factors (orders of 20 to 27 bits, the grid's
+    at 16 points), then the singleton plan's cuts: one per point {k}, then
+    one per pair {k, l} in row-major order but for one pair, whose deficit
+    the plan finds 0, of orders 3 and 2 in turn, each cut's points on vertex
+    1 and the rest on vertex 0. Radii are random, and every fourth cut's is
+    1e308 when huge, where 2r overflows to inf."""
+    base = [rng.randrange(2**19, 2**27) for _ in range(n - 1)]
+    pairs = list(combinations(range(n), 2))
+    del pairs[rng.randrange(len(pairs))]
+    cuts = [(k,) for k in range(n)] + pairs
+    factors = [PolygonSpec(m, rng.uniform(0.1, 100.0)) for m in base] + [
+        PolygonSpec(3 - q % 2, 1e308 if huge and q % 4 == 1 else rng.uniform(0.1, 100.0))
+        for q in range(len(cuts))
+    ]
+    points = [
+        TorusPoint(
+            tuple(rng.randrange(-3 * m, 3 * m) for m in base)
+            + tuple(int(k in cut) for cut in cuts)
+        )
+        for k in range(n)
+    ]
+    return TorusSpec(tuple(factors)), points
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_pairwise_sq_singleton_layout_matches_reference_bitwise(n):
+    # the singleton plan's cuts are not the pair layout: they run on the
+    # numpy path with the base, one sine multiply per cut, in blocks that
+    # mix base and cut factors. With finite radii, where a sum in another
+    # order would change the bits, and where 2r = inf
+    import random
+
+    rng = random.Random(n)
+    for huge in (False, True):
+        t, points = singleton_layout_torus(rng, n, huge)
+        assert not torus._is_pair_layout(t.factors, points)
+        got = pairwise_sq(t, points)
+        assert got.tobytes() == reference_pairwise_sq(t, points).tobytes()
+        assert np.isinf(got).any() == huge
+
+
+def test_pair_layout_certificates_send_only_the_base_to_numpy(monkeypatch):
+    # embed's pair-plan certificates (n = 3 and n >= 5) hand the numpy path
+    # only their n - 1 base factors, the pair layout's path takes the cuts;
+    # the singleton plan (an n = 4 certificate, a regular simplex) hands it
+    # its cut factors too
     pair_plan = [embed_simplex(generate_points("random", n, seed=1)) for n in (3, 5, 16)]
     four = embed_simplex(generate_points("random", 4, seed=1))
     singleton_plan = [(four.torus, four.assignment), embed_regular_simplex(6, 1.0, 3)]
+    exact_chords = torus._exact_chords
+    blocks = []
 
-    def general_cut_path(*args):
-        raise AssertionError("the general cut path ran")
+    def recorded(block, *args):
+        blocks.append(block)
+        exact_chords(block, *args)
 
-    monkeypatch.setattr(torus, "_add_cuts", general_cut_path)
+    monkeypatch.setattr(torus, "_exact_chords", recorded)
     for cert in pair_plan:
+        blocks.clear()
         got = pairwise_sq(cert.torus, cert.assignment)
         assert got.tobytes() == reference_pairwise_sq(cert.torus, cert.assignment).tobytes()
+        n = len(cert.assignment)
+        assert [f for block in blocks for f in block] == list(cert.torus.factors[:n - 1])
     for t, points in singleton_plan:
-        with pytest.raises(AssertionError, match="general cut path"):
-            pairwise_sq(t, points)
+        blocks.clear()
+        got = pairwise_sq(t, points)
+        assert got.tobytes() == reference_pairwise_sq(t, points).tobytes()
+        assert [f for block in blocks for f in block] == list(t.factors)
+        assert any(f.m < 4 for block in blocks for f in block)
 
 
 def test_pairwise_sq_scratch_is_bounded():
@@ -322,11 +374,12 @@ def test_pairwise_sq_scratch_is_bounded():
     import tracemalloc
 
     rng = random.Random(0)
-    # the cut, the numpy per-entry and the per-pair paths
+    # cut orders, other orders below 2**53 and the per-pair path
     orders = (3,) * 17 + (2, 2**53 + 1, 2**40 + 1, 1561, 2**20 + 7, 2**45 + 1, 2**53 - 1)
     t = TorusSpec(tuple(PolygonSpec(orders[i % len(orders)], 1.5) for i in range(600)))
     points = [TorusPoint(tuple(rng.randrange(f.m) for f in t.factors)) for _ in range(40)]
-    # the general cut path: 600 triangles, each column of random 0s and 1s
+    # cuts outside the pair layout: 600 triangles, each column of random 0s
+    # and 1s
     cuts = TorusSpec((PolygonSpec(3, 1.5),) * 600)
     cut_points = [TorusPoint(tuple(rng.randrange(2) for _ in range(600))) for _ in range(40)]
     # the pair layout: 780 triangles after the base, from a cold table cache
