@@ -97,6 +97,7 @@ from .errors import (
     check_count,
     check_instance,
     check_real,
+    check_sequence,
 )
 from .geometry import check_squared_distances
 from .torus import PolygonSpec, TorusPoint, TorusSpec, chord
@@ -232,19 +233,38 @@ def _pair_cuts(n, i, j, cmax, deficits):
     return slack, tuple(zip(zip(i.tolist(), j.tolist()), sides.tolist()))
 
 
-def _incidence(plan: RealizationPlan) -> np.ndarray:
-    """The 0/1 point-by-cut matrix: entry (s, c) is 1 when cut c holds s.
-    Raises InputError for a cut member that is not an int (not a bool) in
-    range(plan.n_points)."""
-    n = plan.n_points
-    out = np.zeros((n, len(plan.cuts)), dtype=np.int64)
-    points = [s for members, _ in plan.cuts for s in members]
-    cuts = [c for c, (members, _) in enumerate(plan.cuts) for _ in members]
-    for c, s in zip(cuts, points):
-        if type(s) is not int or not 0 <= s < n:
-            members = plan.cuts[c][0]
-            raise InputError(f"plan.cuts[{c}] must hold points in range({n}), got {members}")
-    out[points, cuts] = 1
+def _sides(cuts) -> np.ndarray:
+    """The cuts' sides as a float array. Raises InputError naming the first
+    cut whose side is not a positive finite number."""
+    sides = [side for _, side in cuts]
+    if set(map(type, sides)) <= {float, int}:  # numpy would read a bool or a string
+        try:
+            arr = np.array(sides, dtype=float)
+        except OverflowError:  # an int past the largest double, named below
+            pass
+        else:
+            if np.all((arr > 0.0) & (arr < math.inf)):
+                return arr
+    for k, side in enumerate(sides):
+        check_real(side, f"plan.cuts[{k}] side")
+    return np.array(sides, dtype=float)  # sides of a float subclass, as numpy's
+
+
+def _incidence(n: int, cuts) -> np.ndarray:
+    """The 0/1 point-by-cut matrix of n points: entry (s, c) is 1 when cut c
+    holds s. Raises InputError for a cut member that is not an int (not a
+    bool) in range(n)."""
+    out = np.zeros((n, len(cuts)), dtype=np.int64)
+    points = [s for members, _ in cuts for s in members]
+    cols = [c for c, (members, _) in enumerate(cuts) for _ in members]
+    if not (set(map(type, points)) <= {int} and 0 <= min(points, default=0)
+            and max(points, default=0) < n):
+        for c, s in zip(cols, points):
+            if type(s) is not int or not 0 <= s < n:
+                raise InputError(
+                    f"plan.cuts[{c}] must hold points in range({n}), got {cuts[c][0]}"
+                )
+    out[points, cols] = 1
     return out
 
 
@@ -254,12 +274,17 @@ def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list
     Each cut of `plan.cuts` becomes one m-gon with the cut's side; the cut's
     points sit on vertex 1 and all others on vertex 0, so pairwise squared
     distances match the planned matrix. Each radius is the side over the
-    side of the m-gon of circumradius 1, computed once. Raises InputError
-    for a plan that is not a RealizationPlan or has a cut member that is not
-    an int in range(plan.n_points), and for an order that is not an integer
-    >= 2 or whose unit side is not a normal double.
+    side of the m-gon of circumradius 1, computed once. Raises InputError,
+    naming the field, for a plan that is not a RealizationPlan, whose
+    `n_points` is not an integer >= 1, whose `cuts` is not a nonempty tuple
+    or list, or with a cut whose side is not a positive finite number or
+    whose members are not ints in range(plan.n_points); and for an order
+    that is not an integer >= 2 or whose unit side is not a normal double.
     """
     check_instance(plan, RealizationPlan, "plan")
+    n = check_count(plan.n_points, "plan.n_points", 1)
+    cuts = check_sequence(plan.cuts, "plan.cuts", object, nonempty=True)
+    sides = _sides(cuts)
     check_count(m, "polygon order", 2)
     unit = chord(m, 1.0, 1)
     if unit < np.finfo(float).tiny:  # 2 sin(pi/m), for m past about 2.8e308
@@ -267,9 +292,9 @@ def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list
             f"polygon order must keep 2 sin(pi/m) a normal double, got {m.bit_length()} bits"
         )
     with np.errstate(over="ignore"):  # an inf radius is refused by name below
-        radii = (np.array([side for _, side in plan.cuts]) / unit).tolist()
+        radii = (sides / unit).tolist()
     spec = TorusSpec(tuple(PolygonSpec(m, r) for r in radii))
-    points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(plan).tolist()]
+    points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(n, cuts).tolist()]
     return spec, points
 
 

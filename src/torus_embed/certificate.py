@@ -24,9 +24,11 @@ certificate that is written reads back to the same bytes.
 
 The reader checks each assignment row's type once and reads the whole row
 in bulk when every entry is a canonical decimal string (`0`, `[1-9][0-9]*`
-or `-[1-9][0-9]*`, what `str` writes for an int): the row joined by commas
-is checked to hold only digits, commas and minus signs, and then read by the
-C JSON decoder, whose integer grammar is the canonical one but for `-0`.
+or `-[1-9][0-9]*`, what `str` writes for an int): the row's distinct
+strings joined by commas are checked to hold only digits, commas and minus
+signs, and then read by the C JSON decoder, whose integer grammar is the
+canonical one but for `-0`; the row is then mapped through a dict of its
+own distinct strings, most of a row being "0" and "1".
 Any other row, say one holding JSON integers (also accepted), goes entry by
 entry, so that an error names the first bad entry in its `field`; a string
 in any other form is refused. Polygon orders are read the same way, and the
@@ -46,8 +48,12 @@ reader would not return (`_check_fields`), naming the field, so that a
 certificate either writes bytes that read back or is refused. The verifier
 then holds what the reader lets through to the metric's rules: the input
 must be a squared-distance matrix, with one assignment row per point, one
-index per factor and every index in range. It converts the input once and
-measures every pair against that array's upper triangle as given.
+index per factor and every index in range. The ranges are found by the chord
+kernel's fold (`torus._pairwise_sq` reports whether every index lies in
+range(m), from the int64 indices it converts anyway), and only when it
+cannot show them are the indices walked, to name the first bad one in
+row-major order. It converts the input once and measures every pair
+against that array's upper triangle as given.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ import numpy as np
 
 from .errors import InputError, InvalidCertificate, check_instance, check_real, check_sequence
 from .geometry import _finite_array, check_squared_distances
-from .torus import PolygonSpec, TorusPoint, TorusSpec, pairwise_sq
+from .torus import PolygonSpec, TorusPoint, TorusSpec, _pairwise_sq
 
 VERSION = "0.15.0"
 
@@ -271,9 +277,12 @@ def _canonical_ints(items: list):
     string (what `str` writes for an int), else None. On digits, commas and
     minus signs alone, the C JSON reader accepts just comma-separated
     integers `-?(0|[1-9][0-9]*)`: the canonical grammar and "-0". It reads
-    them faster than `int` one by one."""
+    them faster than `int` one by one. Each distinct entry is checked and
+    read once, and the entries are then looked up in a dict of this call
+    alone, so no string outlives its row."""
     try:
-        text = ",".join(items)
+        distinct = list(set(items))
+        text = ",".join(distinct)
     except TypeError:  # an entry that is not a string
         return None
     if not _DECIMAL_ROW_CHARS.fullmatch(text) or "-0" in text:
@@ -283,7 +292,9 @@ def _canonical_ints(items: list):
     except ValueError:  # not integers, or more digits than int() will read
         return None
     # as many numbers as entries: no entry held a comma
-    return tuple(values) if len(values) == len(items) else None
+    if len(values) != len(distinct):
+        return None
+    return tuple(map(dict(zip(distinct, values)).__getitem__, items))
 
 
 def _read_factors(raw) -> tuple[PolygonSpec, ...]:
@@ -314,7 +325,9 @@ def _read_factors(raw) -> tuple[PolygonSpec, ...]:
 def _read_assignment(raw) -> tuple[TorusPoint, ...]:
     """The points of the parsed `assignment` list, which this empties as it
     goes: a row's strings are dropped once read, so the strings and the ints
-    of the whole assignment are never held at once."""
+    of the whole assignment are never held at once. Each row's distinct
+    strings are read once (`_canonical_ints`), through a dict of that row
+    alone: one kept across rows would hold every row's strings."""
     if not isinstance(raw, list):
         raise InvalidCertificate("assignment must be a list", field="assignment")
     points = []
@@ -416,24 +429,20 @@ def verify_certificate(
             field="assignment",
         )
     factors = cert.torus.factors
-    for i, p in enumerate(cert.assignment):
-        if len(p.indices) != len(factors):
-            raise InvalidCertificate(
-                f"assignment[{i}] has {len(p.indices)} indices, torus has "
-                f"{len(factors)} factors",
-                field=f"assignment[{i}]",
-            )
-        for k, idx in enumerate(p.indices):
-            if not 0 <= idx < factors[k].m:
-                raise InvalidCertificate(
-                    f"assignment[{i}][{k}] = {idx} out of range for m = {factors[k].m}",
-                    field=f"assignment[{i}][{k}]",
-                )
+    # the kernel needs one index per factor; it finds whether every index is
+    # in range on its way, and only if it cannot show it are they walked,
+    # to name the first bad one
+    if all(len(p.indices) == len(factors) for p in cert.assignment):
+        sq, reduced = _pairwise_sq(cert.torus, cert.assignment)
+    else:
+        sq, reduced = None, False
+    if not reduced:
+        _check_indices(cert.assignment, factors)
     k = np.arange(n)
     iu = np.nonzero(k[:, None] < k)  # np.triu_indices(n, 1), at a third of its cost
     # the upper triangle as given, not check_squared_distances' symmetrized copy
     target = input_sq[iu]
-    abs_err = np.abs(pairwise_sq(cert.torus, cert.assignment)[iu] - target)
+    abs_err = np.abs(sq[iu] - target)
     # a zero target is met only by a zero error
     zero_target = np.where(abs_err == 0.0, 0.0, math.inf)
     rel_err = np.divide(abs_err, target, out=zero_target, where=target > 0.0)
@@ -447,3 +456,22 @@ def verify_certificate(
         pair_count=int(rel_err.size),
         worst_pair=None if worst is None else (int(iu[0][worst]), int(iu[1][worst])),
     )
+
+
+def _check_indices(assignment, factors) -> None:
+    """Raise InvalidCertificate naming the first row, in order, without one
+    index per factor, or the first index, in row-major order, outside
+    range(m) of its factor; return if there is none."""
+    for i, p in enumerate(assignment):
+        if len(p.indices) != len(factors):
+            raise InvalidCertificate(
+                f"assignment[{i}] has {len(p.indices)} indices, torus has "
+                f"{len(factors)} factors",
+                field=f"assignment[{i}]",
+            )
+        for k, idx in enumerate(p.indices):
+            if not 0 <= idx < factors[k].m:
+                raise InvalidCertificate(
+                    f"assignment[{i}][{k}] = {idx} out of range for m = {factors[k].m}",
+                    field=f"assignment[{i}][{k}]",
+                )

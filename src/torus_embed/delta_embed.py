@@ -288,6 +288,6 @@ def product_embed(points, delta) -> DeltaEmbedding:
     i, j = np.nonzero(np.triu(d2 == 0.0, 1))
     if np.any(np.all(arr[i] == arr[j], axis=1)):
         raise InputError("points are not pairwise distinct")
-    kept = [c for c in range(arr.shape[1]) if np.any(arr[:, c] != arr[0, c])]
+    kept = np.flatnonzero(np.any(arr != arr[0], axis=0))
     # distinct points must differ somewhere, so at least one axis survives
     return _snap(arr[:, kept], d2, delta)

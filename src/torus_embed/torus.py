@@ -35,6 +35,14 @@ call `chord` on Python ints once per pair. The squared chords are summed in
 factor order, so each entry has the bits of a plain per-pair loop over
 `chord`. Factors run in blocks of a few thousand pair-factor entries, which
 bounds the kernel's scratch memory whatever the factor count.
+
+The kernel also reports, through `_pairwise_sq`, whether every index it was
+given already lies in range(m) of its factor, a fact it finds on its way:
+one comparison per numpy block on the int64 indices it folds anyway, a
+bounds check on each per-pair column, and `_is_pair_layout`'s proof for the
+pair layout's cuts. The rule `0 <= index < m` and the refusal that names a
+bad index belong to `certificate.verify_certificate`, which walks the
+indices only when the kernel cannot show them in range.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ import numpy as np
 from .errors import InputError, check_count, check_instance, check_real, check_sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolygonSpec:
     """Vertex set of a regular m-gon of circumradius r."""
 
@@ -79,7 +87,7 @@ class TorusSpec:
         return 2 * len(self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusPoint:
     """Combinatorial vertex coordinates, one index per torus factor."""
 
@@ -129,6 +137,9 @@ def _check_point(t: TorusSpec, p: TorusPoint) -> None:
 # order is an exact double, so k / m is the correctly rounded quotient that
 # `chord`'s int division gives.
 _EXACT_M = 2**53
+# the mark of an order of 2**53 or more on the numpy path, whose rows the
+# per-pair path overwrites
+_LARGE = 2**63 - 1
 # Pair-factor entries per block of consecutive factors: bounds the scratch
 # (16 kB per float array) while spreading numpy's per-call cost over a block.
 _BLOCK = 2048
@@ -171,10 +182,24 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     - an order of 2**53 or more calls `chord` on Python ints once per pair,
       in the same blocks.
 
-    Overflow gives inf and underflow 0.0 without a warning, as in Python.
-    Raises InputError for a torus that is not a TorusSpec, for points that
-    are not a tuple or list, and for a point that is not a TorusPoint with
-    one index per factor.
+    Any int index is taken, folded mod m as `chord` folds a step; the
+    private `_pairwise_sq` returns the same matrix and whether every index
+    was in range(m) already. Overflow gives inf and underflow 0.0 without a
+    warning, as in Python. Raises InputError for a torus that is not a
+    TorusSpec, for points that are not a tuple or list, and for a point
+    that is not a TorusPoint with one index per factor.
+    """
+    return _pairwise_sq(t, points)[0]
+
+
+def _pairwise_sq(t: TorusSpec, points) -> tuple[np.ndarray, bool]:
+    """`pairwise_sq(t, points)` and whether every index already lies in
+    range(m) of its factor, as the kernel finds it on its way: one
+    comparison per numpy block on the indices it converts anyway, a
+    bounds check on each per-pair column, and, for the pair layout's cuts,
+    `_is_pair_layout`'s proof that the raw indices are 0 or 1 on orders 2
+    and 3. False means only "not shown": a block holding an index past
+    int64, and fewer than two points, report False whatever the indices.
     """
     check_instance(t, TorusSpec, "torus")
     points = check_sequence(points, "points", object)
@@ -185,11 +210,12 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     iu = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     npairs = iu[0].size
     if not npairs:
-        return np.zeros((n, n))
+        return np.zeros((n, n)), False
     factors = t.factors
     pair_layout = _is_pair_layout(factors, points)
     if pair_layout:
         factors = factors[:-npairs]
+    reduced = True
     # at least 1: the pair layout can be the whole torus, as in the tori of
     # embed_almost_regular, and leave no factor before it
     step = max(1, min(_BLOCK // npairs, len(factors)))
@@ -199,11 +225,12 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
             block = factors[start:start + step]
             indices = [p.indices[start:start + len(block)] for p in points]
             rows = sq[:len(block) + 1]
-            _exact_chords(block, indices, iu, rows[1:])
+            reduced &= _exact_chords(block, indices, iu, rows[1:])
             for c, f in enumerate(block):
                 if f.m >= _EXACT_M:
                     m, r = f.m, f.r
                     col = [p.indices[start + c] for p in points]
+                    reduced = reduced and 0 <= min(col) and max(col) < m
                     chords = (chord(m, r, a - b) for a, b in combinations(col, 2))
                     rows[c + 1] = np.fromiter(chords, float, npairs)
             np.square(rows[1:], out=rows[1:])
@@ -214,18 +241,25 @@ def pairwise_sq(t: TorusSpec, points) -> np.ndarray:
     out = np.zeros((n, n))
     out[iu] = sq[0]
     out[iu[::-1]] = sq[0]
-    return out
+    return out, reduced
 
 
-def _fold(indices, ms) -> np.ndarray:
+def _fold(indices, ms) -> tuple[np.ndarray, bool]:
     """indices[i][c] mod ms[c] as an int64 array, folded in int64 when the
-    indices fit, else by Python's %."""
+    indices fit, else by Python's %, and whether every index was in
+    range(ms[c]) already. Viewed as uint64, a negative index is past every
+    order, so one comparison decides the whole block; a block past int64
+    reports False."""
     try:
         x = np.array(indices, dtype=np.int64)
-        x %= np.array(ms)
     except OverflowError:
         x = np.array([[i % m for i, m in zip(row, ms)] for row in indices], dtype=np.int64)
-    return x
+        return x, False
+    orders = np.array(ms, dtype=np.uint64)
+    reduced = bool((x.view(np.uint64) < orders).all())
+    if not reduced:
+        x %= orders.view(np.int64)
+    return x, reduced
 
 
 def _is_pair_layout(factors, points) -> bool:
@@ -308,10 +342,12 @@ def _add_pair_cuts(cuts, table, sums) -> None:
         sums += w.take(row)
 
 
-def _exact_chords(block, indices, iu, out) -> None:
+def _exact_chords(block, indices, iu, out) -> bool:
     """`chord` over the pairs iu, written into row c of out for every factor
     c of the block with an order below 2**53; the rows of larger orders are
     left to the caller. indices[i] holds point i's indices on the block.
+    Returns `_fold`'s verdict: whether every index on an order below 2**53
+    was in range already.
 
     The indices are folded mod m in int64 (a block holding an index past
     int64 is folded by Python's %), and then held as exact doubles. A step d
@@ -320,8 +356,12 @@ def _exact_chords(block, indices, iu, out) -> None:
     one multiply by `_CUT_SINES[m]`. A zero step has sine 0.0 and is left at
     0.0, never 2r * 0.0, which is nan once 2r overflows to inf.
     """
-    ms = [f.m if f.m < _EXACT_M else 1 for f in block]  # 1 marks a larger order
-    x = _fold(indices, ms).T.astype(float)
+    # a larger order is marked by the largest int64, which the range check
+    # passes for every index in range(2**63 - 1); the caller checks its
+    # column against the order itself
+    ms = [f.m if f.m < _EXACT_M else _LARGE for f in block]
+    x, reduced = _fold(indices, ms)
+    x = x.T.astype(float)
     np.take(x, iu[0], axis=1, out=out, mode="clip")
     out -= x[:, iu[1]]
     half = np.array(ms, dtype=float)[:, None] * 0.5
@@ -333,11 +373,12 @@ def _exact_chords(block, indices, iu, out) -> None:
     for c, m in enumerate(ms):
         if m in _CUT_SINES:  # steps of exactly 0.0 and 1.0
             out[c] *= _CUT_SINES[m]
-        elif m > 1:
+        elif m < _EXACT_M:
             angles = (math.pi * (out[c] / m)).tolist()
             out[c] = np.fromiter(map(math.sin, angles), float, npairs)
     two_r = np.array([2.0 * f.r for f in block])[:, None]
     np.multiply(out, two_r, out=out, where=out != 0.0)
+    return reduced
 
 
 def shift(t: TorusSpec, p: TorusPoint, offsets) -> TorusPoint:

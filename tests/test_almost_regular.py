@@ -245,6 +245,40 @@ def test_embed_refuses_a_cut_member_out_of_range(member):
         embed_almost_regular(plan, 3)
 
 
+@pytest.mark.parametrize(
+    "plan, named",
+    [
+        (RealizationPlan(-2, 1.0, (((0,), 1.0),)), r"plan\.n_points must be an integer >= 1"),
+        (RealizationPlan(2.5, 1.0, (((0,), 1.0),)), r"plan\.n_points must be an integer >= 1"),
+        (RealizationPlan(3, 1.0, ()), r"plan\.cuts must be a nonempty tuple or list"),
+        (RealizationPlan(3, 1.0, None), r"plan\.cuts must be a nonempty tuple or list"),
+        (RealizationPlan(3, 1.0, (((0,), 1.0), ((1,), -1.0))),
+         r"plan\.cuts\[1\] side must be a positive finite number, got -1\.0"),
+        (RealizationPlan(3, 1.0, (((0,), math.nan), ((1,), 1.0))),
+         r"plan\.cuts\[0\] side must be a positive finite number, got nan"),
+        (RealizationPlan(3, 1.0, (((0,), 1.0), ((1,), "1.0"))),
+         r"plan\.cuts\[1\] side must be a positive finite number, got '1\.0'"),
+        (RealizationPlan(3, 1.0, (((0,), 1.0), ((1,), True))),
+         r"plan\.cuts\[1\] side must be a positive finite number, got True"),
+        (RealizationPlan(3, 1.0, (((0,), 1.0), ((1,), 10**400))),
+         r"plan\.cuts\[1\] side must be a positive finite number"),
+    ],
+    ids=["n-negative", "n-float", "no-cuts", "cuts-none", "side-negative", "side-nan",
+         "side-string", "side-bool", "side-past-double"],
+)
+def test_embed_refuses_a_plan_field_by_name(plan, named):
+    with pytest.raises(InputError, match="^" + named):
+        embed_almost_regular(plan, 3)
+
+
+def test_embed_takes_integer_and_float_subclass_sides():
+    # an int side reads as a float, as check_real reads it, and so does
+    # numpy's float64
+    want = embed_almost_regular(RealizationPlan(2, 1.0, (((0,), 2.0), ((1,), 1.0))), 3)
+    for side in (2, np.float64(2.0)):
+        assert embed_almost_regular(RealizationPlan(2, 1.0, (((0,), side), ((1,), 1.0))), 3) == want
+
+
 def test_embed_five_points_near_regular():
     rng = np.random.default_rng(77)
     c = random_valid_matrix(rng, 5)

@@ -540,6 +540,81 @@ def test_negative_index_string_is_out_of_range():
     assert "-5 out of range" in str(exc.value)
 
 
+def _out_of_range(cert, i, k, value):
+    """The verifier's refusal of `cert` with index (i, k) set to `value`."""
+    rows = [list(p.indices) for p in cert.assignment]
+    rows[i][k] = value
+    edited = dataclasses.replace(cert, assignment=tuple(TorusPoint(tuple(r)) for r in rows))
+    with pytest.raises(InvalidCertificate) as exc:
+        verify_certificate(edited)
+    m = cert.torus.factors[k].m
+    assert str(exc.value) == f"assignment[{i}][{k}] = {value} out of range for m = {m}"
+    assert exc.value.field == f"assignment[{i}][{k}]"
+
+
+def test_verifier_names_an_index_at_a_large_order():
+    # 0.3.0's 65-bit orders: an index at its order is past int64, so the
+    # kernel's fold cannot show the range and the walk names it; an order
+    # between 2**53 and 2**63 is checked on the kernel's per-pair column
+    cert = loads_certificate((CORPUS / "0.3.0.json").read_text(encoding="utf-8"))
+    assert verify_certificate(cert).passed
+    k = next(k for k, f in enumerate(cert.torus.factors) if f.m >= 2**53)
+    _out_of_range(cert, 2, k, cert.torus.factors[k].m)
+    m = 2**53 + 1
+    t = TorusSpec((PolygonSpec(m, 1.0), PolygonSpec(3, 1.0)))
+    cert = EmbeddingCertificate(
+        np.zeros((2, 2)), t, (TorusPoint((0, 0)), TorusPoint((0, 0))), {}, {}, {}
+    )
+    assert verify_certificate(cert).passed
+    for value in (m, m + 5, -1):
+        _out_of_range(cert, 1, 0, value)
+
+
+def test_verifier_names_an_index_of_one_point():
+    # one point has no pair for the kernel to measure, so its indices are
+    # walked
+    t = TorusSpec((PolygonSpec(5, 1.0), PolygonSpec(3, 1.0)))
+    cert = EmbeddingCertificate(np.zeros((1, 1)), t, (TorusPoint((4, 2)),), {}, {}, {})
+    assert verify_certificate(cert).passed
+    for k, value in ((0, 5), (1, -1), (1, 10**30)):
+        _out_of_range(cert, 0, k, value)
+
+
+def test_row_repeating_a_canonical_string_reads_every_place():
+    obj = _small_certificate()
+    row = obj["assignment"][1]
+    row[0] = row[3] = "7"
+    want = tuple(map(int, row))
+    assert want.count(7) >= 2
+    assert loads_certificate(json.dumps(obj)).assignment[1].indices == want
+
+
+@pytest.mark.parametrize("text", ["07", "-0", "1,2", "", "0,0"])
+def test_repeated_non_canonical_string_is_named_at_its_first_place(text):
+    obj = _small_certificate()
+    row = obj["assignment"][1]
+    row[1] = row[3] = text
+    with pytest.raises(InvalidCertificate) as exc:
+        loads_certificate(json.dumps(obj))
+    assert exc.value.field == "assignment[1][1]"
+    assert str(exc.value).startswith("assignment[1][1] is not a canonical decimal integer")
+
+
+def test_row_mixing_json_integers_and_strings():
+    # a JSON 1 and a true are equal in a set, but each keeps its verdict:
+    # the integer reads, the boolean is named
+    obj = _small_certificate()
+    row = obj["assignment"][1]
+    want = tuple(map(int, row))
+    row[0] = want[0]
+    assert loads_certificate(json.dumps(obj)).assignment[1].indices == want
+    row[2], row[3] = 1, True
+    with pytest.raises(InvalidCertificate) as exc:
+        loads_certificate(json.dumps(obj))
+    assert exc.value.field == "assignment[1][3]"
+    assert str(exc.value) == "assignment[1][3] must be a decimal string"
+
+
 def test_loads_refuses_radius_too_large_for_a_float():
     obj = _small_certificate()
     obj["torus"]["factors"][1]["r"] = 10**400

@@ -409,6 +409,22 @@ def _index_minus_one(obj):
     obj["assignment"][0][0] = "-1"
 
 
+def _correction_three(obj):
+    # the first correction factor is a triangle: 3 is past it, and leaves
+    # the pair layout
+    obj["assignment"][0][len(obj["assignment"]) - 1] = "3"
+
+
+def _index_past_int64(obj):
+    obj["assignment"][0][0] = "9" * 25
+
+
+def _two_bad_indices(obj):
+    # the first in row-major order is named, not the first by factor
+    obj["assignment"][1][0] = obj["torus"]["factors"][0]["m"]
+    obj["assignment"][0][3] = "3"
+
+
 def _short_row(obj):
     obj["assignment"][1] = obj["assignment"][1][:-1]
 
@@ -426,6 +442,9 @@ def _asymmetric(obj):
 VERIFIER_REFUSED = {
     "index-at-order": (_index_at_order, "assignment[0][0]"),
     "index-minus-one": (_index_minus_one, "assignment[0][0]"),
+    "correction-index-three": (_correction_three, "assignment[0][2]"),
+    "index-past-int64": (_index_past_int64, "assignment[0][0]"),
+    "two-bad-indices": (_two_bad_indices, "assignment[0][3]"),
     "row-one-short": (_short_row, "assignment[1]"),
     "row-missing": (_missing_row, "assignment"),
     "input-asymmetric": (_asymmetric, "input.squared_distances"),

@@ -350,7 +350,7 @@ def test_pair_layout_certificates_send_only_the_base_to_numpy(monkeypatch):
 
     def recorded(block, *args):
         blocks.append(block)
-        exact_chords(block, *args)
+        return exact_chords(block, *args)
 
     monkeypatch.setattr(torus, "_exact_chords", recorded)
     for cert in pair_plan:
@@ -365,6 +365,51 @@ def test_pair_layout_certificates_send_only_the_base_to_numpy(monkeypatch):
         assert got.tobytes() == reference_pairwise_sq(t, points).tobytes()
         assert [f for block in blocks for f in block] == list(t.factors)
         assert any(f.m < 4 for block in blocks for f in block)
+
+
+RANGE_ORDERS = (7, 3, 2**53 - 1, 2**53 + 1, 2**62 + 5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_kernel_reports_whether_every_index_is_in_range(n):
+    # _pairwise_sq returns pairwise_sq's bits and True exactly when every
+    # index lies in range(m): on the numpy path (one uint64 comparison per
+    # block, so -1 fails too) and on the per-pair path (orders >= 2**53,
+    # checked on the column)
+    import random
+
+    rng = random.Random(n)
+    t = TorusSpec(tuple(PolygonSpec(m, rng.uniform(0.5, 2.0)) for m in RANGE_ORDERS))
+    rows = [[rng.randrange(f.m) for f in t.factors] for _ in range(n)]
+    got, reduced = torus._pairwise_sq(t, [TorusPoint(tuple(row)) for row in rows])
+    assert reduced
+    assert got.tobytes() == pairwise_sq(t, [TorusPoint(tuple(row)) for row in rows]).tobytes()
+    for k, f in enumerate(t.factors):
+        for bad in (f.m, -1, f.m + rng.randrange(f.m)):
+            edited = [list(row) for row in rows]
+            edited[-1][k] = bad
+            points = [TorusPoint(tuple(row)) for row in edited]
+            got, reduced = torus._pairwise_sq(t, points)
+            assert not reduced, (f.m, bad)
+            assert got.tobytes() == reference_pairwise_sq(t, points).tobytes()
+
+
+def test_kernel_range_report_on_the_pair_layout_and_past_int64():
+    # the pair layout's cuts are in range by _is_pair_layout's proof; a 3 on
+    # a triangle leaves the layout and is found out of range on the numpy
+    # path; a block past int64, and fewer than two points, report False
+    cert = embed_simplex(generate_points("random", 5, seed=1))
+    assert torus._pairwise_sq(cert.torus, cert.assignment)[1]
+    rows = [list(p.indices) for p in cert.assignment]
+    rows[0][4] = 3
+    assert not torus._pairwise_sq(cert.torus, [TorusPoint(tuple(r)) for r in rows])[1]
+    big = 2**65 + 1
+    t = TorusSpec((PolygonSpec(big, 1.0), PolygonSpec(5, 1.0)))
+    points = [TorusPoint((big - 1, 4)), TorusPoint((0, 0))]
+    got, reduced = torus._pairwise_sq(t, points)
+    assert not reduced
+    assert got.tobytes() == reference_pairwise_sq(t, points).tobytes()
+    assert not torus._pairwise_sq(t, [TorusPoint((0, 0))])[1]
 
 
 def test_pairwise_sq_scratch_is_bounded():
