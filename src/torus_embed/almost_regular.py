@@ -94,6 +94,7 @@ from .errors import (
     InputError,
     NotAlmostRegular,
     TrivialInput,
+    _shown,
     check_count,
     check_instance,
     check_real,
@@ -233,10 +234,26 @@ def _pair_cuts(n, i, j, cmax, deficits):
     return slack, tuple(zip(zip(i.tolist(), j.tolist()), sides.tolist()))
 
 
-def _sides(cuts) -> np.ndarray:
+def _unzip(cuts) -> tuple[tuple, tuple]:
+    """The cuts' members and their sides, as two tuples. Raises InputError
+    naming the first cut that is not a (members, side) pair whose members
+    are a tuple or list."""
+    try:
+        members, sides = zip(*cuts, strict=True)
+        if set(map(type, members)) <= {tuple, list}:
+            return members, sides
+    except (TypeError, ValueError):  # a cut that is not a pair
+        pass
+    # the first cut that is not such a pair
+    k = next(k for k, cut in enumerate(cuts) if not (
+        type(cut) in (tuple, list) and len(cut) == 2 and type(cut[0]) in (tuple, list)))
+    raise InputError(f"plan.cuts[{k}] must be a (members, side) pair, its members in a "
+                     f"tuple or list, got {_shown(cuts[k])}")
+
+
+def _sides(sides) -> np.ndarray:
     """The cuts' sides as a float array. Raises InputError naming the first
     cut whose side is not a positive finite number."""
-    sides = [side for _, side in cuts]
     if set(map(type, sides)) <= {float, int}:  # numpy would read a bool or a string
         try:
             arr = np.array(sides, dtype=float)
@@ -250,19 +267,19 @@ def _sides(cuts) -> np.ndarray:
     return np.array(sides, dtype=float)  # sides of a float subclass, as numpy's
 
 
-def _incidence(n: int, cuts) -> np.ndarray:
+def _incidence(n: int, members) -> np.ndarray:
     """The 0/1 point-by-cut matrix of n points: entry (s, c) is 1 when cut c
-    holds s. Raises InputError for a cut member that is not an int (not a
-    bool) in range(n)."""
-    out = np.zeros((n, len(cuts)), dtype=np.int64)
-    points = [s for members, _ in cuts for s in members]
-    cols = [c for c, (members, _) in enumerate(cuts) for _ in members]
+    holds s among its `members`. Raises InputError for a cut member that is
+    not an int (not a bool) in range(n)."""
+    out = np.zeros((n, len(members)), dtype=np.int64)
+    points = [s for cut in members for s in cut]
+    cols = [c for c, cut in enumerate(members) for _ in cut]
     if not (set(map(type, points)) <= {int} and 0 <= min(points, default=0)
             and max(points, default=0) < n):
         for c, s in zip(cols, points):
             if type(s) is not int or not 0 <= s < n:
                 raise InputError(
-                    f"plan.cuts[{c}] must hold points in range({n}), got {cuts[c][0]}"
+                    f"plan.cuts[{c}] must hold points in range({n}), got {members[c]}"
                 )
     out[points, cols] = 1
     return out
@@ -277,14 +294,15 @@ def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list
     side of the m-gon of circumradius 1, computed once. Raises InputError,
     naming the field, for a plan that is not a RealizationPlan, whose
     `n_points` is not an integer >= 1, whose `cuts` is not a nonempty tuple
-    or list, or with a cut whose side is not a positive finite number or
-    whose members are not ints in range(plan.n_points); and for an order
+    or list, or with a cut that is not a (members, side) pair, whose side is
+    not a positive finite number or whose members are not a tuple or list of
+    ints in range(plan.n_points); and for an order
     that is not an integer >= 2 or whose unit side is not a normal double.
     """
     check_instance(plan, RealizationPlan, "plan")
     n = check_count(plan.n_points, "plan.n_points", 1)
-    cuts = check_sequence(plan.cuts, "plan.cuts", object, nonempty=True)
-    sides = _sides(cuts)
+    members, sides = _unzip(check_sequence(plan.cuts, "plan.cuts", object, nonempty=True))
+    sides = _sides(sides)
     check_count(m, "polygon order", 2)
     unit = chord(m, 1.0, 1)
     if unit < np.finfo(float).tiny:  # 2 sin(pi/m), for m past about 2.8e308
@@ -294,7 +312,7 @@ def embed_almost_regular(plan: RealizationPlan, m: int) -> tuple[TorusSpec, list
     with np.errstate(over="ignore"):  # an inf radius is refused by name below
         radii = (sides / unit).tolist()
     spec = TorusSpec(tuple(PolygonSpec(m, r) for r in radii))
-    points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(n, cuts).tolist()]
+    points = [TorusPoint._of_ints(tuple(row)) for row in _incidence(n, members).tolist()]
     return spec, points
 
 

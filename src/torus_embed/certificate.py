@@ -42,6 +42,13 @@ or `float` would read, is refused, and so are the NaN, Infinity and 1e400
 that Python's JSON reads. The CLI reads its `embed` input through the same
 `parse_json` and `read_number_matrix`.
 
+`input.scale`, beside the matrix, is the power of two e of the units: the
+input is in units of 4^e and the radii in units of 2^e, so the verifier's
+check, in those units, is the real check scaled exactly by 4^e. It is
+written only when it is not 0, so a certificate at scale 0 has the bytes it
+had before the field existed; the reader refuses a written 0, and all three
+refuse a scale that is not an int of magnitude below 2**53.
+
 An in-memory certificate is held to the reader's rules too: the writer and
 the verifier refuse an input matrix, a torus or an assignment that the
 reader would not return (`_check_fields`), naming the field, so that a
@@ -72,7 +79,7 @@ from .errors import InputError, InvalidCertificate, check_instance, check_real, 
 from .geometry import _finite_array, check_squared_distances
 from .torus import PolygonSpec, TorusPoint, TorusSpec, _pairwise_sq
 
-VERSION = "0.15.0"
+VERSION = "0.16.0"
 
 DEFAULT_ACCEPT_TOL = 1e-8
 
@@ -87,7 +94,8 @@ class EmbeddingCertificate:
     """Everything needed to re-check an embedding with the chord formula alone.
 
     parameters/meta are construction provenance; verification never reads
-    them.
+    them. The input is in units of 4^scale and the radii in units of
+    2^scale, so the check is the same in those units.
     """
 
     input_sq: np.ndarray
@@ -96,6 +104,7 @@ class EmbeddingCertificate:
     parameters: dict
     errors: dict
     meta: dict
+    scale: int = 0
 
 
 def _format_float(x: float) -> str:
@@ -176,12 +185,14 @@ def _check_provenance_value(field: str, value, depth: int) -> None:
 def _check_fields(cert: EmbeddingCertificate) -> np.ndarray:
     """The certificate's input matrix as a float array, after holding the
     fields that the verifier reads to the reader's rules: a nonempty square
-    input matrix of finite numbers, a TorusSpec, and a tuple or list of
-    TorusPoints. Else raises InvalidCertificate (a ValueError) naming the
-    field, `input.squared_distances`, `torus` or `assignment`."""
+    input matrix of finite numbers, a scale (`_check_scale`), a TorusSpec,
+    and a tuple or list of TorusPoints. Else raises InvalidCertificate (a
+    ValueError) naming the field, `input.squared_distances`, `input.scale`,
+    `torus` or `assignment`."""
     field = "input.squared_distances"
     try:
         input_sq = _finite_array(cert.input_sq, field, square=True)
+        _check_scale(cert.scale)
         field = "torus"
         check_instance(cert.torus, TorusSpec, field)
         field = "assignment"
@@ -189,6 +200,16 @@ def _check_fields(cert: EmbeddingCertificate) -> np.ndarray:
     except InputError as exc:
         raise InvalidCertificate(str(exc), field=field) from None
     return input_sq
+
+
+def _check_scale(value, written: bool = False) -> int:
+    """`value` if it is an int (not a bool) of magnitude below 2**53, which
+    every JSON reader holds exactly, and nonzero if `written`, since a scale
+    of 0 is written as absent; else InvalidCertificate naming input.scale."""
+    if type(value) is int and -(2**53) < value < 2**53 and (value or not written):
+        return value
+    raise InvalidCertificate("input.scale must be an int of magnitude below 2**53, written "
+                             "only when nonzero", field="input.scale")
 
 
 def dumps_certificate(cert: EmbeddingCertificate) -> str:
@@ -206,7 +227,8 @@ def dumps_certificate(cert: EmbeddingCertificate) -> str:
         '{"input":{"squared_distances":[',
         # adding 0.0 turns -0.0 into 0.0, so reparsing cannot change the bytes
         ",".join(float_row % tuple(row) for row in (input_sq + 0.0).tolist()),
-        ']},"torus":{"factors":',
+        "]" + (f',"scale":{cert.scale}' if cert.scale else ""),
+        '},"torus":{"factors":',
         # radii are positive and finite, by PolygonSpec
         _row_template('{"m":"%d","r":%.17g}', len(factors))
         % tuple(chain.from_iterable((f.m, f.r) for f in factors)),
@@ -357,6 +379,7 @@ def loads_certificate(text: str) -> EmbeddingCertificate:
     input_sq = read_number_matrix(matrix, field, partial(InvalidCertificate, field=field))
     if input_sq.shape[0] != input_sq.shape[1]:
         raise InvalidCertificate(f"{field} must be square", field=field)
+    scale = _check_scale(obj["input"]["scale"], written=True) if "scale" in obj["input"] else 0
     torus = obj.get("torus", {})
     factors = _read_factors(torus.get("factors") if isinstance(torus, dict) else None)
     assignment = _read_assignment(obj.get("assignment"))
@@ -367,6 +390,7 @@ def loads_certificate(text: str) -> EmbeddingCertificate:
         parameters=_check_provenance("parameters", obj.get("parameters", {})),
         errors=_check_provenance("errors", obj.get("errors", {})),
         meta=_check_provenance("meta", obj.get("meta", {})),
+        scale=scale,
     )
 
 

@@ -42,20 +42,12 @@ def as_point_array(points) -> np.ndarray:
 
 
 def squared_distances(points) -> np.ndarray:
-    """Matrix of pairwise squared Euclidean distances.
-
-    Raises InputError when the entries, or their sum, overflow a double:
-    `centered_gram` takes the matrix's mean, so a finite sum is what every
-    later step needs.
-    """
+    """Matrix of pairwise squared Euclidean distances; an entry that
+    overflows a double is inf, which `check_squared_distances` refuses."""
     arr = as_point_array(points)
     with np.errstate(over="ignore"):
         diff = arr[:, None, :] - arr[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        total = d2.sum()
-    if not np.isfinite(total):
-        raise InputError("the points' squared distances overflow a double")
-    return d2
+        return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def check_squared_distances(sqdist, name: str = "squared-distance matrix") -> np.ndarray:
@@ -140,17 +132,12 @@ def simplex_spectrum(gram) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def spectrum_accepts(sqdist) -> bool:
-    """True iff `simplex_spectrum` accepts the centered Gram of the
-    squared-distance matrix."""
+def is_simplex(points) -> bool:
+    """True iff the points are affinely independent at the working
+    tolerance: `simplex_spectrum` accepts the centered Gram of their squared
+    distances."""
     try:
-        simplex_spectrum(centered_gram(sqdist))
+        simplex_spectrum(centered_gram(squared_distances(points)))
     except (NotEuclidean, NotSimplex):
         return False
     return True
-
-
-def is_simplex(points) -> bool:
-    """True iff the points are affinely independent at the working
-    tolerance: `spectrum_accepts` their squared distances."""
-    return spectrum_accepts(squared_distances(points))

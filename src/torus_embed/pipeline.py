@@ -9,6 +9,17 @@ self-check below is `certificate.verify_certificate` at its
 DEFAULT_ACCEPT_TOL, the verifier that `torus-embed verify` runs, and the
 construction holds no rule of its own on what a valid certificate is.
 
+The range of a double is decided once, at the start of the embed. When the
+squared distances of every two distinct points (of a given matrix, its
+positive entries) are normal doubles with a finite sum, the input is built
+as given, at scale 0. Otherwise the points are scaled by the exact power of
+two 2^-e, or the matrix by 4^-e, that puts the largest squared distance in
+[1, 4), and the construction runs there. The certificate then holds the
+input in units of 4^e and the radii in units of 2^e, and records e as its
+`scale`; the verifier's relative errors are the same in any unit. The rank
+rule is relative too, so a set it refuses in [1, 4) is no simplex at the
+working tolerance at any scale.
+
 The correction step is what makes the result exact: writing e_ij for the
 base embedding's squared-distance error and a for the increment, the
 correction's squared distances e_ij + a^2 must be a positive sum of cuts
@@ -75,14 +86,7 @@ from .almost_regular import (
 )
 from .certificate import VERSION, EmbeddingCertificate, verify_certificate
 from .delta_embed import product_embed
-from .errors import (
-    InputError,
-    NotAlmostRegular,
-    NotEuclidean,
-    NotSimplex,
-    TrivialInput,
-    VerificationFailed,
-)
+from .errors import InputError, NotAlmostRegular, TrivialInput, VerificationFailed
 from .geometry import (
     as_point_array,
     centered_gram,
@@ -90,13 +94,14 @@ from .geometry import (
     is_simplex,
     realize,
     simplex_spectrum,
-    spectrum_accepts,
     squared_distances,
 )
 from .torus import TorusPoint, TorusSpec
 
 # polygon order of every correction factor: triangles keep certificates small
 CORRECTION_ORDER = 3
+
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -137,81 +142,88 @@ def schoenberg_decompose(sq) -> ExpansionDecomposition:
 
 def embed_simplex(points) -> EmbeddingCertificate:
     """`embed_squared_distances` of the points' squared distances, with the
-    same bytes. Points that lose their rank only because two distinct points
-    are nearer than the smallest normal double allows are refused with
-    InputError."""
+    same bytes wherever those are normal doubles with a finite sum. Else the
+    points are scaled by the exact power of two 2^-e that puts their largest
+    squared distance in [1, 4), and the certificate records e as its
+    `scale` (module docstring)."""
     arr = as_point_array(points)
     sq = squared_distances(arr)
-    try:
-        return _embed(check_squared_distances(sq))
-    except (NotEuclidean, NotSimplex):
-        distinct = np.any(arr[:, None, :] != arr[None, :, :], axis=2)
-        if np.any(distinct & (sq < np.finfo(float).tiny)):
-            raise InputError("the points' squared distances underflow a double") from None
-        raise
+    scale = 0
+    if not _normal(sq, np.any(arr[:, None, :] != arr[None, :, :], axis=2)):
+        with np.errstate(over="ignore"):
+            span = float(np.max(arr.max(axis=0) - arr.min(axis=0)))
+        # the points times 2^-t span less than 1 on every axis and at least
+        # 1/2 on one, so their squared distances neither overflow nor all
+        # underflow, and the largest one sets the scale
+        t = math.frexp(span)[1] if span < math.inf else 1025
+        scale = t + _unit_scale(squared_distances(_scaled(arr, t)))
+        sq = squared_distances(_scaled(arr, scale))
+    return _embed(check_squared_distances(sq), scale)
 
 
 def embed_squared_distances(sq) -> EmbeddingCertificate:
     """Construct a verified isometric embedding of a simplex into a torus from
-    its squared-distance matrix, validated once and certified as given.
+    its squared-distance matrix, validated once and certified as given; a
+    matrix with a positive entry below the smallest normal double is
+    certified times the exact power of four 4^-e that puts its largest entry
+    in [1, 4), and the certificate records e as its `scale`.
 
     Raises NotEuclidean or NotSimplex for a matrix that is not a simplex's and
     VerificationFailed if, against all analysis, the proven grid's
     correction is not almost regular, its base embedding's error is not
     below its budget or the built certificate does not pass its own
     verification at DEFAULT_ACCEPT_TOL (a coarse grid that fails any of
-    these is dropped for the proven one, module docstring). A matrix with
-    positive subnormal entries is refused as InputError, naming one, where
-    the spectrum refuses it but accepts it times the exact power of two
-    that brings its largest entry below 1 (a larger one is not scaled), or
-    where the proven grid's certificate fails that verification: those
-    entries keep too few bits for the decision or the check.
+    these is dropped for the proven one, module docstring).
     """
     input_sq = check_squared_distances(sq)
-    try:
-        return _embed(input_sq)
-    except (NotEuclidean, NotSimplex):
-        refusal = _subnormal_refusal(input_sq, "for the spectrum to decide")
-        # 2**k times the largest entry is in [1/2, 1), or k = 0: scaling up
-        # is exact, so the scaled matrix is the same metric's
-        k = max(0, -math.frexp(float(input_sq.max()))[1])
-        if refusal is None or not spectrum_accepts(np.ldexp(input_sq, k)):
-            raise
-        raise refusal from None
+    scale = 0 if _normal(input_sq, input_sq > 0.0) else _unit_scale(input_sq)
+    return _embed(np.ldexp(input_sq, -2 * scale), scale)
 
 
-def _subnormal_refusal(sq, why: str) -> InputError | None:
-    """InputError naming sq's first positive subnormal entry, too coarse
-    `why`, or None if it has none."""
-    subnormal = np.argwhere((sq > 0.0) & (sq < np.finfo(float).tiny))
-    if not len(subnormal):
-        return None
-    i, j = subnormal[0]
-    return InputError(
-        f"squared distances are subnormal doubles ({float(sq[i, j])!r} at "
-        f"pair {(int(i), int(j))}, say), too coarse {why}"
-    )
+def _normal(sq: np.ndarray, positive: np.ndarray) -> bool:
+    """True iff the squared distances sq sum to a finite double and those at
+    `positive`, which are positive, are normal doubles: the input is built
+    at scale 0."""
+    with np.errstate(over="ignore"):
+        return float(sq.sum()) < math.inf and bool(np.all((sq >= _TINY) | ~positive))
 
 
-def _embed(input_sq: np.ndarray) -> EmbeddingCertificate:
-    """The construction on a validated squared-distance matrix; the spectrum's
-    NotEuclidean or NotSimplex is left to the caller to explain."""
+def _scaled(arr: np.ndarray, e: int) -> np.ndarray:
+    """The points times 2^-e. Raises InputError where a coordinate then
+    overflows, as a point far out beside points far nearer each other does."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(arr, -e)
+    if not np.all(np.isfinite(out)):
+        raise InputError(f"the points times 2^{-e} overflow a double")
+    return out
+
+
+def _unit_scale(sq: np.ndarray) -> int:
+    """The e that puts the largest entry of sq times 4^-e in [1, 4)."""
+    return (math.frexp(float(sq.max()))[1] - 1) // 2
+
+
+def _embed(input_sq: np.ndarray, scale: int) -> EmbeddingCertificate:
+    """The construction on a validated squared-distance matrix in units of
+    4^scale."""
     n = input_sq.shape[0]
     dec = schoenberg_decompose(input_sq)
+    # delta is positive: alpha^2 exceeds DEFAULT_TOL times the largest Gram
+    # eigenvalue, which is at least half the largest entry C. At scale 0
+    # every positive entry is normal, so alpha^2 > 1e-9 * C / 2 >= 2^-1053
+    # and alpha^2 / n^2 >= 2^-1074 for n <= 1,448; at any other scale C is
+    # in [1, 4)
     delta = dec.alpha_sq / n**2
-    if not delta > 0.0:
-        raise InputError(
-            f"the base's error budget alpha^2 / n^2 = {dec.alpha_sq!r} / {n**2} "
-            "underflows a double"
-        )
     # the coarse grid first, at K = 2**floor(log2(n^2/2)), then the proven
     # one (module docstring)
     coarsening = 1 << ((n * n // 2).bit_length() - 1)
     try:
-        return _certify(input_sq, dec, delta * coarsening, gated=True)
+        cert = _certify(input_sq, dec, delta * coarsening, gated=True)
     except (InputError, VerificationFailed):
-        pass
-    return _certify(input_sq, dec, delta)
+        cert = _certify(input_sq, dec, delta)
+    # checked in units of 4^scale, the same check
+    cert.scale = scale
+    return cert
 
 
 def _certify(
@@ -220,9 +232,8 @@ def _certify(
     """The self-checked certificate on the base gridded at budget delta.
     Raises VerificationFailed if the correction is not a positive sum of
     cuts, if gated and its slack is below the coarse grid's gate (module
-    docstring), or if the base error is not below delta, and
-    VerificationFailed, or InputError for subnormal input entries, if the
-    certificate fails its self-check."""
+    docstring), if the base error is not below delta, or if the certificate
+    fails its self-check."""
     n = input_sq.shape[0]
     alpha_sq = dec.alpha_sq
     de = product_embed(dec.base, delta)
@@ -265,9 +276,6 @@ def _certify(
     cert = EmbeddingCertificate(input_sq, torus, assignment, parameters, {}, meta)
     report = verify_certificate(cert)
     if not report.passed:
-        why = f"for the certificate to verify: max relative error {report.max_rel_error:.6e}"
-        if refusal := _subnormal_refusal(input_sq, why):
-            raise refusal
         raise VerificationFailed(
             f"certificate verification failed: max relative error "
             f"{report.max_rel_error:.6e} at pair {report.worst_pair}"

@@ -13,6 +13,8 @@ from mpmath import mp, mpf
 
 from torus_embed import (
     EmbeddingCertificate,
+    NotEuclidean,
+    NotSimplex,
     PolygonSpec,
     TorusPoint,
     TorusSpec,
@@ -30,7 +32,17 @@ from torus_embed import (
     squared_distances,
     verify_certificate,
 )
-from torus_embed.geometry import spectrum_accepts
+from torus_embed.geometry import centered_gram, simplex_spectrum
+
+
+def spectrum_accepts(sq):
+    """True iff the Euclidean and rank rules accept the squared-distance
+    matrix: the points it measures are a simplex."""
+    try:
+        simplex_spectrum(centered_gram(sq))
+    except (NotEuclidean, NotSimplex):
+        return False
+    return True
 
 
 def report(num, name, ok, elapsed=None, limit=None, detail=""):

@@ -262,9 +262,18 @@ def test_embed_refuses_a_cut_member_out_of_range(member):
          r"plan\.cuts\[1\] side must be a positive finite number, got True"),
         (RealizationPlan(3, 1.0, (((0,), 1.0), ((1,), 10**400))),
          r"plan\.cuts\[1\] side must be a positive finite number"),
+        # a cut that is not a (members, side) pair
+        (RealizationPlan(2, 1.0, ((0,),)), r"plan\.cuts\[0\] must be a \(members, side\) pair"),
+        (RealizationPlan(2, 1.0, ((0, 1.0),)),
+         r"plan\.cuts\[0\] must be a \(members, side\) pair"),
+        (RealizationPlan(2, 1.0, (((0,), 1.0), ((1,), 1.0, 2))),
+         r"plan\.cuts\[1\] must be a \(members, side\) pair"),
+        (RealizationPlan(2, 1.0, (((0,), 1.0, 2),)),
+         r"plan\.cuts\[0\] must be a \(members, side\) pair"),
     ],
     ids=["n-negative", "n-float", "no-cuts", "cuts-none", "side-negative", "side-nan",
-         "side-string", "side-bool", "side-past-double"],
+         "side-string", "side-bool", "side-past-double", "cut-one-item", "cut-members-int",
+         "cut-three-items-later", "cut-three-items"],
 )
 def test_embed_refuses_a_plan_field_by_name(plan, named):
     with pytest.raises(InputError, match="^" + named):

@@ -336,6 +336,9 @@ PROVENANCE_REFUSED = {
     "900-deep": (["meta", "version"], "[" * 900 + "1" + "]" * 900, "meta.version[0][0]"),
 }
 
+# input.scale values that break its rule (an int of magnitude below 2**53)
+SCALES_REFUSED = {"true": True, "float": 1.5, "string": "3", "past-double": 10**400}
+
 # each malformed certificate, and the field its error names (as the generic
 # reader named it)
 MALFORMED = {
@@ -359,6 +362,9 @@ MALFORMED = {
     "matrix-not-square": (
         _set(["input", "squared_distances"], [[0.0, 1.0]]), "input.squared_distances"
     ),
+    # a scale of 0 is written as absent, so "scale":0 is not canonical
+    **{f"scale-{name}": (_set(["input", "scale"], value), "input.scale")
+       for name, value in {"zero": 0, **SCALES_REFUSED}.items()},
     "torus-list": (_set(["torus"], []), "torus.factors"),
     "factors-object": (_set(["torus", "factors"], {}), "torus.factors"),
     "factors-empty": (_set(["torus", "factors"], []), "torus.factors"),
@@ -429,6 +435,8 @@ FIELDS_REFUSED = {
     "input-one-axis": (_replace(input_sq=np.zeros(3)), "input.squared_distances"),
     "input-nan": (_replace(input_sq=np.full((3, 3), math.nan)), "input.squared_distances"),
     "input-text": (_replace(input_sq="x"), "input.squared_distances"),
+    **{f"scale-{name}": (_replace(scale=value), "input.scale")
+       for name, value in SCALES_REFUSED.items()},
     "torus-none": (_replace(torus=None), "torus"),
     "torus-factor-tuple": (_replace(torus=(PolygonSpec(3, 1.0),)), "torus"),
     "assignment-none": (_replace(assignment=None), "assignment"),

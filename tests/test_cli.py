@@ -93,81 +93,69 @@ def test_embed_one_point_exits_2(tmp_path, capsys, data):
     assert not (tmp_path / "c.json").exists()
 
 
-@pytest.mark.parametrize("scale", [1e-158, 1e-162, 1e-170])
-def test_embed_underflowing_squared_distances_exits_1(tmp_path, capsys, scale):
-    # distinct points whose squared distances leave the normal doubles lose
-    # their rank: refused by name, not as "not a simplex"
+def embeds_and_verifies(capsys, tmp_path, data):
+    """Embed `data` through the CLI, verify what it wrote, and return the
+    certificate."""
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"
-    write_json(inp, {"points": (generate_points("random", 6, seed=1) * scale).tolist()})
-    code, _, stderr = run(capsys, "embed", str(inp), str(out))
-    assert code == 1
-    assert stderr == "torus-embed: the points' squared distances underflow a double\n"
-    assert not out.exists()
+    write_json(inp, data)
+    code, _, stderr = run(capsys, "embed", str(inp), str(out), "--quiet")
+    assert code == 0, stderr
+    assert run(capsys, "verify", str(out))[0] == 0
+    return load_certificate(out)
+
+
+# The tests below, named for the refusals that inputs at the edges of the
+# double range once got, now pin their embedding: squared distances that
+# underflow or overflow a double, or an error budget alpha^2 / n^2 that
+# would underflow, are built at the power-of-two scale that puts the
+# largest squared distance in [1, 4), recorded as the certificate's scale.
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-162, 1e-170])
+def test_embed_underflowing_squared_distances_exits_1(tmp_path, capsys, scale):
+    points = generate_points("random", 6, seed=1) * scale
+    cert = embeds_and_verifies(capsys, tmp_path, {"points": points.tolist()})
+    assert cert.scale < 0
+    assert 1.0 <= float(cert.input_sq.max()) < 4.0
 
 
 @pytest.mark.parametrize("n, decades", [(3, 161.5), (6, 160.5), (6, 161.0)])
 def test_embed_underflowing_error_budget_exits_1(tmp_path, capsys, n, decades):
-    # the points keep their rank, but the base's budget alpha^2 / n^2 is 0.0:
-    # refused by name, not as "delta must be a positive finite number"
-    inp = tmp_path / "in.json"
-    out = tmp_path / "c.json"
     pts = generate_points("random", n, seed=2) * 10.0**-decades
-    write_json(inp, {"points": pts.tolist()})
-    code, _, stderr = run(capsys, "embed", str(inp), str(out))
-    assert code == 1
-    assert "alpha^2 / n^2" in stderr and "underflows a double" in stderr
-    assert not out.exists()
+    cert = embeds_and_verifies(capsys, tmp_path, {"points": pts.tolist()})
+    assert cert.scale < 0
+    assert cert.parameters["delta"] > 1e-6
 
 
-@pytest.mark.parametrize(
-    "n, decades, want", [(2, 158.0, 1), (2, 161.0, 1), (6, 157.5, 0)]
-)
-def test_embed_subnormal_squared_distances_never_exit_3(tmp_path, capsys, n, decades, want):
+@pytest.mark.parametrize("n, decades, seed", [(2, 158.0, 1), (2, 161.0, 1), (6, 157.5, 0)])
+def test_embed_subnormal_squared_distances_never_exit_3(tmp_path, capsys, n, decades, seed):
     # squared distances below the smallest normal double that keep their
-    # rank: a certificate that fails its own check at them is refused by
-    # name with exit 1, and one that passes is written
-    inp = tmp_path / "in.json"
-    out = tmp_path / "c.json"
-    pts = generate_points("random", n, seed=1) * 10.0**-decades
-    write_json(inp, {"points": pts.tolist()})
-    code, _, stderr = run(capsys, "embed", str(inp), str(out), "--quiet")
-    assert code == want, stderr
-    if want:
-        assert "squared distances are subnormal doubles" in stderr
-        assert not out.exists()
-    else:
-        assert run(capsys, "verify", str(out))[0] == 0
+    # rank are built in [1, 4), where the certificate passes its own check
+    pts = generate_points("random", n, seed=seed) * 10.0**-decades
+    assert embeds_and_verifies(capsys, tmp_path, {"points": pts.tolist()}).scale < 0
 
 
 def test_embed_subnormal_squared_distances_with_rank_still_embed(tmp_path, capsys):
-    inp = tmp_path / "in.json"
-    out = tmp_path / "c.json"
-    write_json(inp, {"points": (generate_points("random", 6, seed=1) * 1e-155).tolist()})
-    assert run(capsys, "embed", str(inp), str(out), "--quiet")[0] == 0
-    assert float(np.max(load_certificate(out).input_sq)) < np.finfo(float).tiny
-    assert run(capsys, "verify", str(out))[0] == 0
+    points = generate_points("random", 6, seed=1) * 1e-155
+    cert = embeds_and_verifies(capsys, tmp_path, {"points": points.tolist()})
+    # the real squared distances, the input times 4^scale, are subnormal
+    assert float(np.max(np.ldexp(cert.input_sq, 2 * cert.scale))) < np.finfo(float).tiny
 
 
 # squared-distance matrices with positive subnormal entries, and the exit
-# code and message each gets: the spectrum refuses the first two at their
-# scale and accepts them times an exact power of two, so their refusal is
-# the subnormals' lost bits (exit 1, as for the first one's points); the
-# last two are no metric at any scale (exit 2)
+# code and message each gets: the first two are simplices, scaled by 4^-e
+# and embedded (exit 0); the last two are no metric at any scale (exit 2)
 SUBNORMAL_MATRICES = {
     "random-4-points": (
-        squared_distances(generate_points("random", 4, seed=1) * 1e-158),
-        1, "squared distances are subnormal doubles (2.70641527",
+        squared_distances(generate_points("random", 4, seed=1) * 1e-158), 0, "",
     ),
-    "two-points": (
-        [[0.0, 5e-324], [5e-324, 0.0]],
-        1, "squared distances are subnormal doubles (5e-324 at pair (0, 1), say)",
-    ),
+    "two-points": ([[0.0, 5e-324], [5e-324, 0.0]], 0, ""),
     "not-euclidean": (
         [[0.0, 1.0, 5e-324], [1.0, 0.0, 5e-324], [5e-324, 5e-324, 0.0]],
         2, "input is not a simplex (squared distances are not Euclidean)",
     ),
-    # the same at 2**-10 times the scale, which is decided again at 2**9
+    # the same at 2**-10 times the scale, which is built at 4**5 times it
     "not-euclidean-small": (
         [[0.0, 2.0**-10, 5e-324], [2.0**-10, 0.0, 5e-324], [5e-324, 5e-324, 0.0]],
         2, "input is not a simplex (squared distances are not Euclidean)",
@@ -178,9 +166,15 @@ SUBNORMAL_MATRICES = {
 @pytest.mark.parametrize("name", list(SUBNORMAL_MATRICES))
 def test_embed_subnormal_matrix_one_verdict(tmp_path, capsys, name):
     matrix, code, message = SUBNORMAL_MATRICES[name]
+    data = {"squared_distances": np.asarray(matrix).tolist()}
+    if code == 0:
+        cert = embeds_and_verifies(capsys, tmp_path, data)
+        # the input as given, times the exact power of four 4^-scale
+        np.testing.assert_array_equal(cert.input_sq, np.ldexp(matrix, -2 * cert.scale))
+        return
     inp = tmp_path / "in.json"
     out = tmp_path / "c.json"
-    write_json(inp, {"squared_distances": np.asarray(matrix).tolist()})
+    write_json(inp, data)
     got, _, stderr = run(capsys, "embed", str(inp), str(out))
     assert got == code
     assert stderr.startswith(f"torus-embed: {message}")
@@ -190,14 +184,11 @@ def test_embed_subnormal_matrix_one_verdict(tmp_path, capsys, name):
 @pytest.mark.parametrize("scale", [9e153, 1e200], ids=["sum-overflows", "entries-overflow"])
 def test_embed_overflowing_squared_distances_exits_1(tmp_path, capsys, scale):
     # at 9e153 every squared distance is finite but their sum, which the
-    # centered Gram's mean needs, is not
-    inp = tmp_path / "in.json"
-    out = tmp_path / "c.json"
-    write_json(inp, {"points": [[scale, 0.0], [0.0, scale], [0.0, 0.0]]})
-    code, _, stderr = run(capsys, "embed", str(inp), str(out))
-    assert code == 1
-    assert stderr == "torus-embed: the points' squared distances overflow a double\n"
-    assert not out.exists()
+    # centered Gram's mean needs, is not; at 1e200 the entries overflow too
+    data = {"points": [[scale, 0.0], [0.0, scale], [0.0, 0.0]]}
+    cert = embeds_and_verifies(capsys, tmp_path, data)
+    assert cert.scale > 0
+    assert 1.0 <= float(cert.input_sq.max()) < 4.0
 
 
 def test_gen_noise_overflowing_squared_distances_exits_1(tmp_path, capsys):

@@ -3,6 +3,7 @@ benchmark's span tracer patches, and the library's refusal of bad
 arguments."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import math
@@ -15,6 +16,7 @@ import pytest
 import torus_embed
 from torus_embed import (
     InputError,
+    InvalidCertificate,
     PolygonSpec,
     TorusPoint,
     TorusSpec,
@@ -156,6 +158,21 @@ def test_library_refuses_bad_arguments_by_name(call, name, value):
     # OverflowError, ZeroDivisionError, bare ValueError or numpy warning
     with pytest.raises(InputError, match=f"^{re.escape(name)} must "):
         call(value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("check", [dumps_certificate, verify_certificate])
+@pytest.mark.parametrize(
+    "value", [v for key, v in JUNK.items() if key != "minus-one"],
+    ids=[key for key in JUNK if key != "minus-one"],
+)
+def test_certificate_refuses_a_junk_scale_by_name(check, value):
+    # a certificate field, not an argument: refused as InvalidCertificate
+    # naming input.scale; -1 is a valid scale
+    cert = dataclasses.replace(triangle_certificate(), scale=value)
+    with pytest.raises(InvalidCertificate, match=r"^input\.scale must ") as exc:
+        check(cert)
+    assert exc.value.field == "input.scale"
 
 
 # the wording of the argument rules that errors.check_count,

@@ -1,12 +1,15 @@
 """Tests for the end-to-end construction and the certificate verifier."""
 
 import dataclasses
+import functools
 import math
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torus_embed import (
     EmbeddingCertificate,
@@ -350,8 +353,10 @@ def test_random_certificates_take_one_triangle_per_pair(n):
 
 
 # what each version's `embed` wrote for `gen random 6 --seed 1`, 0.3.0 to
-# today's, and with --uniform-m (every cut factor at the base's order m) for
-# 0.9.0 to 0.11.0; each is named for its meta.version
+# today's, with --uniform-m (every cut factor at the base's order m) for
+# 0.9.0 to 0.11.0, and for those points times 2**-600, whose squared
+# distances underflow, from 0.16.0 ("-scaled"); each is named for its
+# meta.version
 CORPUS = Path(__file__).parent / "data" / "certificates"
 GOLDEN = sorted(CORPUS.glob("*.json"))
 
@@ -371,12 +376,16 @@ def test_golden_certificate_verifies_and_round_trips(tmp_path, path):
     assert report.max_abs_error.hex() == float(cert.errors["max_abs"]).hex()
     assert report.max_rel_error.hex() == float(cert.errors["max_rel"]).hex()
     assert dumps_certificate(cert) + "\n" == text
-    assert cert.meta["version"] == path.stem.removesuffix("-uniform-m")
+    assert cert.meta["version"] == path.stem.partition("-")[0]
     if path.stem == VERSION:
         inp, out = tmp_path / "in.json", tmp_path / "cert.json"
         assert main(["gen", "random", "6", "--seed", "1", "-o", str(inp)]) == 0
         assert main(["embed", "--quiet", str(inp), str(out)]) == 0
         assert out.read_text(encoding="utf-8") == text
+    if path.stem == f"{VERSION}-scaled":
+        points = np.ldexp(generate_points("random", 6, seed=1), -600)
+        assert dumps_certificate(embed_simplex(points)) + "\n" == text
+        assert cert.scale == -599
 
 
 @pytest.mark.parametrize("failure", ["slack", "self-check"])
@@ -812,6 +821,68 @@ def test_verify_matches_reference_loop_on_clean_and_tampered():
                 assert verify_certificate(tampered, tol) == reference_report(tampered, tol)
             rejected += not verify_certificate(tampered, 1e-8).passed
     assert rejected  # the comparison covers failing reports as well
+
+
+@functools.cache
+def small_certificate(n, seed):
+    return embed_simplex(generate_points("random", n, seed=seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2),
+    spot=st.integers(0, 10**6),
+    base=st.booleans(),
+    move=st.sampled_from([-2, -1, 1, 2, "half-turn"]),
+    ulps=st.integers(1, 4),
+    down=st.booleans(),
+)
+def test_verify_matches_reference_on_single_mutations(n, seed, spot, base, move, ulps, down):
+    # one mutation at a random spot of a small certificate: a base index
+    # moved by +-1 or +-2 steps or a half-turn (within range(m)), or a cut
+    # radius moved by 1-4 ulps; the verifier's report is the per-pair
+    # loop's, bit for bit, whether it passes or not
+    cert = small_certificate(n, seed)
+    factors = list(cert.torus.factors)
+    rows = [list(p.indices) for p in cert.assignment]
+    if base:
+        i, k = spot % n, spot // n % (n - 1)
+        m = factors[k].m
+        rows[i][k] = (rows[i][k] + (m // 2 if move == "half-turn" else move)) % m
+    else:
+        k = n - 1 + spot % (len(factors) - n + 1)
+        r = factors[k].r
+        for _ in range(ulps):
+            r = math.nextafter(r, 0.0 if down else math.inf)
+        factors[k] = PolygonSpec(factors[k].m, r)
+    mutated = dataclasses.replace(
+        cert,
+        torus=TorusSpec(tuple(factors)),
+        assignment=tuple(TorusPoint(tuple(row)) for row in rows),
+    )
+    got = verify_certificate(mutated)
+    assert repr(got) == repr(reference_report(mutated, DEFAULT_ACCEPT_TOL))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3, 6]), seed=st.integers(0, 2), k=st.integers(-1000, 1023))
+@example(n=6, seed=1, k=-1000).via("the smallest squares")
+@example(n=6, seed=1, k=1023).via("the largest coordinates")
+@example(n=6, seed=1, k=-511).via("just below the normal squares")
+@example(n=6, seed=1, k=510).via("just past a finite sum")
+def test_embed_is_covariant_under_powers_of_two(n, seed, k):
+    # points times 2^k whose squared distances leave the normal doubles are
+    # built at the scale e that puts the largest in [1, 4): the certificate
+    # of the points times 2^(k - e), at scale 0, but for its scale
+    points = np.ldexp(generate_points("random", n, seed=seed), k)
+    cert = embed_simplex(points)
+    if cert.scale == 0:
+        return
+    unit = embed_simplex(np.ldexp(points, -cert.scale))
+    assert unit.scale == 0
+    assert 1.0 <= float(unit.input_sq.max()) < 4.0
+    assert dumps_certificate(dataclasses.replace(cert, scale=0)) == dumps_certificate(unit)
 
 
 def correction_tampers(cert):
