@@ -151,18 +151,18 @@ def _cmd_inspect(args) -> int:
         print(dumps_canonical(summary))
         return 0
     print(f"points:            {summary['points']}")
-    if summary["scale"]:
-        print(f"input scale:       {summary['scale']} (squared distances in units of 4^scale)")
     print(f"torus factors:     {summary['factor_count']}")
     print(f"ambient dimension: {summary['ambient_dim']}")
     print("polygon orders:")
     for entry in summary["polygon_orders"]:
         print(f"  m = {entry['m']} ({entry['bits']} bits) x{entry['count']}")
     print(f"radius range:      [{summary['radius_min']:.6g}, {summary['radius_max']:.6g}]")
-    for key, spec in (("alpha", ".6g"), ("delta", ".6g"), ("scale_exponent", "")):
-        if summary[key] is not None:
-            label = key.replace("_", " ") + ":"
-            print(f"{label:19}{_provenance(summary[key], spec)}")
+    if summary["alpha"] is not None:
+        print(f"alpha:             {_provenance(summary['alpha'], '.6g')}")
+    if summary["delta"] is not None:
+        print(f"delta:             {_provenance(summary['delta'], '.6g')}")
+    if summary["scale_exponent"] is not None:
+        print(f"scale exponent:    {_provenance(summary['scale_exponent'], '')}")
     if errors := summary["errors"]:
         print(
             f"errors:            max_abs {_provenance(errors.get('max_abs'), '.3e')}  "
